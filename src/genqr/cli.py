@@ -205,11 +205,15 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
                     {"qid": topic.qid, "original": topic.query, "keywords": [],
                      "fused_terms": [], "context": None})
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(process, topics))
-    else:
-        results = [process(t) for t in topics]
+    try:
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                results = list(pool.map(process, topics))
+        else:
+            results = [process(t) for t in topics]
+    finally:
+        if runner.backend is not None:
+            runner.backend.close()
 
     runs = [run for run, _ in results]
     if cfg.reranker_cmd:
@@ -409,9 +413,12 @@ def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> I
     """Generate `count` instructions (base + paraphrases) and persist them."""
     backend = cfg.make_backend()
     base = cfg.base_instruction or InstructionSet.default().base
-    instructions = paraphrase_instructions(backend, base, count,
-                                           sampling=cfg.sampling,
-                                           cache=cfg.make_cache())
+    try:
+        instructions = paraphrase_instructions(backend, base, count,
+                                               sampling=cfg.sampling,
+                                               cache=cfg.make_cache())
+    finally:
+        backend.close()
     instructions.save(out_path)
     logger.info("wrote %d instructions to %s", instructions.n, out_path)
     return instructions

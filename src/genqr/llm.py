@@ -10,6 +10,13 @@ Three backend kinds:
 Stub and replay are pure functions of (config, request). The cache is a
 directory of content-addressed JSON files; writes go through a temp file
 and os.replace, so concurrent misses on one key are safe.
+
+`cached_generate` takes a batch of requests (a query's N instruction
+prompts): cache hits are served inline, identical misses share one
+backend call, and the remaining misses go out concurrently on the
+backend's own pool of `max_in_flight` threads (default 4). A semaphore of
+the same size bounds every call into the backend, so `max_in_flight` also
+caps the total across a run's query `workers`.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import requests
 
@@ -89,11 +97,18 @@ class GenRequest:
 
 
 class Backend:
-    """Shared plumbing: call counting and a bounded in-flight limit."""
+    """Shared plumbing: call counting, a bounded in-flight limit and a
+    pool of `max_in_flight` threads for concurrent requests."""
 
     def __init__(self, max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
         self._sem = threading.Semaphore(max_in_flight)
         self._lock = threading.Lock()
+        # Threads start on first submit, so backends that never batch misses
+        # start none.
+        self._pool = ThreadPoolExecutor(max_workers=max_in_flight,
+                                        thread_name_prefix="genqr-backend")
         self.calls = 0
 
     def identity(self) -> str:
@@ -104,6 +119,13 @@ class Backend:
             with self._lock:
                 self.calls += 1
             return self._generate(request)
+
+    def submit(self, request: GenRequest) -> Future:
+        """Run `generate` on the backend's thread pool."""
+        return self._pool.submit(self.generate, request)
+
+    def close(self) -> None:
+        self._pool.shutdown()
 
     def _generate(self, request: GenRequest) -> str:
         raise NotImplementedError
@@ -129,11 +151,11 @@ class StubBackend(Backend):
         self.vocab = {str(k).lower(): [str(v) for v in vs] for k, vs in vocab.items()}
         self.seed = seed
         self.n_terms = n_terms
+        blob = json.dumps(self.vocab, sort_keys=True, separators=(",", ":"))
+        self._fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def identity(self) -> str:
-        blob = json.dumps(self.vocab, sort_keys=True, separators=(",", ":"))
-        fp = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-        return f"stub:{fp}:{self.seed}:{self.n_terms}"
+        return f"stub:{self._fingerprint}:{self.seed}:{self.n_terms}"
 
     def _generate(self, request: GenRequest) -> str:
         pool: List[str] = []
@@ -213,6 +235,10 @@ class HttpBackend(Backend):
     dotted path into the response JSON (list indices allowed, e.g.
     "choices.0.text"). An API key, if present in $GENQR_API_KEY, is sent
     as a bearer token.
+
+    Timeouts, connection errors, 429 and 5xx are retried, waiting a numeric
+    Retry-After (capped at `timeout`) or else exponential backoff; any
+    other error status fails at once.
     """
 
     def __init__(self, url: str, model: str, completion_field: str = "text",
@@ -250,23 +276,40 @@ class HttpBackend(Backend):
 
         last_error = None
         for attempt in range(1, self.max_retries + 1):
+            delay = self.backoff * (2 ** (attempt - 1))
             try:
                 resp = requests.post(self.url, json=payload, headers=self._headers(),
                                      timeout=self.timeout)
                 resp.raise_for_status()
+            except requests.HTTPError as e:
+                status = e.response.status_code
+                if status != 429 and status < 500:
+                    raise BackendError(f"{self.url}: {e}") from e
+                delay = self._retry_after(e.response, delay)
+                last_error = e
+            except (requests.Timeout, requests.ConnectionError) as e:
+                last_error = e
+            except requests.RequestException as e:
+                raise BackendError(f"{self.url}: {e}") from e
+            else:
                 try:
                     body = resp.json()
                 except ValueError as e:
                     raise BackendError(f"{self.url}: response is not JSON: {e}") from e
                 return self._extract(body)
-            except requests.RequestException as e:
-                last_error = e
-                logger.warning("backend call failed (attempt %d/%d): %s",
-                               attempt, self.max_retries, e)
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+            logger.warning("backend call failed (attempt %d/%d): %s",
+                           attempt, self.max_retries, last_error)
+            if attempt < self.max_retries:
+                time.sleep(delay)
         raise BackendError(
             f"{self.url}: request failed after {self.max_retries} attempts: {last_error}")
+
+    def _retry_after(self, resp: requests.Response, default: float) -> float:
+        """Seconds from a numeric Retry-After header (RFC 9110), capped at the timeout."""
+        value = resp.headers.get("Retry-After", "").strip()
+        if not (value.isascii() and value.isdigit()):
+            return default
+        return min(float(value), self.timeout)
 
     def _extract(self, body) -> str:
         node = body
@@ -335,14 +378,46 @@ class ResponseCache:
 
 
 def cached_generate(cache: Optional[ResponseCache], backend: Backend,
-                    request: GenRequest) -> str:
-    """Serve from the cache when possible; fall back to the backend and store."""
-    if cache is None:
-        return backend.generate(request)
-    key = cache_key(backend, request)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    response = backend.generate(request)
-    cache.put(key, response)
-    return response
+                    batch: Sequence[GenRequest],
+                    keys: Optional[Sequence[str]] = None) -> List[str]:
+    """Responses to `batch`, in order: from the cache when possible, else
+    from the backend, concurrently, and then stored.
+
+    `keys` are the requests' cache keys, if the caller already has them.
+    Identical keys in a batch make one backend call. If a request fails,
+    the error of the lowest failing index is raised once every request
+    has finished, with that index as its `batch_index` attribute; the
+    responses that did arrive are cached.
+    """
+    if keys is None:
+        keys = [cache_key(backend, request) for request in batch]
+    elif len(keys) != len(batch):
+        raise ValueError(f"{len(keys)} cache keys for {len(batch)} requests")
+    responses: Dict[str, str] = {}
+    misses: Dict[str, GenRequest] = {}
+    for key, request in zip(keys, batch):
+        if key in responses or key in misses:
+            continue
+        hit = cache.get(key) if cache is not None else None
+        if hit is None:
+            misses[key] = request
+        else:
+            responses[key] = hit
+
+    futures = {key: backend.submit(request) for key, request in misses.items()}
+    errors: Dict[str, Exception] = {}
+    for key, future in futures.items():
+        try:
+            responses[key] = future.result()
+        except Exception as e:  # re-raised below, once every request has finished
+            errors[key] = e
+            continue
+        if cache is not None:
+            cache.put(key, responses[key])
+
+    for index, key in enumerate(keys):
+        if key in errors:
+            error = errors[key]
+            error.batch_index = index
+            raise error
+    return [responses[key] for key in keys]

@@ -172,7 +172,7 @@ def paraphrase_instructions(backend: Backend, base: str, count: int,
         return InstructionSet(base=base)
     prompt = f"{PARAPHRASE_PROMPT} {base}"
     request = GenRequest(prompt=prompt, sampling=sampling, max_new_tokens=max_new_tokens)
-    response = cached_generate(cache, backend, request)
+    response = cached_generate(cache, backend, [request])[0]
     paraphrases = [p for p in parse_paraphrase_list(response) if p != base]
     if len(paraphrases) < count - 1:
         raise ReformulationError(
@@ -197,7 +197,7 @@ def generate_keywords(backend: Backend, instruction: str, query: Topic,
     """One instruction-conditioned generation; returns the raw generated text."""
     request = GenRequest(prompt=build_prompt(instruction, query.query, template),
                          sampling=sampling, max_new_tokens=max_new_tokens)
-    return cached_generate(cache, backend, request)
+    return cached_generate(cache, backend, [request])[0]
 
 
 def _keyword_tokens(keyword: str, parser: str, analyzer: Analyzer) -> List[str]:
@@ -247,18 +247,15 @@ def _run_instructions(backend: Backend, instructions: List[str], indices: List[i
                       query: Topic, config: ReformulationConfig, analyzer: Analyzer,
                       sampling: SamplingConfig, cache: Optional[ResponseCache],
                       max_new_tokens: int, context: Optional[str]) -> Reformulation:
-    keywords: List[str] = []
-    keys: List[str] = []
-    for idx, instruction in zip(indices, instructions):
-        request = GenRequest(
-            prompt=build_prompt(instruction, query.query, config.prompt_template),
-            sampling=sampling, max_new_tokens=max_new_tokens)
-        keys.append(cache_key(backend, request))
-        try:
-            keywords.append(cached_generate(cache, backend, request))
-        except BackendError as e:
-            raise ReformulationError(
-                f"qid {query.qid}: instruction {idx} generation failed: {e}") from e
+    batch = [GenRequest(prompt=build_prompt(instruction, query.query, config.prompt_template),
+                        sampling=sampling, max_new_tokens=max_new_tokens)
+             for instruction in instructions]
+    keys = [cache_key(backend, request) for request in batch]
+    try:
+        keywords = cached_generate(cache, backend, batch, keys)
+    except BackendError as e:
+        raise ReformulationError(f"qid {query.qid}: instruction {indices[e.batch_index]} "
+                                 f"generation failed: {e}") from e
 
     fused = fuse(query, keywords, config, analyzer)
 

@@ -1,10 +1,16 @@
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import genqr
 from genqr.analysis import Analyzer
+from genqr.cli import cmd_run
 from genqr.corpus_io import Topic
 from genqr.index import DegenerateQueryError
-from genqr.llm import Backend, GenRequest, ReplayBackend, ResponseCache, StubBackend
+from genqr.llm import (Backend, GenRequest, HttpBackend, ReplayBackend, ResponseCache,
+                       StubBackend, cache_key)
 from genqr.prf import FeedbackDoc, FeedbackSet
 from genqr.reformulate import (InstructionSet, ReformulationConfig,
                                ReformulationError, build_context, build_prompt,
@@ -225,6 +231,60 @@ def test_failed_instruction_names_index():
     spy = replay_backend()  # transcript lacks these prompts
     with pytest.raises(ReformulationError, match="instruction 1"):
         genqr_ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=2), Analyzer())
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(delays_ms=st.lists(st.integers(0, 30), min_size=10, max_size=10))
+@example(delays_ms=list(range(30, 0, -3)))  # replies in reverse instruction order
+def test_http_fanout_matches_sequential_stub(canned, delays_ms):
+    canned.reset()
+    iset = InstructionSet.default()
+    prompts = [build_prompt(i, GOLDFISH.query) for i in iset.all()]
+    server_stub = StubBackend(THESAURUS, seed=5, n_terms=3)
+    canned.reply = lambda prompt: server_stub.generate(GenRequest(prompt=prompt))
+    canned.delay = dict(zip(prompts, (d / 1000 for d in delays_ms))).__getitem__
+    stub = StubBackend(THESAURUS, seed=5, n_terms=3)
+    http = HttpBackend(canned.url, model="toy", completion_field="choices.0.text")
+    cfg = ReformulationConfig(n=10)
+    try:
+        got = genqr_ensemble(http, iset, GOLDFISH, cfg, Analyzer())
+    finally:
+        http.close()
+    want = genqr_ensemble(stub, iset, GOLDFISH, cfg, Analyzer())
+    assert got.keywords == tuple(stub.generate(GenRequest(prompt=p)) for p in prompts)
+    assert got.provenance.cache_keys == tuple(
+        cache_key(http, GenRequest(prompt=p)) for p in prompts)
+    assert got == dataclasses.replace(want, provenance=dataclasses.replace(
+        want.provenance, backend_identity=http.identity(),
+        cache_keys=got.provenance.cache_keys))
+
+
+def test_http_failed_instruction_named_and_rest_cached(canned, tmp_path):
+    iset = InstructionSet.default()
+    prompts = [build_prompt(i, GOLDFISH.query) for i in iset.all()]
+    canned.fail_prompts = {prompts[3]: 400}
+    http = HttpBackend(canned.url, model="toy", completion_field="choices.0.text",
+                       max_in_flight=2)
+    cache = ResponseCache(tmp_path / "cache")
+    with pytest.raises(ReformulationError, match="instruction 4 generation failed"):
+        genqr_ensemble(http, iset, GOLDFISH, ReformulationConfig(n=10), Analyzer(),
+                       cache=cache)
+    assert len(canned.payloads) == 10  # the 400 is not retried
+    for i, prompt in enumerate(prompts):
+        cached = cache.get(cache_key(http, GenRequest(prompt=prompt)))
+        assert cached == (None if i == 3 else f"echo {prompt}")
+
+
+def test_http_workers_share_max_in_flight(canned, toy_cfg, toy_index):
+    canned.delay = lambda prompt: 0.01
+    cfg = toy_cfg("genqrensemble", workers=2,
+                  backend={"kind": "http", "url": canned.url, "model": "toy",
+                           "completion_field": "choices.0.text", "max_in_flight": 2})
+    _, _, failures = cmd_run(cfg)
+    assert failures == 0
+    assert len(canned.payloads) == 10 * 10  # topics x N
+    assert canned.peak_in_flight == 2
 
 
 def test_n_exceeding_set_rejected():

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import (FEEDBACK_METHODS, LLM_METHODS, ConfigError,
                      ExperimentConfig, load_config)
-from .corpus_io import (Qrels, RunList, Topic, load_corpus, load_qrels,
-                        load_topics, read_run, write_run)
+from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus,
+                        load_qrels, load_topics, read_run, write_run)
 from .evaluation import (EvalReport, evaluate_run, holm_bonferroni,
                          paired_ttest, parse_metric)
 from .index import IndexingError, PostingsIndex, WeightedQuery, build_index
@@ -222,12 +222,12 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     run_path = out_dir / f"{cfg.run_tag}.run"
     write_run(runs, run_path)
     ref_path = out_dir / f"{cfg.run_tag}.reformulations.jsonl"
-    with open(ref_path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_writer(ref_path) as f:
         for _, record in results:
             f.write(json.dumps(record, sort_keys=True) + "\n")
     if failures:
         fail_path = out_dir / f"{cfg.run_tag}.failures.jsonl"
-        with open(fail_path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_writer(fail_path) as f:
             for row in sorted(failures, key=lambda r: r["qid"]):
                 f.write(json.dumps(row, sort_keys=True) + "\n")
     logger.info("wrote %s (%d queries, %d failures)", run_path, len(topics), len(failures))
@@ -315,9 +315,9 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
             rows[idx]["significant"] = flag
 
     table = {"baseline": baseline, "alpha": alpha, "rows": rows}
-    (out_dir / "comparison.json").write_text(
-        json.dumps(table, sort_keys=True, indent=1), encoding="utf-8")
-    with open(out_dir / "comparison.tsv", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_writer(out_dir / "comparison.json") as f:
+        f.write(json.dumps(table, sort_keys=True, indent=1))
+    with atomic_writer(out_dir / "comparison.tsv") as f:
         f.write("run\tmetric\tmean\tevaluated\tdelta_pct\tp_value\tsignificant\n")
         for row in rows:
             f.write("\t".join([
@@ -345,7 +345,7 @@ def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels_path: str | Path,
              "delta": report_a.per_query[q] - report_b.per_query[q]}
             for q in common]
     rows.sort(key=lambda r: (r["delta"], r["qid"]))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_writer(out_path) as f:
         f.write("qid,value_a,value_b,delta\n")
         for row in rows:
             f.write(f"{row['qid']},{row['value_a']:.6f},{row['value_b']:.6f},"
@@ -363,36 +363,47 @@ _SWEEP_PARAMS = {
 }
 
 
-def _set_swept(cfg: ExperimentConfig, param: str, value):
+def _swept_config(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
+    """A copy of `cfg` with `param` set to `value` and its own run tag, built
+    through the config classes so that their validation runs."""
     if param in _SWEEP_PARAMS:
         section, attr = _SWEEP_PARAMS[param]
     elif "." in param:
         section, attr = param.split(".", 1)
     else:
         section, attr = None, param
-    target = getattr(cfg, section) if section else cfg
-    if not hasattr(target, attr):
+    target = getattr(cfg, section, None) if section else cfg
+    if not (dataclasses.is_dataclass(target)
+            and attr in {f.name for f in dataclasses.fields(target)}):
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    setattr(target, attr, value)
+    cfg = copy.deepcopy(cfg)
+    try:
+        changes = {"run_tag": f"{cfg.run_tag}-{param}{value}"}
+        if section:
+            changes[section] = dataclasses.replace(getattr(cfg, section), **{attr: value})
+        else:
+            changes[attr] = value
+        return dataclasses.replace(cfg, **changes)
+    except ValueError as e:
+        raise ConfigError(f"sweep {param}={value}: {e}") from e
 
 
 def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
               out_path: str | Path, lenient: bool = False) -> List[dict]:
     """Run + evaluate once per swept value; emit long-format CSV rows
-    (param, value, metric, mean). Index and LLM cache are reused."""
+    (param, value, metric, mean). Index and LLM cache are reused. Every
+    value is validated before the first run."""
     if not values:
         raise ValueError("sweep needs at least one value")
     if not cfg.qrels:
         raise ConfigError("sweep needs a qrels path in the config")
+    configs = [_swept_config(cfg, param, value) for value in values]
     qrels = load_qrels(cfg.qrels)
     specs = [parse_metric(m, min_rel=cfg.min_rel) for m in cfg.metrics]
 
     rows = []
     failures = 0
-    for value in values:
-        sub = copy.deepcopy(cfg)
-        _set_swept(sub, param, value)
-        sub.run_tag = f"{cfg.run_tag}-{param}{value}"
+    for value, sub in zip(values, configs):
         run_path, _, failed = cmd_run(sub, lenient=lenient)
         failures += failed
         runs = read_run(run_path)
@@ -400,7 +411,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
             report = evaluate_run(runs, qrels, spec)
             rows.append({"param": param, "value": value,
                          "metric": spec.label, "mean": report.mean})
-    with open(out_path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_writer(out_path) as f:
         f.write("param,value,metric,mean\n")
         for row in rows:
             f.write(f"{row['param']},{row['value']},{row['metric']},{row['mean']:.6f}\n")

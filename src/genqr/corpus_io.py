@@ -7,15 +7,21 @@ Supported formats:
 - qrels: whitespace-delimited `qid iter docno grade` (iter ignored).
 - runs: 6-column `qid Q0 docno rank score tag`, single spaces, scores at
   6 decimals so written files are byte-stable.
+
+Output files are written through `atomic_writer`, so an interrupted write
+leaves the previous file, not a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, TextIO, Tuple
 
 
 class CorpusFormatError(ValueError):
@@ -270,12 +276,31 @@ def load_qrels(path: str | Path) -> Qrels:
     return Qrels(grades)
 
 
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file, with "\\n" line ends, that replaces `path`
+    only when the block completes.
+
+    The text goes to a temporary file in the same directory, which
+    os.replace then moves over `path`. If the block raises, the temporary
+    file is removed and `path` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_run(runs: List[RunList], path: str | Path) -> None:
     """Write TREC run lines `qid Q0 docno rank score tag`, queries in input order."""
-    path = Path(path)
     for run in runs:
         run.validate()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_writer(path) as f:
         for run in runs:
             for entry in run.entries:
                 f.write(f"{run.qid} Q0 {entry.docno} {entry.rank} "

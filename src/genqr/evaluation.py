@@ -10,20 +10,20 @@ Metric conventions follow the trec_eval family:
 - Binary metrics (MAP, MRR, P@k) binarize at grade >= min_rel.
 
 Significance: two-sided paired t-test (p through the regularized
-incomplete beta function) with Holm-Bonferroni step-down correction.
+incomplete beta function, evaluated in-repo by its continued fraction)
+with Holm-Bonferroni step-down correction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from scipy.special import betainc
-
-from .corpus_io import Qrels, RunList
+from .corpus_io import Qrels, RunList, atomic_writer
 
 METRIC_KINDS = ("ndcg", "map", "mrr", "precision")
 GAINS = ("linear", "exp")
@@ -168,11 +168,8 @@ class EvalReport:
         }, sort_keys=True, indent=1)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        if path.suffix == ".json":
-            path.write_text(self.to_json(), encoding="utf-8")
-        else:
-            path.write_text(self.to_tsv(), encoding="utf-8")
+        with atomic_writer(path) as f:
+            f.write(self.to_json() if Path(path).suffix == ".json" else self.to_tsv())
 
 
 def evaluate_run(runs: List[RunList], qrels: Qrels, spec: MetricSpec) -> EvalReport:
@@ -208,8 +205,69 @@ def paired_ttest(a: Dict[str, float], b: Dict[str, float]) -> float:
     if var == 0.0:
         return 1.0
     t = mean / math.sqrt(var / n)
-    dof = n - 1
-    return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+    return student_t_two_sided(t, n - 1)
+
+
+def student_t_two_sided(t: float, dof: int) -> float:
+    """P(|T| >= |t|) for Student's t with `dof` degrees of freedom.
+
+    This is the regularized incomplete beta I_x(dof/2, 1/2) at
+    x = dof/(dof+t^2). Its continued fraction (Numerical Recipes, 2nd ed.,
+    section 6.4) converges fast for x < (a+1)/(a+b+2); above that the
+    symmetry I_x(a, b) = 1 - I_{1-x}(b, a) is used.
+
+    The absolute error is below 1e-11 for dof <= 5000. It grows with dof,
+    through the cancellation in lgamma(a + 1/2) - lgamma(a): about 1e-9 at
+    dof = 1e7.
+    """
+    if math.isnan(t):
+        return math.nan
+    a, b = dof / 2.0, 0.5
+    x = dof / (dof + t * t)
+    if x == 0.0:  # t^2 overflowed
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        p = front * _beta_cf(a, b, x) / a
+    else:
+        p = 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    # Rounding must not carry p outside [0, 1], which holm_bonferroni rejects.
+    return min(max(p, 0.0), 1.0)
+
+
+_CF_TINY = 1e-300
+_CF_MAX_ITER = 10_000
+
+
+def _nonzero(v: float) -> float:
+    return v if abs(v) >= _CF_TINY else _CF_TINY
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, by modified Lentz."""
+    c = 1.0
+    d = 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_ITER + 1):
+        m2 = 2 * m
+        # even step: d_2m = m(b-m)x / ((a+2m-1)(a+2m))
+        aa = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
+        h *= d * c
+        # odd step: d_2m+1 = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1))
+        aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")
 
 
 def holm_bonferroni(p_values: Sequence[float], alpha: float) -> List[bool]:

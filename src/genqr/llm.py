@@ -32,9 +32,12 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import requests
+from .corpus_io import atomic_writer
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -265,6 +268,11 @@ class HttpBackend(Backend):
         return headers
 
     def _generate(self, request: GenRequest) -> str:
+        # Imported here, not at module top, so that commands which never
+        # send a request do not pay for loading it. `requests.post` is looked
+        # up on the module at call time, so hooks that replace it see every call.
+        import requests
+
         payload = {
             "model": self.model,
             "prompt": request.prompt,
@@ -371,10 +379,8 @@ class ResponseCache:
     def put(self, key: str, response: str) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps({"key": key, "response": response}, sort_keys=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(blob, encoding="utf-8")
-        os.replace(tmp, path)
+        with atomic_writer(path) as f:
+            f.write(json.dumps({"key": key, "response": response}, sort_keys=True))
 
 
 def cached_generate(cache: Optional[ResponseCache], backend: Backend,

@@ -12,13 +12,12 @@ every instruction as context ("Based on the given context information
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import Analyzer
 from .corpus_io import Topic
@@ -135,12 +134,6 @@ class Reformulation:
         }
 
 
-def write_reformulations(reformulations: List[Reformulation], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for ref in reformulations:
-            f.write(json.dumps(ref.as_record(), sort_keys=True) + "\n")
-
-
 # --- instruction paraphrasing ------------------------------------------------
 
 _ENUM_PREFIX = re.compile(r"^\s*(?:\d+\s*[.):\-]?|[-*•])\s*")
@@ -200,19 +193,21 @@ def generate_keywords(backend: Backend, instruction: str, query: Topic,
     return cached_generate(cache, backend, [request])[0]
 
 
-def _keyword_tokens(keyword: str, parser: str, analyzer: Analyzer) -> List[str]:
+def keyword_tokens(keyword: str, parser: str, analyzer: Analyzer) -> List[str]:
+    """The expansion tokens of one generated keyword string."""
     if parser == "whitespace":
         return [tok for chunk in keyword.split() for tok in analyzer.analyze(chunk)]
     return analyzer.analyze(keyword)
 
 
-def fuse(original: Topic, keywords: List[str], config: ReformulationConfig,
+def fuse(original: Topic, expansions: Sequence[List[str]], config: ReformulationConfig,
          analyzer: Analyzer) -> WeightedQuery:
-    """Weight-merge the analyzed original query with analyzed expansion tokens.
+    """Weight-merge the analyzed original query with expansion tokens.
 
-    Original terms carry weight 1.0 per occurrence; expansion tokens carry
-    weight beta per occurrence (or per distinct token when dedup is set).
-    Terms on both sides accumulate both weights.
+    `expansions` holds one token list per generated keyword, as made by
+    `keyword_tokens`. Original terms carry weight 1.0 per occurrence;
+    expansion tokens carry weight beta per occurrence (or per distinct
+    token when dedup is set). Terms on both sides accumulate both weights.
     """
     weights: Dict[str, float] = {}
     order: List[str] = []
@@ -223,9 +218,7 @@ def fuse(original: Topic, keywords: List[str], config: ReformulationConfig,
             order.append(token)
         weights[token] += 1.0
 
-    expansion: List[str] = []
-    for keyword in keywords:
-        expansion.extend(_keyword_tokens(keyword, config.keyword_parser, analyzer))
+    expansion = [token for tokens in expansions for token in tokens]
     if config.dedup:
         expansion = list(dict.fromkeys(expansion))
     for token in expansion:
@@ -257,11 +250,13 @@ def _run_instructions(backend: Backend, instructions: List[str], indices: List[i
         raise ReformulationError(f"qid {query.qid}: instruction {indices[e.batch_index]} "
                                  f"generation failed: {e}") from e
 
-    fused = fuse(query, keywords, config, analyzer)
+    expansions = [keyword_tokens(keyword, config.keyword_parser, analyzer)
+                  for keyword in keywords]
+    fused = fuse(query, expansions, config, analyzer)
 
     term_sources: Dict[str, List[int]] = {}
-    for idx, keyword in zip(indices, keywords):
-        for token in set(_keyword_tokens(keyword, config.keyword_parser, analyzer)):
+    for idx, tokens in zip(indices, expansions):
+        for token in set(tokens):
             term_sources.setdefault(token, []).append(idx)
     provenance = Provenance(
         backend_identity=backend.identity(),

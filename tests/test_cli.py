@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,39 @@ def test_llm_method_requires_backend():
 def test_rf_method_defaults_to_pseudo_feedback():
     cfg = config_from_dict(toy_config_dict(method="genqrensemble_rf"))
     assert cfg.reformulation.feedback_mode == "pseudo"
+
+
+# --- start-up ---
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY_MODULES = ("scipy", "numpy", "requests")
+
+
+def _loaded_heavy_modules(code: str) -> list:
+    """Run `code` in a fresh interpreter with PYTHONPATH=src; return which of
+    HEAVY_MODULES it left loaded."""
+    probe = code + ("\nimport json, sys\n"
+                    f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_heavy_modules():
+    assert _loaded_heavy_modules("import genqr.cli") == []
+
+
+def test_stub_run_does_not_load_requests(tmp_path):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(
+        toy_config_dict("genqrensemble", work=str(tmp_path))))
+    code = (f"from genqr.cli import main\n"
+            f"assert main(['index', '--config', {str(cfg_path)!r}]) == 0\n"
+            f"assert main(['run', '--config', {str(cfg_path)!r}]) == 0\n")
+    assert _loaded_heavy_modules(code) == []
+    assert (tmp_path / "runs" / "run.run").exists()
 
 
 # --- index command ---
@@ -270,6 +306,33 @@ def test_sweep_row_count_and_reuse(toy_cfg, toy_index, tmp_path, monkeypatch):
     rows_again = cmd_sweep(cfg, "m", [0, 1, 2], out)
     assert calls["n"] == 0
     assert rows_again == rows
+
+
+@pytest.mark.parametrize("param,values", [("n", [3, 0]), ("beta", [1.0, -1.0]),
+                                          ("retrieval_depth", [0])])
+def test_sweep_bad_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
+                                                 param, values):
+    cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
+    with pytest.raises(ConfigError, match=param):
+        cmd_sweep(cfg, param, values, tmp_path / "sweep.csv")
+    assert not Path(cfg.output_dir).exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_unknown_param_rejected(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
+    for param in ("mystery", "reformulation.mystery", "backend.seed"):
+        with pytest.raises(ConfigError, match="unknown sweep parameter"):
+            cmd_sweep(cfg, param, [1], tmp_path / "sweep.csv")
+
+
+def test_sweep_leaves_base_config_unchanged(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble", tag="s", metrics=["ndcg@10"])
+    before = repr(cfg)
+    cmd_sweep(cfg, "n", [1, 2], tmp_path / "sweep.csv")
+    assert repr(cfg) == before
+    assert sorted(p.name for p in Path(cfg.output_dir).glob("*.run")) == \
+        ["s-n1.run", "s-n2.run"]
 
 
 def test_beta_zero_matches_raw_on_every_metric(toy_cfg, toy_index, tmp_path):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunEntry,
-                             RunList, Topic, load_corpus, load_qrels,
-                             load_topics, read_run, write_run)
+                             RunList, Topic, atomic_writer, load_corpus,
+                             load_qrels, load_topics, read_run, write_run)
 
 
 # --- corpus loading ---
@@ -213,6 +213,35 @@ def test_write_run_validates_invariants(tmp_path):
     increasing = RunList(qid="1", entries=[RunEntry("a", 1, 1.0), RunEntry("b", 2, 2.0)], tag="t")
     with pytest.raises(CorpusFormatError, match="increase"):
         write_run([increasing], tmp_path / "r.run")
+
+
+def test_atomic_writer_keeps_previous_file_on_error(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_writer(path) as f:
+            f.write("partial")
+            raise RuntimeError("midway")
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class _InterruptingScore(float):
+    def __format__(self, spec):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_write_run_keeps_previous_run(tmp_path):
+    path = tmp_path / "r.run"
+    write_run([RunList(qid="9", entries=[RunEntry("z", 1, 3.0)], tag="old")], path)
+    before = path.read_bytes()
+    # the second query's line raises after the first query's lines are written
+    first = RunList(qid="1", entries=[RunEntry("a", 1, 2.0), RunEntry("b", 2, 1.0)], tag="t")
+    second = RunList(qid="2", entries=[RunEntry("c", 1, _InterruptingScore(1.0))], tag="t")
+    with pytest.raises(KeyboardInterrupt):
+        write_run([first, second], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.run"]
 
 
 def test_qrels_relevant_filter():

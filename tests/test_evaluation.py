@@ -1,13 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ap_oracle, ndcg_oracle, prec_oracle, rr_oracle
 
 from genqr.corpus_io import Qrels, RunList
 from genqr.evaluation import (EvalReport, MetricSpec, average_precision,
                               evaluate_run, holm_bonferroni, mrr, ndcg_at_k,
-                              paired_ttest, parse_metric, precision_at_k)
+                              paired_ttest, parse_metric, precision_at_k,
+                              student_t_two_sided)
 
 
 def run_of(qid, docnos, tag="t"):
@@ -189,6 +193,84 @@ def test_ttest_symmetric_under_swap():
     a = {str(i): rng.random() for i in range(10)}
     b = {str(i): rng.random() for i in range(10)}
     assert paired_ttest(a, b) == pytest.approx(paired_ttest(b, a), abs=1e-12)
+
+
+# (dof, t, two-sided p) from scipy.special.betainc(dof/2, 1/2, dof/(dof+t^2)),
+# computed once with scipy 1.17, so these run without scipy installed.
+T_DIST_REFERENCE = [
+    (1, 0.5, 0.7048327646991335),
+    (1, 1.0, 0.5000000000000001),
+    (1, 12.706204736174707, 0.04999999999999999),
+    (2, 0.8, 0.5076340360826691),
+    (2, 4.302652729749464, 0.05),
+    (3, 2.0, 0.13932596855884305),
+    (4, 4.242640687119285, 0.01323559956368269),
+    (5, 0.25, 0.812534130744123),
+    (7, 1.5, 0.17729848698997),
+    (9, 2.2621571627982053, 0.05),
+    (9, 0.01, 0.9922394455363172),
+    (14, 3.0, 0.00955151275353937),
+    (19, 2.093024054408309, 0.05000000000000009),
+    (29, 1.0, 0.3255819880161937),
+    (29, 6.0, 1.5927908426174689e-06),
+    (49, 2.5, 0.015815788847180063),
+    (99, 0.7, 0.4855689918310564),
+    (99, 8.0, 2.4003038210568853e-12),
+    (249, 1.9695, 0.05000425570445283),
+    (499, 3.3, 0.001035996729031578),
+    (999, 1.0, 0.3175526601764121),
+    (999, 15.0, 5.059245761506002e-46),
+    (2499, 2.0, 0.04560830954265488),
+    (4999, 1.7, 0.08919313214523472),
+    (4999, 4.5, 6.949541759731152e-06),
+    (5000, 0.05, 0.9601243854758775),
+]
+
+
+@pytest.mark.parametrize("dof,t,expected", T_DIST_REFERENCE)
+def test_t_p_value_reference_table(dof, t, expected):
+    for signed in (t, -t):
+        p = student_t_two_sided(signed, dof)
+        assert abs(p - expected) <= 1e-11
+        assert abs(p - expected) <= 1e-9 * expected
+
+
+def test_t_p_value_matches_scipy_betainc():
+    betainc = pytest.importorskip("scipy.special").betainc
+
+    @settings(max_examples=300, deadline=None)
+    @given(dof=st.integers(1, 5000),
+           t=st.floats(allow_nan=False, allow_infinity=False))
+    def check(dof, t):
+        expected = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+        assert abs(student_t_two_sided(t, dof) - expected) <= 1e-11
+
+    check()
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 30, 5000])
+def test_t_p_value_edges(dof):
+    assert student_t_two_sided(0.0, dof) == 1.0
+    assert student_t_two_sided(-0.0, dof) == 1.0
+    for t in (1e6, 1e150, 1e155, 1e300, -1e300, math.inf):
+        assert 0.0 <= student_t_two_sided(t, dof) <= 1.0
+    assert math.isnan(student_t_two_sided(math.nan, dof))
+
+
+def test_t_p_value_raises_when_fraction_does_not_converge(monkeypatch):
+    from genqr import evaluation
+    monkeypatch.setattr(evaluation, "_CF_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        student_t_two_sided(2.0, 30)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 0.5, 1.0, 2.5, 10.0, 1e3, 1e8])
+def test_t_p_value_closed_forms(t):
+    for signed in (t, -t):
+        assert student_t_two_sided(signed, 1) == \
+            pytest.approx(1.0 - (2.0 / math.pi) * math.atan(t), abs=1e-13)
+        assert student_t_two_sided(signed, 2) == \
+            pytest.approx(1.0 - t / math.sqrt(2.0 + t * t), abs=1e-13)
 
 
 def test_ttest_n2_zero_t():

@@ -131,25 +131,25 @@ def test_prompt_template():
 
 
 def test_fuse_empty_keywords_identity():
-    fused = fuse(Topic("1", "do goldfish grow"), ["", "", ""],
+    fused = fuse(Topic("1", "do goldfish grow"), [[], [], []],
                  ReformulationConfig(n=3), Analyzer())
     assert dict(fused.terms) == {"do": 1.0, "goldfish": 1.0, "grow": 1.0}
 
 
 def test_fuse_occurrence_counts():
-    fused = fuse(Topic("1", "a b"), ["c c", "b"],
+    fused = fuse(Topic("1", "a b"), [["c", "c"], ["b"]],
                  ReformulationConfig(n=2, beta=1.0, dedup=False), Analyzer())
     assert dict(fused.terms) == {"a": 1.0, "b": 2.0, "c": 2.0}
 
 
 def test_fuse_beta_scales_expansions():
-    fused = fuse(Topic("1", "a"), ["b b"],
+    fused = fuse(Topic("1", "a"), [["b", "b"]],
                  ReformulationConfig(n=1, beta=0.05), Analyzer())
     assert dict(fused.terms) == pytest.approx({"a": 1.0, "b": 0.1})
 
 
 def test_fuse_beta_zero_keeps_original_weights():
-    fused = fuse(Topic("1", "a b"), ["c d"],
+    fused = fuse(Topic("1", "a b"), [["c", "d"]],
                  ReformulationConfig(n=1, beta=0.0), Analyzer())
     weights = dict(fused.terms)
     assert weights["a"] == weights["b"] == 1.0
@@ -158,21 +158,21 @@ def test_fuse_beta_zero_keeps_original_weights():
 
 def test_fuse_dedup_permutation_invariant():
     cfg = ReformulationConfig(n=3, dedup=True)
-    a = fuse(Topic("1", "q"), ["x y", "y z", "z x"], cfg, Analyzer())
-    b = fuse(Topic("1", "q"), ["z x", "x y", "y z"], cfg, Analyzer())
+    a = fuse(Topic("1", "q"), [["x", "y"], ["y", "z"], ["z", "x"]], cfg, Analyzer())
+    b = fuse(Topic("1", "q"), [["z", "x"], ["x", "y"], ["y", "z"]], cfg, Analyzer())
     assert dict(a.terms) == dict(b.terms)
     assert dict(a.terms)["x"] == 1.0  # collapsed to one occurrence
 
 
 def test_fuse_multiplicity_preserved_without_dedup():
     cfg = ReformulationConfig(n=3, dedup=False)
-    fused = fuse(Topic("1", "q"), ["x", "x", "x"], cfg, Analyzer())
+    fused = fuse(Topic("1", "q"), [["x"], ["x"], ["x"]], cfg, Analyzer())
     assert dict(fused.terms)["x"] == 3.0
 
 
 def test_fuse_degenerate_rejected():
     with pytest.raises(DegenerateQueryError):
-        fuse(Topic("1", "..."), [""], ReformulationConfig(n=1), Analyzer())
+        fuse(Topic("1", "..."), [[]], ReformulationConfig(n=1), Analyzer())
 
 
 # --- ensembles ---

@@ -9,6 +9,7 @@ relative to the working directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
@@ -36,6 +37,16 @@ class Rm3Params:
     fb_terms: int = DEFAULT_FB_TERMS
     lam: float = DEFAULT_LAMBDA
     mu: float = DEFAULT_MU
+
+    def __post_init__(self):
+        if self.fb_docs < 0:
+            raise ConfigError(f"rm3.fb_docs must be >= 0, got {self.fb_docs}")
+        if self.fb_terms < 0:
+            raise ConfigError(f"rm3.fb_terms must be >= 0, got {self.fb_terms}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigError(f"rm3.lam must be in [0, 1], got {self.lam}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ConfigError(f"rm3.mu must be finite and >= 0, got {self.mu}")
 
 
 @dataclass

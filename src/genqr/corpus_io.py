@@ -21,7 +21,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, TextIO, Tuple
+from typing import IO, Dict, Iterable, Iterator, List, Tuple
 
 
 class CorpusFormatError(ValueError):
@@ -277,18 +277,19 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 @contextmanager
-def atomic_writer(path: str | Path) -> Iterator[TextIO]:
-    """Open a UTF-8 text file, with "\\n" line ends, that replaces `path`
-    only when the block completes.
+def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a file that replaces `path` only when the block completes: a
+    UTF-8 text file with "\\n" line ends, or a binary one if `binary`.
 
-    The text goes to a temporary file in the same directory, which
+    The content goes to a temporary file in the same directory, which
     os.replace then moves over `path`. If the block raises, the temporary
     file is removed and `path` keeps its previous content.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline="\n")) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

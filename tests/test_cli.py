@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 import yaml
 
 import genqr
+import genqr.index
 from genqr.cli import (cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
                        cmd_run, cmd_sweep, main)
 from genqr.config import ConfigError, config_from_dict, load_config
@@ -56,6 +58,17 @@ def test_rf_method_defaults_to_pseudo_feedback():
     assert cfg.reformulation.feedback_mode == "pseudo"
 
 
+@pytest.mark.parametrize("rm3", [{"fb_docs": -1}, {"fb_terms": -1}, {"lam": 2},
+                                 {"lam": -0.1}, {"lam": float("nan")}, {"mu": -1.0},
+                                 {"mu": float("inf")}, {"mu": float("nan")}],
+                         ids=lambda rm3: "{}={}".format(*next(iter(rm3.items()))))
+def test_bad_rm3_params_rejected_by_load_config(tmp_path, rm3):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(toy_config_dict("rm3", rm3=rm3)))
+    with pytest.raises(ConfigError, match=f"rm3.{next(iter(rm3))}"):
+        load_config(cfg_path)
+
+
 # --- start-up ---
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -100,6 +113,49 @@ def test_index_builds_and_is_idempotent(toy_cfg, caplog):
         again = cmd_index(cfg)
     assert "up to date" in caplog.text
     assert again.postings == first.postings
+
+
+def test_version_1_index_asks_for_force_rebuild(toy_cfg):
+    cfg = toy_cfg("raw")
+    cmd_index(cfg)
+    meta_path = Path(cfg.index_dir) / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["version"] = 1
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(IndexingError, match="version 1 .*genqr index --force"):
+        PostingsIndex.load(cfg.index_dir)
+    with pytest.raises(IndexingError, match="version 1 .*genqr index --force"):
+        cmd_index(cfg)
+    assert cmd_index(cfg, force=True).n_docs == 50
+
+
+def test_interrupted_index_save_is_rejected_then_rebuilt(toy_cfg, monkeypatch, caplog):
+    cfg = toy_cfg("raw")
+    built = cmd_index(cfg)
+    real_writer = genqr.index.atomic_writer
+
+    @contextmanager
+    def dies_mid_postings(path, binary=False):
+        with real_writer(path, binary) as f:
+            if binary:
+                f.write(b"GQRPOST2\x01\x00")
+                raise OSError("no space left on device")
+            yield f
+
+    monkeypatch.setattr(genqr.index, "atomic_writer", dies_mid_postings)
+    with pytest.raises(OSError, match="no space"):
+        cmd_index(cfg, force=True)
+    monkeypatch.undo()
+
+    dest = Path(cfg.index_dir)
+    assert sorted(p.name for p in dest.iterdir()) == ["postings.bin"]  # no meta, no temp file
+    with pytest.raises(IndexingError, match="genqr index --force"):
+        PostingsIndex.load(dest)
+    with caplog.at_level("INFO"):
+        rebuilt = cmd_index(cfg)
+    assert "indexed 50 documents" in caplog.text
+    assert rebuilt.postings == built.postings
+    assert PostingsIndex.load(dest).postings == built.postings
 
 
 def test_index_analyzer_mismatch_errors(toy_cfg):
@@ -316,6 +372,16 @@ def test_sweep_bad_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
     with pytest.raises(ConfigError, match=param):
         cmd_sweep(cfg, param, values, tmp_path / "sweep.csv")
     assert not Path(cfg.output_dir).exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_bad_lambda_rejected_before_any_run(toy_index, tmp_path):
+    cfg_path = tmp_path / "rm3.yaml"
+    cfg_path.write_text(yaml.safe_dump(toy_config_dict("rm3", tag="lam", work=str(tmp_path))))
+    with pytest.raises(ConfigError, match="lambda=2"):
+        main(["sweep", "--config", str(cfg_path), "--param", "lambda", "--values", "0.5,2",
+              "--out", str(tmp_path / "sweep.csv"), "--lenient"])
+    assert not (tmp_path / "runs").exists()
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -1,6 +1,9 @@
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bm25_oracle, rank_oracle
 
@@ -30,8 +33,8 @@ def tokens_of(docs):
 
 def test_single_doc_statistics():
     index = build_index([Document("d1", "a b a")], Analyzer())
-    assert index.postings["a"] == [(0, 2)]
-    assert index.postings["b"] == [(0, 1)]
+    assert list(zip(*index.postings["a"])) == [(0, 2)]
+    assert list(zip(*index.postings["b"])) == [(0, 1)]
     assert index.doc_lengths == [3]
     assert index.avgdl == 3.0
     assert index.total_tokens == 3
@@ -55,16 +58,16 @@ def test_postings_match_brute_force_recount():
     docs = make_corpus(rng, 50, 20)
     index = build_index(docs, Analyzer())
     by_doc = tokens_of(docs)
-    for term, plist in index.postings.items():
-        for doc_ord, tf in plist:
+    for term, (docs, tfs) in index.postings.items():
+        for doc_ord, tf in zip(docs, tfs):
             assert by_doc[index.docnos[doc_ord]].count(term) == tf
     # invariants: sum tf per doc == doc length; df == postings length
     for doc_ord, docno in enumerate(index.docnos):
-        total = sum(tf for plist in index.postings.values()
-                    for d, tf in plist if d == doc_ord)
+        total = sum(tf for docs, tfs in index.postings.values()
+                    for d, tf in zip(docs, tfs) if d == doc_ord)
         assert total == index.doc_lengths[doc_ord] == len(by_doc[docno])
-    for term, plist in index.postings.items():
-        assert index.df(term) == len(plist)
+    for term, (docs, tfs) in index.postings.items():
+        assert index.df(term) == len(docs) == len(tfs)
     assert index.avgdl == index.total_tokens / index.n_docs
 
 
@@ -183,6 +186,21 @@ def test_oracle_equivalence_randomized():
             assert mine[docno] == pytest.approx(ref[docno], abs=1e-9)
 
 
+def test_scores_follow_k1_and_b_on_one_index():
+    # per-doc norms are memoised per (k1, b); each pair must still match the oracle
+    rng = random.Random(31)
+    docs = make_corpus(rng, 40, 12)
+    index = build_index(docs, Analyzer())
+    weights = {"t1": 1.0, "t4": 2.0, "t7": 0.5}
+    query = WeightedQuery(qid="q", terms=tuple(weights.items()))
+    for k1, b in [(1.2, 0.75), (0.9, 0.4), (1.2, 0.0), (2.0, 1.0), (1.2, 0.75)]:
+        mine = index.bm25_scores(query, k1=k1, b=b)
+        ref = bm25_oracle(tokens_of(docs), weights, k1, b)
+        assert set(mine) == set(ref)
+        for docno in ref:
+            assert mine[docno] == pytest.approx(ref[docno], abs=1e-9)
+
+
 # --- persistence ---
 
 
@@ -225,3 +243,60 @@ def test_version_mismatch_rejected(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(IndexingError, match="version"):
         PostingsIndex.load(tmp_path / "idx")
+
+
+def _bump_first_df(raw: bytes) -> bytes:
+    # same length, but the df column no longer sums to the postings count
+    first = int.from_bytes(raw[8:12], "little") + 1
+    return raw[:8] + first.to_bytes(4, "little") + raw[12:]
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-4], lambda raw: raw[:len(raw) // 2],
+                                  lambda raw: raw + b"\0\0\0\0", _bump_first_df],
+                         ids=["short-by-4", "half", "extended", "df-sum"])
+def test_truncated_or_extended_postings_rejected(tmp_path, edit):
+    index = build_index(make_corpus(random.Random(3), 10, 8), Analyzer())
+    index.save(tmp_path / "idx")
+    postings = tmp_path / "idx" / "postings.bin"
+    postings.write_bytes(edit(postings.read_bytes()))
+    with pytest.raises(IndexingError, match="rebuild"):
+        PostingsIndex.load(tmp_path / "idx")
+
+
+# --- properties ---
+
+# non-ASCII terms, and repeats past 127 (the old varint byte boundary)
+_WORDS = ["a", "zz", "café", "naïve", "日本", "straße", "ωμέγα", "x1"]
+_doc = st.lists(st.tuples(st.sampled_from(_WORDS), st.integers(1, 300)), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=st.lists(_doc, max_size=6),
+       weights=st.dictionaries(st.sampled_from(_WORDS + ["absent"]),
+                               st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=4))
+def test_build_save_load_preserves_index(corpus, weights):
+    docs = [Document(f"d{i}", " ".join(word for word, tf in doc for _ in range(tf)))
+            for i, doc in enumerate(corpus)]  # an empty list gives an empty doc
+    index = build_index(docs, Analyzer())
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(tmp)
+        loaded = PostingsIndex.load(tmp)
+    assert loaded.postings == index.postings
+    assert loaded.docnos == index.docnos
+    assert loaded.doc_lengths == index.doc_lengths
+    assert loaded.total_tokens == index.total_tokens
+
+    by_doc = tokens_of(docs)
+    for term in set(_WORDS) | set(index.postings):
+        recount = sum(tokens.count(term) for tokens in by_doc.values())
+        assert index.collection_freq(term) == loaded.collection_freq(term) == recount
+
+    query = WeightedQuery(qid="q", terms=tuple(weights.items()))
+
+    def outcome(idx):
+        try:
+            return idx.retrieve(query, k=10)
+        except (IndexingError, DegenerateQueryError) as e:
+            return type(e)
+
+    assert outcome(loaded) == outcome(index)

@@ -20,7 +20,7 @@ from .prf import (FeedbackDoc, FeedbackSet, estimate_relevance_model,
                   rm3_expand, select_feedback, select_oracle_feedback)
 from .reformulate import (InstructionSet, Reformulation, ReformulationConfig,
                           build_context, flanqr, fuse, genqr_ensemble,
-                          genqr_ensemble_rf, generate_keywords, keyword_tokens,
+                          genqr_ensemble_rf, generate_keywords,
                           paraphrase_instructions)
 
 __version__ = "0.1.0"

@@ -1,8 +1,18 @@
 """Text analysis: deterministic tokenization, stopword removal, stemming.
 
 Analysis is a pure function of (analyzer config, text): the same config and
-input always produce the same token sequence. Tokens are split on Unicode
-whitespace and on punctuation/symbol boundaries (categories P* and S*).
+input always produce the same token sequence.
+
+Tokenisation rule, applied after optional lowercasing: a character is a
+separator when `str.isspace()` is true for it, a punctuation or symbol
+character when its Unicode category is P* or S*, and a word character
+otherwise. A token is a maximal run of word characters; with
+`strip_punctuation` off, a maximal run of punctuation/symbol characters is
+a token too. In strip mode this is `text.translate(_SEPARATORS).split()`:
+P*/S* characters become spaces, and `split()` with no argument splits on
+exactly the characters for which `str.isspace()` is true (CPython decides
+both with `_PyUnicode_IsWhitespace`), so no per-character Python code runs
+for a character already in the table.
 """
 
 from __future__ import annotations
@@ -10,17 +20,44 @@ from __future__ import annotations
 import hashlib
 import json
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from itertools import groupby
 from typing import FrozenSet, List
 
 STEMMERS = ("none", "porter")
 
 
-def _is_word_char(ch: str) -> bool:
-    if ch.isspace():
-        return False
-    cat = unicodedata.category(ch)
-    return not (cat.startswith("P") or cat.startswith("S"))
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch)[0] in "PS"
+
+
+class _SeparatorTable(dict):
+    """`str.translate` table: code point -> space for P*/S*, else itself.
+
+    Entries are filled on first lookup. The value for a code point never
+    changes, so threads that fill the same entry at once write the same
+    value and no lock is needed.
+    """
+
+    def __missing__(self, code: int) -> int:
+        # Returning None would make translate delete the character.
+        value = 32 if _is_punct(chr(code)) else code
+        self[code] = value
+        return value
+
+
+class _ClassTable(dict):
+    """Character -> 0 (whitespace), 1 (word) or 2 (punctuation/symbol)."""
+
+    def __missing__(self, ch: str) -> int:
+        value = 0 if ch.isspace() else 2 if _is_punct(ch) else 1
+        self[ch] = value
+        return value
+
+
+_SEPARATORS = _SeparatorTable()
+_CLASSES = _ClassTable()
 
 
 @dataclass(frozen=True)
@@ -39,25 +76,10 @@ class Analyzer:
         """Tokenize `text` under this configuration; empty input yields []."""
         if self.lowercase:
             text = text.lower()
-        tokens: List[str] = []
-        buf: List[str] = []
-        buf_is_word = True
-        for ch in text:
-            if ch.isspace():
-                if buf:
-                    tokens.append("".join(buf))
-                    buf = []
-                continue
-            is_word = _is_word_char(ch)
-            if buf and is_word != buf_is_word:
-                tokens.append("".join(buf))
-                buf = []
-            if is_word or not self.strip_punctuation:
-                buf.append(ch)
-                buf_is_word = is_word
-        if buf:
-            tokens.append("".join(buf))
-
+        if self.strip_punctuation:
+            tokens = text.translate(_SEPARATORS).split()
+        else:
+            tokens = ["".join(run) for cls, run in groupby(text, _CLASSES.__getitem__) if cls]
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         if self.stemmer == "porter":
@@ -78,6 +100,9 @@ class Analyzer:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Analyzer":
+        unknown = set(cfg) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown analyzer keys: {sorted(unknown)}")
         return cls(
             lowercase=bool(cfg.get("lowercase", True)),
             strip_punctuation=bool(cfg.get("strip_punctuation", True)),
@@ -140,25 +165,32 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-_STEP2 = [
+# Suffix tables, longest suffix first, so each step tries the longest match.
+_STEP2 = sorted([
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
     ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
     ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-]
+], key=lambda p: -len(p[0]))
 
-_STEP3 = [
+_STEP3 = sorted([
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
-]
+], key=lambda p: -len(p[0]))
 
-_STEP4 = [
+_STEP4 = sorted([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
+], key=len, reverse=True)
 
 
+# Tokens repeat across a corpus, so each distinct word is stemmed once
+# while it stays among the most recently used.
+_STEM_CACHE_SIZE = 2 ** 16
+
+
+@lru_cache(maxsize=_STEM_CACHE_SIZE)
 def porter_stem(word: str) -> str:
     if len(word) <= 2 or not word.isascii() or not word.isalpha():
         return word
@@ -195,7 +227,7 @@ def porter_stem(word: str) -> str:
         word = word[:-1] + "i"
 
     # Step 2
-    for suffix, repl in sorted(_STEP2, key=lambda p: -len(p[0])):
+    for suffix, repl in _STEP2:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if _measure(stem) > 0:
@@ -203,7 +235,7 @@ def porter_stem(word: str) -> str:
             break
 
     # Step 3
-    for suffix, repl in sorted(_STEP3, key=lambda p: -len(p[0])):
+    for suffix, repl in _STEP3:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if _measure(stem) > 0:
@@ -211,7 +243,7 @@ def porter_stem(word: str) -> str:
             break
 
     # Step 4
-    for suffix in sorted(_STEP4, key=len, reverse=True):
+    for suffix in _STEP4:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if suffix == "ion" and (not stem or stem[-1] not in "st"):

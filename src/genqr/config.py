@@ -122,6 +122,14 @@ def make_backend(cfg: dict) -> Backend:
     raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
 
 
+_SECTIONS = (
+    ("analyzer", Analyzer.from_config),
+    ("reformulation", lambda d: ReformulationConfig(**d)),
+    ("rm3", lambda d: Rm3Params(**d)),
+    ("sampling", lambda d: SamplingConfig(**d)),
+)
+
+
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     raw = dict(raw)
     known = {f.name for f in fields(ExperimentConfig)}
@@ -142,14 +150,12 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
                 if backend.get(key) and not Path(backend[key]).is_absolute():
                     backend[key] = str((base_dir / backend[key]).resolve())
 
-    if isinstance(raw.get("analyzer"), dict):
-        raw["analyzer"] = Analyzer.from_config(raw["analyzer"])
-    if isinstance(raw.get("reformulation"), dict):
-        raw["reformulation"] = ReformulationConfig(**raw["reformulation"])
-    if isinstance(raw.get("rm3"), dict):
-        raw["rm3"] = Rm3Params(**raw["rm3"])
-    if isinstance(raw.get("sampling"), dict):
-        raw["sampling"] = SamplingConfig(**raw["sampling"])
+    for key, build in _SECTIONS:
+        if isinstance(raw.get(key), dict):
+            try:
+                raw[key] = build(raw[key])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{key}: {e}") from e
     try:
         return ExperimentConfig(**raw)
     except TypeError as e:

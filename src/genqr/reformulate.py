@@ -33,6 +33,8 @@ RF_CONTEXT_PREFIX = "Based on the given context information "
 DEFAULT_PROMPT_TEMPLATE = "{instruction}: {query}"
 DEFAULT_CONTEXT_BUDGET = 4000
 
+# Both parsers give the same tokens, since the analyzer splits on whitespace
+# itself; both names stay accepted so existing configs still load.
 KEYWORD_PARSERS = ("whitespace", "raw-append")
 FEEDBACK_MODES = ("none", "pseudo", "oracle")
 
@@ -193,19 +195,12 @@ def generate_keywords(backend: Backend, instruction: str, query: Topic,
     return cached_generate(cache, backend, [request])[0]
 
 
-def keyword_tokens(keyword: str, parser: str, analyzer: Analyzer) -> List[str]:
-    """The expansion tokens of one generated keyword string."""
-    if parser == "whitespace":
-        return [tok for chunk in keyword.split() for tok in analyzer.analyze(chunk)]
-    return analyzer.analyze(keyword)
-
-
 def fuse(original: Topic, expansions: Sequence[List[str]], config: ReformulationConfig,
          analyzer: Analyzer) -> WeightedQuery:
     """Weight-merge the analyzed original query with expansion tokens.
 
     `expansions` holds one token list per generated keyword, as made by
-    `keyword_tokens`. Original terms carry weight 1.0 per occurrence;
+    `analyzer.analyze(keyword)`. Original terms carry weight 1.0 per occurrence;
     expansion tokens carry weight beta per occurrence (or per distinct
     token when dedup is set). Terms on both sides accumulate both weights.
     """
@@ -250,8 +245,7 @@ def _run_instructions(backend: Backend, instructions: List[str], indices: List[i
         raise ReformulationError(f"qid {query.qid}: instruction {indices[e.batch_index]} "
                                  f"generation failed: {e}") from e
 
-    expansions = [keyword_tokens(keyword, config.keyword_parser, analyzer)
-                  for keyword in keywords]
+    expansions = [analyzer.analyze(keyword) for keyword in keywords]
     fused = fuse(query, expansions, config, analyzer)
 
     term_sources: Dict[str, List[int]] = {}

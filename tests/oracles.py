@@ -9,7 +9,52 @@ the real implementations.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+import unicodedata
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+
+# --- analysis -----------------------------------------------------------------
+
+
+def _is_word_char(ch: str) -> bool:
+    if ch.isspace():
+        return False
+    cat = unicodedata.category(ch)
+    return not (cat.startswith("P") or cat.startswith("S"))
+
+
+def analyze_oracle(text: str, lowercase: bool = True, strip_punctuation: bool = True,
+                   stopwords: FrozenSet[str] = frozenset(),
+                   stem: Optional[Callable[[str], str]] = None) -> List[str]:
+    """The character-at-a-time tokenizer: whitespace separates tokens, a
+    change between word and P*/S* characters ends a token, and P*/S* runs
+    are dropped when `strip_punctuation` is set; then stopwords, then `stem`."""
+    if lowercase:
+        text = text.lower()
+    tokens: List[str] = []
+    buf: List[str] = []
+    buf_is_word = True
+    for ch in text:
+        if ch.isspace():
+            if buf:
+                tokens.append("".join(buf))
+                buf = []
+            continue
+        is_word = _is_word_char(ch)
+        if buf and is_word != buf_is_word:
+            tokens.append("".join(buf))
+            buf = []
+        if is_word or not strip_punctuation:
+            buf.append(ch)
+            buf_is_word = is_word
+    if buf:
+        tokens.append("".join(buf))
+
+    if stopwords:
+        tokens = [t for t in tokens if t not in stopwords]
+    if stem is not None:
+        tokens = [stem(t) for t in tokens]
+    return tokens
 
 
 # --- BM25 ---------------------------------------------------------------------

@@ -1,6 +1,28 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import analyze_oracle
 
 from genqr.analysis import Analyzer, porter_stem
+
+# Letters, marks, digits, punctuation, symbols, separators, controls and
+# unassigned code points, plus the characters where str.isspace() and the
+# ASCII whitespace set disagree.
+_TEXT = st.text(st.one_of(
+    st.characters(categories=["L", "M", "N", "P", "S", "Z", "Cc", "Cn"]),
+    st.sampled_from("\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\t\n '-.!éİß"),
+), max_size=40)
+
+_STOPWORDS = frozenset({"a", "the", "s", "-", "!"})
+_CONFIGS = [Analyzer(lowercase=lower, strip_punctuation=strip, stopwords=_STOPWORDS,
+                     stemmer=stemmer)
+            for lower, strip, stemmer in itertools.product(
+                (True, False), (True, False), ("none", "porter"))]
+_CONFIG_IDS = ["lower={} strip={} stem={}".format(a.lowercase, a.strip_punctuation, a.stemmer)
+               for a in _CONFIGS]
 
 
 def test_lowercase_strip_basic():
@@ -34,6 +56,27 @@ def test_no_lowercase():
 
 def test_unicode_symbols_split():
     assert Analyzer().analyze("café ☕ naïve") == ["café", "naïve"]
+
+
+@pytest.mark.parametrize("analyzer", _CONFIGS, ids=_CONFIG_IDS)
+@settings(max_examples=100, deadline=None)
+@given(text=_TEXT)
+@example(text="it's")
+@example(text="café ☕ naïve")
+@example(text="a\x1cb")
+def test_analyze_matches_character_loop_oracle(analyzer, text):
+    stem = porter_stem if analyzer.stemmer == "porter" else None
+    assert analyzer.analyze(text) == analyze_oracle(
+        text, analyzer.lowercase, analyzer.strip_punctuation, analyzer.stopwords, stem)
+
+
+@pytest.mark.parametrize("analyzer", _CONFIGS, ids=_CONFIG_IDS)
+@settings(max_examples=50, deadline=None)
+@given(text=_TEXT)
+@example(text="it's a\x1cb\u3000c")
+def test_analyzing_whitespace_chunks_equals_analyzing_whole(analyzer, text):
+    chunked = [tok for chunk in text.split() for tok in analyzer.analyze(chunk)]
+    assert chunked == analyzer.analyze(text)
 
 
 def test_stemmer_applied():

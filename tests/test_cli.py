@@ -41,6 +41,21 @@ def test_unknown_config_key_rejected():
         config_from_dict({"mystery": 1})
 
 
+@pytest.mark.parametrize("section,value,match", [
+    ("analyzer", {"mystery": 1}, "mystery"),
+    ("analyzer", {"stemmer": "krovetz"}, "krovetz"),
+    ("analyzer", {"stopwords": 5}, "analyzer"),
+    ("reformulation", {"mystery": 1}, "mystery"),
+    ("reformulation", {"n": 0}, "n must be"),
+    ("rm3", {"mystery": 1}, "mystery"),
+    ("sampling", {"mystery": 1}, "mystery"),
+    ("sampling", {"top_p": 0}, "top_p"),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_bad_config_section_raises_config_error(section, value, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(toy_config_dict(**{section: value}))
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ConfigError, match="method"):
         config_from_dict(toy_config_dict(method="quantum"))

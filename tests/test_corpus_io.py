@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunEntry,
                              RunList, Topic, atomic_writer, load_corpus,
@@ -204,6 +206,25 @@ def test_write_read_roundtrip_randomized(tmp_path):
         path = tmp_path / f"r{trial}.run"
         write_run(runs, path)
         assert read_run(path) == runs
+
+
+# Run-file fields: any non-empty text without whitespace, line breaks or
+# surrogates, since lines split on whitespace and files are UTF-8.
+_FIELD = st.text(st.characters(exclude_categories=["Z", "Cc", "Cs"]), min_size=1, max_size=8)
+# Scores that survive the 6-decimal text form exactly, ties included.
+_SCORE = st.integers(-10**12, 10**12).map(lambda i: i / 1e6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.dictionaries(
+    _FIELD, st.tuples(_FIELD, st.dictionaries(_FIELD, _SCORE, min_size=1, max_size=6)),
+    max_size=4))
+def test_write_read_roundtrip_property(tmp_path_factory, runs):
+    expected = [RunList.from_scores(qid, scored.items(), tag)
+                for qid, (tag, scored) in runs.items()]
+    path = tmp_path_factory.mktemp("rt") / "r.run"
+    write_run(expected, path)
+    assert read_run(path) == expected
 
 
 def test_write_run_validates_invariants(tmp_path):

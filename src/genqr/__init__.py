@@ -13,15 +13,14 @@ from .evaluation import (EvalReport, MetricSpec, average_precision,
                          paired_ttest, parse_metric, precision_at_k)
 from .index import (DegenerateQueryError, PostingsIndex, WeightedQuery,
                     build_index)
-from .llm import (Backend, GenRequest, HttpBackend, ReplayBackend,
+from .llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                   ResponseCache, SamplingConfig, StubBackend, cache_key,
                   cached_generate)
 from .prf import (FeedbackDoc, FeedbackSet, estimate_relevance_model,
                   rm3_expand, select_feedback, select_oracle_feedback)
 from .reformulate import (InstructionSet, Reformulation, ReformulationConfig,
-                          build_context, flanqr, fuse, genqr_ensemble,
-                          genqr_ensemble_rf, generate_keywords,
-                          paraphrase_instructions)
+                          build_context, fuse, paraphrase_instructions,
+                          query_record, reformulate_query)
 
 __version__ = "0.1.0"
 

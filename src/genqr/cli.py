@@ -23,6 +23,7 @@ import logging
 import shlex
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -34,10 +35,10 @@ from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus,
 from .evaluation import (EvalReport, evaluate_run, holm_bonferroni,
                          paired_ttest, parse_metric)
 from .index import IndexingError, PostingsIndex, WeightedQuery, build_index
-from .prf import (FeedbackSet, rm3_expand, select_feedback,
-                  select_oracle_feedback)
-from .reformulate import (InstructionSet, flanqr, genqr_ensemble,
-                          genqr_ensemble_rf, paraphrase_instructions)
+from .llm import Generator
+from .prf import rm3_expand, select_feedback, select_oracle_feedback
+from .reformulate import (InstructionSet, build_context, paraphrase_instructions,
+                          query_record, reformulate_query)
 
 logger = logging.getLogger(__name__)
 
@@ -76,38 +77,40 @@ def _corpus_text_lookup(cfg: ExperimentConfig) -> Dict[str, str]:
 
 
 class _QueryRunner:
-    """Per-topic execution of the configured method."""
+    """Per-topic execution of the configured method.
+
+    The four LLM methods share one pipeline: flanqr and flanprf are
+    genqrensemble and genqrensemble_rf with the first instruction only.
+    """
 
     def __init__(self, cfg: ExperimentConfig, index: PostingsIndex):
         self.cfg = cfg
         self.index = index
         self.analyzer = index.analyzer
-        self.backend = cfg.make_backend() if cfg.method in LLM_METHODS else None
-        self.cache = cfg.make_cache()
         self.lookup: Optional[Dict[str, str]] = None
         self.qrels: Optional[Qrels] = None
-        self.instructions: Optional[InstructionSet] = None
-        self.ref_cfg = cfg.reformulation
+        self.generator: Optional[Generator] = None
+        self.instructions: List[str] = []
+        method, ref_cfg = cfg.method, cfg.reformulation
+        # The RF methods take m feedback docs: oracle if configured, else pseudo.
+        rf = method in ("flanprf", "genqrensemble_rf")
+        self.feedback_m = ref_cfg.m if rf else 0
 
-        if cfg.method in FEEDBACK_METHODS:
+        if method in FEEDBACK_METHODS:
             self.lookup = _corpus_text_lookup(cfg)
-        if cfg.method in ("flanprf", "genqrensemble_rf") \
-                and cfg.reformulation.feedback_mode == "oracle":
+        if rf and ref_cfg.feedback_mode == "oracle":
             if not cfg.qrels:
                 raise ConfigError("oracle feedback needs a qrels path in the config")
             self.qrels = load_qrels(cfg.qrels)
 
-        if cfg.method in LLM_METHODS:
+        if method in LLM_METHODS:
             full = cfg.load_instructions()
-            if cfg.method in ("flanqr", "flanprf"):
-                self.instructions = InstructionSet(base=full.base)
-                self.ref_cfg = dataclasses.replace(cfg.reformulation, n=1)
-            else:
-                self.instructions = full
-                if cfg.reformulation.n > full.n:
-                    raise ConfigError(
-                        f"reformulation.n={cfg.reformulation.n} exceeds the "
-                        f"{full.n}-instruction set")
+            n = 1 if method in ("flanqr", "flanprf") else ref_cfg.n
+            if n > full.n:
+                raise ConfigError(
+                    f"reformulation.n={n} exceeds the {full.n}-instruction set")
+            self.instructions = full.all()[:n]
+            self.generator = cfg.make_generator()
 
     def _raw_query(self, topic: Topic) -> WeightedQuery:
         return WeightedQuery.from_terms(topic.qid, self.analyzer.analyze(topic.query))
@@ -115,46 +118,36 @@ class _QueryRunner:
     def _text(self, docno: str) -> str:
         return self.lookup[docno]
 
-    def _feedback(self, topic: Topic) -> Optional[FeedbackSet]:
-        m = self.ref_cfg.m
+    def _context(self, topic: Topic) -> Optional[str]:
+        """The feedback context of an RF method; None without feedback docs."""
+        m = self.feedback_m
         if m == 0:
             return None
-        if self.ref_cfg.feedback_mode == "oracle":
-            return select_oracle_feedback(self.qrels, self._text, topic.qid, m)
-        first_pass = self.index.retrieve(self._raw_query(topic), k=self.cfg.retrieval_depth,
-                                         k1=self.cfg.k1, b=self.cfg.b)
-        return select_feedback(first_pass, self._text, m)
+        if self.qrels is not None:
+            feedback = select_oracle_feedback(self.qrels, self._text, topic.qid, m)
+        else:
+            first_pass = self.index.retrieve(self._raw_query(topic), k=self.cfg.retrieval_depth,
+                                             k1=self.cfg.k1, b=self.cfg.b)
+            feedback = select_feedback(first_pass, self._text, m)
+        if len(feedback) == 0:
+            return None
+        return build_context(feedback, self.cfg.reformulation.context_budget)
 
     def __call__(self, topic: Topic) -> Tuple[RunList, dict]:
         cfg = self.cfg
-        method = cfg.method
-        record: dict
-
-        if method == "raw":
-            fused = self._raw_query(topic)
-            record = _plain_record(topic, fused)
-        elif method == "rm3":
+        keywords, context = (), None
+        if self.generator is not None:
+            ref = reformulate_query(self.generator, topic, self.instructions,
+                                    self._context(topic), cfg.reformulation, self.analyzer)
+            fused, keywords, context = ref.fused, ref.keywords, ref.provenance.context
+        elif cfg.method == "rm3":
             fused = self._rm3_query(topic)
-            record = _plain_record(topic, fused)
-        elif method == "flanqr":
-            ref = flanqr(self.backend, self.instructions.base, topic, self.ref_cfg,
-                         self.analyzer, cfg.sampling, self.cache, cfg.max_new_tokens)
-            fused, record = ref.fused, ref.as_record()
-        elif method == "genqrensemble":
-            ref = genqr_ensemble(self.backend, self.instructions, topic, self.ref_cfg,
-                                 self.analyzer, cfg.sampling, self.cache,
-                                 cfg.max_new_tokens)
-            fused, record = ref.fused, ref.as_record()
-        else:  # flanprf, genqrensemble_rf
-            feedback = self._feedback(topic)
-            ref = genqr_ensemble_rf(self.backend, self.instructions, topic, feedback,
-                                    self.ref_cfg, self.analyzer, cfg.sampling,
-                                    self.cache, cfg.max_new_tokens)
-            fused, record = ref.fused, ref.as_record()
+        else:
+            fused = self._raw_query(topic)
 
         run = self.index.retrieve(fused, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b,
                                   tag=cfg.run_tag)
-        return run, record
+        return run, query_record(topic, fused, keywords, context)
 
     def _rm3_query(self, topic: Topic) -> WeightedQuery:
         raw = self._raw_query(topic)
@@ -166,16 +159,6 @@ class _QueryRunner:
             return raw
         return rm3_expand(self.index, raw, feedback, fb_terms=self.cfg.rm3.fb_terms,
                           lam=self.cfg.rm3.lam, mu=self.cfg.rm3.mu)
-
-
-def _plain_record(topic: Topic, fused: WeightedQuery) -> dict:
-    return {
-        "qid": topic.qid,
-        "original": topic.query,
-        "keywords": [],
-        "fused_terms": [{"term": t, "weight": w} for t, w in fused.terms],
-        "context": None,
-    }
 
 
 def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, int]:
@@ -201,9 +184,7 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
                 raise
             logger.error("qid %s failed: %s", topic.qid, e)
             failures.append({"qid": topic.qid, "error": str(e)})
-            return (RunList(qid=topic.qid, entries=[], tag=cfg.run_tag),
-                    {"qid": topic.qid, "original": topic.query, "keywords": [],
-                     "fused_terms": [], "context": None})
+            return RunList(qid=topic.qid, entries=[], tag=cfg.run_tag), query_record(topic)
 
     try:
         if cfg.workers > 1:
@@ -212,8 +193,8 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
         else:
             results = [process(t) for t in topics]
     finally:
-        if runner.backend is not None:
-            runner.backend.close()
+        if runner.generator is not None:
+            runner.generator.backend.close()
 
     runs = [run for run, _ in results]
     if cfg.reranker_cmd:
@@ -422,14 +403,12 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
 
 def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> InstructionSet:
     """Generate `count` instructions (base + paraphrases) and persist them."""
-    backend = cfg.make_backend()
+    generator = cfg.make_generator()
     base = cfg.base_instruction or InstructionSet.default().base
     try:
-        instructions = paraphrase_instructions(backend, base, count,
-                                               sampling=cfg.sampling,
-                                               cache=cfg.make_cache())
+        instructions = paraphrase_instructions(generator, base, count)
     finally:
-        backend.close()
+        generator.backend.close()
     instructions.save(out_path)
     logger.info("wrote %d instructions to %s", instructions.n, out_path)
     return instructions
@@ -493,6 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    warnings.filterwarnings("default", category=DeprecationWarning, module="genqr")
 
     if args.command == "index":
         cmd_index(load_config(args.config), force=args.force)

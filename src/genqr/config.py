@@ -10,6 +10,7 @@ relative to the working directory.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
@@ -17,8 +18,8 @@ from typing import List, Optional
 import yaml
 
 from .analysis import Analyzer
-from .llm import (DEFAULT_MAX_NEW_TOKENS, Backend, HttpBackend, ReplayBackend,
-                  ResponseCache, SamplingConfig, StubBackend)
+from .llm import (DEFAULT_MAX_NEW_TOKENS, Backend, Generator, HttpBackend,
+                  ReplayBackend, ResponseCache, SamplingConfig, StubBackend)
 from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
 from .reformulate import InstructionSet, ReformulationConfig
 
@@ -86,21 +87,16 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be positive, got {self.workers}")
         if self.method in LLM_METHODS and not self.backend:
             raise ConfigError(f"method {self.method!r} needs a backend section")
-        if self.method == "genqrensemble_rf" and self.reformulation.feedback_mode == "none":
-            self.reformulation.feedback_mode = "pseudo"
-        if self.method == "flanprf" and self.reformulation.feedback_mode == "none":
-            self.reformulation.feedback_mode = "pseudo"
 
     def load_instructions(self) -> InstructionSet:
         if self.instructions:
             return InstructionSet.load(self.instructions)
         return InstructionSet.default()
 
-    def make_backend(self) -> Backend:
-        return make_backend(self.backend)
-
-    def make_cache(self) -> Optional[ResponseCache]:
-        return ResponseCache(self.cache_dir) if self.cache_dir else None
+    def make_generator(self) -> Generator:
+        cache = ResponseCache(self.cache_dir) if self.cache_dir else None
+        return Generator(make_backend(self.backend), cache, self.sampling,
+                         self.max_new_tokens)
 
 
 _INPUT_PATH_KEYS = ("corpus", "topics", "qrels", "instructions")
@@ -122,9 +118,20 @@ def make_backend(cfg: dict) -> Backend:
     raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
 
 
+def _reformulation_config(section: dict) -> ReformulationConfig:
+    section = dict(section)
+    if "keyword_parser" in section:
+        parser = section.pop("keyword_parser")
+        if parser not in ("raw-append", "whitespace"):
+            raise ConfigError(f"unknown keyword_parser {parser!r}")
+        warnings.warn("reformulation.keyword_parser is deprecated and ignored: "
+                      "both parsers give the same tokens", DeprecationWarning)
+    return ReformulationConfig(**section)
+
+
 _SECTIONS = (
     ("analyzer", Analyzer.from_config),
-    ("reformulation", lambda d: ReformulationConfig(**d)),
+    ("reformulation", _reformulation_config),
     ("rm3", lambda d: Rm3Params(**d)),
     ("sampling", lambda d: SamplingConfig(**d)),
 )

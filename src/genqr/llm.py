@@ -11,12 +11,13 @@ Stub and replay are pure functions of (config, request). The cache is a
 directory of content-addressed JSON files; writes go through a temp file
 and os.replace, so concurrent misses on one key are safe.
 
-`cached_generate` takes a batch of requests (a query's N instruction
-prompts): cache hits are served inline, identical misses share one
-backend call, and the remaining misses go out concurrently on the
-backend's own pool of `max_in_flight` threads (default 4). A semaphore of
-the same size bounds every call into the backend, so `max_in_flight` also
-caps the total across a run's query `workers`.
+A `Generator` bundles a backend with its cache and request settings. Its
+`generate` sends a batch of prompts (a query's N instruction prompts)
+through `cached_generate`: cache hits are served inline, identical misses
+share one backend call, and the remaining misses go out concurrently on
+the backend's own pool of `max_in_flight` threads (default 4). A semaphore
+of the same size bounds every call into the backend, so `max_in_flight`
+also caps the total across a run's query `workers`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .corpus_io import atomic_writer
 
@@ -427,3 +428,20 @@ def cached_generate(cache: Optional[ResponseCache], backend: Backend,
             error.batch_index = index
             raise error
     return [responses[key] for key in keys]
+
+
+@dataclass(frozen=True)
+class Generator:
+    """A backend, its response cache and the settings of every request."""
+
+    backend: Backend
+    cache: Optional[ResponseCache] = None
+    sampling: SamplingConfig = SamplingConfig()
+    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
+
+    def generate(self, prompts: Sequence[str]) -> Tuple[List[str], List[str]]:
+        """Responses to `prompts`, in order, and the cache key of each."""
+        batch = [GenRequest(prompt=prompt, sampling=self.sampling,
+                            max_new_tokens=self.max_new_tokens) for prompt in prompts]
+        keys = [cache_key(self.backend, request) for request in batch]
+        return cached_generate(self.cache, self.backend, batch, keys), keys

@@ -1,20 +1,21 @@
 """Instruction-ensemble query reformulation.
 
-Pre-retrieval: N paraphrases of one reformulation instruction are each
-prompted with the user query; every generated keyword is appended to the
-original query as a weighted expansion term. The single-instruction path
-(flanqr) is the N=1 special case and must produce identical output.
+`reformulate_query` is the one pipeline. Each of N instructions is prompted
+with the user query, and every generated keyword is appended to the
+original query as a weighted expansion term. The single-instruction
+baseline (flanqr) is the N=1 case.
 
-Post-retrieval: the same flow with feedback-document text prepended to
-every instruction as context ("Based on the given context information
-<C>, <instruction>"), where <C> is the space-joined feedback texts.
+Post-retrieval, feedback-document text is prepended to every instruction
+as context ("Based on the given context information <C>, <instruction>"),
+where <C> is the space-joined feedback texts; with no context the
+pipeline is the pre-retrieval one.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .analysis import Analyzer
 from .corpus_io import Topic
 from .index import DegenerateQueryError, WeightedQuery
-from .llm import (DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, GenRequest,
-                  ResponseCache, SamplingConfig, cache_key, cached_generate)
+from .llm import BackendError, Generator
 from .prf import FeedbackSet
 
 logger = logging.getLogger(__name__)
@@ -32,10 +32,9 @@ PARAPHRASE_PROMPT = "Generate 10 paraphrases for the following instruction:"
 RF_CONTEXT_PREFIX = "Based on the given context information "
 DEFAULT_PROMPT_TEMPLATE = "{instruction}: {query}"
 DEFAULT_CONTEXT_BUDGET = 4000
+PARAPHRASE_MAX_NEW_TOKENS = 512
 
-# Both parsers give the same tokens, since the analyzer splits on whitespace
-# itself; both names stay accepted so existing configs still load.
-KEYWORD_PARSERS = ("whitespace", "raw-append")
+# "none", the former default, still loads; the RF methods then use pseudo feedback.
 FEEDBACK_MODES = ("none", "pseudo", "oracle")
 
 
@@ -90,8 +89,7 @@ class ReformulationConfig:
     n: int = 10
     beta: float = 1.0
     dedup: bool = False
-    keyword_parser: str = "raw-append"
-    feedback_mode: str = "none"
+    feedback_mode: str = "pseudo"
     m: int = 5
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     context_budget: int = DEFAULT_CONTEXT_BUDGET
@@ -101,8 +99,6 @@ class ReformulationConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.beta < 0 or self.beta != self.beta:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.keyword_parser not in KEYWORD_PARSERS:
-            raise ValueError(f"unknown keyword_parser {self.keyword_parser!r}")
         if self.feedback_mode not in FEEDBACK_MODES:
             raise ValueError(f"unknown feedback_mode {self.feedback_mode!r}")
         if self.m < 0:
@@ -126,14 +122,19 @@ class Reformulation:
     fused: WeightedQuery
     provenance: Provenance
 
-    def as_record(self) -> dict:
-        return {
-            "qid": self.qid,
-            "original": self.original,
-            "keywords": list(self.keywords),
-            "fused_terms": [{"term": t, "weight": w} for t, w in self.fused.terms],
-            "context": self.provenance.context,
-        }
+
+def query_record(topic: Topic, fused: Optional[WeightedQuery] = None,
+                 keywords: Sequence[str] = (), context: Optional[str] = None) -> dict:
+    """The reformulations-file row of one query; no `fused` query (a failed
+    query) gives no fused terms."""
+    return {
+        "qid": topic.qid,
+        "original": topic.query,
+        "keywords": list(keywords),
+        "fused_terms": [] if fused is None else [{"term": t, "weight": w}
+                                                  for t, w in fused.terms],
+        "context": context,
+    }
 
 
 # --- instruction paraphrasing ------------------------------------------------
@@ -151,23 +152,21 @@ def parse_paraphrase_list(text: str) -> List[str]:
     return items
 
 
-def paraphrase_instructions(backend: Backend, base: str, count: int,
-                            sampling: SamplingConfig = SamplingConfig(),
-                            cache: Optional[ResponseCache] = None,
-                            max_new_tokens: int = 512) -> InstructionSet:
+def paraphrase_instructions(generator: Generator, base: str,
+                            count: int) -> InstructionSet:
     """Build an InstructionSet of `count` instructions (base included).
 
     count=1 returns the base alone without calling the backend. Otherwise
-    the backend response is parsed as a list and truncated to count-1
-    paraphrases; fewer parseable paraphrases than requested is an error.
+    the response to one PARAPHRASE_MAX_NEW_TOKENS request is parsed as a
+    list and truncated to count-1 paraphrases; fewer parseable paraphrases
+    than requested is an error.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count == 1:
         return InstructionSet(base=base)
-    prompt = f"{PARAPHRASE_PROMPT} {base}"
-    request = GenRequest(prompt=prompt, sampling=sampling, max_new_tokens=max_new_tokens)
-    response = cached_generate(cache, backend, [request])[0]
+    generator = replace(generator, max_new_tokens=PARAPHRASE_MAX_NEW_TOKENS)
+    response = generator.generate([f"{PARAPHRASE_PROMPT} {base}"])[0][0]
     paraphrases = [p for p in parse_paraphrase_list(response) if p != base]
     if len(paraphrases) < count - 1:
         raise ReformulationError(
@@ -182,17 +181,6 @@ def paraphrase_instructions(backend: Backend, base: str, count: int,
 def build_prompt(instruction: str, query: str,
                  template: str = DEFAULT_PROMPT_TEMPLATE) -> str:
     return template.format(instruction=instruction, query=query)
-
-
-def generate_keywords(backend: Backend, instruction: str, query: Topic,
-                      sampling: SamplingConfig = SamplingConfig(),
-                      template: str = DEFAULT_PROMPT_TEMPLATE,
-                      cache: Optional[ResponseCache] = None,
-                      max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> str:
-    """One instruction-conditioned generation; returns the raw generated text."""
-    request = GenRequest(prompt=build_prompt(instruction, query.query, template),
-                         sampling=sampling, max_new_tokens=max_new_tokens)
-    return cached_generate(cache, backend, [request])[0]
 
 
 def fuse(original: Topic, expansions: Sequence[List[str]], config: ReformulationConfig,
@@ -228,64 +216,7 @@ def fuse(original: Topic, expansions: Sequence[List[str]], config: Reformulation
     return WeightedQuery(qid=original.qid, terms=tuple((t, weights[t]) for t in order))
 
 
-# --- ensemble pipelines -------------------------------------------------------
-
-
-def _run_instructions(backend: Backend, instructions: List[str], indices: List[int],
-                      query: Topic, config: ReformulationConfig, analyzer: Analyzer,
-                      sampling: SamplingConfig, cache: Optional[ResponseCache],
-                      max_new_tokens: int, context: Optional[str]) -> Reformulation:
-    batch = [GenRequest(prompt=build_prompt(instruction, query.query, config.prompt_template),
-                        sampling=sampling, max_new_tokens=max_new_tokens)
-             for instruction in instructions]
-    keys = [cache_key(backend, request) for request in batch]
-    try:
-        keywords = cached_generate(cache, backend, batch, keys)
-    except BackendError as e:
-        raise ReformulationError(f"qid {query.qid}: instruction {indices[e.batch_index]} "
-                                 f"generation failed: {e}") from e
-
-    expansions = [analyzer.analyze(keyword) for keyword in keywords]
-    fused = fuse(query, expansions, config, analyzer)
-
-    term_sources: Dict[str, List[int]] = {}
-    for idx, tokens in zip(indices, expansions):
-        for token in set(tokens):
-            term_sources.setdefault(token, []).append(idx)
-    provenance = Provenance(
-        backend_identity=backend.identity(),
-        instruction_indices=tuple(indices),
-        term_sources={t: tuple(sorted(set(v))) for t, v in sorted(term_sources.items())},
-        cache_keys=tuple(keys),
-        context=context,
-    )
-    return Reformulation(qid=query.qid, original=query.query,
-                         keywords=tuple(keywords), fused=fused, provenance=provenance)
-
-
-def genqr_ensemble(backend: Backend, instructions: InstructionSet, query: Topic,
-                   config: ReformulationConfig, analyzer: Analyzer,
-                   sampling: SamplingConfig = SamplingConfig(),
-                   cache: Optional[ResponseCache] = None,
-                   max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> Reformulation:
-    """Pre-retrieval ensemble: one generation per instruction, fused."""
-    if config.n > instructions.n:
-        raise ReformulationError(
-            f"config requests {config.n} instructions but the set has {instructions.n}")
-    used = instructions.all()[: config.n]
-    return _run_instructions(backend, used, list(range(1, config.n + 1)), query,
-                             config, analyzer, sampling, cache, max_new_tokens,
-                             context=None)
-
-
-def flanqr(backend: Backend, instruction: str, query: Topic,
-           config: ReformulationConfig, analyzer: Analyzer,
-           sampling: SamplingConfig = SamplingConfig(),
-           cache: Optional[ResponseCache] = None,
-           max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> Reformulation:
-    """Single-instruction zero-shot reformulation (the N=1 baseline path)."""
-    return _run_instructions(backend, [instruction], [1], query, config, analyzer,
-                             sampling, cache, max_new_tokens, context=None)
+# --- the pipeline --------------------------------------------------------------
 
 
 def build_context(feedback: FeedbackSet, budget: int = DEFAULT_CONTEXT_BUDGET) -> str:
@@ -302,23 +233,44 @@ def rf_instruction(context: str, instruction: str) -> str:
     return f"{RF_CONTEXT_PREFIX}{context}, {instruction}"
 
 
-def genqr_ensemble_rf(backend: Backend, instructions: InstructionSet, query: Topic,
-                      feedback: Optional[FeedbackSet], config: ReformulationConfig,
-                      analyzer: Analyzer, sampling: SamplingConfig = SamplingConfig(),
-                      cache: Optional[ResponseCache] = None,
-                      max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS) -> Reformulation:
-    """Post-retrieval ensemble: context-prefixed instructions, then as pre-retrieval.
+def reformulate_query(generator: Generator, topic: Topic, instructions: Sequence[str],
+                      context: Optional[str], config: ReformulationConfig,
+                      analyzer: Analyzer) -> Reformulation:
+    """One generation per instruction, fused into the topic's query.
 
-    An empty feedback set degenerates to the no-feedback ensemble.
+    `instructions` are the ones to use, in order (instruction i is 1-based
+    index i in the provenance); `context`, unless None, is the feedback
+    context prefixed to each of them.
     """
-    if feedback is None or len(feedback) == 0:
-        return genqr_ensemble(backend, instructions, query, config, analyzer,
-                              sampling, cache, max_new_tokens)
-    if config.n > instructions.n:
-        raise ReformulationError(
-            f"config requests {config.n} instructions but the set has {instructions.n}")
-    context = build_context(feedback, config.context_budget)
-    used = [rf_instruction(context, i) for i in instructions.all()[: config.n]]
-    return _run_instructions(backend, used, list(range(1, config.n + 1)), query,
-                             config, analyzer, sampling, cache, max_new_tokens,
-                             context=context)
+    if context is not None:
+        instructions = [rf_instruction(context, i) for i in instructions]
+    prompts = [build_prompt(i, topic.query, config.prompt_template) for i in instructions]
+    try:
+        keywords, keys = generator.generate(prompts)
+    except BackendError as e:
+        raise ReformulationError(f"qid {topic.qid}: instruction {e.batch_index + 1} "
+                                 f"generation failed: {e}") from e
+
+    expansions = [analyzer.analyze(keyword) for keyword in keywords]
+    fused = fuse(topic, expansions, config, analyzer)
+
+    term_sources: Dict[str, List[int]] = {}
+    for idx, tokens in enumerate(expansions, start=1):
+        for token in set(tokens):
+            term_sources.setdefault(token, []).append(idx)
+    provenance = Provenance(
+        backend_identity=generator.backend.identity(),
+        instruction_indices=tuple(range(1, len(prompts) + 1)),
+        term_sources={t: tuple(v) for t, v in sorted(term_sources.items())},
+        cache_keys=tuple(keys),
+        context=context,
+    )
+    return Reformulation(qid=topic.qid, original=topic.query,
+                         keywords=tuple(keywords), fused=fused, provenance=provenance)
+
+
+# perfbench/trace_cli.py patches these three old names to time the pipeline.
+# They are bound to the one function object, so patching them wraps it; they
+# go when the benchmark upkeep of ROADMAP item 7 has trace_cli patch
+# `reformulate_query` instead. Not exported.
+flanqr = genqr_ensemble = genqr_ensemble_rf = reformulate_query

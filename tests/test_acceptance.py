@@ -17,11 +17,10 @@ from genqr.evaluation import (average_precision, evaluate_run,
                               holm_bonferroni, mrr, ndcg_at_k, paired_ttest,
                               parse_metric, precision_at_k)
 from genqr.index import WeightedQuery, build_index
-from genqr.llm import Backend, ReplayBackend
+from genqr.llm import Backend, Generator, ReplayBackend
 from genqr.prf import FeedbackDoc, FeedbackSet, rm3_expand, select_feedback
-from genqr.reformulate import (InstructionSet, ReformulationConfig,
-                               genqr_ensemble, genqr_ensemble_rf,
-                               paraphrase_instructions)
+from genqr.reformulate import (InstructionSet, ReformulationConfig, build_context,
+                               paraphrase_instructions, reformulate_query)
 
 from conftest import TOY, toy_config_dict
 from oracles import (ap_oracle, bm25_oracle, ndcg_oracle, prec_oracle,
@@ -137,8 +136,9 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
                                           FeedbackDoc("d2", "second", 1.0)),
                            source="pseudo")
     from genqr.corpus_io import Topic
-    genqr_ensemble_rf(spy, InstructionSet.default(), Topic("1", "goldfish growth"),
-                      feedback, ReformulationConfig(n=10), Analyzer())
+    reformulate_query(Generator(spy), Topic("1", "goldfish growth"),
+                      InstructionSet.default().all(), build_context(feedback),
+                      ReformulationConfig(n=10), Analyzer())
     assert len(spy.prompts) == 10
     for prompt in spy.prompts:
         assert prompt.startswith("Based on the given context information first text second, ")
@@ -152,7 +152,7 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
 def test_criterion_5_transcript_fidelity():
     backend = ReplayBackend(genqr.data_path("replay", "goldfish.jsonl"))
     base = "Improve the search effectiveness by suggesting expansion terms for the query"
-    iset = paraphrase_instructions(backend, base, count=10)
+    iset = paraphrase_instructions(Generator(backend), base, count=10)
     expected = [
         "Improve the search effectiveness by suggesting expansion terms for the query",
         "Recommend expansion terms for the query to improve search results",
@@ -168,8 +168,8 @@ def test_criterion_5_transcript_fidelity():
     assert iset.all() == expected
 
     from genqr.corpus_io import Topic
-    ref = genqr_ensemble(backend, iset, Topic("156493", "do goldfish grow"),
-                         ReformulationConfig(n=10), Analyzer())
+    ref = reformulate_query(Generator(backend), Topic("156493", "do goldfish grow"),
+                            iset.all(), None, ReformulationConfig(n=10), Analyzer())
     fused_terms = {t for t, _ in ref.fused.terms}
     assert {"age", "goldfish", "grow", "outsmart", "outlive"} <= fused_terms
     _ok(5, "replay reproduces the 10-instruction set and the recorded expansion tokens")

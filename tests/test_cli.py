@@ -12,10 +12,12 @@ import genqr
 import genqr.index
 from genqr.cli import (cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
                        cmd_run, cmd_sweep, main)
-from genqr.config import ConfigError, config_from_dict, load_config
+from genqr.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from genqr.corpus_io import load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
+from genqr.llm import GenRequest, ReplayBackend, ResponseCache, cache_key
+from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 
 from conftest import TOY, toy_config_dict
 
@@ -71,6 +73,36 @@ def test_llm_method_requires_backend():
 def test_rf_method_defaults_to_pseudo_feedback():
     cfg = config_from_dict(toy_config_dict(method="genqrensemble_rf"))
     assert cfg.reformulation.feedback_mode == "pseudo"
+
+
+def test_config_leaves_shared_reformulation_section_unchanged():
+    rc = ReformulationConfig(feedback_mode="none")
+    backend = {"kind": "stub", "vocab": str(TOY / "thesaurus.json")}
+    ExperimentConfig(method="genqrensemble_rf", reformulation=rc, backend=backend)
+    assert rc.feedback_mode == "none"
+    plain = ExperimentConfig(method="genqrensemble", reformulation=rc, backend=backend)
+    assert plain.reformulation.feedback_mode == "none"
+
+
+def test_feedback_mode_none_runs_as_pseudo(toy_cfg, toy_index):
+    _, ref_none, _ = cmd_run(toy_cfg("flanprf", tag="none",
+                                     reformulation={"feedback_mode": "none"}))
+    _, ref_pseudo, _ = cmd_run(toy_cfg("flanprf", tag="pseudo"))
+    assert ref_none.read_bytes() == ref_pseudo.read_bytes()
+
+
+@pytest.mark.parametrize("parser", ["raw-append", "whitespace"])
+def test_keyword_parser_deprecated_but_loads(parser):
+    with pytest.warns(DeprecationWarning, match="keyword_parser") as record:
+        cfg = config_from_dict(toy_config_dict(reformulation={"keyword_parser": parser,
+                                                              "n": 3}))
+    assert len(record) == 1
+    assert cfg.reformulation == ReformulationConfig(n=3)
+
+
+def test_unknown_keyword_parser_rejected():
+    with pytest.raises(ConfigError, match="keyword_parser 'regex'"):
+        config_from_dict(toy_config_dict(reformulation={"keyword_parser": "regex"}))
 
 
 @pytest.mark.parametrize("rm3", [{"fb_docs": -1}, {"fb_terms": -1}, {"lam": 2},
@@ -459,6 +491,20 @@ def test_paraphrase_command_writes_instruction_file(tmp_path):
     assert iset.n == 10
     assert out.read_text().splitlines()[1] == \
         "Recommend expansion terms for the query to improve search results"
+
+
+def test_paraphrase_cache_key_keeps_512_tokens(tmp_path):
+    transcript = str(genqr.data_path("replay", "goldfish.jsonl"))
+    cfg = config_from_dict({
+        "corpus": str(TOY / "corpus.jsonl"), "topics": str(TOY / "topics.tsv"),
+        "method": "raw", "cache_dir": str(tmp_path / "cache"), "max_new_tokens": 32,
+        "backend": {"kind": "replay", "transcript": transcript},
+    })
+    cmd_paraphrase(cfg, count=10, out_path=tmp_path / "instructions.txt")
+    request = GenRequest(prompt=f"{PARAPHRASE_PROMPT} {InstructionSet.default().base}",
+                         sampling=cfg.sampling, max_new_tokens=512)
+    key = cache_key(ReplayBackend(transcript), request)
+    assert ResponseCache(tmp_path / "cache").get(key) is not None
 
 
 # --- argparse entry point ---

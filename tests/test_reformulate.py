@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -6,17 +8,17 @@ from hypothesis import strategies as st
 
 import genqr
 from genqr.analysis import Analyzer
-from genqr.cli import cmd_run
+from genqr.cli import _QueryRunner, cmd_run
+from genqr.config import ConfigError
 from genqr.corpus_io import Topic
 from genqr.index import DegenerateQueryError
-from genqr.llm import (Backend, GenRequest, HttpBackend, ReplayBackend, ResponseCache,
-                       StubBackend, cache_key)
+from genqr.llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
+                       ResponseCache, StubBackend, cache_key)
 from genqr.prf import FeedbackDoc, FeedbackSet
 from genqr.reformulate import (InstructionSet, ReformulationConfig,
                                ReformulationError, build_context, build_prompt,
-                               flanqr, fuse, generate_keywords, genqr_ensemble,
-                               genqr_ensemble_rf, paraphrase_instructions,
-                               parse_paraphrase_list, rf_instruction)
+                               fuse, paraphrase_instructions, parse_paraphrase_list,
+                               query_record, reformulate_query, rf_instruction)
 
 GOLDFISH = Topic("156493", "do goldfish grow")
 THESAURUS = {"goldfish": ["carp", "fishbowl", "koi"],
@@ -43,6 +45,12 @@ class SpyBackend(Backend):
 
 def replay_backend():
     return ReplayBackend(genqr.data_path("replay", "goldfish.jsonl"))
+
+
+def ensemble(backend, instructions, topic, config, cache=None, context=None):
+    """`reformulate_query` over the first `config.n` instructions of a set."""
+    return reformulate_query(Generator(backend, cache), topic,
+                             instructions.all()[: config.n], context, config, Analyzer())
 
 
 # --- instruction sets ---
@@ -73,7 +81,7 @@ def test_instruction_set_save_load(tmp_path):
 
 def test_count_one_no_backend_call():
     spy = SpyBackend()
-    iset = paraphrase_instructions(spy, "base instruction", count=1)
+    iset = paraphrase_instructions(Generator(spy), "base instruction", count=1)
     assert iset.all() == ["base instruction"]
     assert spy.calls == 0
 
@@ -85,8 +93,8 @@ def test_parse_paraphrase_list_formats():
 
 
 def test_replay_paraphrases_match_bundled_set():
-    iset = paraphrase_instructions(replay_backend(), InstructionSet.default().base,
-                                   count=10)
+    iset = paraphrase_instructions(Generator(replay_backend()),
+                                   InstructionSet.default().base, count=10)
     assert iset == InstructionSet.default()
     assert ("Recommend expansion terms for the query to improve search results"
             in iset.all())
@@ -95,7 +103,7 @@ def test_replay_paraphrases_match_bundled_set():
 def test_too_few_paraphrases_reported():
     spy = SpyBackend(reply="1. only one paraphrase")
     with pytest.raises(ReformulationError, match="found 1"):
-        paraphrase_instructions(spy, "base", count=5)
+        paraphrase_instructions(Generator(spy), "base", count=5)
 
 
 def test_stub_paraphrase_determinism():
@@ -112,13 +120,15 @@ def test_stub_paraphrase_determinism():
 
 def test_generate_keywords_instruction_8():
     iset = InstructionSet.default()
-    out = generate_keywords(replay_backend(), iset.all()[7], GOLDFISH)
+    out, = reformulate_query(Generator(replay_backend()), GOLDFISH, [iset.all()[7]], None,
+                             ReformulationConfig(n=1), Analyzer()).keywords
     assert out == "age goldfish grow outsmart outlive ageing species"
 
 
 def test_generate_keywords_instruction_10():
     iset = InstructionSet.default()
-    out = generate_keywords(replay_backend(), iset.all()[9], GOLDFISH)
+    out, = reformulate_query(Generator(replay_backend()), GOLDFISH, [iset.all()[9]], None,
+                             ReformulationConfig(n=1), Analyzer()).keywords
     assert out.startswith("Goldfish breed sizes What kind of goldfish grows")
 
 
@@ -175,19 +185,64 @@ def test_fuse_degenerate_rejected():
         fuse(Topic("1", "..."), [[]], ReformulationConfig(n=1), Analyzer())
 
 
+_FUSE_TOKENS = st.lists(st.sampled_from("abcdexyzq"), max_size=6)
+_FUSE_QUERIES = st.lists(st.sampled_from("abcdq"), min_size=1, max_size=5).map(" ".join)
+_FUSE_EXPANSIONS = st.lists(_FUSE_TOKENS, max_size=6)
+
+
+@settings(deadline=None)
+@given(query=_FUSE_QUERIES, expansions=_FUSE_EXPANSIONS, seed=st.integers(0, 2**32),
+       beta=st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0]))
+@example(query="q", expansions=[["x", "y"], ["y", "z"], ["z", "x"]], seed=1, beta=1.0)
+def test_fuse_dedup_permutation_invariant_property(query, expansions, seed, beta):
+    cfg = ReformulationConfig(beta=beta, dedup=True)
+    rng = random.Random(seed)
+    shuffled = [rng.sample(tokens, len(tokens)) for tokens in expansions]
+    rng.shuffle(shuffled)
+    a = fuse(Topic("1", query), expansions, cfg, Analyzer())
+    b = fuse(Topic("1", query), shuffled, cfg, Analyzer())
+    assert dict(a.terms) == dict(b.terms)
+    original = Counter(Analyzer().analyze(query))
+    for term in {t for tokens in expansions for t in tokens}:  # one beta per distinct term
+        assert dict(a.terms)[term] == pytest.approx(original[term] + beta)
+
+
+@settings(deadline=None)
+@given(query=_FUSE_QUERIES, expansions=_FUSE_EXPANSIONS, dedup=st.booleans())
+@example(query="a b", expansions=[["c", "d"]], dedup=False)
+def test_fuse_beta_zero_keeps_original_weights_property(query, expansions, dedup):
+    fused = fuse(Topic("1", query), expansions, ReformulationConfig(beta=0.0, dedup=dedup),
+                 Analyzer())
+    original = Counter(Analyzer().analyze(query))
+    expanded = {t for tokens in expansions for t in tokens}
+    assert dict(fused.terms) == {t: float(original[t]) for t in original.keys() | expanded}
+
+
+@settings(deadline=None)
+@given(query=_FUSE_QUERIES, expansions=_FUSE_EXPANSIONS,
+       beta=st.floats(0.0, 10.0, allow_nan=False))
+@example(query="a b", expansions=[["c", "c"], ["b"]], beta=1.0)
+@example(query="a", expansions=[["b", "b"]], beta=0.05)
+@example(query="q", expansions=[["x"], ["x"], ["x"]], beta=1.0)
+@example(query="do goldfish grow", expansions=[[], [], []], beta=1.0)
+def test_fuse_total_weight_without_dedup_property(query, expansions, beta):
+    fused = fuse(Topic("1", query), expansions, ReformulationConfig(beta=beta), Analyzer())
+    expected = len(Analyzer().analyze(query)) + beta * sum(map(len, expansions))
+    assert sum(w for _, w in fused.terms) == pytest.approx(expected, rel=1e-12)
+
+
 # --- ensembles ---
 
 
-def test_n1_matches_flanqr_exactly():
-    iset = InstructionSet.default()
-    cfg = ReformulationConfig(n=1)
-    stub_a = StubBackend(THESAURUS, seed=5, n_terms=3)
-    stub_b = StubBackend(THESAURUS, seed=5, n_terms=3)
-    analyzer = Analyzer()
+def test_n1_matches_flanqr_exactly(toy_cfg, toy_index):
+    ensemble_runner = _QueryRunner(toy_cfg("genqrensemble", tag="same",
+                                           reformulation={"n": 1}), toy_index)
+    flanqr_runner = _QueryRunner(toy_cfg("flanqr", tag="same"), toy_index)
+    assert flanqr_runner.instructions == [InstructionSet.default().base]
     for i in range(50):
         topic = Topic(str(i), f"trial {i} goldfish grow")
-        ens = genqr_ensemble(stub_a, iset, topic, cfg, analyzer)
-        single = flanqr(stub_b, iset.base, topic, cfg, analyzer)
+        ens = ensemble_runner(topic)
+        single = flanqr_runner(topic)
         assert ens == single
 
 
@@ -196,15 +251,15 @@ def test_ensemble_call_counts_cold_and_warm(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     iset = InstructionSet(base="one goldfish", paraphrases=("two goldfish", "three goldfish"))
     cfg = ReformulationConfig(n=3)
-    genqr_ensemble(stub, iset, GOLDFISH, cfg, Analyzer(), cache=cache)
+    ensemble(stub, iset, GOLDFISH, cfg, cache=cache)
     assert stub.calls == 3
-    genqr_ensemble(stub, iset, GOLDFISH, cfg, Analyzer(), cache=cache)
+    ensemble(stub, iset, GOLDFISH, cfg, cache=cache)
     assert stub.calls == 3  # warm cache: zero backend calls
 
 
 def test_replay_ensemble_covers_both_expansion_families():
-    ref = genqr_ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
-                         ReformulationConfig(n=10), Analyzer())
+    ref = ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
+                   ReformulationConfig(n=10))
     terms = dict(ref.fused.terms)
     for token in ("age", "goldfish", "grow", "outsmart", "outlive"):
         assert token in terms
@@ -214,8 +269,8 @@ def test_replay_ensemble_covers_both_expansion_families():
 
 
 def test_provenance_traces_every_expansion_term():
-    ref = genqr_ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
-                         ReformulationConfig(n=10), Analyzer())
+    ref = ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
+                   ReformulationConfig(n=10))
     original = set(Analyzer().analyze(GOLDFISH.query))
     fused_terms = {t for t, _ in ref.fused.terms}
     for term in fused_terms - original:
@@ -230,7 +285,7 @@ def test_failed_instruction_names_index():
     iset = InstructionSet(base="known goldfish", paraphrases=("unrecorded prompt",))
     spy = replay_backend()  # transcript lacks these prompts
     with pytest.raises(ReformulationError, match="instruction 1"):
-        genqr_ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=2), Analyzer())
+        ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=2))
 
 
 @settings(max_examples=15, deadline=None,
@@ -248,10 +303,10 @@ def test_http_fanout_matches_sequential_stub(canned, delays_ms):
     http = HttpBackend(canned.url, model="toy", completion_field="choices.0.text")
     cfg = ReformulationConfig(n=10)
     try:
-        got = genqr_ensemble(http, iset, GOLDFISH, cfg, Analyzer())
+        got = ensemble(http, iset, GOLDFISH, cfg)
     finally:
         http.close()
-    want = genqr_ensemble(stub, iset, GOLDFISH, cfg, Analyzer())
+    want = ensemble(stub, iset, GOLDFISH, cfg)
     assert got.keywords == tuple(stub.generate(GenRequest(prompt=p)) for p in prompts)
     assert got.provenance.cache_keys == tuple(
         cache_key(http, GenRequest(prompt=p)) for p in prompts)
@@ -268,8 +323,7 @@ def test_http_failed_instruction_named_and_rest_cached(canned, tmp_path):
                        max_in_flight=2)
     cache = ResponseCache(tmp_path / "cache")
     with pytest.raises(ReformulationError, match="instruction 4 generation failed"):
-        genqr_ensemble(http, iset, GOLDFISH, ReformulationConfig(n=10), Analyzer(),
-                       cache=cache)
+        ensemble(http, iset, GOLDFISH, ReformulationConfig(n=10), cache=cache)
     assert len(canned.payloads) == 10  # the 400 is not retried
     for i, prompt in enumerate(prompts):
         cached = cache.get(cache_key(http, GenRequest(prompt=prompt)))
@@ -287,23 +341,27 @@ def test_http_workers_share_max_in_flight(canned, toy_cfg, toy_index):
     assert canned.peak_in_flight == 2
 
 
-def test_n_exceeding_set_rejected():
-    iset = InstructionSet(base="only one")
-    with pytest.raises(ReformulationError, match="exceeds|has"):
-        genqr_ensemble(SpyBackend(), iset, GOLDFISH, ReformulationConfig(n=5), Analyzer())
+def test_n_exceeding_set_rejected(toy_cfg, toy_index, tmp_path):
+    InstructionSet(base="only one").save(tmp_path / "one.txt")
+    cfg = toy_cfg("genqrensemble", instructions=str(tmp_path / "one.txt"),
+                  reformulation={"n": 5})
+    with pytest.raises(ConfigError, match="exceeds|has"):
+        cmd_run(cfg)
 
 
 # --- RF variant ---
 
 
-def test_rf_empty_feedback_degenerates():
-    stub_a = StubBackend(THESAURUS, seed=2, n_terms=3)
-    stub_b = StubBackend(THESAURUS, seed=2, n_terms=3)
-    iset = InstructionSet.default()
-    cfg = ReformulationConfig(n=4, m=0)
-    plain = genqr_ensemble(stub_a, iset, GOLDFISH, cfg, Analyzer())
-    rf = genqr_ensemble_rf(stub_b, iset, GOLDFISH, None, cfg, Analyzer())
-    assert plain == rf
+def test_rf_empty_feedback_degenerates(toy_cfg, toy_index):
+    plain_runner = _QueryRunner(toy_cfg("genqrensemble", tag="same",
+                                        reformulation={"n": 4}), toy_index)
+    # m=0 asks for no feedback; a query that matches no document finds none
+    for m, topic in ((0, GOLDFISH), (5, Topic("1", "zzyzx qwvk"))):
+        rf_runner = _QueryRunner(toy_cfg("genqrensemble_rf", tag="same",
+                                         reformulation={"n": 4, "m": m}), toy_index)
+        plain = plain_runner(topic)
+        rf = rf_runner(topic)
+        assert plain == rf
 
 
 def test_context_is_space_joined():
@@ -326,7 +384,7 @@ def test_rf_prompt_golden():
     fb = FeedbackSet(qid="156493",
                      docs=(FeedbackDoc("d1", "goldfish live long", 3.0),),
                      source="oracle")
-    genqr_ensemble_rf(spy, iset, GOLDFISH, fb, ReformulationConfig(n=1), Analyzer())
+    ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=1), context=build_context(fb))
     assert spy.prompts == [
         "Based on the given context information goldfish live long, "
         "Improve the search effectiveness by suggesting expansion terms "
@@ -343,9 +401,9 @@ def test_rf_records_context_in_provenance():
     stub = StubBackend(THESAURUS, seed=2, n_terms=3)
     fb = FeedbackSet(qid="156493",
                      docs=(FeedbackDoc("d1", "carp tank", 3.0),), source="pseudo")
-    ref = genqr_ensemble_rf(stub, InstructionSet.default(), GOLDFISH, fb,
-                            ReformulationConfig(n=2), Analyzer())
+    ref = ensemble(stub, InstructionSet.default(), GOLDFISH, ReformulationConfig(n=2),
+                   context=build_context(fb))
     assert ref.provenance.context == "carp tank"
-    record = ref.as_record()
+    record = query_record(GOLDFISH, ref.fused, ref.keywords, ref.provenance.context)
     assert record["context"] == "carp tank"
     assert set(record) == {"qid", "original", "keywords", "fused_terms", "context"}

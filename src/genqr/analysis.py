@@ -20,10 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import unicodedata
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from typing import FrozenSet, List
+
+from .schema import build, check_fields
 
 STEMMERS = ("none", "porter")
 
@@ -65,12 +67,9 @@ class Analyzer:
     lowercase: bool = True
     strip_punctuation: bool = True
     stopwords: FrozenSet[str] = field(default_factory=frozenset)
-    stemmer: str = "none"
+    stemmer: str = field(default="none", metadata={"choices": STEMMERS})
 
-    def __post_init__(self):
-        if self.stemmer not in STEMMERS:
-            raise ValueError(f"unknown stemmer {self.stemmer!r}; choose from {STEMMERS}")
-        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
+    __post_init__ = check_fields
 
     def analyze(self, text: str) -> List[str]:
         """Tokenize `text` under this configuration; empty input yields []."""
@@ -87,12 +86,7 @@ class Analyzer:
         return tokens
 
     def config(self) -> dict:
-        return {
-            "lowercase": self.lowercase,
-            "strip_punctuation": self.strip_punctuation,
-            "stopwords": sorted(self.stopwords),
-            "stemmer": self.stemmer,
-        }
+        return dict(asdict(self), stopwords=sorted(self.stopwords))
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
@@ -100,15 +94,7 @@ class Analyzer:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Analyzer":
-        unknown = set(cfg) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown analyzer keys: {sorted(unknown)}")
-        return cls(
-            lowercase=bool(cfg.get("lowercase", True)),
-            strip_punctuation=bool(cfg.get("strip_punctuation", True)),
-            stopwords=frozenset(cfg.get("stopwords", ())),
-            stemmer=str(cfg.get("stemmer", "none")),
-        )
+        return build(cls, cfg, "analyzer")
 
 
 # --- Porter stemmer (classic 1980 algorithm) -------------------------------

@@ -16,7 +16,6 @@ Exit code is 0 iff no query failed.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import logging
@@ -335,36 +334,28 @@ def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels_path: str | Path,
 
 
 _SWEEP_PARAMS = {
-    "m": ("reformulation", "m"),
-    "n": ("reformulation", "n"),
-    "beta": ("reformulation", "beta"),
-    "fb_docs": ("rm3", "fb_docs"),
-    "fb_terms": ("rm3", "fb_terms"),
-    "lambda": ("rm3", "lam"),
+    "m": "reformulation.m",
+    "n": "reformulation.n",
+    "beta": "reformulation.beta",
+    "fb_docs": "rm3.fb_docs",
+    "fb_terms": "rm3.fb_terms",
+    "lambda": "rm3.lam",
 }
 
 
 def _swept_config(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
     """A copy of `cfg` with `param` set to `value` and its own run tag, built
     through the config classes so that their validation runs."""
-    if param in _SWEEP_PARAMS:
-        section, attr = _SWEEP_PARAMS[param]
-    elif "." in param:
-        section, attr = param.split(".", 1)
-    else:
-        section, attr = None, param
+    section, _, attr = _SWEEP_PARAMS.get(param, param).rpartition(".")
     target = getattr(cfg, section, None) if section else cfg
     if not (dataclasses.is_dataclass(target)
             and attr in {f.name for f in dataclasses.fields(target)}):
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    cfg = copy.deepcopy(cfg)
     try:
-        changes = {"run_tag": f"{cfg.run_tag}-{param}{value}"}
+        swept = dataclasses.replace(target, **{attr: value})
         if section:
-            changes[section] = dataclasses.replace(getattr(cfg, section), **{attr: value})
-        else:
-            changes[attr] = value
-        return dataclasses.replace(cfg, **changes)
+            swept = dataclasses.replace(cfg, **{section: swept})
+        return dataclasses.replace(swept, run_tag=f"{cfg.run_tag}-{param}{value}")
     except ValueError as e:
         raise ConfigError(f"sweep {param}={value}: {e}") from e
 
@@ -415,13 +406,14 @@ def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> I
 
 
 def _parse_values(raw: str) -> List:
+    """Comma-separated sweep values: each a JSON number or true/false where it
+    parses as one, else the string; the config check then judges it."""
     values = []
     for piece in raw.split(","):
-        piece = piece.strip()
         try:
-            values.append(int(piece))
+            values.append(json.loads(piece))
         except ValueError:
-            values.append(float(piece))
+            values.append(piece.strip())
     return values
 
 

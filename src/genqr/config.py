@@ -9,9 +9,8 @@ relative to the working directory.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
@@ -22,35 +21,24 @@ from .llm import (DEFAULT_MAX_NEW_TOKENS, Backend, Generator, HttpBackend,
                   ReplayBackend, ResponseCache, SamplingConfig, StubBackend)
 from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
 from .reformulate import InstructionSet, ReformulationConfig
+from .schema import ConfigError, build, check_fields
 
 METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf")
 LLM_METHODS = ("flanqr", "genqrensemble", "flanprf", "genqrensemble_rf")
 FEEDBACK_METHODS = ("rm3", "flanprf", "genqrensemble_rf")
 
 
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class Rm3Params:
-    fb_docs: int = DEFAULT_FB_DOCS
-    fb_terms: int = DEFAULT_FB_TERMS
-    lam: float = DEFAULT_LAMBDA
-    mu: float = DEFAULT_MU
+    fb_docs: int = field(default=DEFAULT_FB_DOCS, metadata={"min": 0})
+    fb_terms: int = field(default=DEFAULT_FB_TERMS, metadata={"min": 0})
+    lam: float = field(default=DEFAULT_LAMBDA, metadata={"min": 0, "max": 1})
+    mu: float = field(default=DEFAULT_MU, metadata={"min": 0})
 
-    def __post_init__(self):
-        if self.fb_docs < 0:
-            raise ConfigError(f"rm3.fb_docs must be >= 0, got {self.fb_docs}")
-        if self.fb_terms < 0:
-            raise ConfigError(f"rm3.fb_terms must be >= 0, got {self.fb_terms}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"rm3.lam must be in [0, 1], got {self.lam}")
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ConfigError(f"rm3.mu must be finite and >= 0, got {self.mu}")
+    __post_init__ = check_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     corpus: str = ""
     topics: str = ""
@@ -59,32 +47,27 @@ class ExperimentConfig:
     topics_format: str = "tsv"
     qrels: Optional[str] = None
     analyzer: Analyzer = field(default_factory=Analyzer)
-    k1: float = 1.2
-    b: float = 0.75
-    method: str = "raw"
-    retrieval_depth: int = 100
+    k1: float = field(default=1.2, metadata={"min": 0})
+    b: float = field(default=0.75, metadata={"min": 0, "max": 1})
+    method: str = field(default="raw", metadata={"choices": METHODS})
+    retrieval_depth: int = field(default=100, metadata={"min": 1})
     metrics: List[str] = field(default_factory=lambda: ["ndcg@10", "map", "mrr", "p@10"])
-    min_rel: int = 1
+    min_rel: int = field(default=1, metadata={"min": 1})
     reformulation: ReformulationConfig = field(default_factory=ReformulationConfig)
     rm3: Rm3Params = field(default_factory=Rm3Params)
     backend: dict = field(default_factory=dict)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
+    max_new_tokens: int = field(default=DEFAULT_MAX_NEW_TOKENS, metadata={"min": 1})
     instructions: Optional[str] = None
     base_instruction: Optional[str] = None
     cache_dir: Optional[str] = None
     output_dir: str = "runs"
     run_tag: str = "run"
-    workers: int = 1
+    workers: int = field(default=1, metadata={"min": 1})
     reranker_cmd: Optional[str] = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.retrieval_depth < 1:
-            raise ConfigError(f"retrieval_depth must be positive, got {self.retrieval_depth}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be positive, got {self.workers}")
+        check_fields(self)
         if self.method in LLM_METHODS and not self.backend:
             raise ConfigError(f"method {self.method!r} needs a backend section")
 
@@ -118,37 +101,13 @@ def make_backend(cfg: dict) -> Backend:
     raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
 
 
-def _reformulation_config(section: dict) -> ReformulationConfig:
-    section = dict(section)
-    if "keyword_parser" in section:
-        parser = section.pop("keyword_parser")
-        if parser not in ("raw-append", "whitespace"):
-            raise ConfigError(f"unknown keyword_parser {parser!r}")
-        warnings.warn("reformulation.keyword_parser is deprecated and ignored: "
-                      "both parsers give the same tokens", DeprecationWarning)
-    return ReformulationConfig(**section)
-
-
-_SECTIONS = (
-    ("analyzer", Analyzer.from_config),
-    ("reformulation", _reformulation_config),
-    ("rm3", lambda d: Rm3Params(**d)),
-    ("sampling", lambda d: SamplingConfig(**d)),
-)
-
-
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     raw = dict(raw)
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
     if isinstance(raw.get("backend"), dict):
         raw["backend"] = dict(raw["backend"])
     if base_dir is not None:
         for key in _INPUT_PATH_KEYS:
-            if raw.get(key):
+            if raw.get(key) and isinstance(raw[key], str):
                 raw[key] = str((base_dir / raw[key]).resolve()
                                if not Path(raw[key]).is_absolute() else Path(raw[key]))
         backend = raw.get("backend")
@@ -157,16 +116,15 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
                 if backend.get(key) and not Path(backend[key]).is_absolute():
                     backend[key] = str((base_dir / backend[key]).resolve())
 
-    for key, build in _SECTIONS:
-        if isinstance(raw.get(key), dict):
-            try:
-                raw[key] = build(raw[key])
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{key}: {e}") from e
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    reformulation = raw.get("reformulation")
+    if isinstance(reformulation, dict) and "keyword_parser" in reformulation:
+        raw["reformulation"] = reformulation = dict(reformulation)
+        parser = reformulation.pop("keyword_parser")
+        if parser not in ("raw-append", "whitespace"):
+            raise ConfigError(f"unknown keyword_parser {parser!r}")
+        warnings.warn("reformulation.keyword_parser is deprecated and ignored: "
+                      "both parsers give the same tokens", DeprecationWarning)
+    return build(ExperimentConfig, raw)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

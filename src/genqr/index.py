@@ -25,6 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .analysis import Analyzer
 from .corpus_io import Document, RunList, atomic_writer
+from .schema import ConfigError
 
 INDEX_MAGIC = "genqr-index"
 INDEX_VERSION = 2
@@ -219,7 +220,10 @@ class PostingsIndex:
                 f"{path}: index version {meta.get('version')} unsupported "
                 f"(expected {INDEX_VERSION}); {_REBUILD}")
 
-        index = cls(Analyzer.from_config(meta["analyzer"]))
+        try:
+            index = cls(Analyzer.from_config(meta.get("analyzer")))
+        except ConfigError as e:
+            raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
         if index.analyzer.fingerprint() != meta.get("analyzer_fingerprint"):
             raise IndexingError(f"{path}: analyzer fingerprint mismatch; {_REBUILD}")
         for docno, length in meta["docs"]:

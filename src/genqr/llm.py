@@ -31,21 +31,18 @@ import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .corpus_io import atomic_writer
+from .schema import check_fields
 
 if TYPE_CHECKING:
     import requests
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TOP_P = 0.92
-DEFAULT_TOP_K = 200
-DEFAULT_REPETITION_PENALTY = 1.2
-DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_NEW_TOKENS = 64
 DEFAULT_MAX_IN_FLIGHT = 4
 
@@ -62,28 +59,12 @@ class ReplayMissError(BackendError):
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    top_p: float = DEFAULT_TOP_P
-    top_k: int = DEFAULT_TOP_K
-    repetition_penalty: float = DEFAULT_REPETITION_PENALTY
-    temperature: float = DEFAULT_TEMPERATURE
+    top_p: float = field(default=0.92, metadata={"gt": 0, "max": 1})
+    top_k: int = field(default=200, metadata={"min": 1})
+    repetition_penalty: float = field(default=1.2, metadata={"min": 1})
+    temperature: float = field(default=1.0, metadata={"min": 0})
 
-    def __post_init__(self):
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be positive, got {self.top_k}")
-        if self.repetition_penalty < 1.0:
-            raise ValueError(f"repetition_penalty must be >= 1, got {self.repetition_penalty}")
-        if self.temperature < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-
-    def as_dict(self) -> dict:
-        return {
-            "top_p": self.top_p,
-            "top_k": self.top_k,
-            "repetition_penalty": self.repetition_penalty,
-            "temperature": self.temperature,
-        }
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -278,7 +259,7 @@ class HttpBackend(Backend):
             "model": self.model,
             "prompt": request.prompt,
             "max_tokens": request.max_new_tokens,
-            **request.sampling.as_dict(),
+            **asdict(request.sampling),
         }
         if request.seed is not None:
             payload["seed"] = request.seed
@@ -347,7 +328,7 @@ def cache_key(backend: Backend, request: GenRequest) -> str:
     material = json.dumps({
         "backend": backend.identity(),
         "prompt": request.prompt,
-        "sampling": request.sampling.as_dict(),
+        "sampling": asdict(request.sampling),
         "max_new_tokens": request.max_new_tokens,
         "seed": request.seed,
     }, sort_keys=True, separators=(",", ":"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,6 +25,7 @@ from .corpus_io import Topic
 from .index import DegenerateQueryError, WeightedQuery
 from .llm import BackendError, Generator
 from .prf import FeedbackSet
+from .schema import check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -84,25 +85,17 @@ class InstructionSet:
         return cls.from_lines(text.splitlines())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReformulationConfig:
-    n: int = 10
-    beta: float = 1.0
+    n: int = field(default=10, metadata={"min": 1})
+    beta: float = field(default=1.0, metadata={"min": 0})
     dedup: bool = False
-    feedback_mode: str = "pseudo"
-    m: int = 5
+    feedback_mode: str = field(default="pseudo", metadata={"choices": FEEDBACK_MODES})
+    m: int = field(default=5, metadata={"min": 0})
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
-    context_budget: int = DEFAULT_CONTEXT_BUDGET
+    context_budget: int = field(default=DEFAULT_CONTEXT_BUDGET, metadata={"min": 0})
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.beta < 0 or self.beta != self.beta:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise ValueError(f"unknown feedback_mode {self.feedback_mode!r}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,12 +13,15 @@ import genqr
 import genqr.index
 from genqr.cli import (cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
                        cmd_run, cmd_sweep, main)
-from genqr.config import ConfigError, ExperimentConfig, config_from_dict, load_config
+from genqr.analysis import Analyzer
+from genqr.config import (ConfigError, ExperimentConfig, Rm3Params, config_from_dict,
+                          load_config)
 from genqr.corpus_io import load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
-from genqr.llm import GenRequest, ReplayBackend, ResponseCache, cache_key
+from genqr.llm import GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
+from genqr.schema import build
 
 from conftest import TOY, toy_config_dict
 
@@ -52,10 +56,68 @@ def test_unknown_config_key_rejected():
     ("rm3", {"mystery": 1}, "mystery"),
     ("sampling", {"mystery": 1}, "mystery"),
     ("sampling", {"top_p": 0}, "top_p"),
+    pytest.param("reformulation", {"dedup": "no"},
+                 "reformulation.dedup must be bool, got 'no'", id="dedup=no"),
+    pytest.param("reformulation", {"n": 2.5}, "reformulation.n must be int, got 2.5",
+                 id="n=2.5"),
+    pytest.param("reformulation", {"n": True}, "reformulation.n must be int, got True",
+                 id="n=true"),
+    pytest.param("reformulation", {"beta": float("inf")},
+                 "reformulation.beta must be finite, got inf", id="beta=inf"),
+    pytest.param("reformulation", {"context_budget": -5},
+                 r"reformulation.context_budget must be in \[0, inf\), got -5", id="context_budget=-5"),
+    pytest.param("sampling", {"top_k": 1.5}, "sampling.top_k must be int, got 1.5",
+                 id="top_k=1.5"),
+    pytest.param("sampling", {"temperature": float("nan")},
+                 "sampling.temperature must be finite, got nan", id="temperature=nan"),
+    pytest.param("rm3", {"fb_docs": 2.5}, "rm3.fb_docs must be int, got 2.5",
+                 id="fb_docs=2.5"),
+    pytest.param("analyzer", {"stopwords": "the"},
+                 "analyzer.stopwords must be a list of str, got 'the'", id="stopwords=the"),
+    pytest.param("analyzer", {"lowercase": "false"},
+                 "analyzer.lowercase must be bool, got 'false'", id="lowercase=false"),
 ], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
 def test_bad_config_section_raises_config_error(section, value, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(toy_config_dict(**{section: value}))
+
+
+_BAD_VALUES = [
+    ("workers", True, "workers must be int, got True"),
+    ("retrieval_depth", 2.5, "retrieval_depth must be int, got 2.5"),
+    ("k1", "1.2", "k1 must be float, got '1.2'"),
+    ("b", float("nan"), "b must be finite, got nan"),
+    ("b", 2, r"b must be in \[0, 1\], got 2"),
+    ("max_new_tokens", 0, r"max_new_tokens must be in \[1, inf\), got 0"),
+    ("rm3", None, "rm3 must be a mapping of Rm3Params fields, got None"),
+    ("backend", ["stub"], "backend must be dict, got"),
+    ("metrics", "ndcg@10", "metrics must be a list of str, got 'ndcg@10'"),
+]
+
+
+@pytest.mark.parametrize("key,value,match", _BAD_VALUES,
+                         ids=[f"{key}={value!r}" for key, value, _ in _BAD_VALUES])
+def test_bad_config_value_raises_config_error(key, value, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(toy_config_dict(**{key: value}))
+
+
+@pytest.mark.parametrize("cls,serialise", [
+    (Analyzer, Analyzer.config), (SamplingConfig, dataclasses.asdict),
+    (ReformulationConfig, dataclasses.asdict), (Rm3Params, dataclasses.asdict),
+    (ExperimentConfig, dataclasses.asdict),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_section_defaults_round_trip(cls, serialise):
+    assert build(cls, serialise(cls())) == cls()
+
+
+@pytest.mark.parametrize("section,attr", [("rm3", "lam"), ("reformulation", "n"),
+                                          (None, "k1")])
+def test_config_sections_are_frozen(section, attr):
+    cfg = config_from_dict(toy_config_dict())
+    target = getattr(cfg, section) if section else cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(target, attr, 1)
 
 
 def test_unknown_method_rejected():
@@ -430,6 +492,23 @@ def test_sweep_bad_lambda_rejected_before_any_run(toy_index, tmp_path):
               "--out", str(tmp_path / "sweep.csv"), "--lenient"])
     assert not (tmp_path / "runs").exists()
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_bool_values_through_main(toy_index, tmp_path):
+    cfg_path = tmp_path / "ens.yaml"
+    cfg_path.write_text(yaml.safe_dump(toy_config_dict("genqrensemble", tag="d",
+                                                       work=str(tmp_path))))
+    args = ["sweep", "--config", str(cfg_path), "--param", "reformulation.dedup",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main(args + ["--values", "false,true"]) == 0
+    runs = tmp_path / "runs"
+    off = (runs / "d-reformulation.dedupFalse.reformulations.jsonl").read_text()
+    on = (runs / "d-reformulation.dedupTrue.reformulations.jsonl").read_text()
+    assert off != on
+    for values, match in [("0,1", "dedup must be bool, got 0"),
+                          ("yes", "dedup must be bool, got 'yes'")]:
+        with pytest.raises(ConfigError, match=match):
+            main(args + ["--values", values])
 
 
 def test_sweep_unknown_param_rejected(toy_cfg, toy_index, tmp_path):

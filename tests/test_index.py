@@ -245,6 +245,19 @@ def test_version_mismatch_rejected(tmp_path):
         PostingsIndex.load(tmp_path / "idx")
 
 
+def test_bad_analyzer_section_rejected(tmp_path):
+    import json
+    index = build_index([Document("d1", "a")], Analyzer())
+    index.save(tmp_path / "idx")
+    meta_path = tmp_path / "idx" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["analyzer"]["mystery"] = 1
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(IndexingError,
+                       match=r"analyzer keys: \['mystery'\]\); rebuild it with `genqr index --force`$"):
+        PostingsIndex.load(tmp_path / "idx")
+
+
 def _bump_first_df(raw: bytes) -> bytes:
     # same length, but the df column no longer sums to the postings count
     first = int.from_bytes(raw[8:12], "little") + 1

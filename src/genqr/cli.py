@@ -27,15 +27,15 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .config import (FEEDBACK_METHODS, LLM_METHODS, ConfigError,
-                     ExperimentConfig, load_config)
+from .config import (LLM_METHODS, RF_METHODS, ConfigError, ExperimentConfig,
+                     load_config)
 from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus,
                         load_qrels, load_topics, read_run, write_run)
 from .evaluation import (EvalReport, evaluate_run, holm_bonferroni,
-                         paired_ttest, parse_metric)
+                         missing_topics, paired_ttest, parse_metric)
 from .index import IndexingError, PostingsIndex, WeightedQuery, build_index
 from .llm import Generator
-from .prf import rm3_expand, select_feedback, select_oracle_feedback
+from .prf import FeedbackSet, rm3_expand, select_feedback, select_oracle_feedback
 from .reformulate import (InstructionSet, build_context, paraphrase_instructions,
                           query_record, reformulate_query)
 
@@ -70,15 +70,15 @@ def _load_index_for(cfg: ExperimentConfig) -> PostingsIndex:
     return index
 
 
-def _corpus_text_lookup(cfg: ExperimentConfig) -> Dict[str, str]:
-    return {doc.docno: doc.text
-            for doc in load_corpus(cfg.corpus, cfg.corpus_format)}
-
-
 class _QueryRunner:
-    """Per-topic execution of the configured method.
+    """Per-topic execution of the configured method: one path for all six.
 
-    The four LLM methods share one pipeline: flanqr and flanprf are
+    The topic's query is analysed once. A feedback method (rm3, flanprf,
+    genqrensemble_rf) then takes m feedback documents: the judged ones
+    under oracle feedback, else the top m of a first pass. RM3 expands the
+    query from them; the LLM methods expand it with their text as context.
+    A feedback method that finds none runs as its pre-retrieval form: rm3
+    as raw, an RF method as its plain method. flanqr and flanprf are
     genqrensemble and genqrensemble_rf with the first instruction only.
     """
 
@@ -86,18 +86,18 @@ class _QueryRunner:
         self.cfg = cfg
         self.index = index
         self.analyzer = index.analyzer
-        self.lookup: Optional[Dict[str, str]] = None
+        self.texts: Dict[str, str] = {}
         self.qrels: Optional[Qrels] = None
         self.generator: Optional[Generator] = None
         self.instructions: List[str] = []
         method, ref_cfg = cfg.method, cfg.reformulation
-        # The RF methods take m feedback docs: oracle if configured, else pseudo.
-        rf = method in ("flanprf", "genqrensemble_rf")
-        self.feedback_m = ref_cfg.m if rf else 0
+        self.feedback_m = (cfg.rm3.fb_docs if method == "rm3"
+                           else ref_cfg.m if method in RF_METHODS else 0)
 
-        if method in FEEDBACK_METHODS:
-            self.lookup = _corpus_text_lookup(cfg)
-        if rf and ref_cfg.feedback_mode == "oracle":
+        if self.feedback_m:
+            self.texts = {doc.docno: doc.text
+                          for doc in load_corpus(cfg.corpus, cfg.corpus_format)}
+        if method in RF_METHODS and ref_cfg.feedback_mode == "oracle":
             if not cfg.qrels:
                 raise ConfigError("oracle feedback needs a qrels path in the config")
             self.qrels = load_qrels(cfg.qrels)
@@ -111,53 +111,40 @@ class _QueryRunner:
             self.instructions = full.all()[:n]
             self.generator = cfg.make_generator()
 
-    def _raw_query(self, topic: Topic) -> WeightedQuery:
-        return WeightedQuery.from_terms(topic.qid, self.analyzer.analyze(topic.query))
-
-    def _text(self, docno: str) -> str:
-        return self.lookup[docno]
-
-    def _context(self, topic: Topic) -> Optional[str]:
-        """The feedback context of an RF method; None without feedback docs."""
-        m = self.feedback_m
+    def _feedback(self, query: WeightedQuery) -> Optional[FeedbackSet]:
+        """The method's feedback documents; None when it takes or finds none."""
+        m, cfg = self.feedback_m, self.cfg
         if m == 0:
             return None
         if self.qrels is not None:
-            feedback = select_oracle_feedback(self.qrels, self._text, topic.qid, m)
+            feedback = select_oracle_feedback(self.qrels, self.texts.__getitem__, query.qid, m)
         else:
-            first_pass = self.index.retrieve(self._raw_query(topic), k=self.cfg.retrieval_depth,
-                                             k1=self.cfg.k1, b=self.cfg.b)
-            feedback = select_feedback(first_pass, self._text, m)
+            first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)
+            feedback = select_feedback(first_pass, self.texts.__getitem__, m)
         if len(feedback) == 0:
+            logger.warning("qid %s: no feedback documents, running without feedback",
+                           query.qid)
             return None
-        return build_context(feedback, self.cfg.reformulation.context_budget)
+        return feedback
 
     def __call__(self, topic: Topic) -> Tuple[RunList, dict]:
         cfg = self.cfg
+        query = WeightedQuery.from_terms(topic.qid, self.analyzer.analyze(topic.query))
+        feedback = self._feedback(query)
         keywords, context = (), None
         if self.generator is not None:
-            ref = reformulate_query(self.generator, topic, self.instructions,
-                                    self._context(topic), cfg.reformulation, self.analyzer)
-            fused, keywords, context = ref.fused, ref.keywords, ref.provenance.context
-        elif cfg.method == "rm3":
-            fused = self._rm3_query(topic)
-        else:
-            fused = self._raw_query(topic)
+            if feedback is not None:
+                context = build_context(feedback, cfg.reformulation.context_budget)
+            ref = reformulate_query(self.generator, topic, query, self.instructions,
+                                    context, cfg.reformulation, self.analyzer)
+            query, keywords = ref.fused, ref.keywords
+        elif feedback is not None:
+            query = rm3_expand(self.index, query, feedback, fb_terms=cfg.rm3.fb_terms,
+                               lam=cfg.rm3.lam, mu=cfg.rm3.mu)
 
-        run = self.index.retrieve(fused, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b,
+        run = self.index.retrieve(query, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b,
                                   tag=cfg.run_tag)
-        return run, query_record(topic, fused, keywords, context)
-
-    def _rm3_query(self, topic: Topic) -> WeightedQuery:
-        raw = self._raw_query(topic)
-        first_pass = self.index.retrieve(raw, k=self.cfg.retrieval_depth,
-                                         k1=self.cfg.k1, b=self.cfg.b)
-        feedback = select_feedback(first_pass, self._text, self.cfg.rm3.fb_docs)
-        if len(feedback) == 0:
-            logger.warning("qid %s: no feedback candidates, keeping raw query", topic.qid)
-            return raw
-        return rm3_expand(self.index, raw, feedback, fb_terms=self.cfg.rm3.fb_terms,
-                          lam=self.cfg.rm3.lam, mu=self.cfg.rm3.mu)
+        return run, query_record(topic, query, keywords, context)
 
 
 def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, int]:
@@ -235,17 +222,18 @@ def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
 
 def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
              metrics: List[str], out_dir: str | Path, baseline: Optional[str] = None,
-             alpha: float = 0.05, min_rel: int = 1, gain: str = "linear") -> dict:
+             alpha: float = 0.05, min_rel: int = 1) -> dict:
     """Evaluate runs, write per-run reports and a cross-run comparison table.
 
     Relative improvements and significance are computed against the
     `baseline` run tag; the Holm-Bonferroni family is every (run, metric)
-    comparison against the baseline in this invocation.
+    comparison against the baseline in this invocation. Judged topics
+    missing from a run score as empty rankings, with a warning.
     """
     qrels = load_qrels(qrels_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs = [parse_metric(m, min_rel=min_rel, gain=gain) for m in metrics]
+    specs = [parse_metric(m, min_rel=min_rel) for m in metrics]
 
     tagged_runs: Dict[str, List[RunList]] = {}
     tag_order: List[str] = []
@@ -266,6 +254,7 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
             reports[(tag, spec.label)] = report
             report.save(out_dir / f"{tag}.{spec.label}.tsv")
             report.save(out_dir / f"{tag}.{spec.label}.json")
+        _warn_missing(tag, tagged_runs[tag], qrels)
 
     rows = []
     comparisons = []  # indices into rows that carry a p-value
@@ -277,13 +266,12 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
                    "evaluated": report.evaluated, "delta_pct": None,
                    "p_value": None, "significant": None}
             if baseline is not None and tag != baseline:
+                # Every run is scored over the same judged topics, missing ones at 0.
                 base = reports[(baseline, spec.label)]
-                common = sorted(set(report.per_query) & set(base.per_query))
                 if base.mean != 0.0:
                     row["delta_pct"] = 100.0 * (report.mean - base.mean) / base.mean
-                if len(common) >= 2:
-                    p = paired_ttest({q: report.per_query[q] for q in common},
-                                     {q: base.per_query[q] for q in common})
+                if report.evaluated >= 2:
+                    p = paired_ttest(report.per_query, base.per_query)
                     row["p_value"] = p
                     comparisons.append(len(rows))
                     p_values.append(p)
@@ -309,21 +297,24 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
     return table
 
 
+def _warn_missing(tag: str, runs: List[RunList], qrels: Qrels) -> None:
+    missing = missing_topics(runs, qrels)
+    if missing:
+        logger.warning("%s: %d judged topics missing from the run, scored as empty "
+                       "rankings", tag, len(missing))
+
+
 def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels_path: str | Path,
-                  metric: str, out_path: str | Path, min_rel: int = 1,
-                  gain: str = "linear") -> List[dict]:
+                  metric: str, out_path: str | Path, min_rel: int = 1) -> List[dict]:
     """Per-query values of one metric for two runs plus their delta (CSV)."""
     qrels = load_qrels(qrels_path)
-    spec = parse_metric(metric, min_rel=min_rel, gain=gain)
+    spec = parse_metric(metric, min_rel=min_rel)
     report_a = evaluate_run(read_run(run_a), qrels, spec)
     report_b = evaluate_run(read_run(run_b), qrels, spec)
-    common = sorted(set(report_a.per_query) & set(report_b.per_query))
-    if not common:
-        raise ValueError("the two runs share no evaluated queries")
-    rows = [{"qid": q, "value_a": report_a.per_query[q],
-             "value_b": report_b.per_query[q],
-             "delta": report_a.per_query[q] - report_b.per_query[q]}
-            for q in common]
+    if not report_a.per_query:
+        raise ValueError("no judged topic has a relevant document")
+    rows = [{"qid": q, "value_a": a, "value_b": report_b.per_query[q],
+             "delta": a - report_b.per_query[q]} for q, a in report_a.per_query.items()]
     rows.sort(key=lambda r: (r["delta"], r["qid"]))
     with atomic_writer(out_path) as f:
         f.write("qid,value_a,value_b,delta\n")
@@ -383,6 +374,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
             report = evaluate_run(runs, qrels, spec)
             rows.append({"param": param, "value": value,
                          "metric": spec.label, "mean": report.mean})
+        _warn_missing(sub.run_tag, runs, qrels)
     with atomic_writer(out_path) as f:
         f.write("param,value,metric,mean\n")
         for row in rows:

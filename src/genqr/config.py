@@ -17,6 +17,7 @@ from typing import List, Optional
 import yaml
 
 from .analysis import Analyzer
+from .corpus_io import CORPUS_READERS, TOPIC_READERS
 from .llm import (DEFAULT_MAX_NEW_TOKENS, Backend, Generator, HttpBackend,
                   ReplayBackend, ResponseCache, SamplingConfig, StubBackend)
 from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
@@ -24,8 +25,9 @@ from .reformulate import InstructionSet, ReformulationConfig
 from .schema import ConfigError, build, check_fields
 
 METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf")
-LLM_METHODS = ("flanqr", "genqrensemble", "flanprf", "genqrensemble_rf")
-FEEDBACK_METHODS = ("rm3", "flanprf", "genqrensemble_rf")
+RF_METHODS = ("flanprf", "genqrensemble_rf")
+LLM_METHODS = ("flanqr", "genqrensemble", *RF_METHODS)
+FEEDBACK_METHODS = ("rm3", *RF_METHODS)
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class ExperimentConfig:
     corpus: str = ""
     topics: str = ""
     index_dir: str = "index"
-    corpus_format: str = "jsonl"
-    topics_format: str = "tsv"
+    corpus_format: str = field(default="jsonl", metadata={"choices": tuple(CORPUS_READERS)})
+    topics_format: str = field(default="tsv", metadata={"choices": tuple(TOPIC_READERS)})
     qrels: Optional[str] = None
     analyzer: Analyzer = field(default_factory=Analyzer)
     k1: float = field(default=1.2, metadata={"min": 0})

@@ -137,17 +137,11 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Iterator[Document]:
     on duplicates.
     """
     path = Path(path)
-    if format == "jsonl":
-        docs = _iter_jsonl_corpus(path)
-    elif format == "tsv":
-        docs = _iter_tsv_corpus(path)
-    elif format == "trec-text":
-        docs = _iter_trec_text_corpus(path)
-    else:
+    if format not in CORPUS_READERS:
         raise ValueError(f"unknown corpus format {format!r}")
 
     seen: set[str] = set()
-    for doc in docs:
+    for doc in CORPUS_READERS[format](path):
         if doc.docno in seen:
             raise CorpusFormatError(f"{path}: duplicate docno {doc.docno!r}")
         seen.add(doc.docno)
@@ -202,15 +196,16 @@ def _iter_trec_text_corpus(path: Path) -> Iterator[Document]:
         )
 
 
+CORPUS_READERS = {"jsonl": _iter_jsonl_corpus, "tsv": _iter_tsv_corpus,
+                  "trec-text": _iter_trec_text_corpus}
+
+
 def load_topics(path: str | Path, format: str = "tsv") -> List[Topic]:
     """Load topics; trec-topic extracts the <title> field with tags stripped."""
     path = Path(path)
-    if format == "tsv":
-        topics = list(_iter_tsv_topics(path))
-    elif format == "trec-topic":
-        topics = list(_iter_trec_topics(path))
-    else:
+    if format not in TOPIC_READERS:
         raise ValueError(f"unknown topics format {format!r}")
+    topics = list(TOPIC_READERS[format](path))
 
     seen: set[str] = set()
     for topic in topics:
@@ -249,6 +244,9 @@ def _iter_trec_topics(path: Path) -> Iterator[Topic]:
         if not title:
             raise CorpusFormatError(f"{path}:{lineno}: empty query for qid {qid!r}")
         yield Topic(qid=qid, query=title)
+
+
+TOPIC_READERS = {"tsv": _iter_tsv_topics, "trec-topic": _iter_trec_topics}
 
 
 def load_qrels(path: str | Path) -> Qrels:

@@ -7,6 +7,8 @@ Metric conventions follow the trec_eval family:
 - Queries with no relevant documents (no grade above the metric's
   threshold) are skipped, not scored zero; aggregates average over
   evaluated queries only.
+- A judged topic missing from the run is scored as an empty ranking
+  (trec_eval -c), so it counts 0 when it has a relevant document.
 - Binary metrics (MAP, MRR, P@k) binarize at grade >= min_rel.
 
 Significance: two-sided paired t-test (p through the regularized
@@ -57,12 +59,12 @@ class MetricSpec:
         return self.kind
 
 
-def parse_metric(text: str, min_rel: int = 1, gain: str = "linear") -> MetricSpec:
+def parse_metric(text: str, min_rel: int = 1) -> MetricSpec:
     """Parse labels like "ndcg@10", "map", "mrr", "p@10"."""
     name, _, cutoff = text.strip().lower().partition("@")
     k = int(cutoff) if cutoff else None
     if name == "ndcg":
-        return MetricSpec("ndcg", k=k, min_rel=min_rel, gain=gain)
+        return MetricSpec("ndcg", k=k, min_rel=min_rel)
     if name in ("p", "precision"):
         return MetricSpec("precision", k=k, min_rel=min_rel)
     if name == "map":
@@ -172,10 +174,17 @@ class EvalReport:
             f.write(self.to_json() if Path(path).suffix == ".json" else self.to_tsv())
 
 
+def missing_topics(runs: List[RunList], qrels: Qrels) -> List[str]:
+    """Judged topics that `runs` does not answer, in qrels order."""
+    answered = {run.qid for run in runs}
+    return [qid for qid in qrels.qids() if qid not in answered]
+
+
 def evaluate_run(runs: List[RunList], qrels: Qrels, spec: MetricSpec) -> EvalReport:
-    """Per-query metric values plus the mean over evaluated queries."""
+    """Per-query metric values plus the mean over evaluated queries; judged
+    topics absent from `runs` follow the run's own as empty rankings."""
     report = EvalReport(metric=spec.label)
-    for run in runs:
+    for run in [*runs, *(RunList(qid) for qid in missing_topics(runs, qrels))]:
         value = compute_metric(run, qrels, spec)
         if value is None:
             report.skipped.append(run.qid)

@@ -1,14 +1,15 @@
 """Instruction-ensemble query reformulation.
 
-`reformulate_query` is the one pipeline. Each of N instructions is prompted
-with the user query, and every generated keyword is appended to the
-original query as a weighted expansion term. The single-instruction
-baseline (flanqr) is the N=1 case.
+`reformulate_query` is the expansion step of the LLM methods. Each of N
+instructions is prompted with the user query, and every generated keyword
+is analysed and appended to the already-analysed query as a weighted
+expansion term. The single-instruction baselines (flanqr, flanprf) are the
+N=1 case.
 
 Post-retrieval, feedback-document text is prepended to every instruction
 as context ("Based on the given context information <C>, <instruction>"),
-where <C> is the space-joined feedback texts; with no context the
-pipeline is the pre-retrieval one.
+where <C> is the space-joined feedback texts (`build_context`); with no
+context the pipeline is the pre-retrieval one.
 """
 
 from __future__ import annotations
@@ -176,37 +177,27 @@ def build_prompt(instruction: str, query: str,
     return template.format(instruction=instruction, query=query)
 
 
-def fuse(original: Topic, expansions: Sequence[List[str]], config: ReformulationConfig,
-         analyzer: Analyzer) -> WeightedQuery:
-    """Weight-merge the analyzed original query with expansion tokens.
+def fuse(original: WeightedQuery, expansions: Sequence[List[str]],
+         config: ReformulationConfig) -> WeightedQuery:
+    """Weight-merge the analysed original query with expansion tokens.
 
+    `original` is the analysed query, each term at weight 1.0 per occurrence.
     `expansions` holds one token list per generated keyword, as made by
-    `analyzer.analyze(keyword)`. Original terms carry weight 1.0 per occurrence;
-    expansion tokens carry weight beta per occurrence (or per distinct
-    token when dedup is set). Terms on both sides accumulate both weights.
+    `analyzer.analyze(keyword)`. Expansion tokens carry weight beta per
+    occurrence (or per distinct token when dedup is set). Terms on both
+    sides accumulate both weights, in first-seen order.
     """
-    weights: Dict[str, float] = {}
-    order: List[str] = []
-
-    for token in analyzer.analyze(original.query):
-        if token not in weights:
-            weights[token] = 0.0
-            order.append(token)
-        weights[token] += 1.0
-
+    weights = original.aggregated()
     expansion = [token for tokens in expansions for token in tokens]
     if config.dedup:
-        expansion = list(dict.fromkeys(expansion))
+        expansion = dict.fromkeys(expansion)
     for token in expansion:
-        if token not in weights:
-            weights[token] = 0.0
-            order.append(token)
-        weights[token] += config.beta
+        weights[token] = weights.get(token, 0.0) + config.beta
 
     if not any(w > 0 for w in weights.values()):
         raise DegenerateQueryError(
             f"query {original.qid!r}: fusion produced no positive-weight terms")
-    return WeightedQuery(qid=original.qid, terms=tuple((t, weights[t]) for t in order))
+    return WeightedQuery(qid=original.qid, terms=tuple(weights.items()))
 
 
 # --- the pipeline --------------------------------------------------------------
@@ -226,14 +217,15 @@ def rf_instruction(context: str, instruction: str) -> str:
     return f"{RF_CONTEXT_PREFIX}{context}, {instruction}"
 
 
-def reformulate_query(generator: Generator, topic: Topic, instructions: Sequence[str],
-                      context: Optional[str], config: ReformulationConfig,
-                      analyzer: Analyzer) -> Reformulation:
-    """One generation per instruction, fused into the topic's query.
+def reformulate_query(generator: Generator, topic: Topic, original: WeightedQuery,
+                      instructions: Sequence[str], context: Optional[str],
+                      config: ReformulationConfig, analyzer: Analyzer) -> Reformulation:
+    """One generation per instruction, fused into `original`, the topic's
+    analysed query.
 
     `instructions` are the ones to use, in order (instruction i is 1-based
     index i in the provenance); `context`, unless None, is the feedback
-    context prefixed to each of them.
+    context prefixed to each of them. `analyzer` analyses the keywords.
     """
     if context is not None:
         instructions = [rf_instruction(context, i) for i in instructions]
@@ -245,7 +237,7 @@ def reformulate_query(generator: Generator, topic: Topic, instructions: Sequence
                                  f"generation failed: {e}") from e
 
     expansions = [analyzer.analyze(keyword) for keyword in keywords]
-    fused = fuse(topic, expansions, config, analyzer)
+    fused = fuse(original, expansions, config)
 
     term_sources: Dict[str, List[int]] = {}
     for idx, tokens in enumerate(expansions, start=1):

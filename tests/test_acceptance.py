@@ -136,9 +136,10 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
                                           FeedbackDoc("d2", "second", 1.0)),
                            source="pseudo")
     from genqr.corpus_io import Topic
-    reformulate_query(Generator(spy), Topic("1", "goldfish growth"),
-                      InstructionSet.default().all(), build_context(feedback),
-                      ReformulationConfig(n=10), Analyzer())
+    topic = Topic("1", "goldfish growth")
+    query = WeightedQuery.from_terms(topic.qid, Analyzer().analyze(topic.query))
+    reformulate_query(Generator(spy), topic, query, InstructionSet.default().all(),
+                      build_context(feedback), ReformulationConfig(n=10), Analyzer())
     assert len(spy.prompts) == 10
     for prompt in spy.prompts:
         assert prompt.startswith("Based on the given context information first text second, ")
@@ -168,8 +169,10 @@ def test_criterion_5_transcript_fidelity():
     assert iset.all() == expected
 
     from genqr.corpus_io import Topic
-    ref = reformulate_query(Generator(backend), Topic("156493", "do goldfish grow"),
-                            iset.all(), None, ReformulationConfig(n=10), Analyzer())
+    topic = Topic("156493", "do goldfish grow")
+    query = WeightedQuery.from_terms(topic.qid, Analyzer().analyze(topic.query))
+    ref = reformulate_query(Generator(backend), topic, query, iset.all(), None,
+                            ReformulationConfig(n=10), Analyzer())
     fused_terms = {t for t, _ in ref.fused.terms}
     assert {"age", "goldfish", "grow", "outsmart", "outlive"} <= fused_terms
     _ok(5, "replay reproduces the 10-instruction set and the recorded expansion tokens")

@@ -92,6 +92,8 @@ _BAD_VALUES = [
     ("rm3", None, "rm3 must be a mapping of Rm3Params fields, got None"),
     ("backend", ["stub"], "backend must be dict, got"),
     ("metrics", "ndcg@10", "metrics must be a list of str, got 'ndcg@10'"),
+    ("corpus_format", "xml", r"corpus_format must be one of \(.*'trec-text'\), got 'xml'"),
+    ("topics_format", "jsonl", r"topics_format must be one of \(.*'trec-topic'\), got 'jsonl'"),
 ]
 
 
@@ -432,13 +434,63 @@ def test_querywise_matches_eval_module(toy_cfg, toy_index, tmp_path):
     assert deltas == sorted(deltas)
 
 
-def test_querywise_disjoint_queries_error(toy_cfg, toy_index, tmp_path):
+def test_querywise_disjoint_queries_score_missing_zero(toy_cfg, toy_index, tmp_path):
     run_path, _, _ = cmd_run(toy_cfg("raw"))
     other = tmp_path / "other.run"
-    other.write_text("99 Q0 d011 1 1.000000 x\n")
-    with pytest.raises(ValueError, match="share no evaluated"):
-        cmd_querywise(run_path, other, TOY / "qrels.txt", "ndcg@10",
-                      tmp_path / "qw.csv")
+    other.write_text("99 Q0 d011 1 1.000000 x\n")  # qid 99 is unjudged
+    rows = cmd_querywise(run_path, other, TOY / "qrels.txt", "ndcg@10",
+                         tmp_path / "qw.csv")
+    per_a = evaluate_run(read_run(run_path), load_qrels(TOY / "qrels.txt"),
+                         parse_metric("ndcg@10")).per_query
+    assert sorted(r["qid"] for r in rows) == sorted(load_qrels(TOY / "qrels.txt").qids())
+    for row in rows:
+        assert row["value_a"] == pytest.approx(per_a[row["qid"]])
+        assert row["value_b"] == 0.0
+
+
+def test_querywise_without_relevant_documents_error(toy_cfg, toy_index, tmp_path):
+    run_path, _, _ = cmd_run(toy_cfg("raw"))
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("1 0 d001 0\n")
+    with pytest.raises(ValueError, match="no judged topic has a relevant document"):
+        cmd_querywise(run_path, run_path, qrels, "ndcg@10", tmp_path / "qw.csv")
+
+
+def _failing_topics(tmp_path):
+    """The toy topics, each with a query that analyses to nothing."""
+    topics = tmp_path / "failing.tsv"
+    topics.write_text("".join(f"{t.qid}\t???\n" for t in load_topics(TOY / "topics.tsv")))
+    return str(topics)
+
+
+def test_eval_scores_judged_topics_missing_from_run(toy_cfg, toy_index, tmp_path, caplog):
+    failed_path, _, failed = cmd_run(toy_cfg("raw", tag="failed",
+                                             topics=_failing_topics(tmp_path)), lenient=True)
+    assert failed == 10 and failed_path.read_text() == ""
+    raw_lines = cmd_run(toy_cfg("raw"))[0].read_text().splitlines()
+    first_qid = raw_lines[0].split()[0]
+    partial = tmp_path / "partial.run"  # the raw run cut to its first topic
+    partial.write_text("".join(line.replace(" raw", " partial") + "\n" for line in raw_lines
+                               if line.split()[0] == first_qid))
+    with caplog.at_level("WARNING"):
+        table = cmd_eval([failed_path, partial], TOY / "qrels.txt", ["map"],
+                         tmp_path / "eval")
+    rows = {row["run"]: row for row in table["rows"]}
+    assert rows["failed"]["evaluated"] == rows["partial"]["evaluated"] == 10
+    assert rows["failed"]["mean"] == 0.0
+    one = evaluate_run(read_run(partial), load_qrels(TOY / "qrels.txt"),
+                       parse_metric("map")).per_query[first_qid]
+    assert rows["partial"]["mean"] == pytest.approx(one / 10)
+    assert "failed: 10 judged topics missing" in caplog.text
+    assert "partial: 9 judged topics missing" in caplog.text
+
+
+def test_sweep_scores_failed_queries_zero(toy_cfg, toy_index, tmp_path, caplog):
+    cfg = toy_cfg("raw", tag="s", topics=_failing_topics(tmp_path), metrics=["map"])
+    with caplog.at_level("WARNING"), pytest.raises(RuntimeError, match="10 queries failed"):
+        cmd_sweep(cfg, "k1", [1.2], tmp_path / "sweep.csv", lenient=True)
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == "k1,1.2,map,0.000000"
+    assert "s-k11.2: 10 judged topics missing" in caplog.text
 
 
 def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):

@@ -113,6 +113,15 @@ def test_empty_query_names_qid(tmp_path):
         load_topics(path, "tsv")
 
 
+def test_unknown_format_raises_value_error(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"docno": "d1", "text": "a"}\n')
+    with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
+        list(load_corpus(path, "xml"))
+    with pytest.raises(ValueError, match="unknown topics format 'jsonl'"):
+        load_topics(path, "jsonl")
+
+
 # --- qrels ---
 
 

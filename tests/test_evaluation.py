@@ -9,8 +9,8 @@ from oracles import ap_oracle, ndcg_oracle, prec_oracle, rr_oracle
 
 from genqr.corpus_io import Qrels, RunList
 from genqr.evaluation import (EvalReport, MetricSpec, average_precision,
-                              evaluate_run, holm_bonferroni, mrr, ndcg_at_k,
-                              paired_ttest, parse_metric, precision_at_k,
+                              evaluate_run, holm_bonferroni, missing_topics, mrr,
+                              ndcg_at_k, paired_ttest, parse_metric, precision_at_k,
                               student_t_two_sided)
 
 
@@ -150,6 +150,17 @@ def test_evaluate_run_aggregates_and_skips():
     assert report.skipped == ["3"]
     assert report.mean == pytest.approx(
         sum(report.per_query.values()) / 2)
+
+
+def test_evaluate_run_scores_missing_judged_topics_zero():
+    # trec_eval -c: a judged topic the run never answered is an empty ranking
+    qrels = Qrels({("1", "a"): 1, ("2", "b"): 2, ("3", "c"): 0})  # qid 3: nothing relevant
+    report = evaluate_run([run_of("2", ["b"])], qrels, MetricSpec("map"))
+    assert list(report.per_query.items()) == [("2", 1.0), ("1", 0.0)]
+    assert report.mean == 0.5
+    assert report.skipped == ["3"]
+    assert missing_topics([run_of("2", ["b"])], qrels) == ["1", "3"]
+    assert evaluate_run([], qrels, MetricSpec("map")).per_query == {"1": 0.0, "2": 0.0}
 
 
 def test_report_tsv_and_json():

@@ -11,7 +11,7 @@ from genqr.analysis import Analyzer
 from genqr.cli import _QueryRunner, cmd_run
 from genqr.config import ConfigError
 from genqr.corpus_io import Topic
-from genqr.index import DegenerateQueryError
+from genqr.index import DegenerateQueryError, WeightedQuery
 from genqr.llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                        ResponseCache, StubBackend, cache_key)
 from genqr.prf import FeedbackDoc, FeedbackSet
@@ -47,9 +47,15 @@ def replay_backend():
     return ReplayBackend(genqr.data_path("replay", "goldfish.jsonl"))
 
 
+def analysed(query, qid="1"):
+    """`query` as the pipeline analyses it."""
+    return WeightedQuery.from_terms(qid, Analyzer().analyze(query))
+
+
 def ensemble(backend, instructions, topic, config, cache=None, context=None):
     """`reformulate_query` over the first `config.n` instructions of a set."""
     return reformulate_query(Generator(backend, cache), topic,
+                             analysed(topic.query, topic.qid),
                              instructions.all()[: config.n], context, config, Analyzer())
 
 
@@ -120,15 +126,17 @@ def test_stub_paraphrase_determinism():
 
 def test_generate_keywords_instruction_8():
     iset = InstructionSet.default()
-    out, = reformulate_query(Generator(replay_backend()), GOLDFISH, [iset.all()[7]], None,
-                             ReformulationConfig(n=1), Analyzer()).keywords
+    out, = reformulate_query(Generator(replay_backend()), GOLDFISH,
+                             analysed(GOLDFISH.query, GOLDFISH.qid), [iset.all()[7]],
+                             None, ReformulationConfig(n=1), Analyzer()).keywords
     assert out == "age goldfish grow outsmart outlive ageing species"
 
 
 def test_generate_keywords_instruction_10():
     iset = InstructionSet.default()
-    out, = reformulate_query(Generator(replay_backend()), GOLDFISH, [iset.all()[9]], None,
-                             ReformulationConfig(n=1), Analyzer()).keywords
+    out, = reformulate_query(Generator(replay_backend()), GOLDFISH,
+                             analysed(GOLDFISH.query, GOLDFISH.qid), [iset.all()[9]],
+                             None, ReformulationConfig(n=1), Analyzer()).keywords
     assert out.startswith("Goldfish breed sizes What kind of goldfish grows")
 
 
@@ -141,26 +149,26 @@ def test_prompt_template():
 
 
 def test_fuse_empty_keywords_identity():
-    fused = fuse(Topic("1", "do goldfish grow"), [[], [], []],
-                 ReformulationConfig(n=3), Analyzer())
+    fused = fuse(analysed("do goldfish grow"), [[], [], []],
+                 ReformulationConfig(n=3))
     assert dict(fused.terms) == {"do": 1.0, "goldfish": 1.0, "grow": 1.0}
 
 
 def test_fuse_occurrence_counts():
-    fused = fuse(Topic("1", "a b"), [["c", "c"], ["b"]],
-                 ReformulationConfig(n=2, beta=1.0, dedup=False), Analyzer())
+    fused = fuse(analysed("a b"), [["c", "c"], ["b"]],
+                 ReformulationConfig(n=2, beta=1.0, dedup=False))
     assert dict(fused.terms) == {"a": 1.0, "b": 2.0, "c": 2.0}
 
 
 def test_fuse_beta_scales_expansions():
-    fused = fuse(Topic("1", "a"), [["b", "b"]],
-                 ReformulationConfig(n=1, beta=0.05), Analyzer())
+    fused = fuse(analysed("a"), [["b", "b"]],
+                 ReformulationConfig(n=1, beta=0.05))
     assert dict(fused.terms) == pytest.approx({"a": 1.0, "b": 0.1})
 
 
 def test_fuse_beta_zero_keeps_original_weights():
-    fused = fuse(Topic("1", "a b"), [["c", "d"]],
-                 ReformulationConfig(n=1, beta=0.0), Analyzer())
+    fused = fuse(analysed("a b"), [["c", "d"]],
+                 ReformulationConfig(n=1, beta=0.0))
     weights = dict(fused.terms)
     assert weights["a"] == weights["b"] == 1.0
     assert weights["c"] == weights["d"] == 0.0
@@ -168,21 +176,21 @@ def test_fuse_beta_zero_keeps_original_weights():
 
 def test_fuse_dedup_permutation_invariant():
     cfg = ReformulationConfig(n=3, dedup=True)
-    a = fuse(Topic("1", "q"), [["x", "y"], ["y", "z"], ["z", "x"]], cfg, Analyzer())
-    b = fuse(Topic("1", "q"), [["z", "x"], ["x", "y"], ["y", "z"]], cfg, Analyzer())
+    a = fuse(analysed("q"), [["x", "y"], ["y", "z"], ["z", "x"]], cfg)
+    b = fuse(analysed("q"), [["z", "x"], ["x", "y"], ["y", "z"]], cfg)
     assert dict(a.terms) == dict(b.terms)
     assert dict(a.terms)["x"] == 1.0  # collapsed to one occurrence
 
 
 def test_fuse_multiplicity_preserved_without_dedup():
     cfg = ReformulationConfig(n=3, dedup=False)
-    fused = fuse(Topic("1", "q"), [["x"], ["x"], ["x"]], cfg, Analyzer())
+    fused = fuse(analysed("q"), [["x"], ["x"], ["x"]], cfg)
     assert dict(fused.terms)["x"] == 3.0
 
 
 def test_fuse_degenerate_rejected():
     with pytest.raises(DegenerateQueryError):
-        fuse(Topic("1", "..."), [[]], ReformulationConfig(n=1), Analyzer())
+        fuse(analysed("..."), [[]], ReformulationConfig(n=1))
 
 
 _FUSE_TOKENS = st.lists(st.sampled_from("abcdexyzq"), max_size=6)
@@ -199,8 +207,8 @@ def test_fuse_dedup_permutation_invariant_property(query, expansions, seed, beta
     rng = random.Random(seed)
     shuffled = [rng.sample(tokens, len(tokens)) for tokens in expansions]
     rng.shuffle(shuffled)
-    a = fuse(Topic("1", query), expansions, cfg, Analyzer())
-    b = fuse(Topic("1", query), shuffled, cfg, Analyzer())
+    a = fuse(analysed(query), expansions, cfg)
+    b = fuse(analysed(query), shuffled, cfg)
     assert dict(a.terms) == dict(b.terms)
     original = Counter(Analyzer().analyze(query))
     for term in {t for tokens in expansions for t in tokens}:  # one beta per distinct term
@@ -211,8 +219,7 @@ def test_fuse_dedup_permutation_invariant_property(query, expansions, seed, beta
 @given(query=_FUSE_QUERIES, expansions=_FUSE_EXPANSIONS, dedup=st.booleans())
 @example(query="a b", expansions=[["c", "d"]], dedup=False)
 def test_fuse_beta_zero_keeps_original_weights_property(query, expansions, dedup):
-    fused = fuse(Topic("1", query), expansions, ReformulationConfig(beta=0.0, dedup=dedup),
-                 Analyzer())
+    fused = fuse(analysed(query), expansions, ReformulationConfig(beta=0.0, dedup=dedup))
     original = Counter(Analyzer().analyze(query))
     expanded = {t for tokens in expansions for t in tokens}
     assert dict(fused.terms) == {t: float(original[t]) for t in original.keys() | expanded}
@@ -226,7 +233,7 @@ def test_fuse_beta_zero_keeps_original_weights_property(query, expansions, dedup
 @example(query="q", expansions=[["x"], ["x"], ["x"]], beta=1.0)
 @example(query="do goldfish grow", expansions=[[], [], []], beta=1.0)
 def test_fuse_total_weight_without_dedup_property(query, expansions, beta):
-    fused = fuse(Topic("1", query), expansions, ReformulationConfig(beta=beta), Analyzer())
+    fused = fuse(analysed(query), expansions, ReformulationConfig(beta=beta))
     expected = len(Analyzer().analyze(query)) + beta * sum(map(len, expansions))
     assert sum(w for _, w in fused.terms) == pytest.approx(expected, rel=1e-12)
 
@@ -352,16 +359,37 @@ def test_n_exceeding_set_rejected(toy_cfg, toy_index, tmp_path):
 # --- RF variant ---
 
 
-def test_rf_empty_feedback_degenerates(toy_cfg, toy_index):
-    plain_runner = _QueryRunner(toy_cfg("genqrensemble", tag="same",
-                                        reformulation={"n": 4}), toy_index)
+@pytest.mark.parametrize("plain_method,feedback_method,section,key", [
+    ("genqrensemble", "genqrensemble_rf", "reformulation", "m"),
+    ("raw", "rm3", "rm3", "fb_docs"),
+], ids=["genqrensemble_rf", "rm3"])
+def test_rf_empty_feedback_degenerates(toy_cfg, toy_index, plain_method, feedback_method,
+                                       section, key):
+    sections = {"reformulation": {"n": 4}}
+    plain_runner = _QueryRunner(toy_cfg(plain_method, tag="same", **sections), toy_index)
     # m=0 asks for no feedback; a query that matches no document finds none
     for m, topic in ((0, GOLDFISH), (5, Topic("1", "zzyzx qwvk"))):
-        rf_runner = _QueryRunner(toy_cfg("genqrensemble_rf", tag="same",
-                                         reformulation={"n": 4, "m": m}), toy_index)
+        swept = {**sections, section: {**sections.get(section, {}), key: m}}
+        feedback_runner = _QueryRunner(toy_cfg(feedback_method, tag="same", **swept),
+                                       toy_index)
         plain = plain_runner(topic)
-        rf = rf_runner(topic)
-        assert plain == rf
+        feedback = feedback_runner(topic)
+        assert plain == feedback
+
+
+@pytest.mark.parametrize("method", ["rm3", "flanprf", "genqrensemble_rf", "genqrensemble"])
+def test_feedback_methods_analyze_each_query_once(toy_cfg, toy_index, monkeypatch, method):
+    runner = _QueryRunner(toy_cfg(method), toy_index)
+    seen = []
+    analyze = Analyzer.analyze
+
+    def recording(self, text):
+        seen.append(text)
+        return analyze(self, text)
+
+    monkeypatch.setattr(Analyzer, "analyze", recording)
+    runner(GOLDFISH)
+    assert seen.count(GOLDFISH.query) == 1
 
 
 def test_context_is_space_joined():

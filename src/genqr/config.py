@@ -18,8 +18,9 @@ import yaml
 
 from .analysis import Analyzer
 from .corpus_io import CORPUS_READERS, TOPIC_READERS
-from .llm import (DEFAULT_MAX_NEW_TOKENS, Backend, Generator, HttpBackend,
-                  ReplayBackend, ResponseCache, SamplingConfig, StubBackend)
+from .evaluation import parse_metric
+from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, Generator, ResponseCache,
+                  SamplingConfig)
 from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
 from .reformulate import InstructionSet, ReformulationConfig
 from .schema import ConfigError, build, check_fields
@@ -72,6 +73,11 @@ class ExperimentConfig:
         check_fields(self)
         if self.method in LLM_METHODS and not self.backend:
             raise ConfigError(f"method {self.method!r} needs a backend section")
+        for metric in self.metrics:
+            try:
+                parse_metric(metric, min_rel=self.min_rel)
+            except ValueError as e:
+                raise ConfigError(f"metrics: {e}") from e
 
     def load_instructions(self) -> InstructionSet:
         if self.instructions:
@@ -89,18 +95,11 @@ _BACKEND_PATH_KEYS = ("vocab", "transcript")
 
 
 def make_backend(cfg: dict) -> Backend:
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    try:
-        if kind == "stub":
-            return StubBackend(**cfg)
-        if kind == "replay":
-            return ReplayBackend(**cfg)
-        if kind == "http":
-            return HttpBackend(**cfg)
-    except TypeError as e:
-        raise ConfigError(f"bad backend options for kind {kind!r}: {e}") from e
-    raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
+    options = dict(cfg)
+    kind = options.pop("kind", None)
+    if not (isinstance(kind, str) and kind in BACKENDS):
+        raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
+    return build(BACKENDS[kind], options, "backend")
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -115,7 +114,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
         backend = raw.get("backend")
         if isinstance(backend, dict):
             for key in _BACKEND_PATH_KEYS:
-                if backend.get(key) and not Path(backend[key]).is_absolute():
+                if isinstance(backend.get(key), str) and not Path(backend[key]).is_absolute():
                     backend[key] = str((base_dir / backend[key]).resolve())
 
     reformulation = raw.get("reformulation")

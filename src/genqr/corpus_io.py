@@ -55,13 +55,12 @@ class Qrels:
     """Relevance judgments: (qid, docno) -> integer grade, unlisted pairs are 0."""
 
     def __init__(self, grades: Dict[Tuple[str, str], int] | None = None):
-        self._grades: Dict[Tuple[str, str], int] = dict(grades or {})
         self._by_qid: Dict[str, Dict[str, int]] = {}
-        for (qid, docno), grade in self._grades.items():
+        for (qid, docno), grade in (grades or {}).items():
             self._by_qid.setdefault(qid, {})[docno] = grade
 
     def grade(self, qid: str, docno: str) -> int:
-        return self._grades.get((qid, docno), 0)
+        return self._by_qid.get(qid, {}).get(docno, 0)
 
     def judged(self, qid: str) -> Dict[str, int]:
         """All judged (docno -> grade) pairs for a query, including grade 0."""
@@ -74,7 +73,7 @@ class Qrels:
         return list(self._by_qid.keys())
 
     def __len__(self) -> int:
-        return len(self._grades)
+        return sum(map(len, self._by_qid.values()))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ A `Generator` bundles a backend with its cache and request settings. Its
 `generate` sends a batch of prompts (a query's N instruction prompts)
 through `cached_generate`: cache hits are served inline, identical misses
 share one backend call, and the remaining misses go out concurrently on
-the backend's own pool of `max_in_flight` threads (default 4). A semaphore
-of the same size bounds every call into the backend, so `max_in_flight`
-also caps the total across a run's query `workers`.
+the backend's own pool of `max_in_flight` threads (default 4), so
+`max_in_flight` also caps the total across a run's query `workers`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .corpus_io import atomic_writer
 from .schema import check_fields
@@ -44,9 +43,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_NEW_TOKENS = 64
-DEFAULT_MAX_IN_FLIGHT = 4
-
-API_KEY_ENV = "GENQR_API_KEY"
 
 
 class BackendError(RuntimeError):
@@ -81,18 +77,19 @@ class GenRequest:
             raise ValueError(f"max_new_tokens must be positive, got {self.max_new_tokens}")
 
 
+@dataclass(eq=False)
 class Backend:
-    """Shared plumbing: call counting, a bounded in-flight limit and a
-    pool of `max_in_flight` threads for concurrent requests."""
+    """Shared plumbing: call counting and a pool of `max_in_flight` threads
+    for concurrent requests. A subclass's fields are its config options."""
 
-    def __init__(self, max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
-        self._sem = threading.Semaphore(max_in_flight)
+    max_in_flight: int = field(default=4, kw_only=True, metadata={"min": 1})
+
+    def __post_init__(self):
+        check_fields(self)
         self._lock = threading.Lock()
         # Threads start on first submit, so backends that never batch misses
         # start none.
-        self._pool = ThreadPoolExecutor(max_workers=max_in_flight,
+        self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight,
                                         thread_name_prefix="genqr-backend")
         self.calls = 0
 
@@ -100,10 +97,9 @@ class Backend:
         raise NotImplementedError
 
     def generate(self, request: GenRequest) -> str:
-        with self._sem:
-            with self._lock:
-                self.calls += 1
-            return self._generate(request)
+        with self._lock:
+            self.calls += 1
+        return self._generate(request)
 
     def submit(self, request: GenRequest) -> Future:
         """Run `generate` on the backend's thread pool."""
@@ -119,6 +115,7 @@ class Backend:
 _PROMPT_WORD = re.compile(r"[0-9a-z]+")
 
 
+@dataclass(eq=False)
 class StubBackend(Backend):
     """Deterministic keyword stub backed by a thesaurus fixture.
 
@@ -128,14 +125,15 @@ class StubBackend(Backend):
     hash(prompt, seed); prompts with no known word yield "".
     """
 
-    def __init__(self, vocab: Dict[str, List[str]] | str | Path, seed: int = 0,
-                 n_terms: int = 4, max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
-        super().__init__(max_in_flight)
-        if isinstance(vocab, (str, Path)):
-            vocab = json.loads(Path(vocab).read_text(encoding="utf-8"))
-        self.vocab = {str(k).lower(): [str(v) for v in vs] for k, vs in vocab.items()}
-        self.seed = seed
-        self.n_terms = n_terms
+    vocab: Union[str, Path, dict]
+    seed: int = 0
+    n_terms: int = field(default=4, metadata={"min": 0})
+
+    def __post_init__(self):
+        super().__post_init__()
+        if isinstance(self.vocab, (str, Path)):
+            self.vocab = json.loads(Path(self.vocab).read_text(encoding="utf-8"))
+        self.vocab = {str(k).lower(): [str(v) for v in vs] for k, vs in self.vocab.items()}
         blob = json.dumps(self.vocab, sort_keys=True, separators=(",", ":"))
         self._fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -167,15 +165,17 @@ def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
 
 
+@dataclass(eq=False)
 class ReplayBackend(Backend):
     """Replays recorded responses from a JSONL transcript of
     {"prompt_digest", "prompt", "response"} rows."""
 
-    def __init__(self, transcript: str | Path, max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
-        super().__init__(max_in_flight)
-        self.transcript_path = Path(transcript)
+    transcript: Union[str, Path]
+
+    def __post_init__(self):
+        super().__post_init__()
         self._responses: Dict[str, str] = {}
-        raw = self.transcript_path.read_text(encoding="utf-8")
+        raw = Path(self.transcript).read_text(encoding="utf-8")
         for lineno, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -184,7 +184,7 @@ class ReplayBackend(Backend):
             recorded = row.get("prompt_digest")
             if recorded and recorded != prompt_digest(prompt):
                 raise BackendError(
-                    f"{self.transcript_path}:{lineno}: prompt_digest does not match prompt")
+                    f"{self.transcript}:{lineno}: prompt_digest does not match prompt")
             self._responses[prompt] = response
         self._fingerprint = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
@@ -197,7 +197,7 @@ class ReplayBackend(Backend):
         except KeyError:
             raise ReplayMissError(
                 f"no recorded response for prompt {prompt_digest(request.prompt)} "
-                f"in {self.transcript_path}") from None
+                f"in {self.transcript}") from None
 
 
 def write_transcript(rows: List[Dict[str, str]], path: str | Path) -> None:
@@ -212,6 +212,7 @@ def write_transcript(rows: List[Dict[str, str]], path: str | Path) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+@dataclass(eq=False)
 class HttpBackend(Backend):
     """JSON completion endpoint client with bounded retries.
 
@@ -226,18 +227,13 @@ class HttpBackend(Backend):
     other error status fails at once.
     """
 
-    def __init__(self, url: str, model: str, completion_field: str = "text",
-                 timeout: float = 30.0, max_retries: int = 3, backoff: float = 0.5,
-                 api_key_env: str = API_KEY_ENV,
-                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
-        super().__init__(max_in_flight)
-        self.url = url
-        self.model = model
-        self.completion_field = completion_field
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.api_key_env = api_key_env
+    url: str
+    model: str
+    completion_field: str = "text"
+    timeout: float = field(default=30.0, metadata={"gt": 0})
+    max_retries: int = field(default=3, metadata={"min": 1})
+    backoff: float = field(default=0.5, metadata={"min": 0})
+    api_key_env: str = "GENQR_API_KEY"
 
     def identity(self) -> str:
         return f"http:{self.url}:{self.model}"
@@ -319,6 +315,9 @@ class HttpBackend(Backend):
             raise BackendError(
                 f"completion field {self.completion_field!r} is not a string")
         return node
+
+
+BACKENDS = {"stub": StubBackend, "replay": ReplayBackend, "http": HttpBackend}
 
 
 # --- response cache ---------------------------------------------------------

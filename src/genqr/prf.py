@@ -71,12 +71,11 @@ def select_feedback(run: RunList, corpus_lookup: Callable[[str], str],
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
                            qid: str, m: int) -> FeedbackSet:
-    """The m highest-graded relevant documents, grade desc then docno asc."""
+    """The m highest-graded relevant documents, grade desc then docno asc;
+    none for a topic without a judged relevant document."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     relevant = qrels.relevant(qid, min_rel=1)
-    if not relevant:
-        raise FeedbackError(f"qid {qid}: no oracle feedback available")
     ordered = sorted(relevant.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
     docs = []
     for docno, grade in ordered:

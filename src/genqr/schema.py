@@ -1,15 +1,15 @@
 """One validator for every config section.
 
 A config dataclass states each rule on its field: the annotation gives the
-type, and `field(metadata={...})` the bounds `min`, `max`, `gt` (exclusive)
-and `choices`. `check_fields` is the class's `__post_init__`; `build` makes
-one from a config mapping.
+type (a `Union` takes any of its types), and `field(metadata={...})` the
+bounds `min`, `max`, `gt` (exclusive) and `choices`. `check_fields` is the
+class's `__post_init__`; `build` makes one from a config mapping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from functools import lru_cache
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -31,10 +31,10 @@ def _check(name: str, tp, value, meta) -> None:
     elif is_dataclass(tp):
         if not isinstance(value, tp):
             fail(f"a mapping of {tp.__name__} fields")
-    # bool is an int subclass; a float field also takes an int
-    elif not (isinstance(value, (int, float) if tp is float else tp)
+    # bool is an int subclass; a float field also takes an int; a Union, any of its arms
+    elif not (isinstance(value, (int, float) if tp is float else get_args(tp) or tp)
               and (tp is bool or not isinstance(value, bool))):
-        fail(tp.__name__)
+        fail(" or ".join(arm.__name__ for arm in get_args(tp) or (tp,)))
     if "choices" in meta and value not in meta["choices"]:
         fail(f"one of {meta['choices']}")
     low, gt, high = meta.get("min"), meta.get("gt"), meta.get("max")
@@ -53,7 +53,7 @@ def check_fields(obj) -> None:
     hints = _hints(type(obj))
     for f in fields(obj):
         value, tp = getattr(obj, f.name), hints[f.name]
-        if get_origin(tp) is Union:  # Optional[X]
+        if get_origin(tp) is Union and type(None) in get_args(tp):  # Optional[X]
             if value is None:
                 continue
             tp = get_args(tp)[0]
@@ -71,6 +71,9 @@ def build(cls, mapping, path: str = ""):
     if unknown:
         raise ConfigError(f"unknown {path or 'config'} keys: {sorted(unknown)}")
     prefix, hints = f"{path}." if path else "", _hints(cls)
+    for f in fields(cls):  # a required field has neither default nor default_factory
+        if f.name not in mapping and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{f.name} is required")
     values = {key: build(hints[key], value, prefix + key)
               if is_dataclass(hints[key]) and isinstance(value, dict) else value
               for key, value in mapping.items()}

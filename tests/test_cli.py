@@ -42,6 +42,15 @@ def test_load_config_resolves_input_paths(tmp_path):
     assert cfg.index_dir == "idx"  # outputs stay working-directory relative
 
 
+def test_load_config_takes_inline_stub_vocab(tmp_path):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        "method": "genqrensemble",
+        "backend": {"kind": "stub", "vocab": {"Goldfish": ["carp"]}},
+    }))
+    assert load_config(cfg_path).make_generator().backend.vocab == {"goldfish": ["carp"]}
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError, match="mystery"):
         config_from_dict({"mystery": 1})
@@ -94,6 +103,10 @@ _BAD_VALUES = [
     ("metrics", "ndcg@10", "metrics must be a list of str, got 'ndcg@10'"),
     ("corpus_format", "xml", r"corpus_format must be one of \(.*'trec-text'\), got 'xml'"),
     ("topics_format", "jsonl", r"topics_format must be one of \(.*'trec-topic'\), got 'jsonl'"),
+    ("metrics", ["bogus"], "metrics: unknown metric 'bogus'"),
+    ("metrics", ["ndcg"], "metrics: ndcg requires a positive cutoff"),
+    ("metrics", ["map@5"], "metrics: map takes no cutoff"),
+    ("metrics", ["p@0"], "metrics: precision requires a positive cutoff"),
 ]
 
 
@@ -102,6 +115,46 @@ _BAD_VALUES = [
 def test_bad_config_value_raises_config_error(key, value, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(toy_config_dict(**{key: value}))
+
+
+_BACKEND_BASES = {
+    "stub": toy_config_dict()["backend"],
+    "http": {"kind": "http", "url": "http://127.0.0.1:9/v1/complete", "model": "toy"},
+}
+_BAD_BACKENDS = [
+    ("stub", {"n_terms": -1}, r"backend.n_terms must be in \[0, inf\), got -1"),
+    ("stub", {"n_terms": "4"}, "backend.n_terms must be int, got '4'"),
+    ("stub", {"seed": "x"}, "backend.seed must be int, got 'x'"),
+    ("stub", {"max_in_flight": 0}, r"backend.max_in_flight must be in \[1, inf\), got 0"),
+    ("stub", {"max_in_flight": 2.5}, "backend.max_in_flight must be int, got 2.5"),
+    ("stub", {"max_in_flight": True}, "backend.max_in_flight must be int, got True"),
+    ("stub", {"mystery": 1}, r"unknown backend keys: \['mystery'\]"),
+    ("stub", {"vocab": None}, "backend.vocab is required"),
+    ("http", {"timeout": -1}, r"backend.timeout must be in \(0, inf\), got -1"),
+    ("http", {"timeout": 0}, r"backend.timeout must be in \(0, inf\), got 0"),
+    ("http", {"max_retries": 0}, r"backend.max_retries must be in \[1, inf\), got 0"),
+    ("http", {"backoff": -1}, r"backend.backoff must be in \[0, inf\), got -1"),
+    ("http", {"url": 5}, "backend.url must be str, got 5"),
+    ("gpt", {}, "unknown backend kind 'gpt'"),
+]
+
+
+@pytest.mark.parametrize("kind,options,match", _BAD_BACKENDS,
+                         ids=[f"{kind}-{options}" for kind, options, _ in _BAD_BACKENDS])
+def test_bad_backend_option_raises_config_error(kind, options, match, tmp_path):
+    backend = {**_BACKEND_BASES.get(kind, {"kind": kind}), **options}
+    backend = {k: v for k, v in backend.items() if v is not None}  # None drops the key
+    cfg = config_from_dict(toy_config_dict("genqrensemble", work=str(tmp_path),
+                                           backend=backend))
+    with pytest.raises(ConfigError, match=match):
+        cfg.make_generator()
+
+
+def test_bad_backend_option_stops_lenient_run_before_any_query(toy_cfg, toy_index):
+    cfg = toy_cfg("genqrensemble", backend={**_BACKEND_BASES["stub"], "n_terms": -1})
+    with pytest.raises(ConfigError, match="backend.n_terms"):
+        cmd_run(cfg, lenient=True)
+    assert not (Path(cfg.output_dir) / "genqrensemble.run").exists()
 
 
 @pytest.mark.parametrize("cls,serialise", [

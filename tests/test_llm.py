@@ -26,6 +26,14 @@ def test_stub_deterministic():
     assert stub.generate(req) == stub.generate(req)
 
 
+def test_identity_pinned():
+    # identities feed every cache key: a change here orphans existing caches
+    stub = StubBackend(genqr.data_path("toy", "thesaurus.json"), seed=42, n_terms=4)
+    replay = ReplayBackend(genqr.data_path("replay", "goldfish.jsonl"))
+    assert stub.identity() == "stub:ef65a59ae8a57ad3:42:4"
+    assert replay.identity() == "replay:2caba3c2891f410c"
+
+
 def test_stub_seed_changes_output():
     req = GenRequest(prompt="suggest terms: do goldfish grow")
     outs = {StubBackend(THESAURUS, seed=s, n_terms=3).generate(req) for s in range(8)}

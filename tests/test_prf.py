@@ -74,8 +74,8 @@ def test_oracle_m_exceeding_relevant_count():
 
 def test_oracle_without_relevant_docs():
     qrels = Qrels({("1", "d1"): 0})
-    with pytest.raises(FeedbackError, match="no oracle feedback"):
-        select_oracle_feedback(qrels, lookup_of({}), "1", m=3)
+    fb = select_oracle_feedback(qrels, lookup_of({}), "1", m=3)
+    assert fb == FeedbackSet(qid="1", docs=(), source="oracle")
 
 
 # --- RM3 ---

@@ -377,6 +377,16 @@ def test_rf_empty_feedback_degenerates(toy_cfg, toy_index, plain_method, feedbac
         assert plain == feedback
 
 
+def test_oracle_feedback_without_relevant_docs_runs_plain_method(toy_cfg, toy_index):
+    sections = {"reformulation": {"n": 4}}
+    plain_runner = _QueryRunner(toy_cfg("genqrensemble", tag="same", **sections), toy_index)
+    oracle_runner = _QueryRunner(
+        toy_cfg("genqrensemble_rf", tag="same",
+                reformulation={"n": 4, "feedback_mode": "oracle"}), toy_index)
+    topic = Topic("99", GOLDFISH.query)  # no qrels row for qid 99
+    assert oracle_runner(topic) == plain_runner(topic)
+
+
 @pytest.mark.parametrize("method", ["rm3", "flanprf", "genqrensemble_rf", "genqrensemble"])
 def test_feedback_methods_analyze_each_query_once(toy_cfg, toy_index, monkeypatch, method):
     runner = _QueryRunner(toy_cfg(method), toy_index)

@@ -1,5 +1,6 @@
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from pathlib import Path
+from typing import FrozenSet, List, Optional, Union
 
 import pytest
 
@@ -49,6 +50,30 @@ def test_optional_takes_none_and_float_takes_int():
 def test_errors_name_the_key_path(raw, message):
     with pytest.raises(ConfigError) as info:
         build(Outer, raw)
+    assert str(info.value) == message
+
+
+@dataclass(frozen=True)
+class Source:
+    path: Union[str, Path, dict]
+    size: int = 0
+
+    __post_init__ = check_fields
+
+
+@pytest.mark.parametrize("path", ["a.json", Path("a.json"), {"a": 1}],
+                         ids=["str", "Path", "dict"])
+def test_union_takes_any_of_its_types(path):
+    assert build(Source, {"path": path}).path == path
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"path": 5}, "source.path must be str or Path or dict, got 5"),
+    ({"size": 1}, "source.path is required"),
+], ids=["no-arm", "missing"])
+def test_union_and_required_errors_name_the_key_path(raw, message):
+    with pytest.raises(ConfigError) as info:
+        build(Source, raw, "source")
     assert str(info.value) == message
 
 

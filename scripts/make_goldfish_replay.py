@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from genqr.llm import write_transcript
-from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, build_prompt
+from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, query_prompts
 
 QUERY = "do goldfish grow"
 
@@ -41,11 +41,8 @@ def main() -> None:
         "prompt": f"{PARAPHRASE_PROMPT} {instructions.base}",
         "response": paraphrase_response,
     })
-    for i, instruction in enumerate(instructions.all(), start=1):
-        rows.append({
-            "prompt": build_prompt(instruction, QUERY),
-            "response": KEYWORDS[i],
-        })
+    for i, prompt in enumerate(query_prompts(QUERY, instructions.all(), None), start=1):
+        rows.append({"prompt": prompt, "response": KEYWORDS[i]})
 
     out = Path(__file__).resolve().parents[1] / "src" / "genqr" / "data" / "replay"
     out.mkdir(parents=True, exist_ok=True)

@@ -18,9 +18,9 @@ from .llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                   cached_generate)
 from .prf import (FeedbackDoc, FeedbackSet, estimate_relevance_model,
                   rm3_expand, select_feedback, select_oracle_feedback)
-from .reformulate import (InstructionSet, Reformulation, ReformulationConfig,
-                          build_context, fuse, paraphrase_instructions,
-                          query_record, reformulate_query)
+from .reformulate import (InstructionSet, ReformulationConfig, build_context,
+                          fuse, paraphrase_instructions, query_record,
+                          reformulate_query)
 
 __version__ = "0.1.0"
 

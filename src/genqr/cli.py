@@ -23,9 +23,9 @@ import shlex
 import subprocess
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import (LLM_METHODS, RF_METHODS, ConfigError, ExperimentConfig,
                      load_config)
@@ -37,7 +37,7 @@ from .index import IndexingError, PostingsIndex, WeightedQuery, build_index
 from .llm import Generator
 from .prf import FeedbackSet, rm3_expand, select_feedback, select_oracle_feedback
 from .reformulate import (InstructionSet, build_context, paraphrase_instructions,
-                          query_record, reformulate_query)
+                          query_prompts, query_record, reformulate_query)
 
 logger = logging.getLogger(__name__)
 
@@ -68,6 +68,31 @@ def _load_index_for(cfg: ExperimentConfig) -> PostingsIndex:
         raise IndexingError(
             f"{cfg.index_dir}: index analyzer differs from the configured one; reindex")
     return index
+
+
+# Topics whose prompts go to the backend in one batch. A chunk holds at
+# most RUN_CHUNK_TOPICS x N prompts at once, and an RF prompt carries up to
+# context_budget (default 4,000) characters of feedback text: about 2.6 MB
+# of prompts at N=10.
+RUN_CHUNK_TOPICS = 64
+
+
+class _Prepared(NamedTuple):
+    """A topic's analysed query, feedback, LLM context and prompts."""
+
+    topic: Topic
+    query: WeightedQuery
+    feedback: Optional[FeedbackSet]
+    context: Optional[str]
+    prompts: List[str]
+
+
+def _attempt(step, *args):
+    """`step(*args)`, or the exception it raised: a topic's failure is its own."""
+    try:
+        return step(*args)
+    except Exception as e:
+        return e
 
 
 class _QueryRunner:
@@ -127,31 +152,44 @@ class _QueryRunner:
             return None
         return feedback
 
-    def __call__(self, topic: Topic) -> Tuple[RunList, dict]:
-        cfg = self.cfg
+    def prepare(self, topic: Topic) -> _Prepared:
+        """Analyse the topic's query, take its feedback and build its prompts."""
+        ref_cfg = self.cfg.reformulation
         query = WeightedQuery.from_terms(topic.qid, self.analyzer.analyze(topic.query))
         feedback = self._feedback(query)
-        keywords, context = (), None
+        context, prompts = None, []
         if self.generator is not None:
             if feedback is not None:
-                context = build_context(feedback, cfg.reformulation.context_budget)
-            ref = reformulate_query(self.generator, topic, query, self.instructions,
-                                    context, cfg.reformulation, self.analyzer)
-            query, keywords = ref.fused, ref.keywords
-        elif feedback is not None:
-            query = rm3_expand(self.index, query, feedback, fb_terms=cfg.rm3.fb_terms,
-                               lam=cfg.rm3.lam, mu=cfg.rm3.mu)
+                context = build_context(feedback, ref_cfg.context_budget)
+            prompts = query_prompts(topic.query, self.instructions, context,
+                                    ref_cfg.prompt_template)
+        return _Prepared(topic, query, feedback, context, prompts)
 
+    def __call__(self, step: _Prepared,
+                 responses: Sequence[Union[str, Exception]]) -> Tuple[RunList, dict]:
+        """Expand the prepared query, from the responses to its prompts or by
+        RM3, and retrieve: the topic's ranking and reformulations row."""
+        cfg, query, keywords = self.cfg, step.query, ()
+        if self.generator is not None:
+            query, keywords = reformulate_query(query, responses, cfg.reformulation,
+                                                self.analyzer)
+        elif step.feedback is not None:
+            query = rm3_expand(self.index, query, step.feedback, fb_terms=cfg.rm3.fb_terms,
+                               lam=cfg.rm3.lam, mu=cfg.rm3.mu)
         run = self.index.retrieve(query, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b,
                                   tag=cfg.run_tag)
-        return run, query_record(topic, query, keywords, context)
+        return run, query_record(step.topic, query, keywords, step.context)
 
 
 def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, int]:
     """Run the configured method over every topic.
 
-    Returns (run file, reformulations file, failure count). Per-query
-    failures abort unless lenient, in which case the query gets an empty
+    Each chunk of RUN_CHUNK_TOPICS topics is prepared, then one
+    `Generator.generate` call answers all its prompts, so the backend's
+    `max_in_flight` pool is the run's only concurrency; then each topic is
+    expanded and retrieved. Returns (run file, reformulations file, failure
+    count). A failing topic fails alone: the run raises the error of the
+    first one in topic order unless lenient, in which case it gets an empty
     ranking and a row in <tag>.failures.jsonl.
     """
     index = _load_index_for(cfg)
@@ -161,23 +199,25 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures: List[dict] = []
-
-    def process(topic: Topic) -> Tuple[RunList, dict]:
-        try:
-            return runner(topic)
-        except Exception as e:
-            if not lenient:
-                raise
-            logger.error("qid %s failed: %s", topic.qid, e)
-            failures.append({"qid": topic.qid, "error": str(e)})
-            return RunList(qid=topic.qid, entries=[], tag=cfg.run_tag), query_record(topic)
-
+    results: List[Tuple[RunList, dict]] = []
     try:
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(process, topics))
-        else:
-            results = [process(t) for t in topics]
+        for start in range(0, len(topics), RUN_CHUNK_TOPICS):
+            chunk = topics[start:start + RUN_CHUNK_TOPICS]
+            steps = [_attempt(runner.prepare, topic) for topic in chunk]
+            prompts = [p for step in steps if isinstance(step, _Prepared) for p in step.prompts]
+            responses = iter(runner.generator.generate(prompts)
+                             if runner.generator is not None else ())
+            for topic, step in zip(chunk, steps):
+                if isinstance(step, _Prepared):
+                    step = _attempt(runner, step, list(islice(responses, len(step.prompts))))
+                if isinstance(step, Exception):
+                    if not lenient:
+                        raise step
+                    logger.error("qid %s failed: %s", topic.qid, step)
+                    failures.append({"qid": topic.qid, "error": str(step)})
+                    step = (RunList(qid=topic.qid, entries=[], tag=cfg.run_tag),
+                            query_record(topic))
+                results.append(step)
     finally:
         if runner.generator is not None:
             runner.generator.backend.close()

@@ -23,7 +23,7 @@ from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, Generator, Response
                   SamplingConfig)
 from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
 from .reformulate import InstructionSet, ReformulationConfig
-from .schema import ConfigError, build, check_fields
+from .schema import ConfigError, build, check_fields, check_value
 
 METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf")
 RF_METHODS = ("flanprf", "genqrensemble_rf")
@@ -66,7 +66,6 @@ class ExperimentConfig:
     cache_dir: Optional[str] = None
     output_dir: str = "runs"
     run_tag: str = "run"
-    workers: int = field(default=1, metadata={"min": 1})
     reranker_cmd: Optional[str] = None
 
     def __post_init__(self):
@@ -85,9 +84,9 @@ class ExperimentConfig:
         return InstructionSet.default()
 
     def make_generator(self) -> Generator:
+        backend = make_backend(self.backend)  # before the cache makes cache_dir
         cache = ResponseCache(self.cache_dir) if self.cache_dir else None
-        return Generator(make_backend(self.backend), cache, self.sampling,
-                         self.max_new_tokens)
+        return Generator(backend, cache, self.sampling, self.max_new_tokens)
 
 
 _INPUT_PATH_KEYS = ("corpus", "topics", "qrels", "instructions")
@@ -125,6 +124,10 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
             raise ConfigError(f"unknown keyword_parser {parser!r}")
         warnings.warn("reformulation.keyword_parser is deprecated and ignored: "
                       "both parsers give the same tokens", DeprecationWarning)
+    if "workers" in raw:
+        check_value("workers", int, raw.pop("workers"), {"min": 1})
+        warnings.warn("workers is deprecated and ignored: backend.max_in_flight "
+                      "bounds a run's concurrent backend calls", DeprecationWarning)
     return build(ExperimentConfig, raw)
 
 

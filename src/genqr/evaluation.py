@@ -62,7 +62,10 @@ class MetricSpec:
 def parse_metric(text: str, min_rel: int = 1) -> MetricSpec:
     """Parse labels like "ndcg@10", "map", "mrr", "p@10"."""
     name, _, cutoff = text.strip().lower().partition("@")
-    k = int(cutoff) if cutoff else None
+    try:
+        k = int(cutoff) if cutoff else None
+    except ValueError:
+        raise ValueError(f"metric {text!r}: cutoff {cutoff!r} is not an integer") from None
     if name == "ndcg":
         return MetricSpec("ndcg", k=k, min_rel=min_rel)
     if name in ("p", "precision"):

@@ -12,11 +12,11 @@ directory of content-addressed JSON files; writes go through a temp file
 and os.replace, so concurrent misses on one key are safe.
 
 A `Generator` bundles a backend with its cache and request settings. Its
-`generate` sends a batch of prompts (a query's N instruction prompts)
-through `cached_generate`: cache hits are served inline, identical misses
-share one backend call, and the remaining misses go out concurrently on
-the backend's own pool of `max_in_flight` threads (default 4), so
-`max_in_flight` also caps the total across a run's query `workers`.
+`generate` sends a batch of prompts (a run sends every prompt of a chunk
+of topics at once) through `cached_generate`: cache hits are served
+inline, identical misses share one backend call, and the remaining misses
+go out concurrently on the backend's own pool of `max_in_flight` threads
+(default 4), which is the only bound on a run's concurrent backend calls.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from .corpus_io import atomic_writer
 from .schema import check_fields
@@ -365,49 +365,36 @@ class ResponseCache:
 
 
 def cached_generate(cache: Optional[ResponseCache], backend: Backend,
-                    batch: Sequence[GenRequest],
-                    keys: Optional[Sequence[str]] = None) -> List[str]:
+                    batch: Sequence[GenRequest]) -> List[Union[str, Exception]]:
     """Responses to `batch`, in order: from the cache when possible, else
     from the backend, concurrently, and then stored.
 
-    `keys` are the requests' cache keys, if the caller already has them.
-    Identical keys in a batch make one backend call. If a request fails,
-    the error of the lowest failing index is raised once every request
-    has finished, with that index as its `batch_index` attribute; the
+    Identical requests in a batch make one backend call. A request that
+    fails gets the exception its call raised in place of a response; the
     responses that did arrive are cached.
     """
-    if keys is None:
-        keys = [cache_key(backend, request) for request in batch]
-    elif len(keys) != len(batch):
-        raise ValueError(f"{len(keys)} cache keys for {len(batch)} requests")
-    responses: Dict[str, str] = {}
+    results: Dict[str, Union[str, Exception]] = {}
     misses: Dict[str, GenRequest] = {}
+    keys = [cache_key(backend, request) for request in batch]
     for key, request in zip(keys, batch):
-        if key in responses or key in misses:
+        if key in results or key in misses:
             continue
         hit = cache.get(key) if cache is not None else None
         if hit is None:
             misses[key] = request
         else:
-            responses[key] = hit
+            results[key] = hit
 
     futures = {key: backend.submit(request) for key, request in misses.items()}
-    errors: Dict[str, Exception] = {}
     for key, future in futures.items():
         try:
-            responses[key] = future.result()
-        except Exception as e:  # re-raised below, once every request has finished
-            errors[key] = e
-            continue
-        if cache is not None:
-            cache.put(key, responses[key])
-
-    for index, key in enumerate(keys):
-        if key in errors:
-            error = errors[key]
-            error.batch_index = index
-            raise error
-    return [responses[key] for key in keys]
+            results[key] = future.result()
+        except Exception as e:  # the failure of the requests with this key only
+            results[key] = e
+        else:
+            if cache is not None:
+                cache.put(key, results[key])
+    return [results[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -419,9 +406,9 @@ class Generator:
     sampling: SamplingConfig = SamplingConfig()
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
 
-    def generate(self, prompts: Sequence[str]) -> Tuple[List[str], List[str]]:
-        """Responses to `prompts`, in order, and the cache key of each."""
+    def generate(self, prompts: Sequence[str]) -> List[Union[str, Exception]]:
+        """The response to each of `prompts`, in order, or the exception its
+        request failed with."""
         batch = [GenRequest(prompt=prompt, sampling=self.sampling,
                             max_new_tokens=self.max_new_tokens) for prompt in prompts]
-        keys = [cache_key(self.backend, request) for request in batch]
-        return cached_generate(self.cache, self.backend, batch, keys), keys
+        return cached_generate(self.cache, self.backend, batch)

@@ -1,10 +1,10 @@
 """Instruction-ensemble query reformulation.
 
 `reformulate_query` is the expansion step of the LLM methods. Each of N
-instructions is prompted with the user query, and every generated keyword
-is analysed and appended to the already-analysed query as a weighted
-expansion term. The single-instruction baselines (flanqr, flanprf) are the
-N=1 case.
+instructions is prompted with the user query (`query_prompts`), and every
+generated keyword is analysed and appended to the already-analysed query
+as a weighted expansion term. The single-instruction baselines (flanqr,
+flanprf) are the N=1 case.
 
 Post-retrieval, feedback-document text is prepended to every instruction
 as context ("Based on the given context information <C>, <instruction>"),
@@ -19,12 +19,12 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis import Analyzer
 from .corpus_io import Topic
 from .index import DegenerateQueryError, WeightedQuery
-from .llm import BackendError, Generator
+from .llm import Generator
 from .prf import FeedbackSet
 from .schema import check_fields
 
@@ -99,24 +99,6 @@ class ReformulationConfig:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
-class Provenance:
-    backend_identity: str
-    instruction_indices: Tuple[int, ...]  # 1-based, parallel to keywords
-    term_sources: Dict[str, Tuple[int, ...]]  # expansion term -> instruction indices
-    cache_keys: Tuple[str, ...]
-    context: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class Reformulation:
-    qid: str
-    original: str
-    keywords: Tuple[str, ...]
-    fused: WeightedQuery
-    provenance: Provenance
-
-
 def query_record(topic: Topic, fused: Optional[WeightedQuery] = None,
                  keywords: Sequence[str] = (), context: Optional[str] = None) -> dict:
     """The reformulations-file row of one query; no `fused` query (a failed
@@ -160,7 +142,9 @@ def paraphrase_instructions(generator: Generator, base: str,
     if count == 1:
         return InstructionSet(base=base)
     generator = replace(generator, max_new_tokens=PARAPHRASE_MAX_NEW_TOKENS)
-    response = generator.generate([f"{PARAPHRASE_PROMPT} {base}"])[0][0]
+    response, = generator.generate([f"{PARAPHRASE_PROMPT} {base}"])
+    if isinstance(response, Exception):
+        raise response
     paraphrases = [p for p in parse_paraphrase_list(response) if p != base]
     if len(paraphrases) < count - 1:
         raise ReformulationError(
@@ -170,11 +154,6 @@ def paraphrase_instructions(generator: Generator, base: str,
 
 
 # --- keyword generation and fusion -------------------------------------------
-
-
-def build_prompt(instruction: str, query: str,
-                 template: str = DEFAULT_PROMPT_TEMPLATE) -> str:
-    return template.format(instruction=instruction, query=query)
 
 
 def fuse(original: WeightedQuery, expansions: Sequence[List[str]],
@@ -213,45 +192,31 @@ def build_context(feedback: FeedbackSet, budget: int = DEFAULT_CONTEXT_BUDGET) -
     return context
 
 
-def rf_instruction(context: str, instruction: str) -> str:
-    return f"{RF_CONTEXT_PREFIX}{context}, {instruction}"
-
-
-def reformulate_query(generator: Generator, topic: Topic, original: WeightedQuery,
-                      instructions: Sequence[str], context: Optional[str],
-                      config: ReformulationConfig, analyzer: Analyzer) -> Reformulation:
-    """One generation per instruction, fused into `original`, the topic's
-    analysed query.
-
-    `instructions` are the ones to use, in order (instruction i is 1-based
-    index i in the provenance); `context`, unless None, is the feedback
-    context prefixed to each of them. `analyzer` analyses the keywords.
-    """
+def query_prompts(query: str, instructions: Sequence[str], context: Optional[str],
+                  template: str = DEFAULT_PROMPT_TEMPLATE) -> List[str]:
+    """One prompt per instruction, in order; `context`, unless None, is the
+    feedback context prefixed to each instruction."""
     if context is not None:
-        instructions = [rf_instruction(context, i) for i in instructions]
-    prompts = [build_prompt(i, topic.query, config.prompt_template) for i in instructions]
-    try:
-        keywords, keys = generator.generate(prompts)
-    except BackendError as e:
-        raise ReformulationError(f"qid {topic.qid}: instruction {e.batch_index + 1} "
-                                 f"generation failed: {e}") from e
+        instructions = [f"{RF_CONTEXT_PREFIX}{context}, {i}" for i in instructions]
+    return [template.format(instruction=i, query=query) for i in instructions]
 
-    expansions = [analyzer.analyze(keyword) for keyword in keywords]
-    fused = fuse(original, expansions, config)
 
-    term_sources: Dict[str, List[int]] = {}
-    for idx, tokens in enumerate(expansions, start=1):
-        for token in set(tokens):
-            term_sources.setdefault(token, []).append(idx)
-    provenance = Provenance(
-        backend_identity=generator.backend.identity(),
-        instruction_indices=tuple(range(1, len(prompts) + 1)),
-        term_sources={t: tuple(v) for t, v in sorted(term_sources.items())},
-        cache_keys=tuple(keys),
-        context=context,
-    )
-    return Reformulation(qid=topic.qid, original=topic.query,
-                         keywords=tuple(keywords), fused=fused, provenance=provenance)
+def reformulate_query(original: WeightedQuery, responses: Sequence[Union[str, Exception]],
+                      config: ReformulationConfig,
+                      analyzer: Analyzer) -> Tuple[WeightedQuery, Tuple[str, ...]]:
+    """A topic's generated keywords, fused into `original`, its analysed
+    query: (fused query, keywords).
+
+    `responses` answer the topic's `query_prompts`, in instruction order; a
+    failed generation is its exception, and the lowest-numbered one (1-based)
+    fails the topic. `analyzer` analyses the keywords.
+    """
+    for i, response in enumerate(responses, start=1):
+        if isinstance(response, Exception):
+            raise ReformulationError(f"qid {original.qid}: instruction {i} "
+                                     f"generation failed: {response}") from response
+    expansions = [analyzer.analyze(keyword) for keyword in responses]
+    return fuse(original, expansions, config), tuple(responses)
 
 
 # perfbench/trace_cli.py patches these three old names to time the pipeline.

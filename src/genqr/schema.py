@@ -20,7 +20,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _check(name: str, tp, value, meta) -> None:
+def check_value(name: str, tp, value, meta) -> None:
+    """Check one value against a field's type and metadata."""
     def fail(kind: str):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
@@ -57,7 +58,7 @@ def check_fields(obj) -> None:
             if value is None:
                 continue
             tp = get_args(tp)[0]
-        _check(f.name, tp, value, f.metadata)
+        check_value(f.name, tp, value, f.metadata)
         if get_origin(tp) is frozenset:
             object.__setattr__(obj, f.name, frozenset(value))
 

@@ -20,7 +20,8 @@ from genqr.index import WeightedQuery, build_index
 from genqr.llm import Backend, Generator, ReplayBackend
 from genqr.prf import FeedbackDoc, FeedbackSet, rm3_expand, select_feedback
 from genqr.reformulate import (InstructionSet, ReformulationConfig, build_context,
-                               paraphrase_instructions, reformulate_query)
+                               paraphrase_instructions, query_prompts,
+                               reformulate_query)
 
 from conftest import TOY, toy_config_dict
 from oracles import (ap_oracle, bm25_oracle, ndcg_oracle, prec_oracle,
@@ -138,8 +139,10 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
     from genqr.corpus_io import Topic
     topic = Topic("1", "goldfish growth")
     query = WeightedQuery.from_terms(topic.qid, Analyzer().analyze(topic.query))
-    reformulate_query(Generator(spy), topic, query, InstructionSet.default().all(),
-                      build_context(feedback), ReformulationConfig(n=10), Analyzer())
+    prompts = query_prompts(topic.query, InstructionSet.default().all(),
+                            build_context(feedback))
+    reformulate_query(query, Generator(spy).generate(prompts),
+                      ReformulationConfig(n=10), Analyzer())
     assert len(spy.prompts) == 10
     for prompt in spy.prompts:
         assert prompt.startswith("Based on the given context information first text second, ")
@@ -171,9 +174,9 @@ def test_criterion_5_transcript_fidelity():
     from genqr.corpus_io import Topic
     topic = Topic("156493", "do goldfish grow")
     query = WeightedQuery.from_terms(topic.qid, Analyzer().analyze(topic.query))
-    ref = reformulate_query(Generator(backend), topic, query, iset.all(), None,
-                            ReformulationConfig(n=10), Analyzer())
-    fused_terms = {t for t, _ in ref.fused.terms}
+    responses = Generator(backend).generate(query_prompts(topic.query, iset.all(), None))
+    fused, _ = reformulate_query(query, responses, ReformulationConfig(n=10), Analyzer())
+    fused_terms = {t for t, _ in fused.terms}
     assert {"age", "goldfish", "grow", "outsmart", "outlive"} <= fused_terms
     _ok(5, "replay reproduces the 10-instruction set and the recorded expansion tokens")
 

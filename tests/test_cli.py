@@ -107,6 +107,7 @@ _BAD_VALUES = [
     ("metrics", ["ndcg"], "metrics: ndcg requires a positive cutoff"),
     ("metrics", ["map@5"], "metrics: map takes no cutoff"),
     ("metrics", ["p@0"], "metrics: precision requires a positive cutoff"),
+    ("metrics", ["p@x"], "metrics: metric 'p@x': cutoff 'x' is not an integer"),
 ]
 
 
@@ -148,6 +149,7 @@ def test_bad_backend_option_raises_config_error(kind, options, match, tmp_path):
                                            backend=backend))
     with pytest.raises(ConfigError, match=match):
         cfg.make_generator()
+    assert not Path(cfg.cache_dir).exists()
 
 
 def test_bad_backend_option_stops_lenient_run_before_any_query(toy_cfg, toy_index):
@@ -653,11 +655,14 @@ def test_warm_cache_rerun_byte_identical(toy_cfg, toy_index):
     assert (run_path.read_bytes(), ref_path.read_bytes()) == first
 
 
-def test_worker_pool_output_independent_of_workers(toy_cfg, toy_index):
-    single = cmd_run(toy_cfg("genqrensemble", tag="w1", workers=1))
-    pooled = cmd_run(toy_cfg("genqrensemble", tag="w1", workers=4))
-    assert pooled[0].read_bytes() == single[0].read_bytes()
-    assert pooled[1].read_bytes() == single[1].read_bytes()
+def test_workers_key_is_deprecated_and_ignored(toy_cfg, toy_index):
+    plain = cmd_run(toy_cfg("genqrensemble", tag="w"))
+    outputs = [path.read_bytes() for path in plain[:2]]
+    with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+        cfg = toy_cfg("genqrensemble", tag="w", workers=4)
+    assert [path.read_bytes() for path in cmd_run(cfg)[:2]] == outputs
+    with pytest.raises(ConfigError, match=r"workers must be in \[1, inf\), got 0"):
+        toy_cfg("genqrensemble", workers=0)
 
 
 # --- paraphrase command ---

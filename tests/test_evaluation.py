@@ -182,6 +182,8 @@ def test_parse_metric():
         parse_metric("bogus@3")
     with pytest.raises(ValueError):
         parse_metric("ndcg")  # needs a cutoff
+    with pytest.raises(ValueError, match="metric 'p@x': cutoff 'x' is not an integer"):
+        parse_metric("p@x")
 
 
 # --- significance ---

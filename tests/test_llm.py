@@ -197,19 +197,22 @@ def test_warm_batch_makes_no_backend_call(tmp_path):
     assert stub.calls == 10
 
 
-def test_batch_failure_raises_lowest_index_and_caches_the_rest(tmp_path):
+def test_batch_failure_is_per_request_and_caches_the_rest(tmp_path):
     backend = ReplayBackend(genqr.data_path("replay", "goldfish.jsonl"))
     cache = ResponseCache(tmp_path / "cache")
     recorded = ("Increase the search efficacy by offering beneficial expansion "
                 "keywords for the query: do goldfish grow")
     batch = [GenRequest(prompt=recorded), GenRequest(prompt="missing one"),
              GenRequest(prompt=recorded), GenRequest(prompt="missing two")]
-    with pytest.raises(ReplayMissError, match=llm.prompt_digest("missing one")) as err:
-        cached_generate(cache, backend, batch)
-    assert err.value.batch_index == 1
+    out = cached_generate(cache, backend, batch)
+    assert out[0] == out[2] == "age goldfish grow outsmart outlive ageing species"
+    for error, prompt in ((out[1], "missing one"), (out[3], "missing two")):
+        assert isinstance(error, ReplayMissError)
+        assert llm.prompt_digest(prompt) in str(error)
+        assert not hasattr(error, "batch_index")
     assert backend.calls == 3  # the duplicate recorded prompt is asked once
-    assert cache.get(cache_key(backend, batch[0])) == \
-        "age goldfish grow outsmart outlive ageing species"
+    assert cache.get(cache_key(backend, batch[0])) == out[0]
+    assert cache.get(cache_key(backend, batch[1])) is None
 
 
 def test_batch_in_flight_bounded(canned):

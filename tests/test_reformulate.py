@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import random
 from collections import Counter
 
@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 
 import genqr
 from genqr.analysis import Analyzer
+from genqr import cli
 from genqr.cli import _QueryRunner, cmd_run
 from genqr.config import ConfigError
-from genqr.corpus_io import Topic
+from genqr.corpus_io import Topic, load_topics, read_run
 from genqr.index import DegenerateQueryError, WeightedQuery
 from genqr.llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                        ResponseCache, StubBackend, cache_key)
 from genqr.prf import FeedbackDoc, FeedbackSet
 from genqr.reformulate import (InstructionSet, ReformulationConfig,
-                               ReformulationError, build_context, build_prompt,
-                               fuse, paraphrase_instructions, parse_paraphrase_list,
-                               query_record, reformulate_query, rf_instruction)
+                               ReformulationError, build_context, fuse,
+                               paraphrase_instructions, parse_paraphrase_list,
+                               query_prompts, query_record, reformulate_query)
 
+TOY = genqr.data_path("toy")
 GOLDFISH = Topic("156493", "do goldfish grow")
 THESAURUS = {"goldfish": ["carp", "fishbowl", "koi"],
              "grow": ["size", "length", "bigger"],
@@ -53,10 +55,19 @@ def analysed(query, qid="1"):
 
 
 def ensemble(backend, instructions, topic, config, cache=None, context=None):
-    """`reformulate_query` over the first `config.n` instructions of a set."""
-    return reformulate_query(Generator(backend, cache), topic,
-                             analysed(topic.query, topic.qid),
-                             instructions.all()[: config.n], context, config, Analyzer())
+    """`reformulate_query` over the first `config.n` instructions of a set:
+    (fused query, keywords)."""
+    prompts = query_prompts(topic.query, instructions.all()[: config.n], context,
+                            config.prompt_template)
+    return reformulate_query(analysed(topic.query, topic.qid),
+                             Generator(backend, cache).generate(prompts), config, Analyzer())
+
+
+def run_topics(runner, *topics):
+    """`runner`'s (ranking, reformulations row) for each topic."""
+    steps = [runner.prepare(topic) for topic in topics]
+    return [runner(step, runner.generator.generate(step.prompts) if runner.generator else ())
+            for step in steps]
 
 
 # --- instruction sets ---
@@ -125,24 +136,20 @@ def test_stub_paraphrase_determinism():
 
 
 def test_generate_keywords_instruction_8():
-    iset = InstructionSet.default()
-    out, = reformulate_query(Generator(replay_backend()), GOLDFISH,
-                             analysed(GOLDFISH.query, GOLDFISH.qid), [iset.all()[7]],
-                             None, ReformulationConfig(n=1), Analyzer()).keywords
+    iset = InstructionSet(base=InstructionSet.default().all()[7])
+    _, (out,) = ensemble(replay_backend(), iset, GOLDFISH, ReformulationConfig(n=1))
     assert out == "age goldfish grow outsmart outlive ageing species"
 
 
 def test_generate_keywords_instruction_10():
-    iset = InstructionSet.default()
-    out, = reformulate_query(Generator(replay_backend()), GOLDFISH,
-                             analysed(GOLDFISH.query, GOLDFISH.qid), [iset.all()[9]],
-                             None, ReformulationConfig(n=1), Analyzer()).keywords
+    iset = InstructionSet(base=InstructionSet.default().all()[9])
+    _, (out,) = ensemble(replay_backend(), iset, GOLDFISH, ReformulationConfig(n=1))
     assert out.startswith("Goldfish breed sizes What kind of goldfish grows")
 
 
 def test_prompt_template():
-    assert build_prompt("Suggest terms", "do goldfish grow") == \
-        "Suggest terms: do goldfish grow"
+    assert query_prompts("do goldfish grow", ["Suggest terms"], None) == \
+        ["Suggest terms: do goldfish grow"]
 
 
 # --- fusion ---
@@ -246,11 +253,8 @@ def test_n1_matches_flanqr_exactly(toy_cfg, toy_index):
                                            reformulation={"n": 1}), toy_index)
     flanqr_runner = _QueryRunner(toy_cfg("flanqr", tag="same"), toy_index)
     assert flanqr_runner.instructions == [InstructionSet.default().base]
-    for i in range(50):
-        topic = Topic(str(i), f"trial {i} goldfish grow")
-        ens = ensemble_runner(topic)
-        single = flanqr_runner(topic)
-        assert ens == single
+    topics = [Topic(str(i), f"trial {i} goldfish grow") for i in range(50)]
+    assert run_topics(ensemble_runner, *topics) == run_topics(flanqr_runner, *topics)
 
 
 def test_ensemble_call_counts_cold_and_warm(tmp_path):
@@ -265,27 +269,14 @@ def test_ensemble_call_counts_cold_and_warm(tmp_path):
 
 
 def test_replay_ensemble_covers_both_expansion_families():
-    ref = ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
-                   ReformulationConfig(n=10))
-    terms = dict(ref.fused.terms)
+    fused, _ = ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
+                        ReformulationConfig(n=10))
+    terms = dict(fused.terms)
     for token in ("age", "goldfish", "grow", "outsmart", "outlive"):
         assert token in terms
     assert "breed" in terms
     # original terms keep their unit occurrence weight plus expansions
     assert terms["do"] >= 1.0
-
-
-def test_provenance_traces_every_expansion_term():
-    ref = ensemble(replay_backend(), InstructionSet.default(), GOLDFISH,
-                   ReformulationConfig(n=10))
-    original = set(Analyzer().analyze(GOLDFISH.query))
-    fused_terms = {t for t, _ in ref.fused.terms}
-    for term in fused_terms - original:
-        sources = ref.provenance.term_sources.get(term)
-        assert sources, f"untraceable expansion term {term!r}"
-        assert all(1 <= i <= 10 for i in sources)
-    assert ref.provenance.instruction_indices == tuple(range(1, 11))
-    assert len(ref.provenance.cache_keys) == 10
 
 
 def test_failed_instruction_names_index():
@@ -302,7 +293,7 @@ def test_failed_instruction_names_index():
 def test_http_fanout_matches_sequential_stub(canned, delays_ms):
     canned.reset()
     iset = InstructionSet.default()
-    prompts = [build_prompt(i, GOLDFISH.query) for i in iset.all()]
+    prompts = query_prompts(GOLDFISH.query, iset.all(), None)
     server_stub = StubBackend(THESAURUS, seed=5, n_terms=3)
     canned.reply = lambda prompt: server_stub.generate(GenRequest(prompt=prompt))
     canned.delay = dict(zip(prompts, (d / 1000 for d in delays_ms))).__getitem__
@@ -314,17 +305,13 @@ def test_http_fanout_matches_sequential_stub(canned, delays_ms):
     finally:
         http.close()
     want = ensemble(stub, iset, GOLDFISH, cfg)
-    assert got.keywords == tuple(stub.generate(GenRequest(prompt=p)) for p in prompts)
-    assert got.provenance.cache_keys == tuple(
-        cache_key(http, GenRequest(prompt=p)) for p in prompts)
-    assert got == dataclasses.replace(want, provenance=dataclasses.replace(
-        want.provenance, backend_identity=http.identity(),
-        cache_keys=got.provenance.cache_keys))
+    assert got[1] == tuple(stub.generate(GenRequest(prompt=p)) for p in prompts)
+    assert got == want
 
 
 def test_http_failed_instruction_named_and_rest_cached(canned, tmp_path):
     iset = InstructionSet.default()
-    prompts = [build_prompt(i, GOLDFISH.query) for i in iset.all()]
+    prompts = query_prompts(GOLDFISH.query, iset.all(), None)
     canned.fail_prompts = {prompts[3]: 400}
     http = HttpBackend(canned.url, model="toy", completion_field="choices.0.text",
                        max_in_flight=2)
@@ -337,15 +324,78 @@ def test_http_failed_instruction_named_and_rest_cached(canned, tmp_path):
         assert cached == (None if i == 3 else f"echo {prompt}")
 
 
-def test_http_workers_share_max_in_flight(canned, toy_cfg, toy_index):
+def http_backend(canned, max_in_flight=4):
+    return {"kind": "http", "url": canned.url, "model": "toy",
+            "completion_field": "choices.0.text", "max_in_flight": max_in_flight}
+
+
+def test_run_requests_overlap_across_topics(canned, toy_cfg, toy_index):
     canned.delay = lambda prompt: 0.01
-    cfg = toy_cfg("genqrensemble", workers=2,
-                  backend={"kind": "http", "url": canned.url, "model": "toy",
-                           "completion_field": "choices.0.text", "max_in_flight": 2})
-    _, _, failures = cmd_run(cfg)
+    _, _, failures = cmd_run(toy_cfg("flanqr", backend=http_backend(canned, 2)))
     assert failures == 0
-    assert len(canned.payloads) == 10 * 10  # topics x N
+    assert len(canned.payloads) == 10  # topics x N, N=1
     assert canned.peak_in_flight == 2
+
+
+def test_lenient_generation_failure_fails_only_its_topic(canned, toy_cfg, toy_index,
+                                                          tmp_path):
+    iset = InstructionSet.default()
+    topic = load_topics(TOY / "topics.tsv")[3]
+    canned.fail_prompts = {query_prompts(topic.query, iset.all()[:3], None)[1]: 400}
+    sections = {"reformulation": {"n": 3}, "backend": http_backend(canned)}
+    failing = toy_cfg("genqrensemble", tag="failing", cache_dir=str(tmp_path / "c1"),
+                      **sections)
+    run_path, _, failed = cmd_run(failing, lenient=True)
+    canned.fail_prompts = {}
+    clean_path, _, _ = cmd_run(toy_cfg("genqrensemble", tag="clean",
+                                       cache_dir=str(tmp_path / "c2"), **sections))
+    assert failed == 1
+    row, = map(json.loads, (run_path.parent / "failing.failures.jsonl").read_text().splitlines())
+    assert row["qid"] == topic.qid
+    assert row["error"].startswith(f"qid {topic.qid}: instruction 2 generation failed")
+    entries = {run.qid: run.entries for run in read_run(run_path)}
+    clean = {run.qid: run.entries for run in read_run(clean_path)}
+    assert topic.qid not in entries
+    assert entries == {qid: e for qid, e in clean.items() if qid != topic.qid}
+
+
+def test_strict_run_raises_the_first_failing_topic(canned, toy_cfg, toy_index, tmp_path):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("1\tdo goldfish grow\n2\t???\n")  # qid 2 fails before generation
+    canned.fail_first, canned.fail_status = 100, 400  # qid 1 fails in it
+    cfg = toy_cfg("flanprf", topics=str(topics), backend=http_backend(canned))
+    with pytest.raises(ReformulationError, match="qid 1: instruction 1 generation failed"):
+        cmd_run(cfg)
+
+
+def test_topics_with_one_query_text_share_a_backend_call(canned, toy_cfg, toy_index,
+                                                         tmp_path):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("1\tdo goldfish grow\n2\tdo goldfish grow\n")
+    # No cache, so only the shared batch can answer both topics with one call.
+    run_path, _, failures = cmd_run(toy_cfg("flanqr", topics=str(topics), cache_dir=None,
+                                            backend=http_backend(canned)))
+    assert failures == 0
+    assert len(canned.payloads) == 1
+    first, second = read_run(run_path)
+    assert first.entries == second.entries
+
+
+def test_each_chunk_makes_one_generate_call(toy_cfg, toy_index, monkeypatch):
+    whole = cmd_run(toy_cfg("genqrensemble_rf", tag="chunked", cache_dir=None))
+    outputs = [path.read_bytes() for path in whole[:2]]
+    calls = []
+    generate = Generator.generate
+
+    def counting(self, prompts):
+        calls.append(len(prompts))
+        return generate(self, prompts)
+
+    monkeypatch.setattr(Generator, "generate", counting)
+    monkeypatch.setattr(cli, "RUN_CHUNK_TOPICS", 4)
+    chunked = cmd_run(toy_cfg("genqrensemble_rf", tag="chunked", cache_dir=None))
+    assert calls == [40, 40, 20]  # 10 topics in chunks of 4, N=10
+    assert [path.read_bytes() for path in chunked[:2]] == outputs
 
 
 def test_n_exceeding_set_rejected(toy_cfg, toy_index, tmp_path):
@@ -372,9 +422,7 @@ def test_rf_empty_feedback_degenerates(toy_cfg, toy_index, plain_method, feedbac
         swept = {**sections, section: {**sections.get(section, {}), key: m}}
         feedback_runner = _QueryRunner(toy_cfg(feedback_method, tag="same", **swept),
                                        toy_index)
-        plain = plain_runner(topic)
-        feedback = feedback_runner(topic)
-        assert plain == feedback
+        assert run_topics(plain_runner, topic) == run_topics(feedback_runner, topic)
 
 
 def test_oracle_feedback_without_relevant_docs_runs_plain_method(toy_cfg, toy_index):
@@ -384,7 +432,7 @@ def test_oracle_feedback_without_relevant_docs_runs_plain_method(toy_cfg, toy_in
         toy_cfg("genqrensemble_rf", tag="same",
                 reformulation={"n": 4, "feedback_mode": "oracle"}), toy_index)
     topic = Topic("99", GOLDFISH.query)  # no qrels row for qid 99
-    assert oracle_runner(topic) == plain_runner(topic)
+    assert run_topics(oracle_runner, topic) == run_topics(plain_runner, topic)
 
 
 @pytest.mark.parametrize("method", ["rm3", "flanprf", "genqrensemble_rf", "genqrensemble"])
@@ -398,7 +446,7 @@ def test_feedback_methods_analyze_each_query_once(toy_cfg, toy_index, monkeypatc
         return analyze(self, text)
 
     monkeypatch.setattr(Analyzer, "analyze", recording)
-    runner(GOLDFISH)
+    run_topics(runner, GOLDFISH)
     assert seen.count(GOLDFISH.query) == 1
 
 
@@ -431,17 +479,17 @@ def test_rf_prompt_golden():
 
 
 def test_rf_instruction_prefix():
-    out = rf_instruction("ctx words", "Do something")
-    assert out == "Based on the given context information ctx words, Do something"
+    out = query_prompts("q", ["Do something"], "ctx words", "{instruction}")
+    assert out == ["Based on the given context information ctx words, Do something"]
 
 
 def test_rf_records_context_in_provenance():
     stub = StubBackend(THESAURUS, seed=2, n_terms=3)
     fb = FeedbackSet(qid="156493",
                      docs=(FeedbackDoc("d1", "carp tank", 3.0),), source="pseudo")
-    ref = ensemble(stub, InstructionSet.default(), GOLDFISH, ReformulationConfig(n=2),
-                   context=build_context(fb))
-    assert ref.provenance.context == "carp tank"
-    record = query_record(GOLDFISH, ref.fused, ref.keywords, ref.provenance.context)
+    context = build_context(fb)
+    fused, keywords = ensemble(stub, InstructionSet.default(), GOLDFISH,
+                               ReformulationConfig(n=2), context=context)
+    record = query_record(GOLDFISH, fused, keywords, context)
     assert record["context"] == "carp tank"
     assert set(record) == {"qid", "original", "keywords", "fused_terms", "context"}

@@ -27,8 +27,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .config import (LLM_METHODS, RF_METHODS, ConfigError, ExperimentConfig,
-                     load_config)
+from .config import (ENSEMBLE_METHODS, LLM_METHODS, RF_METHODS, ConfigError,
+                     ExperimentConfig, load_config)
 from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus,
                         load_qrels, load_topics, read_run, write_run)
 from .evaluation import (EvalReport, evaluate_run, holm_bonferroni,
@@ -123,17 +123,10 @@ class _QueryRunner:
             self.texts = {doc.docno: doc.text
                           for doc in load_corpus(cfg.corpus, cfg.corpus_format)}
         if method in RF_METHODS and ref_cfg.feedback_mode == "oracle":
-            if not cfg.qrels:
-                raise ConfigError("oracle feedback needs a qrels path in the config")
             self.qrels = load_qrels(cfg.qrels)
-
         if method in LLM_METHODS:
-            full = cfg.load_instructions()
-            n = 1 if method in ("flanqr", "flanprf") else ref_cfg.n
-            if n > full.n:
-                raise ConfigError(
-                    f"reformulation.n={n} exceeds the {full.n}-instruction set")
-            self.instructions = full.all()[:n]
+            n = ref_cfg.n if method in ENSEMBLE_METHODS else 1
+            self.instructions = cfg.instructions.all()[:n]
             self.generator = cfg.make_generator()
 
     def _feedback(self, query: WeightedQuery) -> Optional[FeedbackSet]:
@@ -185,12 +178,12 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     """Run the configured method over every topic.
 
     Each chunk of RUN_CHUNK_TOPICS topics is prepared, then one
-    `Generator.generate` call answers all its prompts, so the backend's
-    `max_in_flight` pool is the run's only concurrency; then each topic is
-    expanded and retrieved. Returns (run file, reformulations file, failure
-    count). A failing topic fails alone: the run raises the error of the
-    first one in topic order unless lenient, in which case it gets an empty
-    ranking and a row in <tag>.failures.jsonl.
+    `Generator.generate` call answers all its prompts on at most the
+    backend's `max_in_flight` threads, the run's only concurrency; then each
+    topic is expanded and retrieved. Returns (run file, reformulations file,
+    failure count). A failing topic fails alone: the run raises the error of
+    the first one in topic order unless lenient, in which case it gets an
+    empty ranking and a row in <tag>.failures.jsonl.
     """
     index = _load_index_for(cfg)
     topics = load_topics(cfg.topics, cfg.topics_format)
@@ -200,27 +193,23 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
 
     failures: List[dict] = []
     results: List[Tuple[RunList, dict]] = []
-    try:
-        for start in range(0, len(topics), RUN_CHUNK_TOPICS):
-            chunk = topics[start:start + RUN_CHUNK_TOPICS]
-            steps = [_attempt(runner.prepare, topic) for topic in chunk]
-            prompts = [p for step in steps if isinstance(step, _Prepared) for p in step.prompts]
-            responses = iter(runner.generator.generate(prompts)
-                             if runner.generator is not None else ())
-            for topic, step in zip(chunk, steps):
-                if isinstance(step, _Prepared):
-                    step = _attempt(runner, step, list(islice(responses, len(step.prompts))))
-                if isinstance(step, Exception):
-                    if not lenient:
-                        raise step
-                    logger.error("qid %s failed: %s", topic.qid, step)
-                    failures.append({"qid": topic.qid, "error": str(step)})
-                    step = (RunList(qid=topic.qid, entries=[], tag=cfg.run_tag),
-                            query_record(topic))
-                results.append(step)
-    finally:
-        if runner.generator is not None:
-            runner.generator.backend.close()
+    for start in range(0, len(topics), RUN_CHUNK_TOPICS):
+        chunk = topics[start:start + RUN_CHUNK_TOPICS]
+        steps = [_attempt(runner.prepare, topic) for topic in chunk]
+        prompts = [p for step in steps if isinstance(step, _Prepared) for p in step.prompts]
+        responses = iter(runner.generator.generate(prompts)
+                         if runner.generator is not None else ())
+        for topic, step in zip(chunk, steps):
+            if isinstance(step, _Prepared):
+                step = _attempt(runner, step, list(islice(responses, len(step.prompts))))
+            if isinstance(step, Exception):
+                if not lenient:
+                    raise step
+                logger.error("qid %s failed: %s", topic.qid, step)
+                failures.append({"qid": topic.qid, "error": str(step)})
+                step = (RunList(qid=topic.qid, entries=[], tag=cfg.run_tag),
+                        query_record(topic))
+            results.append(step)
 
     runs = [run for run, _ in results]
     if cfg.reranker_cmd:
@@ -426,12 +415,10 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
 
 def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> InstructionSet:
     """Generate `count` instructions (base + paraphrases) and persist them."""
-    generator = cfg.make_generator()
+    if cfg.backend is None:
+        raise ConfigError("paraphrase needs a backend section")
     base = cfg.base_instruction or InstructionSet.default().base
-    try:
-        instructions = paraphrase_instructions(generator, base, count)
-    finally:
-        generator.backend.close()
+    instructions = paraphrase_instructions(cfg.make_generator(), base, count)
     instructions.save(out_path)
     logger.info("wrote %d instructions to %s", instructions.n, out_path)
     return instructions

@@ -27,6 +27,7 @@ from .schema import ConfigError, build, check_fields, check_value
 
 METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf")
 RF_METHODS = ("flanprf", "genqrensemble_rf")
+ENSEMBLE_METHODS = ("genqrensemble", "genqrensemble_rf")
 LLM_METHODS = ("flanqr", "genqrensemble", *RF_METHODS)
 FEEDBACK_METHODS = ("rm3", *RF_METHODS)
 
@@ -58,10 +59,10 @@ class ExperimentConfig:
     min_rel: int = field(default=1, metadata={"min": 1})
     reformulation: ReformulationConfig = field(default_factory=ReformulationConfig)
     rm3: Rm3Params = field(default_factory=Rm3Params)
-    backend: dict = field(default_factory=dict)
+    backend: Optional[Backend] = None
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     max_new_tokens: int = field(default=DEFAULT_MAX_NEW_TOKENS, metadata={"min": 1})
-    instructions: Optional[str] = None
+    instructions: InstructionSet = field(default_factory=InstructionSet.default)
     base_instruction: Optional[str] = None
     cache_dir: Optional[str] = None
     output_dir: str = "runs"
@@ -70,23 +71,26 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.method in LLM_METHODS and not self.backend:
+        if self.method in LLM_METHODS and self.backend is None:
             raise ConfigError(f"method {self.method!r} needs a backend section")
+        n, n_set = self.reformulation.n, self.instructions.n
+        if self.method in ENSEMBLE_METHODS and n > n_set:
+            raise ConfigError(f"reformulation.n={n} exceeds the {n_set}-instruction set")
+        if (self.method in RF_METHODS and self.reformulation.feedback_mode == "oracle"
+                and not self.qrels):
+            raise ConfigError("oracle feedback needs a qrels path in the config")
+        if self.run_tag.split() != [self.run_tag]:
+            raise ConfigError(f"run_tag must be non-empty and without whitespace, "
+                              f"got {self.run_tag!r}")
         for metric in self.metrics:
             try:
                 parse_metric(metric, min_rel=self.min_rel)
             except ValueError as e:
                 raise ConfigError(f"metrics: {e}") from e
 
-    def load_instructions(self) -> InstructionSet:
-        if self.instructions:
-            return InstructionSet.load(self.instructions)
-        return InstructionSet.default()
-
     def make_generator(self) -> Generator:
-        backend = make_backend(self.backend)  # before the cache makes cache_dir
         cache = ResponseCache(self.cache_dir) if self.cache_dir else None
-        return Generator(backend, cache, self.sampling, self.max_new_tokens)
+        return Generator(self.backend, cache, self.sampling, self.max_new_tokens)
 
 
 _INPUT_PATH_KEYS = ("corpus", "topics", "qrels", "instructions")
@@ -98,23 +102,36 @@ def make_backend(cfg: dict) -> Backend:
     kind = options.pop("kind", None)
     if not (isinstance(kind, str) and kind in BACKENDS):
         raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
-    return build(BACKENDS[kind], options, "backend")
+    try:
+        return build(BACKENDS[kind], options, "backend")
+    except OSError as e:  # a vocab or transcript file that cannot be read
+        raise ConfigError(f"backend: {e}") from e
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    """Build the config from a mapping: the backend is built and the
+    instruction file read here, so every check runs before any command."""
     raw = dict(raw)
-    if isinstance(raw.get("backend"), dict):
-        raw["backend"] = dict(raw["backend"])
+    backend = raw.get("backend")
+    if isinstance(backend, dict):
+        backend = dict(backend)
+        for key in _BACKEND_PATH_KEYS:
+            if (base_dir is not None and isinstance(backend.get(key), str)
+                    and not Path(backend[key]).is_absolute()):
+                backend[key] = str((base_dir / backend[key]).resolve())
+        raw["backend"] = make_backend(backend) if backend else None
     if base_dir is not None:
         for key in _INPUT_PATH_KEYS:
             if raw.get(key) and isinstance(raw[key], str):
                 raw[key] = str((base_dir / raw[key]).resolve()
                                if not Path(raw[key]).is_absolute() else Path(raw[key]))
-        backend = raw.get("backend")
-        if isinstance(backend, dict):
-            for key in _BACKEND_PATH_KEYS:
-                if isinstance(backend.get(key), str) and not Path(backend[key]).is_absolute():
-                    backend[key] = str((base_dir / backend[key]).resolve())
+    instructions = raw.pop("instructions", None)
+    if instructions is not None:
+        check_value("instructions", str, instructions, {})
+        try:
+            raw["instructions"] = InstructionSet.load(instructions)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"instructions {instructions!r}: {e}") from e
 
     reformulation = raw.get("reformulation")
     if isinstance(reformulation, dict) and "keyword_parser" in reformulation:

@@ -37,6 +37,8 @@ class Document:
     def __post_init__(self):
         if not self.docno:
             raise CorpusFormatError("document with empty docno")
+        if self.docno.split() != [self.docno]:  # run files split on whitespace
+            raise CorpusFormatError(f"docno {self.docno!r} contains whitespace")
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ class Topic:
     def __post_init__(self):
         if not self.qid:
             raise CorpusFormatError("topic with empty qid")
+        if self.qid.split() != [self.qid]:
+            raise CorpusFormatError(f"qid {self.qid!r} contains whitespace")
         if not self.query.strip():
             raise CorpusFormatError(f"topic {self.qid!r} has an empty query")
 
@@ -178,11 +182,19 @@ _TREC_FIELD = {
 }
 
 
-def _iter_trec_text_corpus(path: Path) -> Iterator[Document]:
+def _marked_blocks(pattern: re.Pattern, path: Path) -> Iterator[Tuple[int, str]]:
+    """The first group of each `pattern` match in the file, with the line
+    the match starts on."""
     raw = path.read_text(encoding="utf-8")
-    for match in _TREC_DOC.finditer(raw):
-        block = match.group(1)
-        lineno = raw.count("\n", 0, match.start()) + 1
+    lineno, pos = 1, 0
+    for match in pattern.finditer(raw):
+        lineno += raw.count("\n", pos, match.start())
+        pos = match.start()
+        yield lineno, match.group(1)
+
+
+def _iter_trec_text_corpus(path: Path) -> Iterator[Document]:
+    for lineno, block in _marked_blocks(_TREC_DOC, path):
         docno_m = _TREC_FIELD["docno"].search(block)
         if not docno_m or not docno_m.group(1).strip():
             raise CorpusFormatError(f"{path}:{lineno}: <DOC> without <DOCNO>")
@@ -230,10 +242,7 @@ _TITLE_FIELD = re.compile(r"<title>\s*(.*?)\s*(?=<|\Z)", re.DOTALL | re.IGNORECA
 
 
 def _iter_trec_topics(path: Path) -> Iterator[Topic]:
-    raw = path.read_text(encoding="utf-8")
-    for match in _TOP_BLOCK.finditer(raw):
-        block = match.group(1)
-        lineno = raw.count("\n", 0, match.start()) + 1
+    for lineno, block in _marked_blocks(_TOP_BLOCK, path):
         num_m = _NUM_FIELD.search(block)
         title_m = _TITLE_FIELD.search(block)
         if not num_m or not num_m.group(1).strip():
@@ -307,11 +316,11 @@ def write_run(runs: List[RunList], path: str | Path) -> None:
 
 def read_run(path: str | Path) -> List[RunList]:
     """Read a TREC run file; re-sorts per qid by score desc (docno asc on ties)
-    and reassigns ranks, so unsorted input is tolerated."""
+    and reassigns ranks, so unsorted input is tolerated. A docno listed
+    twice for one qid is an error, as in trec_eval."""
     path = Path(path)
-    scored: Dict[str, List[Tuple[str, float]]] = {}
+    scored: Dict[str, Dict[str, float]] = {}
     tags: Dict[str, str] = {}
-    order: List[str] = []
     for lineno, line in _nonblank_lines(path):
         parts = line.split()
         if len(parts) != 6:
@@ -322,9 +331,10 @@ def read_run(path: str | Path) -> List[RunList]:
             score = float(score_str)
         except ValueError as e:
             raise CorpusFormatError(f"{path}:{lineno}: bad score {score_str!r}") from e
-        if qid not in scored:
-            scored[qid] = []
-            tags[qid] = tag
-            order.append(qid)
-        scored[qid].append((docno, score))
-    return [RunList.from_scores(qid, scored[qid], tags[qid]) for qid in order]
+        docs = scored.setdefault(qid, {})
+        tags.setdefault(qid, tag)
+        if docno in docs:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: repeated docno {docno!r} for qid {qid!r}")
+        docs[docno] = score
+    return [RunList.from_scores(qid, scored[qid].items(), tags[qid]) for qid in scored]

@@ -15,8 +15,9 @@ A `Generator` bundles a backend with its cache and request settings. Its
 `generate` sends a batch of prompts (a run sends every prompt of a chunk
 of topics at once) through `cached_generate`: cache hits are served
 inline, identical misses share one backend call, and the remaining misses
-go out concurrently on the backend's own pool of `max_in_flight` threads
-(default 4), which is the only bound on a run's concurrent backend calls.
+go out concurrently on a pool of the backend's `max_in_flight` threads
+(default 4) that lives for that one batch. A backend owns no threads, so
+one backend can serve every config of a sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
@@ -79,18 +80,14 @@ class GenRequest:
 
 @dataclass(eq=False)
 class Backend:
-    """Shared plumbing: call counting and a pool of `max_in_flight` threads
-    for concurrent requests. A subclass's fields are its config options."""
+    """Shared plumbing: call counting, and `max_in_flight`, the bound on a
+    batch's concurrent requests. A subclass's fields are its config options."""
 
     max_in_flight: int = field(default=4, kw_only=True, metadata={"min": 1})
 
     def __post_init__(self):
         check_fields(self)
         self._lock = threading.Lock()
-        # Threads start on first submit, so backends that never batch misses
-        # start none.
-        self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight,
-                                        thread_name_prefix="genqr-backend")
         self.calls = 0
 
     def identity(self) -> str:
@@ -100,13 +97,6 @@ class Backend:
         with self._lock:
             self.calls += 1
         return self._generate(request)
-
-    def submit(self, request: GenRequest) -> Future:
-        """Run `generate` on the backend's thread pool."""
-        return self._pool.submit(self.generate, request)
-
-    def close(self) -> None:
-        self._pool.shutdown()
 
     def _generate(self, request: GenRequest) -> str:
         raise NotImplementedError
@@ -367,7 +357,8 @@ class ResponseCache:
 def cached_generate(cache: Optional[ResponseCache], backend: Backend,
                     batch: Sequence[GenRequest]) -> List[Union[str, Exception]]:
     """Responses to `batch`, in order: from the cache when possible, else
-    from the backend, concurrently, and then stored.
+    from the backend, on up to `backend.max_in_flight` threads, and then
+    stored. The threads end before this returns.
 
     Identical requests in a batch make one backend call. A request that
     fails gets the exception its call raised in place of a response; the
@@ -385,15 +376,17 @@ def cached_generate(cache: Optional[ResponseCache], backend: Backend,
         else:
             results[key] = hit
 
-    futures = {key: backend.submit(request) for key, request in misses.items()}
-    for key, future in futures.items():
-        try:
-            results[key] = future.result()
-        except Exception as e:  # the failure of the requests with this key only
-            results[key] = e
-        else:
-            if cache is not None:
-                cache.put(key, results[key])
+    with ThreadPoolExecutor(backend.max_in_flight, thread_name_prefix="genqr-backend") as pool:
+        futures = {key: pool.submit(backend.generate, request)
+                   for key, request in misses.items()}
+        for key, future in futures.items():
+            try:
+                results[key] = future.result()
+            except Exception as e:  # the failure of the requests with this key only
+                results[key] = e
+            else:
+                if cache is not None:
+                    cache.put(key, results[key])
     return [results[key] for key in keys]
 
 

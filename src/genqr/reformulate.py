@@ -26,7 +26,7 @@ from .corpus_io import Topic
 from .index import DegenerateQueryError, WeightedQuery
 from .llm import Generator
 from .prf import FeedbackSet
-from .schema import check_fields
+from .schema import ConfigError, check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +96,14 @@ class ReformulationConfig:
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     context_budget: int = field(default=DEFAULT_CONTEXT_BUDGET, metadata={"min": 0})
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        try:  # the fields `query_prompts` fills
+            self.prompt_template.format(instruction="i", query="q")
+        except (LookupError, ValueError, AttributeError) as e:
+            raise ConfigError(f"prompt_template must be a format string of {{instruction}} "
+                              f"and {{query}}, got {self.prompt_template!r} "
+                              f"({type(e).__name__}: {e})") from e
 
 
 def query_record(topic: Topic, fused: Optional[WeightedQuery] = None,

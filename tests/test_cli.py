@@ -19,7 +19,8 @@ from genqr.config import (ConfigError, ExperimentConfig, Rm3Params, config_from_
 from genqr.corpus_io import load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
-from genqr.llm import GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key
+from genqr.llm import (GenRequest, ReplayBackend, ResponseCache, SamplingConfig,
+                       StubBackend, cache_key)
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 from genqr.schema import build
 
@@ -99,7 +100,14 @@ _BAD_VALUES = [
     ("b", 2, r"b must be in \[0, 1\], got 2"),
     ("max_new_tokens", 0, r"max_new_tokens must be in \[1, inf\), got 0"),
     ("rm3", None, "rm3 must be a mapping of Rm3Params fields, got None"),
-    ("backend", ["stub"], "backend must be dict, got"),
+    ("backend", ["stub"], r"backend must be a mapping of Backend fields, got \['stub'\]"),
+    ("instructions", 5, "instructions must be str, got 5"),
+    ("run_tag", "my run", "run_tag must be non-empty and without whitespace, got 'my run'"),
+    ("run_tag", "", "run_tag must be non-empty and without whitespace, got ''"),
+    ("reformulation", {"prompt_template": "{instruction}: {querry}"},
+     r"reformulation.prompt_template must be a format string .*\(KeyError: 'querry'\)"),
+    ("reformulation", {"prompt_template": "{instruction}: {query"},
+     r"reformulation.prompt_template must be a format string .*\(ValueError: "),
     ("metrics", "ndcg@10", "metrics must be a list of str, got 'ndcg@10'"),
     ("corpus_format", "xml", r"corpus_format must be one of \(.*'trec-text'\), got 'xml'"),
     ("topics_format", "jsonl", r"topics_format must be one of \(.*'trec-topic'\), got 'jsonl'"),
@@ -142,21 +150,31 @@ _BAD_BACKENDS = [
 
 @pytest.mark.parametrize("kind,options,match", _BAD_BACKENDS,
                          ids=[f"{kind}-{options}" for kind, options, _ in _BAD_BACKENDS])
-def test_bad_backend_option_raises_config_error(kind, options, match, tmp_path):
+def test_bad_backend_option_raises_config_error(kind, options, match):
     backend = {**_BACKEND_BASES.get(kind, {"kind": kind}), **options}
     backend = {k: v for k, v in backend.items() if v is not None}  # None drops the key
-    cfg = config_from_dict(toy_config_dict("genqrensemble", work=str(tmp_path),
-                                           backend=backend))
+    # raw never generates, yet its backend section is checked when it loads
     with pytest.raises(ConfigError, match=match):
-        cfg.make_generator()
-    assert not Path(cfg.cache_dir).exists()
+        config_from_dict(toy_config_dict("raw", backend=backend))
 
 
-def test_bad_backend_option_stops_lenient_run_before_any_query(toy_cfg, toy_index):
-    cfg = toy_cfg("genqrensemble", backend={**_BACKEND_BASES["stub"], "n_terms": -1})
+def test_missing_input_file_fails_at_load(tmp_path):
+    backend = {**_BACKEND_BASES["stub"], "vocab": str(tmp_path / "missing.json")}
+    with pytest.raises(ConfigError, match="backend: .*No such file.*missing.json"):
+        config_from_dict(toy_config_dict("raw", backend=backend))
+    with pytest.raises(ConfigError, match="instructions .*No such file.*missing.txt"):
+        config_from_dict(toy_config_dict("raw", instructions=str(tmp_path / "missing.txt")))
+
+
+def test_bad_backend_option_stops_lenient_run_before_any_query(toy_index, tmp_path):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(toy_config_dict(
+        "genqrensemble", work=str(tmp_path),
+        backend={**_BACKEND_BASES["stub"], "n_terms": -1})))
     with pytest.raises(ConfigError, match="backend.n_terms"):
-        cmd_run(cfg, lenient=True)
-    assert not (Path(cfg.output_dir) / "genqrensemble.run").exists()
+        main(["run", "--config", str(cfg_path), "--lenient"])
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("cls,serialise", [
@@ -196,11 +214,31 @@ def test_rf_method_defaults_to_pseudo_feedback():
 
 def test_config_leaves_shared_reformulation_section_unchanged():
     rc = ReformulationConfig(feedback_mode="none")
-    backend = {"kind": "stub", "vocab": str(TOY / "thesaurus.json")}
+    backend = StubBackend(TOY / "thesaurus.json")
     ExperimentConfig(method="genqrensemble_rf", reformulation=rc, backend=backend)
     assert rc.feedback_mode == "none"
     plain = ExperimentConfig(method="genqrensemble", reformulation=rc, backend=backend)
     assert plain.reformulation.feedback_mode == "none"
+
+
+def test_oracle_feedback_without_qrels_fails_at_load():
+    raw = toy_config_dict("flanprf", qrels=None, reformulation={"feedback_mode": "oracle"})
+    with pytest.raises(ConfigError, match="oracle feedback needs a qrels path"):
+        config_from_dict(raw)
+    config_from_dict({**raw, "method": "flanqr"})  # a pre-retrieval method takes no feedback
+
+
+def test_instructions_file_read_at_load(tmp_path):
+    path = tmp_path / "instructions.txt"
+    path.write_text("first\nsecond\n")
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump({"method": "genqrensemble", "instructions": path.name,
+                                        "reformulation": {"n": 2},
+                                        "backend": _BACKEND_BASES["stub"]}))
+    assert load_config(cfg_path).instructions == InstructionSet("first", ("second",))
+    path.write_text("same\nsame\n")
+    with pytest.raises(ConfigError, match="instructions .*: instructions must be distinct"):
+        load_config(cfg_path)
 
 
 def test_feedback_mode_none_runs_as_pseudo(toy_cfg, toy_index):
@@ -620,9 +658,28 @@ def test_sweep_bool_values_through_main(toy_index, tmp_path):
 
 def test_sweep_unknown_param_rejected(toy_cfg, toy_index, tmp_path):
     cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
-    for param in ("mystery", "reformulation.mystery", "backend.seed"):
+    for param in ("mystery", "reformulation.mystery", "backend.mystery"):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             cmd_sweep(cfg, param, [1], tmp_path / "sweep.csv")
+
+
+def test_sweep_over_backend_seed(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble", tag="s", metrics=["ndcg@10"])
+    cmd_sweep(cfg, "backend.seed", [1, 2], tmp_path / "sweep.csv")
+    runs = Path(cfg.output_dir)
+    one = (runs / "s-backend.seed1.reformulations.jsonl").read_text()
+    two = (runs / "s-backend.seed2.reformulations.jsonl").read_text()
+    assert one != two
+    assert cfg.backend.seed == 42
+
+
+def test_sweep_n_past_the_instruction_set_fails_before_any_run(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble", tag="s", metrics=["ndcg@10"])
+    with pytest.raises(ConfigError, match="n=20: reformulation.n=20 exceeds the "
+                                          "10-instruction set"):
+        cmd_sweep(cfg, "n", [1, 20], tmp_path / "sweep.csv")
+    assert not Path(cfg.output_dir).exists()
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_leaves_base_config_unchanged(toy_cfg, toy_index, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -60,6 +61,23 @@ def test_trec_text_corpus(tmp_path):
     assert docs[1] == Document("D-2", "second")
 
 
+def test_trec_text_bad_record_reports_its_line(tmp_path):
+    good = "".join(f"<DOC>\n<DOCNO>D-{i}</DOCNO>\n<TEXT>\nbody {i}\n</TEXT>\n</DOC>\n"
+                   for i in range(4))  # 6 lines each
+    path = tmp_path / "c.trec"
+    path.write_text(good + "\n<DOC>\n<TEXT>no docno</TEXT>\n</DOC>\n")
+    with pytest.raises(CorpusFormatError, match=r"c\.trec:26: <DOC> without <DOCNO>"):
+        list(load_corpus(path, "trec-text"))
+
+
+@pytest.mark.parametrize("docno", ["doc 1", "doc\t1", " d1"])
+def test_docno_with_whitespace_rejected(tmp_path, docno):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"docno": docno, "text": "x"}) + "\n")
+    with pytest.raises(CorpusFormatError, match="contains whitespace"):
+        list(load_corpus(path, "jsonl"))
+
+
 def test_corpus_count_matches_nonblank_lines(tmp_path):
     rng = random.Random(7)
     lines = []
@@ -97,6 +115,20 @@ def test_trec_topic_title_extraction(tmp_path):
     topics = load_topics(path, "trec-topic")
     assert topics == [Topic("301", "International Organized Crime"),
                       Topic("302", "Poliosis")]
+
+
+def test_trec_topic_bad_record_reports_its_line(tmp_path):
+    good = "".join(f"<top>\n<num> Number: {i}\n<title> topic {i}\n</top>\n"
+                   for i in range(3))  # 4 lines each
+    path = tmp_path / "t.txt"
+    path.write_text(good + "<top>\n<num> Number: 9\n<title>\n</top>\n")
+    with pytest.raises(CorpusFormatError, match=r"t\.txt:13: empty query for qid '9'"):
+        load_topics(path, "trec-topic")
+
+
+def test_qid_with_whitespace_rejected():
+    with pytest.raises(CorpusFormatError, match="qid '1 2' contains whitespace"):
+        Topic("1 2", "goldfish")
 
 
 def test_duplicate_qid_rejected(tmp_path):
@@ -189,6 +221,13 @@ def test_read_run_bad_columns_reports_line(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 d1 1 0.5 t\n1 Q0 d2 2 0.4\n")
     with pytest.raises(CorpusFormatError, match=":2"):
+        read_run(path)
+
+
+def test_read_run_repeated_docno_rejected(tmp_path):
+    path = tmp_path / "r.run"
+    path.write_text("1 Q0 d1 1 2.000000 t\n2 Q0 d1 1 2.000000 t\n1 Q0 d1 2 1.000000 t\n")
+    with pytest.raises(CorpusFormatError, match=r"r\.run:3: repeated docno 'd1' for qid '1'"):
         read_run(path)
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import socket
 import sys
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -237,9 +238,16 @@ def test_concurrent_batches_lose_no_call():
             got = list(pool.map(lambda batch: cached_generate(None, stub, batch), batches))
     finally:
         sys.setswitchinterval(old)
-        stub.close()
     assert got == want
     assert stub.calls == 2 * 80
+
+
+def test_batch_leaves_no_backend_thread():
+    stub = StubBackend(THESAURUS, seed=3, max_in_flight=3)
+    batch = [GenRequest(prompt=f"goldfish grow {i}") for i in range(10)]
+    assert len(set(cached_generate(None, stub, batch))) > 1
+    assert stub.calls == 10
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("genqr-backend")]
 
 
 def test_max_in_flight_must_be_positive():

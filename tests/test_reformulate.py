@@ -300,10 +300,7 @@ def test_http_fanout_matches_sequential_stub(canned, delays_ms):
     stub = StubBackend(THESAURUS, seed=5, n_terms=3)
     http = HttpBackend(canned.url, model="toy", completion_field="choices.0.text")
     cfg = ReformulationConfig(n=10)
-    try:
-        got = ensemble(http, iset, GOLDFISH, cfg)
-    finally:
-        http.close()
+    got = ensemble(http, iset, GOLDFISH, cfg)
     want = ensemble(stub, iset, GOLDFISH, cfg)
     assert got[1] == tuple(stub.generate(GenRequest(prompt=p)) for p in prompts)
     assert got == want
@@ -398,12 +395,14 @@ def test_each_chunk_makes_one_generate_call(toy_cfg, toy_index, monkeypatch):
     assert [path.read_bytes() for path in chunked[:2]] == outputs
 
 
-def test_n_exceeding_set_rejected(toy_cfg, toy_index, tmp_path):
+def test_n_exceeding_set_rejected(toy_cfg, tmp_path):
     InstructionSet(base="only one").save(tmp_path / "one.txt")
-    cfg = toy_cfg("genqrensemble", instructions=str(tmp_path / "one.txt"),
-                  reformulation={"n": 5})
-    with pytest.raises(ConfigError, match="exceeds|has"):
-        cmd_run(cfg)
+    sections = {"instructions": str(tmp_path / "one.txt"), "reformulation": {"n": 5}}
+    for method in ("genqrensemble", "genqrensemble_rf"):
+        with pytest.raises(ConfigError, match="reformulation.n=5 exceeds the 1-instruction set"):
+            toy_cfg(method, **sections)
+    for method in ("raw", "flanqr", "flanprf"):  # these ignore n
+        assert toy_cfg(method, **sections).instructions.n == 1
 
 
 # --- RF variant ---

@@ -1,4 +1,4 @@
-"""Declarative experiment configuration (YAML).
+"""Declarative experiment configuration (YAML or JSON).
 
 One file describes a full experiment: data paths, analyzer, BM25
 parameters, the reformulation method and its parameters, the generation
@@ -9,18 +9,17 @@ relative to the working directory.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-import yaml
-
 from .analysis import Analyzer
 from .corpus_io import CORPUS_READERS, TOPIC_READERS
 from .evaluation import parse_metric
-from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, Generator, ResponseCache,
-                  SamplingConfig)
+from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, Generator,
+                  ResponseCache, SamplingConfig)
 from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
 from .reformulate import InstructionSet, ReformulationConfig
 from .schema import ConfigError, build, check_fields, check_value
@@ -104,7 +103,7 @@ def make_backend(cfg: dict) -> Backend:
         raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
     try:
         return build(BACKENDS[kind], options, "backend")
-    except OSError as e:  # a vocab or transcript file that cannot be read
+    except (OSError, BackendError) as e:  # a vocab or transcript file that cannot be read
         raise ConfigError(f"backend: {e}") from e
 
 
@@ -150,7 +149,13 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    text = path.read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text) or {}
+    except ValueError:
+        import yaml  # imported only for a config that is not JSON: it takes 20-40 ms
+
+        raw = yaml.safe_load(text) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return config_from_dict(raw, base_dir=path.parent)

@@ -123,6 +123,15 @@ class RunList:
             prev_score = entry.score
 
 
+def _record(path: Path, lineno: int, cls, *fields):
+    """`cls(*fields)`, a Document or Topic; its CorpusFormatError names the
+    file and the line of the record."""
+    try:
+        return cls(*fields)
+    except CorpusFormatError as e:
+        raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
+
+
 def _nonblank_lines(path: Path) -> Iterator[Tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -144,14 +153,14 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Iterator[Document]:
         raise ValueError(f"unknown corpus format {format!r}")
 
     seen: set[str] = set()
-    for doc in CORPUS_READERS[format](path):
+    for lineno, doc in CORPUS_READERS[format](path):
         if doc.docno in seen:
-            raise CorpusFormatError(f"{path}: duplicate docno {doc.docno!r}")
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate docno {doc.docno!r}")
         seen.add(doc.docno)
         yield doc
 
 
-def _iter_jsonl_corpus(path: Path) -> Iterator[Document]:
+def _iter_jsonl_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
     for lineno, line in _nonblank_lines(path):
         try:
             obj = json.loads(line)
@@ -160,18 +169,18 @@ def _iter_jsonl_corpus(path: Path) -> Iterator[Document]:
         if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
             raise CorpusFormatError(
                 f"{path}:{lineno}: record must carry 'docno' and 'text' keys")
-        yield Document(docno=str(obj["docno"]), text=str(obj["text"]),
-                       title=str(obj["title"]) if obj.get("title") is not None else None)
+        yield lineno, _record(path, lineno, Document, str(obj["docno"]), str(obj["text"]),
+                              str(obj["title"]) if obj.get("title") is not None else None)
 
 
-def _iter_tsv_corpus(path: Path) -> Iterator[Document]:
+def _iter_tsv_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
     for lineno, line in _nonblank_lines(path):
         parts = line.split("\t")
         if len(parts) < 2:
             raise CorpusFormatError(
                 f"{path}:{lineno}: expected docno<TAB>text[<TAB>title]")
         title = parts[2] if len(parts) > 2 else None
-        yield Document(docno=parts[0], text=parts[1], title=title)
+        yield lineno, _record(path, lineno, Document, parts[0], parts[1], title)
 
 
 _TREC_DOC = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL | re.IGNORECASE)
@@ -193,18 +202,16 @@ def _marked_blocks(pattern: re.Pattern, path: Path) -> Iterator[Tuple[int, str]]
         yield lineno, match.group(1)
 
 
-def _iter_trec_text_corpus(path: Path) -> Iterator[Document]:
+def _iter_trec_text_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
     for lineno, block in _marked_blocks(_TREC_DOC, path):
         docno_m = _TREC_FIELD["docno"].search(block)
         if not docno_m or not docno_m.group(1).strip():
             raise CorpusFormatError(f"{path}:{lineno}: <DOC> without <DOCNO>")
         text_m = _TREC_FIELD["text"].search(block)
         title_m = _TREC_FIELD["title"].search(block)
-        yield Document(
-            docno=docno_m.group(1).strip(),
-            text=text_m.group(1).strip() if text_m else "",
-            title=title_m.group(1).strip() if title_m else None,
-        )
+        yield lineno, _record(path, lineno, Document, docno_m.group(1).strip(),
+                              text_m.group(1).strip() if text_m else "",
+                              title_m.group(1).strip() if title_m else None)
 
 
 CORPUS_READERS = {"jsonl": _iter_jsonl_corpus, "tsv": _iter_tsv_corpus,
@@ -216,24 +223,24 @@ def load_topics(path: str | Path, format: str = "tsv") -> List[Topic]:
     path = Path(path)
     if format not in TOPIC_READERS:
         raise ValueError(f"unknown topics format {format!r}")
-    topics = list(TOPIC_READERS[format](path))
-
+    topics: List[Topic] = []
     seen: set[str] = set()
-    for topic in topics:
+    for lineno, topic in TOPIC_READERS[format](path):
         if topic.qid in seen:
-            raise CorpusFormatError(f"{path}: duplicate qid {topic.qid!r}")
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate qid {topic.qid!r}")
         seen.add(topic.qid)
+        topics.append(topic)
     return topics
 
 
-def _iter_tsv_topics(path: Path) -> Iterator[Topic]:
+def _iter_tsv_topics(path: Path) -> Iterator[Tuple[int, Topic]]:
     for lineno, line in _nonblank_lines(path):
         if "\t" not in line:
             raise CorpusFormatError(f"{path}:{lineno}: expected qid<TAB>query")
         qid, query = line.split("\t", 1)
         if not query.strip():
             raise CorpusFormatError(f"{path}:{lineno}: empty query for qid {qid!r}")
-        yield Topic(qid=qid.strip(), query=query.strip())
+        yield lineno, _record(path, lineno, Topic, qid.strip(), query.strip())
 
 
 _TOP_BLOCK = re.compile(r"<top>(.*?)</top>", re.DOTALL | re.IGNORECASE)
@@ -241,7 +248,7 @@ _NUM_FIELD = re.compile(r"<num>\s*(?:Number:)?\s*([^<\n]*)", re.IGNORECASE)
 _TITLE_FIELD = re.compile(r"<title>\s*(.*?)\s*(?=<|\Z)", re.DOTALL | re.IGNORECASE)
 
 
-def _iter_trec_topics(path: Path) -> Iterator[Topic]:
+def _iter_trec_topics(path: Path) -> Iterator[Tuple[int, Topic]]:
     for lineno, block in _marked_blocks(_TOP_BLOCK, path):
         num_m = _NUM_FIELD.search(block)
         title_m = _TITLE_FIELD.search(block)
@@ -251,7 +258,7 @@ def _iter_trec_topics(path: Path) -> Iterator[Topic]:
         title = " ".join(title_m.group(1).split()) if title_m else ""
         if not title:
             raise CorpusFormatError(f"{path}:{lineno}: empty query for qid {qid!r}")
-        yield Topic(qid=qid, query=title)
+        yield lineno, _record(path, lineno, Topic, qid, title)
 
 
 TOPIC_READERS = {"tsv": _iter_tsv_topics, "trec-topic": _iter_trec_topics}

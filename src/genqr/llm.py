@@ -7,9 +7,10 @@ Three backend kinds:
 - replay: returns recorded responses for exact prompts, for frozen
   transcripts used as goldens.
 
-Stub and replay are pure functions of (config, request). The cache is a
-directory of content-addressed JSON files; writes go through a temp file
-and os.replace, so concurrent misses on one key are safe.
+Stub and replay are pure functions of (config, request). The cache is one
+append-only log per cache directory, read once when the cache opens; each
+batch appends its new responses in one locked write, so processes may
+share a cache directory.
 
 A `Generator` bundles a backend with its cache and request settings. Its
 `generate` sends a batch of prompts (a run sends every prompt of a chunk
@@ -22,6 +23,7 @@ one backend can serve every config of a sweep.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -30,10 +32,10 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .corpus_io import atomic_writer
 from .schema import check_fields
@@ -169,7 +171,14 @@ class ReplayBackend(Backend):
         for lineno, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise BackendError(f"{self.transcript}:{lineno}: invalid JSON ({e.msg})") from e
+            if not (isinstance(row, dict) and isinstance(row.get("prompt"), str)
+                    and isinstance(row.get("response"), str)):
+                raise BackendError(f"{self.transcript}:{lineno}: a row needs string "
+                                   f"'prompt' and 'response' values")
             prompt, response = row["prompt"], row["response"]
             recorded = row.get("prompt_digest")
             if recorded and recorded != prompt_digest(prompt):
@@ -324,45 +333,104 @@ def cache_key(backend: Backend, request: GenRequest) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def _log_line(key: str, response: str) -> str:
+    return json.dumps({"key": key, "response": response}, sort_keys=True) + "\n"
+
+
+def _parse_entry(line: bytes) -> Optional[Tuple[str, str]]:
+    """The (key, response) of one {"key", "response"} record, or None if it
+    is not one (a torn or corrupt line)."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # invalid JSON or UTF-8
+        return None
+    if not (isinstance(record, dict) and isinstance(record.get("key"), str)
+            and isinstance(record.get("response"), str)):
+        return None
+    return record["key"], record["response"]
+
+
 class ResponseCache:
-    """Content-addressed response store under a cache directory."""
+    """Responses by cache key, in one append-only log per cache directory,
+    `responses.jsonl`, of {"key", "response"} lines.
+
+    The log is read once, when the cache opens. `put` appends a batch of
+    entries in one write under an exclusive `flock`, so processes that
+    share the directory interleave whole lines. A line that does not parse
+    (say, torn by a crash in the middle of an append) is skipped, and when
+    a key appears twice the first line wins.
+    """
+
+    LOG = "responses.jsonl"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / self.LOG
+        if not self.path.exists():
+            self._import_entry_files()
+        try:
+            lines = self.path.read_bytes().split(b"\n")
+        except FileNotFoundError:
+            lines = []
+        entries = [_parse_entry(line) for line in lines if line.strip()]
+        self._responses: Dict[str, str] = {}
+        for entry in filter(None, entries):
+            self._responses.setdefault(*entry)
+        if None in entries:
+            logger.warning("%s: skipped %d unreadable lines", self.path, entries.count(None))
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.json"
+    def _import_entry_files(self) -> None:
+        """Import the one-file-per-entry layout of earlier versions,
+        `??/<key>.json`, into a new log; the files are left as they are."""
+        entries, skipped = [], 0
+        for path in sorted(self.directory.glob("??/*.json")):
+            try:
+                entry = _parse_entry(path.read_bytes())
+            except OSError:
+                entry = None
+            if entry is None or entry[0] != path.stem:
+                skipped += 1
+            else:
+                entries.append(entry)
+        if skipped:
+            logger.warning("%s: skipped %d unreadable cache files", self.directory, skipped)
+        if entries:
+            with atomic_writer(self.path) as f:
+                f.writelines(_log_line(key, response) for key, response in entries)
+            logger.info("%s: imported %d cache files into %s; they can be deleted",
+                        self.directory, len(entries), self.LOG)
 
     def get(self, key: str) -> Optional[str]:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            if record.get("key") != key or not isinstance(record.get("response"), str):
-                raise ValueError("key mismatch")
-            return record["response"]
-        except (ValueError, OSError) as e:
-            logger.warning("discarding corrupt cache entry %s: %s", path, e)
-            return None
+        return self._responses.get(key)
 
-    def put(self, key: str, response: str) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(path) as f:
-            f.write(json.dumps({"key": key, "response": response}, sort_keys=True))
+    def put(self, entries: Mapping[str, str]) -> None:
+        """Append the entries whose keys the cache lacks to the log."""
+        new = {key: response for key, response in entries.items()
+               if key not in self._responses}
+        if not new:
+            return
+        data = "".join(_log_line(key, response) for key, response in new.items())
+        with open(self.path, "a+b") as f:
+            fcntl.flock(f, fcntl.LOCK_EX)
+            end = os.fstat(f.fileno()).st_size
+            if end and os.pread(f.fileno(), 1, end - 1) != b"\n":
+                data = "\n" + data  # an earlier writer stopped in the middle of a line
+            f.write(data.encode("utf-8"))
+            f.flush()  # closing the file then releases the lock
+        self._responses.update(new)
 
 
 def cached_generate(cache: Optional[ResponseCache], backend: Backend,
                     batch: Sequence[GenRequest]) -> List[Union[str, Exception]]:
     """Responses to `batch`, in order: from the cache when possible, else
-    from the backend, on up to `backend.max_in_flight` threads, and then
-    stored. The threads end before this returns.
+    from the backend, on up to `backend.max_in_flight` threads. The threads
+    end before this returns.
 
     Identical requests in a batch make one backend call. A request that
-    fails gets the exception its call raised in place of a response; the
-    responses that did arrive are cached.
+    fails gets the exception its call raised in place of a response. The
+    responses that did arrive are cached in one `put`, also when the batch
+    is interrupted: then no further request is sent.
     """
     results: Dict[str, Union[str, Exception]] = {}
     misses: Dict[str, GenRequest] = {}
@@ -376,17 +444,21 @@ def cached_generate(cache: Optional[ResponseCache], backend: Backend,
         else:
             results[key] = hit
 
-    with ThreadPoolExecutor(backend.max_in_flight, thread_name_prefix="genqr-backend") as pool:
-        futures = {key: pool.submit(backend.generate, request)
-                   for key, request in misses.items()}
+    futures: Dict[str, Future] = {}
+    pool = ThreadPoolExecutor(backend.max_in_flight, thread_name_prefix="genqr-backend")
+    try:
+        for key, request in misses.items():
+            futures[key] = pool.submit(backend.generate, request)
         for key, future in futures.items():
             try:
                 results[key] = future.result()
             except Exception as e:  # the failure of the requests with this key only
                 results[key] = e
-            else:
-                if cache is not None:
-                    cache.put(key, results[key])
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the requests already sent
+        if cache is not None:
+            cache.put({key: future.result() for key, future in futures.items()
+                       if not future.cancelled() and future.exception() is None})
     return [results[key] for key in keys]
 
 

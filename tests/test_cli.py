@@ -145,14 +145,25 @@ _BAD_BACKENDS = [
     ("http", {"backoff": -1}, r"backend.backoff must be in \[0, inf\), got -1"),
     ("http", {"url": 5}, "backend.url must be str, got 5"),
     ("gpt", {}, "unknown backend kind 'gpt'"),
+    # a replay row's options hold the transcript's text, which the test writes to bad.jsonl
+    ("replay", {"transcript": "not json\n"},
+     r"backend: .*bad.jsonl:1: invalid JSON \(Expecting value\)"),
+    ("replay", {"transcript": '{"prompt": "p", "response": "r"}\n\n{"prompt": "q"}\n'},
+     "backend: .*bad.jsonl:3: a row needs string 'prompt' and 'response' values"),
+    ("replay", {"transcript": '["p", "r"]\n'},
+     "backend: .*bad.jsonl:1: a row needs string 'prompt' and 'response' values"),
 ]
 
 
 @pytest.mark.parametrize("kind,options,match", _BAD_BACKENDS,
                          ids=[f"{kind}-{options}" for kind, options, _ in _BAD_BACKENDS])
-def test_bad_backend_option_raises_config_error(kind, options, match):
+def test_bad_backend_option_raises_config_error(kind, options, match, tmp_path):
     backend = {**_BACKEND_BASES.get(kind, {"kind": kind}), **options}
     backend = {k: v for k, v in backend.items() if v is not None}  # None drops the key
+    if kind == "replay":
+        transcript = tmp_path / "bad.jsonl"
+        transcript.write_text(backend["transcript"])
+        backend["transcript"] = str(transcript)
     # raw never generates, yet its backend section is checked when it loads
     with pytest.raises(ConfigError, match=match):
         config_from_dict(toy_config_dict("raw", backend=backend))
@@ -279,11 +290,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY_MODULES = ("scipy", "numpy", "requests")
 
 
-def _loaded_heavy_modules(code: str) -> list:
+def _loaded_heavy_modules(code: str, watched: tuple = HEAVY_MODULES) -> list:
     """Run `code` in a fresh interpreter with PYTHONPATH=src; return which of
-    HEAVY_MODULES it left loaded."""
+    the `watched` modules it left loaded."""
     probe = code + ("\nimport json, sys\n"
-                    f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n")
+                    f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120)
@@ -292,7 +303,7 @@ def _loaded_heavy_modules(code: str) -> list:
 
 
 def test_cli_import_loads_no_heavy_modules():
-    assert _loaded_heavy_modules("import genqr.cli") == []
+    assert _loaded_heavy_modules("import genqr.cli", HEAVY_MODULES + ("yaml",)) == []
 
 
 def test_stub_run_does_not_load_requests(tmp_path):
@@ -304,6 +315,35 @@ def test_stub_run_does_not_load_requests(tmp_path):
             f"assert main(['run', '--config', {str(cfg_path)!r}]) == 0\n")
     assert _loaded_heavy_modules(code) == []
     assert (tmp_path / "runs" / "run.run").exists()
+
+
+def test_json_config_run_does_not_load_yaml(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(toy_config_dict("genqrensemble", work=str(tmp_path))))
+    code = (f"from genqr.cli import main\n"
+            f"assert main(['index', '--config', {str(cfg_path)!r}]) == 0\n"
+            f"assert main(['run', '--config', {str(cfg_path)!r}]) == 0\n")
+    assert _loaded_heavy_modules(code, HEAVY_MODULES + ("yaml",)) == []
+    assert (tmp_path / "runs" / "run.run").exists()
+
+
+def test_yaml_config_with_comments_loads(tmp_path):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text("# an experiment\n"
+                        "method: rm3  # pseudo feedback\n"
+                        "rm3:\n"
+                        "  fb_docs: 5\n"
+                        "run_tag: commented\n")
+    cfg = load_config(cfg_path)
+    assert (cfg.method, cfg.rm3.fb_docs, cfg.run_tag) == ("rm3", 5, "commented")
+
+
+def test_json_config_takes_exponent_floats(tmp_path):
+    # YAML 1.1 reads 2.5e3 as a string; as JSON it is the float it looks like.
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text('{"method": "rm3", "rm3": {"mu": 2.5e3, "lam": 1e-1}}')
+    cfg = load_config(cfg_path)
+    assert (cfg.rm3.mu, cfg.rm3.lam) == (2500.0, 0.1)
 
 
 # --- index command ---

@@ -154,6 +154,34 @@ def test_unknown_format_raises_value_error(tmp_path):
         load_topics(path, "jsonl")
 
 
+# Records whose id Document or Topic rejects, or that repeat an id: every
+# reader names the file and the line the record starts on.
+_BAD_IDS = [
+    (load_corpus, "jsonl", '{"docno": "d1", "text": "x"}\n\n{"docno": "doc 1", "text": "y"}\n',
+     "/c:3: docno 'doc 1' contains whitespace"),
+    (load_corpus, "tsv", "d1\ta\n\tb\n", "/c:2: document with empty docno"),
+    (load_corpus, "tsv", "d1\ta\nd2\tb\nd1\tc\n", "/c:3: duplicate docno 'd1'"),
+    (load_corpus, "trec-text",
+     "<DOC>\n<DOCNO>D-1</DOCNO>\n</DOC>\n<DOC>\n<DOCNO>D 2</DOCNO>\n</DOC>\n",
+     "/c:4: docno 'D 2' contains whitespace"),
+    (load_topics, "tsv", "1\tq\n2 3\tr\n", "/c:2: qid '2 3' contains whitespace"),
+    (load_topics, "tsv", "1\tq\n\n1\tr\n", "/c:3: duplicate qid '1'"),
+    (load_topics, "trec-topic",
+     "<top>\n<num> Number: 1\n<title> q\n</top>\n<top>\n<num> Number: 2 3\n<title> r\n</top>\n",
+     "/c:5: qid '2 3' contains whitespace"),
+]
+
+
+@pytest.mark.parametrize("load,format,text,match", _BAD_IDS,
+                         ids=[f"{load.__name__}-{fmt}-{i}"
+                              for i, (load, fmt, _, _) in enumerate(_BAD_IDS)])
+def test_bad_record_id_names_its_line(tmp_path, load, format, text, match):
+    path = tmp_path / "c"
+    path.write_text(text)
+    with pytest.raises(CorpusFormatError, match=match):
+        list(load(path, format))
+
+
 # --- qrels ---
 
 

@@ -1,15 +1,19 @@
 import json
+import os
 import random
 import socket
+import subprocess
 import sys
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 import genqr
 from genqr import llm
+from genqr.cli import cmd_run
 from genqr.llm import (BackendError, GenRequest, HttpBackend, ReplayBackend,
                        ReplayMissError, ResponseCache, SamplingConfig,
                        StubBackend, cache_key, cached_generate)
@@ -281,34 +285,135 @@ def test_changed_sampling_changes_key(tmp_path):
 def test_cache_roundtrip_byte_exact(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     rng = random.Random(9)
+    entries = {}
     for i in range(20):
-        text = "".join(rng.choice("ab\n\t é中") for _ in range(rng.randint(0, 40)))
+        text = "".join(rng.choice("ab\n\r\t é中\u2028") for _ in range(rng.randint(0, 40)))
         key = f"{i:064x}"
-        cache.put(key, text)
+        cache.put({key: text})
         assert cache.get(key) == text
+        entries[key] = text
+    reopened = ResponseCache(tmp_path / "cache")
+    assert {key: reopened.get(key) for key in entries} == entries
 
 
 def test_corrupt_entry_treated_as_miss(tmp_path, caplog):
     stub = StubBackend(THESAURUS, seed=3)
-    cache = ResponseCache(tmp_path / "cache")
     req = GenRequest(prompt="goldfish grow")
-    cached_generate(cache, stub, [req])
-    key = cache_key(stub, req)
-    path = cache._path(key)
-    path.write_text("{broken json", encoding="utf-8")
-    with caplog.at_level("WARNING"):
-        out, = cached_generate(cache, stub, [req])
-    assert stub.calls == 2
-    assert out == stub.generate(req)
+    key, want = cache_key(stub, req), StubBackend(THESAURUS, seed=3).generate(req)
+    corrupt = ["{broken json", json.dumps({"key": key}), json.dumps({"key": key, "response": 7}),
+               json.dumps({"key": None, "response": "x"}), "[]"]
+    for calls, line in enumerate(corrupt, start=1):
+        log = tmp_path / str(calls) / "responses.jsonl"
+        log.parent.mkdir()
+        log.write_text(line + "\n", encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            out, = cached_generate(ResponseCache(log.parent), stub, [req])
+        assert "skipped 1 unreadable lines" in caplog.text
+        assert stub.calls == calls
+        assert out == want
+        assert ResponseCache(log.parent).get(key) == out
 
 
 def test_mismatched_key_not_returned(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
     key = "a" * 64
-    path = cache._path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = tmp_path / "cache" / key[:2] / f"{key}.json"  # the one-file-per-entry layout
+    path.parent.mkdir(parents=True)
     path.write_text(json.dumps({"key": "b" * 64, "response": "stolen"}))
+    cache = ResponseCache(tmp_path / "cache")
     assert cache.get(key) is None
+    assert cache.get("b" * 64) is None
+
+
+def test_torn_last_line_skipped_and_next_put_starts_a_new_line(tmp_path, caplog):
+    ResponseCache(tmp_path).put({"a" * 64: "first", "b" * 64: "second"})
+    with open(tmp_path / "responses.jsonl", "ab") as f:  # a writer stopped mid-append
+        f.write(b'{"key": "' + b"c" * 64 + b'", "response": "caf\xc3')
+    with caplog.at_level("WARNING"):
+        cache = ResponseCache(tmp_path)
+    assert "skipped 1 unreadable lines" in caplog.text
+    assert [cache.get(k * 64) for k in "abc"] == ["first", "second", None]
+    cache.put({"c" * 64: "third", "d" * 64: "fourth"})
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        reopened = ResponseCache(tmp_path)
+    assert "skipped 1 unreadable lines" in caplog.text
+    assert [reopened.get(k * 64) for k in "abcd"] == ["first", "second", "third", "fourth"]
+
+
+_APPEND_BATCHES = """
+import os, sys, time
+from genqr.llm import ResponseCache
+directory, name = sys.argv[1:]
+while not os.path.exists(os.path.join(directory, "go")):
+    time.sleep(0.001)
+cache = ResponseCache(directory)
+for b in range(20):
+    cache.put({f"{name}-{b}-{i}": name * 4000 + str(i) for i in range(25)})
+"""
+
+
+def test_processes_appending_at_once_lose_no_entry(tmp_path, caplog):
+    env = dict(os.environ, PYTHONPATH=str(Path(genqr.__file__).parents[1]))
+    writers = [subprocess.Popen([sys.executable, "-c", _APPEND_BATCHES, str(tmp_path), name],
+                                env=env) for name in "xy"]
+    (tmp_path / "go").touch()
+    for writer in writers:
+        assert writer.wait(timeout=60) == 0
+    with caplog.at_level("WARNING"):
+        cache = ResponseCache(tmp_path)
+    assert caplog.text == ""
+    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
+    assert len(lines) == 2 * 20 * 25
+    for name in "xy":
+        for b in range(20):
+            for i in range(25):
+                assert cache.get(f"{name}-{b}-{i}") == name * 4000 + str(i)
+
+
+def test_entry_files_of_the_old_layout_are_imported(toy_cfg, toy_index, tmp_path):
+    cold = toy_cfg("genqrensemble", tag="cold")
+    cold_run, _, _ = cmd_run(cold)
+    assert cold.backend.calls == 100
+    # Rewrite the cache in the one-file-per-entry layout of earlier versions.
+    log = tmp_path / "cache" / "responses.jsonl"
+    old_files = {}
+    for line in log.read_text().splitlines():
+        record = json.loads(line)
+        path = log.parent / record["key"][:2] / f"{record['key']}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(record, sort_keys=True))
+        old_files[path] = path.read_bytes()
+    log.unlink()
+    assert len(old_files) == 100
+
+    warm = toy_cfg("genqrensemble", tag="cold")
+    warm_run, _, _ = cmd_run(warm)
+    assert warm.backend.calls == 0
+    assert warm_run.read_bytes() == cold_run.read_bytes()
+    assert len(log.read_text().splitlines()) == 100
+    assert {path: path.read_bytes() for path in old_files} == old_files
+
+
+def test_interrupted_batch_caches_the_responses_that_arrived(tmp_path):
+    answered = []
+
+    class Interrupted(StubBackend):
+        def _generate(self, request):
+            if request.prompt == "goldfish stop":
+                raise KeyboardInterrupt  # reaches the batch as a Ctrl-C would
+            answered.append(request.prompt)
+            return super()._generate(request)
+
+    backend = Interrupted(THESAURUS, seed=3, max_in_flight=1)
+    batch = [GenRequest(prompt=f"goldfish {word}") for word in ("1", "stop", "2", "3", "4")]
+    with pytest.raises(KeyboardInterrupt):
+        cached_generate(ResponseCache(tmp_path), backend, batch)
+    cache = ResponseCache(tmp_path)
+    assert answered[0] == "goldfish 1"
+    for request in batch:
+        cached = cache.get(cache_key(backend, request))
+        assert (cached is not None) == (request.prompt in answered), request.prompt
 
 
 def test_cache_key_depends_on_backend_identity():

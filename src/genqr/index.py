@@ -9,14 +9,27 @@ which keeps scores non-negative even for very common terms:
 
 Query term weights are additive: a term listed twice with weight 1 scores
 identically to the same term listed once with weight 2.
+
+`bm25_scores` scores every candidate and is the reference path. `retrieve`
+returns the same top k, with the same scores bit for bit, doing less work:
+it sums each doc's partials into a dense per-ordinal list, in the query's
+term order as `bm25_scores` does, and keeps the top k with a heap. It also
+prunes, after MaxScore (Turtle & Flood, IP&M 1995). With k1 >= 0 and
+0 <= b <= 1 every doc norm is >= 0, so a term's partial never exceeds its
+bound U = w * idf * (k1 + 1). Once the bounds of the unscanned terms sum to
+less than the k-th best score so far, no unseen doc can reach the top k:
+the remaining lists only update the docs that still can, found by
+bisection in a long list. No per-term statistic beyond df is needed.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
@@ -24,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .analysis import Analyzer
-from .corpus_io import Document, RunList, atomic_writer
+from .corpus_io import Document, RunEntry, RunList, atomic_writer
 from .schema import ConfigError
 
 INDEX_MAGIC = "genqr-index"
@@ -35,6 +48,10 @@ _REBUILD = "rebuild it with `genqr index --force`"
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+
+# Relative slack on retrieve's pruning threshold. Summed partials and bound
+# sums round differently, by a few ulps: far less than this.
+_PRUNE_SLACK = 1e-9
 
 
 class IndexingError(RuntimeError):
@@ -146,18 +163,22 @@ class PostingsIndex:
             self._norms[(k1, b)] = norms
         return norms
 
-    def bm25_scores(self, query: WeightedQuery, k1: float = DEFAULT_K1,
-                    b: float = DEFAULT_B) -> Dict[str, float]:
-        """BM25 score per candidate docno; documents sharing no query term are absent."""
+    def _weights(self, query: WeightedQuery) -> Dict[str, float]:
+        """`query.aggregated()`, for an index with documents and a query
+        with a positive-weight term."""
         if self.n_docs == 0:
             raise IndexingError("cannot score against an empty index")
         weights = query.aggregated()
         if not any(w > 0 for w in weights.values()):
             raise DegenerateQueryError(f"degenerate query {query.qid!r}: no positive-weight term")
+        return weights
 
+    def bm25_scores(self, query: WeightedQuery, k1: float = DEFAULT_K1,
+                    b: float = DEFAULT_B) -> Dict[str, float]:
+        """BM25 score per candidate docno; documents sharing no query term are absent."""
         accum: Dict[int, float] = {}
         k1_plus_1 = k1 + 1.0
-        for term, weight in weights.items():
+        for term, weight in self._weights(query).items():
             if weight == 0.0 or term not in self.postings.ids:
                 continue
             norms = self._doc_norms(k1, b)  # here, where avgdl > 0 is certain
@@ -169,11 +190,74 @@ class PostingsIndex:
 
     def retrieve(self, query: WeightedQuery, k: int, k1: float = DEFAULT_K1,
                  b: float = DEFAULT_B, tag: str = "run") -> RunList:
-        """Top-k candidates by score descending, docno ascending on ties."""
+        """Top-k candidates by score descending, docno ascending on ties:
+        `bm25_scores` ranked and cut at k, entry for entry and bit for bit.
+
+        The matched terms are scanned in query order into a dense score list.
+        Before a term, `rest` is the sum of the bounds U of the terms not yet
+        scanned, and theta the k-th best score so far less a 1e-9 relative
+        slack. If rest < theta, no doc yet unseen can enter the top k, so the
+        candidates shrink to the seen docs with score + rest >= theta, and
+        each later term adds its partial to those alone: by bisection when
+        its list is over 8 times longer than the candidates, else by a
+        filtered scan. Theta is only computed when rest is below the bounds
+        already scanned and the unscanned postings at least double the seen
+        docs, as otherwise pruning cannot fire or cannot pay.
+        """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        scores = self.bm25_scores(query, k1=k1, b=b)
-        return RunList.from_scores(query.qid, scores.items(), tag=tag, k=k)
+        if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
+            raise ValueError(f"retrieve needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
+        postings, k1_plus_1 = self.postings, k1 + 1.0
+        lists = []  # (scale, start, end) of each matched term, in query order
+        for term, weight in self._weights(query).items():
+            i = postings.ids.get(term)
+            if weight != 0.0 and i is not None:
+                lists.append((weight * self.idf(term), postings.starts[i], postings.starts[i + 1]))
+        if not lists:
+            return RunList(qid=query.qid, entries=[], tag=tag)
+
+        norms = self._doc_norms(k1, b)
+        docs, tfs = postings.docs, postings.tfs
+        bounds = [scale * k1_plus_1 for scale, _, _ in lists]
+        rests = list(accumulate(reversed(bounds)))[::-1]  # rests[j]: bounds of terms j..
+        unscanned = sum(end - start for _, start, end in lists)
+        scanned = 0.0
+        acc = [0.0] * self.n_docs
+        seen: set = set()
+        candidates = None  # once pruned: the ordinals that can still reach the top k, sorted
+        # Each partial below is bm25_scores' expression, so the sums match bit for bit.
+        for (scale, start, end), bound, rest in zip(lists, bounds, rests):
+            if (candidates is None and rest < scanned and unscanned >= 2 * len(seen)
+                    and len(seen) >= k):
+                theta = heapq.nlargest(k, map(acc.__getitem__, seen))[-1] * (1.0 - _PRUNE_SLACK)
+                if rest < theta:
+                    candidates = sorted(d for d in seen if acc[d] + rest >= theta)
+                    keep = set(candidates)
+            if candidates is None:
+                block = docs[start:end]
+                seen.update(block)
+                for d, tf in zip(block, tfs[start:end]):
+                    acc[d] += scale * tf * k1_plus_1 / (tf + norms[d])
+            elif 8 * len(candidates) < end - start:
+                at = start
+                for d in candidates:
+                    at = bisect_left(docs, d, at, end)
+                    if at < end and docs[at] == d:
+                        tf = tfs[at]
+                        acc[d] += scale * tf * k1_plus_1 / (tf + norms[d])
+            else:
+                for d, tf in zip(docs[start:end], tfs[start:end]):
+                    if d in keep:
+                        acc[d] += scale * tf * k1_plus_1 / (tf + norms[d])
+            scanned += bound
+            unscanned -= end - start
+
+        docnos = self.docnos
+        top = heapq.nsmallest(k, seen if candidates is None else candidates,
+                              key=lambda d: (-acc[d], docnos[d]))
+        return RunList(qid=query.qid, tag=tag, entries=[
+            RunEntry(docnos[d], rank, acc[d]) for rank, d in enumerate(top, start=1)])
 
     # --- persistence ---
 

@@ -123,9 +123,18 @@ class StubBackend(Backend):
 
     def __post_init__(self):
         super().__post_init__()
-        if isinstance(self.vocab, (str, Path)):
-            self.vocab = json.loads(Path(self.vocab).read_text(encoding="utf-8"))
-        self.vocab = {str(k).lower(): [str(v) for v in vs] for k, vs in self.vocab.items()}
+        vocab, source = self.vocab, "vocab"
+        if isinstance(vocab, (str, Path)):
+            source = str(vocab)
+            try:
+                vocab = json.loads(Path(vocab).read_text(encoding="utf-8"))
+            except json.JSONDecodeError as e:
+                raise BackendError(f"{source}: invalid JSON ({e.msg})") from e
+        if not (isinstance(vocab, dict) and all(
+                isinstance(vs, list) and all(isinstance(v, str) for v in vs)
+                for vs in vocab.values())):
+            raise BackendError(f"{source}: a vocab must map words to lists of strings")
+        self.vocab = {str(k).lower(): list(vs) for k, vs in vocab.items()}
         blob = json.dumps(self.vocab, sort_keys=True, separators=(",", ":"))
         self._fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -4,12 +4,18 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import settings
 
 import genqr
 from genqr.cli import cmd_index
 from genqr.config import config_from_dict
 
 TOY = genqr.data_path("toy")
+
+# Properties that set no max_examples of their own (the rank-safety and
+# pipeline oracles) take it from the profile: hypothesis's default 100
+# examples locally, four times as many under `pytest --hypothesis-profile=ci`.
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 def toy_config_dict(method="raw", tag="run", work=".", **extra):

@@ -188,3 +188,70 @@ def rm3_oracle(corpus_tokens: Dict[str, List[str]], feedback: List[str],
     for term, p in model.items():
         out[term] = out.get(term, 0.0) + (1.0 - lam) * p
     return out
+
+
+# --- the whole pipeline -------------------------------------------------------
+
+RF_CONTEXT_PREFIX = "Based on the given context information "
+_RF_METHODS = ("flanprf", "genqrensemble_rf")
+
+
+def pipeline_oracle(method: str, docs: Dict[str, str], topics: Dict[str, str],
+                    config: dict, generate: Callable[[str], str]
+                    ) -> Dict[str, Tuple[Optional[List[Tuple[str, float]]],
+                                         Dict[str, float], List[str]]]:
+    """(ranking, final query weights, feedback docnos) per qid of `topics`
+    (qid -> query text) under `method`, composed from the oracles above. The
+    ranking holds every candidate; it is None when the final query has no
+    positive weight, and the topic fails.
+
+    `docs` maps docno -> text. `config` holds k1, b, fb_docs, fb_terms,
+    lam and mu (RM3), n, beta, dedup, m, feedback_mode, template,
+    context_budget and instructions (the LLM methods), and qrels
+    (qid -> docno -> grade). `generate` answers one prompt.
+
+    A feedback method takes the top m of a first ranking, or the m judged
+    docs of highest grade (docno on ties) under oracle feedback; finding
+    none, it runs as rm3 -> raw, flanprf -> flanqr, genqrensemble_rf ->
+    genqrensemble. RM3 expands by `rm3_oracle`. An LLM method prompts each
+    instruction (flanqr/flanprf: the first only) with the query, prefixed
+    by the feedback texts as context, and adds beta to a term per token of
+    each response (per distinct token under dedup).
+    """
+    c = config
+    tokens = {docno: analyze_oracle(text) for docno, text in docs.items()}
+    out = {}
+    for qid, text in topics.items():
+        weights: Dict[str, float] = {}
+        for term in analyze_oracle(text):
+            weights[term] = weights.get(term, 0.0) + 1.0
+
+        m = c["fb_docs"] if method == "rm3" else c["m"] if method in _RF_METHODS else 0
+        feedback: List[str] = []
+        if m and method != "rm3" and c["feedback_mode"] == "oracle":
+            judged = [(d, g) for d, g in c["qrels"].get(qid, {}).items() if g >= 1]
+            feedback = [d for d, _ in sorted(judged, key=lambda e: (-e[1], e[0]))[:m]]
+        elif m:
+            first = rank_oracle(bm25_oracle(tokens, weights, c["k1"], c["b"]), m)
+            feedback = [d for d, _ in first]
+
+        if method == "rm3" and feedback:
+            weights = rm3_oracle(tokens, feedback, weights, c["fb_terms"], c["lam"], c["mu"])
+        elif method not in ("raw", "rm3"):
+            n = 1 if method in ("flanqr", "flanprf") else c["n"]
+            instructions = c["instructions"][:n]
+            if feedback:
+                context = " ".join(docs[d] for d in feedback)[:c["context_budget"]]
+                instructions = [f"{RF_CONTEXT_PREFIX}{context}, {i}" for i in instructions]
+            expansion = [token for i in instructions
+                         for token in analyze_oracle(generate(
+                             c["template"].format(instruction=i, query=text)))]
+            if c["dedup"]:
+                expansion = list(dict.fromkeys(expansion))
+            for token in expansion:
+                weights[token] = weights.get(token, 0.0) + c["beta"]
+        scores = bm25_oracle(tokens, weights, c["k1"], c["b"])
+        ranking = rank_oracle(scores, len(scores)) \
+            if any(w > 0 for w in weights.values()) else None
+        out[qid] = (ranking, weights, feedback)
+    return out

@@ -152,6 +152,12 @@ _BAD_BACKENDS = [
      "backend: .*bad.jsonl:3: a row needs string 'prompt' and 'response' values"),
     ("replay", {"transcript": '["p", "r"]\n'},
      "backend: .*bad.jsonl:1: a row needs string 'prompt' and 'response' values"),
+    # a stub row's file vocab is the text the test writes to bad.json
+    ("stub", {"vocab": "not json"}, r"backend: .*bad.json: invalid JSON \(Expecting value\)"),
+    ("stub", {"vocab": '["a"]'}, "backend: .*bad.json: a vocab must map words to lists of strings"),
+    ("stub", {"vocab": {"a": 5}}, "backend: vocab: a vocab must map words to lists of strings"),
+    ("stub", {"vocab": {"a": ["b", 3]}},
+     "backend: vocab: a vocab must map words to lists of strings"),
 ]
 
 
@@ -164,6 +170,10 @@ def test_bad_backend_option_raises_config_error(kind, options, match, tmp_path):
         transcript = tmp_path / "bad.jsonl"
         transcript.write_text(backend["transcript"])
         backend["transcript"] = str(transcript)
+    if kind == "stub" and isinstance(options.get("vocab"), str):
+        vocab = tmp_path / "bad.json"
+        vocab.write_text(options["vocab"])
+        backend["vocab"] = str(vocab)
     # raw never generates, yet its backend section is checked when it loads
     with pytest.raises(ConfigError, match=match):
         config_from_dict(toy_config_dict("raw", backend=backend))

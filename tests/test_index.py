@@ -1,3 +1,4 @@
+import math
 import random
 import tempfile
 
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import bm25_oracle, rank_oracle
 
+from genqr import index as index_module
 from genqr.analysis import Analyzer
-from genqr.corpus_io import Document
+from genqr.corpus_io import Document, RunList
 from genqr.index import (DegenerateQueryError, IndexingError, PostingsIndex,
                          WeightedQuery, build_index)
 
@@ -199,6 +201,146 @@ def test_scores_follow_k1_and_b_on_one_index():
         assert set(mine) == set(ref)
         for docno in ref:
             assert mine[docno] == pytest.approx(ref[docno], abs=1e-9)
+
+
+@pytest.mark.parametrize("k,k1,b,match", [
+    (0, 1.2, 0.75, "k must be positive"),
+    (10, -1.0, 0.75, r"k1 >= 0 and 0 <= b <= 1, got k1=-1.0"),
+    (10, 1.2, 1.5, r"k1 >= 0 and 0 <= b <= 1, got .*b=1.5"),
+    (10, 1.2, -0.5, r"k1 >= 0 and 0 <= b <= 1, got .*b=-0.5"),
+])
+def test_retrieve_rejects_bad_parameters(k, k1, b, match):
+    index = build_index([Document("d1", "a")], Analyzer())
+    with pytest.raises(ValueError, match=match):
+        index.retrieve(WeightedQuery.from_terms("q", ["a"]), k=k, k1=k1, b=b)
+
+
+# --- rank-safe top k ---
+
+
+def exhaustive(index, query, k, k1=1.2, b=0.75):
+    return RunList.from_scores(query.qid, index.bm25_scores(query, k1=k1, b=b).items(),
+                               tag="run", k=k)
+
+
+def entries(run):
+    return [(e.docno, e.rank, e.score.hex()) for e in run.entries]
+
+
+def assert_rank_safe(index, query, k, k1=1.2, b=0.75):
+    assert entries(index.retrieve(query, k, k1=k1, b=b)) == \
+        entries(exhaustive(index, query, k, k1, b))
+
+
+def test_pruned_terms_are_probed(monkeypatch):
+    # "head" is in every doc and bounded far below the three "rare" docs'
+    # scores, so its list is only probed for them.
+    docs = [Document(f"d{i:02d}", ("rare " * 3 if i < 3 else "") + "head filler")
+            for i in range(30)]
+    index = build_index(docs, Analyzer())
+    probes = []
+
+    def counting(*args):
+        probes.append(args[1])
+        return bisect_left(*args)
+
+    bisect_left = index_module.bisect_left
+    monkeypatch.setattr(index_module, "bisect_left", counting)
+    query = WeightedQuery.from_terms("q", ["rare", "head"])
+    assert_rank_safe(index, query, k=1)
+    assert sorted(probes) == [0, 1, 2]
+
+
+def test_doc_on_the_pruning_threshold_is_kept():
+    # With subnormal weights the 1e-9 slack rounds away and sums are exact:
+    # before "z", "da" (x, z) can at best tie "dz" (x, y), and wins the tie
+    # on docno, so the candidate filter must keep a doc whose bound equals
+    # the threshold.
+    docs = [Document("dz", "x y"), Document("da", "x z"),
+            *(Document(f"f{i}", "z") for i in range(6))]
+    index = build_index(docs, Analyzer())
+    tiny = math.ulp(0.0)
+    s_y = 100 * tiny * index.idf("y")
+    m_z = next(m for m in range(1, 10_000) if m * tiny * index.idf("z") == s_y)
+    weights = {"x": 150 * tiny, "y": 100 * tiny, "z": m_z * tiny}
+    s_x = weights["x"] * index.idf("x")
+    assert s_y < s_x <= 2 * s_y  # no pruning before "y"; pruning before "z"
+    query = WeightedQuery(qid="q", terms=tuple(weights.items()))
+    assert_rank_safe(index, query, k=1, k1=0.0)
+    assert index.retrieve(query, 1, k1=0.0).entries[0].docno == "da"
+
+
+def test_pruning_threshold_absorbs_rounding():
+    # With k1 = 0 a partial is scale * tf / tf, which can round one ulp above
+    # its bound. Weights are picked so that "da"'s y partial rounds up to
+    # exactly "dz"'s x score while y's bound stays one ulp below it: only
+    # the slack keeps "da" from being pruned unseen.
+    docs = [Document("dz", "x"), Document("da", "y y y"),
+            Document("f1", "y"), Document("f2", "y")]
+    index = build_index(docs, Analyzer())
+    idf_x, idf_y = index.idf("x"), index.idf("y")
+    rng = random.Random(0)
+    while True:
+        w_y = rng.uniform(1.0, 2.0)
+        s_y = w_y * idf_y
+        target = math.nextafter(s_y, math.inf)
+        if s_y * 3 * 1.0 / (3 + 0.0) != target:
+            continue
+        w_x = target / idf_x
+        for w in (w_x, math.nextafter(w_x, 0.0), math.nextafter(w_x, math.inf)):
+            if w * idf_x == target:
+                break
+        else:
+            continue
+        break
+    query = WeightedQuery(qid="q", terms=(("x", w), ("y", w_y)))
+    assert_rank_safe(index, query, k=1, k1=0.0)
+    assert index.retrieve(query, 1, k1=0.0).entries[0].docno == "da"
+
+
+# Rare terms pick a few docs, head terms are in nearly every doc: a query
+# that takes the rare terms first prunes the head terms' lists.
+_RARE, _HEAD = ["r0", "r1", "r2", "r3"], ["h0", "h1", "h2"]
+_tf = st.integers(1, 4)
+_weight = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+@st.composite
+def _ranked_corpus(draw):
+    docs = []
+    for i in range(draw(st.integers(1, 40))):
+        counts = {t: draw(_tf) for t in _RARE if draw(st.integers(0, 5)) == 0}
+        counts.update({t: draw(_tf) for t in _HEAD if draw(st.integers(0, 19)) > 0})
+        docs.append(Document(f"d{i:02d}", " ".join(t for t, tf in counts.items()
+                                                   for _ in range(tf))))
+    return docs
+
+
+@st.composite
+def _rare_first_query(draw):
+    """Rare terms, then head terms, then maybe an absent one; or all shuffled."""
+    terms = [(t, draw(_weight)) for t in draw(st.lists(st.sampled_from(_RARE), min_size=1))]
+    terms += [(t, draw(_weight)) for t in draw(st.lists(st.sampled_from(_HEAD), max_size=5))]
+    if draw(st.booleans()):
+        terms.append(("absent", draw(_weight)))
+    if draw(st.booleans()):
+        terms = draw(st.permutations(terms))
+    return WeightedQuery(qid="q", terms=tuple(terms))
+
+
+@settings(deadline=None)
+@given(docs=_ranked_corpus(), query=_rare_first_query(),
+       k=st.one_of(st.integers(1, 4), st.integers(1, 45)),
+       k1=st.floats(0.0, 3.0), b=st.floats(0.0, 1.0))
+def test_retrieve_equals_exhaustive_top_k(docs, query, k, k1, b):
+    index = build_index(docs, Analyzer())
+    try:
+        expected = entries(exhaustive(index, query, k, k1, b))
+    except DegenerateQueryError:
+        with pytest.raises(DegenerateQueryError):
+            index.retrieve(query, k, k1=k1, b=b)
+        return
+    assert entries(index.retrieve(query, k, k1=k1, b=b)) == expected
 
 
 # --- persistence ---

@@ -131,6 +131,21 @@ def test_frozen_two_doc_fixture():
         assert weights[term] == pytest.approx(ref[term], abs=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="estimate_relevance_model adds P(t|d) only for "
+                   "the feedback docs that contain t; the smoothed P(t|d) > 0 of the "
+                   "others is dropped (CHANGES.md, FOUND)")
+def test_relevance_model_smooths_every_feedback_doc():
+    # d1 lacks "w0", yet under Dirichlet smoothing P(w0|d1) = mu*cf/|C| / (|d1|+mu)
+    docs = [Document("d1", "w1"), Document("d2", "w0 w1")]
+    texts = {d.docno: d.text for d in docs}
+    fb = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), m=2)
+    query = WeightedQuery.from_terms("q", ["w1"])
+    out = rm3_expand(build_index(docs, Analyzer()), query, fb, fb_terms=2, lam=0.0, mu=1.0)
+    ref = rm3_oracle({d.docno: d.text.split() for d in docs}, ["d1", "d2"], {"w1": 1.0},
+                     fb_terms=2, lam=0.0, mu=1.0)
+    assert dict(out.terms) == pytest.approx(ref, abs=1e-9)
+
+
 def test_relevance_model_sums_to_one():
     rng = random.Random(3)
     vocab = [f"w{i}" for i in range(8)]

@@ -22,7 +22,6 @@ import logging
 import shlex
 import subprocess
 import sys
-import warnings
 from itertools import islice
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -46,13 +45,9 @@ def cmd_index(cfg: ExperimentConfig, force: bool = False) -> PostingsIndex:
     """Build the index, or verify it when one already exists (idempotent)."""
     dest = Path(cfg.index_dir)
     if (dest / "meta.json").exists() and not force:
-        existing = PostingsIndex.load(dest)
-        if existing.analyzer.fingerprint() == cfg.analyzer.fingerprint():
-            logger.info("index %s is up to date", dest)
-            return existing
-        raise IndexingError(
-            f"{dest}: existing index uses a different analyzer; "
-            f"rerun with --force to reindex")
+        existing = _load_index_for(cfg)
+        logger.info("index %s is up to date", dest)
+        return existing
     index = build_index(load_corpus(cfg.corpus, cfg.corpus_format), cfg.analyzer)
     index.save(dest)
     logger.info("indexed %d documents (%d tokens) into %s",
@@ -65,8 +60,8 @@ def _load_index_for(cfg: ExperimentConfig) -> PostingsIndex:
         raise IndexingError(f"no index at {cfg.index_dir}; run `genqr index` first")
     index = PostingsIndex.load(cfg.index_dir)
     if index.analyzer.fingerprint() != cfg.analyzer.fingerprint():
-        raise IndexingError(
-            f"{cfg.index_dir}: index analyzer differs from the configured one; reindex")
+        raise IndexingError(f"{cfg.index_dir}: index analyzer differs from the configured "
+                            f"one; rebuild it with `genqr index --force`")
     return index
 
 
@@ -259,6 +254,8 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
     comparison against the baseline in this invocation. Judged topics
     missing from a run score as empty rankings, with a warning.
     """
+    if not 0.0 < alpha < 1.0:  # checked before anything is written
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     qrels = load_qrels(qrels_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -483,7 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    warnings.filterwarnings("default", category=DeprecationWarning, module="genqr")
 
     if args.command == "index":
         cmd_index(load_config(args.config), force=args.force)

@@ -10,7 +10,6 @@ relative to the working directory.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -131,19 +130,6 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
             raw["instructions"] = InstructionSet.load(instructions)
         except (OSError, ValueError) as e:
             raise ConfigError(f"instructions {instructions!r}: {e}") from e
-
-    reformulation = raw.get("reformulation")
-    if isinstance(reformulation, dict) and "keyword_parser" in reformulation:
-        raw["reformulation"] = reformulation = dict(reformulation)
-        parser = reformulation.pop("keyword_parser")
-        if parser not in ("raw-append", "whitespace"):
-            raise ConfigError(f"unknown keyword_parser {parser!r}")
-        warnings.warn("reformulation.keyword_parser is deprecated and ignored: "
-                      "both parsers give the same tokens", DeprecationWarning)
-    if "workers" in raw:
-        check_value("workers", int, raw.pop("workers"), {"min": 1})
-        warnings.warn("workers is deprecated and ignored: backend.max_in_flight "
-                      "bounds a run's concurrent backend calls", DeprecationWarning)
     return build(ExperimentConfig, raw)
 
 
@@ -151,11 +137,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text) or {}
+        raw = json.loads(text)
     except ValueError:
         import yaml  # imported only for a config that is not JSON: it takes 20-40 ms
 
-        raw = yaml.safe_load(text) or {}
+        raw = yaml.safe_load(text)
+    if raw is None:  # an empty YAML document
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return config_from_dict(raw, base_dir=path.parent)

@@ -1,8 +1,10 @@
 """Corpus, topic, qrels and TREC run file I/O.
 
 Supported formats:
-- corpus: JSONL ({"docno", "text", optional "title"}), TSV
-  (docno<TAB>text[<TAB>title]), or classic <DOC>/<DOCNO>/<TEXT> markup.
+- corpus: JSONL ({"docno", "text"}), TSV (docno<TAB>text), or classic
+  <DOC>/<DOCNO>/<TEXT> markup. A title (a JSONL "title" key, a third TSV
+  column, a <TITLE> element) is accepted and ignored: only the text is
+  indexed.
 - topics: TSV (qid<TAB>query) or <top>/<num>/<title> markup (title field only).
 - qrels: whitespace-delimited `qid iter docno grade` (iter ignored).
 - runs: 6-column `qid Q0 docno rank score tag`, single spaces, scores at
@@ -32,7 +34,6 @@ class CorpusFormatError(ValueError):
 class Document:
     docno: str
     text: str
-    title: str | None = None
 
     def __post_init__(self):
         if not self.docno:
@@ -169,8 +170,7 @@ def _iter_jsonl_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
         if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
             raise CorpusFormatError(
                 f"{path}:{lineno}: record must carry 'docno' and 'text' keys")
-        yield lineno, _record(path, lineno, Document, str(obj["docno"]), str(obj["text"]),
-                              str(obj["title"]) if obj.get("title") is not None else None)
+        yield lineno, _record(path, lineno, Document, str(obj["docno"]), str(obj["text"]))
 
 
 def _iter_tsv_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
@@ -179,15 +179,13 @@ def _iter_tsv_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
         if len(parts) < 2:
             raise CorpusFormatError(
                 f"{path}:{lineno}: expected docno<TAB>text[<TAB>title]")
-        title = parts[2] if len(parts) > 2 else None
-        yield lineno, _record(path, lineno, Document, parts[0], parts[1], title)
+        yield lineno, _record(path, lineno, Document, parts[0], parts[1])
 
 
 _TREC_DOC = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL | re.IGNORECASE)
 _TREC_FIELD = {
     "docno": re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL | re.IGNORECASE),
     "text": re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL | re.IGNORECASE),
-    "title": re.compile(r"<TITLE>(.*?)</TITLE>", re.DOTALL | re.IGNORECASE),
 }
 
 
@@ -208,10 +206,8 @@ def _iter_trec_text_corpus(path: Path) -> Iterator[Tuple[int, Document]]:
         if not docno_m or not docno_m.group(1).strip():
             raise CorpusFormatError(f"{path}:{lineno}: <DOC> without <DOCNO>")
         text_m = _TREC_FIELD["text"].search(block)
-        title_m = _TREC_FIELD["title"].search(block)
         yield lineno, _record(path, lineno, Document, docno_m.group(1).strip(),
-                              text_m.group(1).strip() if text_m else "",
-                              title_m.group(1).strip() if title_m else None)
+                              text_m.group(1).strip() if text_m else "")
 
 
 CORPUS_READERS = {"jsonl": _iter_jsonl_corpus, "tsv": _iter_tsv_corpus,

@@ -1,9 +1,9 @@
 """Ranked-retrieval effectiveness metrics and significance testing.
 
 Metric conventions follow the trec_eval family:
-- nDCG uses linear gain grade/log2(rank+1) by default (exponential gain
-  2^grade-1 available via MetricSpec.gain); the ideal DCG is computed
-  over all judged documents for the query, not only retrieved ones.
+- nDCG uses linear gain only, grade/log2(rank+1); the ideal DCG is
+  computed over all judged documents for the query, not only retrieved
+  ones.
 - Queries with no relevant documents (no grade above the metric's
   threshold) are skipped, not scored zero; aggregates average over
   evaluated queries only.
@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence
 from .corpus_io import Qrels, RunList, atomic_writer
 
 METRIC_KINDS = ("ndcg", "map", "mrr", "precision")
-GAINS = ("linear", "exp")
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class MetricSpec:
     kind: str
     k: Optional[int] = None
     min_rel: int = 1
-    gain: str = "linear"
 
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
@@ -47,8 +45,6 @@ class MetricSpec:
             raise ValueError(f"{self.kind} takes no cutoff")
         if self.min_rel < 1:
             raise ValueError(f"min_rel must be >= 1, got {self.min_rel}")
-        if self.gain not in GAINS:
-            raise ValueError(f"unknown gain {self.gain!r}")
 
     @property
     def label(self) -> str:
@@ -77,11 +73,7 @@ def parse_metric(text: str, min_rel: int = 1) -> MetricSpec:
     raise ValueError(f"unknown metric {text!r}")
 
 
-def _gain(grade: int, gain: str) -> float:
-    return float(grade) if gain == "linear" else float(2 ** grade - 1)
-
-
-def ndcg_at_k(run: RunList, qrels: Qrels, k: int, gain: str = "linear") -> Optional[float]:
+def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:
     """nDCG@k, or None when the query has no relevant documents."""
     judged = qrels.judged(run.qid)
     ideal_grades = sorted((g for g in judged.values() if g > 0), reverse=True)
@@ -91,8 +83,8 @@ def ndcg_at_k(run: RunList, qrels: Qrels, k: int, gain: str = "linear") -> Optio
     for i, entry in enumerate(run.entries[:k], start=1):
         grade = judged.get(entry.docno, 0)
         if grade > 0:
-            dcg += _gain(grade, gain) / math.log2(i + 1)
-    idcg = sum(_gain(g, gain) / math.log2(i + 1)
+            dcg += grade / math.log2(i + 1)
+    idcg = sum(g / math.log2(i + 1)
                for i, g in enumerate(ideal_grades[:k], start=1))
     return dcg / idcg
 
@@ -133,7 +125,7 @@ def precision_at_k(run: RunList, qrels: Qrels, k: int, min_rel: int = 1) -> Opti
 
 def compute_metric(run: RunList, qrels: Qrels, spec: MetricSpec) -> Optional[float]:
     if spec.kind == "ndcg":
-        return ndcg_at_k(run, qrels, spec.k, gain=spec.gain)
+        return ndcg_at_k(run, qrels, spec.k)
     if spec.kind == "map":
         return average_precision(run, qrels, min_rel=spec.min_rel)
     if spec.kind == "mrr":

@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .corpus_io import atomic_writer
 from .schema import check_fields
 
 if TYPE_CHECKING:
@@ -376,8 +375,6 @@ class ResponseCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / self.LOG
-        if not self.path.exists():
-            self._import_entry_files()
         try:
             lines = self.path.read_bytes().split(b"\n")
         except FileNotFoundError:
@@ -388,27 +385,6 @@ class ResponseCache:
             self._responses.setdefault(*entry)
         if None in entries:
             logger.warning("%s: skipped %d unreadable lines", self.path, entries.count(None))
-
-    def _import_entry_files(self) -> None:
-        """Import the one-file-per-entry layout of earlier versions,
-        `??/<key>.json`, into a new log; the files are left as they are."""
-        entries, skipped = [], 0
-        for path in sorted(self.directory.glob("??/*.json")):
-            try:
-                entry = _parse_entry(path.read_bytes())
-            except OSError:
-                entry = None
-            if entry is None or entry[0] != path.stem:
-                skipped += 1
-            else:
-                entries.append(entry)
-        if skipped:
-            logger.warning("%s: skipped %d unreadable cache files", self.directory, skipped)
-        if entries:
-            with atomic_writer(self.path) as f:
-                f.writelines(_log_line(key, response) for key, response in entries)
-            logger.info("%s: imported %d cache files into %s; they can be deleted",
-                        self.directory, len(entries), self.LOG)
 
     def get(self, key: str) -> Optional[str]:
         return self._responses.get(key)

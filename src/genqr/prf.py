@@ -37,14 +37,12 @@ class FeedbackError(RuntimeError):
 class FeedbackDoc:
     docno: str
     text: str
-    score: float  # retrieval score (pseudo) or qrels grade (oracle)
 
 
 @dataclass(frozen=True)
 class FeedbackSet:
     qid: str
     docs: Tuple[FeedbackDoc, ...]
-    source: str  # "pseudo" | "oracle"
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -65,8 +63,8 @@ def select_feedback(run: RunList, corpus_lookup: Callable[[str], str],
         except KeyError:
             raise FeedbackError(
                 f"qid {run.qid}: feedback docno {entry.docno!r} missing from corpus") from None
-        docs.append(FeedbackDoc(entry.docno, text, entry.score))
-    return FeedbackSet(qid=run.qid, docs=tuple(docs), source="pseudo")
+        docs.append(FeedbackDoc(entry.docno, text))
+    return FeedbackSet(qid=run.qid, docs=tuple(docs))
 
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
@@ -78,14 +76,14 @@ def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
     relevant = qrels.relevant(qid, min_rel=1)
     ordered = sorted(relevant.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
     docs = []
-    for docno, grade in ordered:
+    for docno, _ in ordered:
         try:
             text = corpus_lookup(docno)
         except KeyError:
             raise FeedbackError(
                 f"qid {qid}: feedback docno {docno!r} missing from corpus") from None
-        docs.append(FeedbackDoc(docno, text, float(grade)))
-    return FeedbackSet(qid=qid, docs=tuple(docs), source="oracle")
+        docs.append(FeedbackDoc(docno, text))
+    return FeedbackSet(qid=qid, docs=tuple(docs))
 
 
 def _smoothed_lm(tf: Dict[str, int], doc_len: int, index: PostingsIndex,

@@ -36,8 +36,7 @@ DEFAULT_PROMPT_TEMPLATE = "{instruction}: {query}"
 DEFAULT_CONTEXT_BUDGET = 4000
 PARAPHRASE_MAX_NEW_TOKENS = 512
 
-# "none", the former default, still loads; the RF methods then use pseudo feedback.
-FEEDBACK_MODES = ("none", "pseudo", "oracle")
+FEEDBACK_MODES = ("pseudo", "oracle")
 
 
 class ReformulationError(RuntimeError):

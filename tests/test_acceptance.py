@@ -133,9 +133,8 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
             return "kw"
 
     spy = Spy()
-    feedback = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "first text", 2.0),
-                                          FeedbackDoc("d2", "second", 1.0)),
-                           source="pseudo")
+    feedback = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "first text"),
+                                          FeedbackDoc("d2", "second")))
     from genqr.corpus_io import Topic
     topic = Topic("1", "goldfish growth")
     query = WeightedQuery.from_terms(topic.qid, Analyzer().analyze(topic.query))

@@ -19,8 +19,7 @@ from genqr.config import (ConfigError, ExperimentConfig, Rm3Params, config_from_
 from genqr.corpus_io import load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
-from genqr.llm import (GenRequest, ReplayBackend, ResponseCache, SamplingConfig,
-                       StubBackend, cache_key)
+from genqr.llm import GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 from genqr.schema import build
 
@@ -93,7 +92,7 @@ def test_bad_config_section_raises_config_error(section, value, match):
 
 
 _BAD_VALUES = [
-    ("workers", True, "workers must be int, got True"),
+    ("workers", True, r"unknown config keys: \['workers'\]"),
     ("retrieval_depth", 2.5, "retrieval_depth must be int, got 2.5"),
     ("k1", "1.2", "k1 must be float, got '1.2'"),
     ("b", float("nan"), "b must be finite, got nan"),
@@ -233,15 +232,6 @@ def test_rf_method_defaults_to_pseudo_feedback():
     assert cfg.reformulation.feedback_mode == "pseudo"
 
 
-def test_config_leaves_shared_reformulation_section_unchanged():
-    rc = ReformulationConfig(feedback_mode="none")
-    backend = StubBackend(TOY / "thesaurus.json")
-    ExperimentConfig(method="genqrensemble_rf", reformulation=rc, backend=backend)
-    assert rc.feedback_mode == "none"
-    plain = ExperimentConfig(method="genqrensemble", reformulation=rc, backend=backend)
-    assert plain.reformulation.feedback_mode == "none"
-
-
 def test_oracle_feedback_without_qrels_fails_at_load():
     raw = toy_config_dict("flanprf", qrels=None, reformulation={"feedback_mode": "oracle"})
     with pytest.raises(ConfigError, match="oracle feedback needs a qrels path"):
@@ -262,24 +252,22 @@ def test_instructions_file_read_at_load(tmp_path):
         load_config(cfg_path)
 
 
-def test_feedback_mode_none_runs_as_pseudo(toy_cfg, toy_index):
-    _, ref_none, _ = cmd_run(toy_cfg("flanprf", tag="none",
-                                     reformulation={"feedback_mode": "none"}))
-    _, ref_pseudo, _ = cmd_run(toy_cfg("flanprf", tag="pseudo"))
-    assert ref_none.read_bytes() == ref_pseudo.read_bytes()
+def test_feedback_mode_none_runs_as_pseudo():
+    """The removed feedback mode "none" fails at load."""
+    with pytest.raises(ConfigError, match=r"reformulation.feedback_mode must be one of "
+                                          r"\('pseudo', 'oracle'\), got 'none'"):
+        config_from_dict(toy_config_dict("flanprf", reformulation={"feedback_mode": "none"}))
 
 
 @pytest.mark.parametrize("parser", ["raw-append", "whitespace"])
 def test_keyword_parser_deprecated_but_loads(parser):
-    with pytest.warns(DeprecationWarning, match="keyword_parser") as record:
-        cfg = config_from_dict(toy_config_dict(reformulation={"keyword_parser": parser,
-                                                              "n": 3}))
-    assert len(record) == 1
-    assert cfg.reformulation == ReformulationConfig(n=3)
+    """The removed keyword_parser key fails at load, whichever parser it names."""
+    with pytest.raises(ConfigError, match=r"unknown reformulation keys: \['keyword_parser'\]"):
+        config_from_dict(toy_config_dict(reformulation={"keyword_parser": parser, "n": 3}))
 
 
 def test_unknown_keyword_parser_rejected():
-    with pytest.raises(ConfigError, match="keyword_parser 'regex'"):
+    with pytest.raises(ConfigError, match=r"unknown reformulation keys: \['keyword_parser'\]"):
         config_from_dict(toy_config_dict(reformulation={"keyword_parser": "regex"}))
 
 
@@ -346,6 +334,13 @@ def test_yaml_config_with_comments_loads(tmp_path):
                         "run_tag: commented\n")
     cfg = load_config(cfg_path)
     assert (cfg.method, cfg.rm3.fb_docs, cfg.run_tag) == ("rm3", 5, "commented")
+    for empty in ("", "# only a comment\n", "null"):  # an empty document: all defaults
+        cfg_path.write_text(empty)
+        assert load_config(cfg_path) == ExperimentConfig()
+    for root in ("[]", "false", "0", '""', "- method: rm3\n", "just text\n"):
+        cfg_path.write_text(root)
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            load_config(cfg_path)
 
 
 def test_json_config_takes_exponent_floats(tmp_path):
@@ -551,6 +546,17 @@ def test_eval_relative_improvement_matches_hand_computation(toy_cfg, toy_index, 
     mean_b = evaluate_run(read_run(run_b), qrels, spec).mean
     row = next(r for r in table["rows"] if r["run"] == "ens")
     assert row["delta_pct"] == pytest.approx(100.0 * (mean_b - mean_a) / mean_a)
+
+
+@pytest.mark.parametrize("baseline", ["a", None])
+def test_eval_rejects_alpha_before_writing(toy_cfg, toy_index, tmp_path, baseline):
+    runs = [cmd_run(toy_cfg("raw", tag=tag))[0] for tag in ("a", "b")]
+    out = tmp_path / "eval"
+    out.mkdir()
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.5"):
+        cmd_eval(runs, TOY / "qrels.txt", ["ndcg@10", "map"], out, baseline=baseline,
+                 alpha=1.5)
+    assert list(out.iterdir()) == []
 
 
 def test_querywise_self_comparison_all_zero(toy_cfg, toy_index, tmp_path):
@@ -762,14 +768,11 @@ def test_warm_cache_rerun_byte_identical(toy_cfg, toy_index):
     assert (run_path.read_bytes(), ref_path.read_bytes()) == first
 
 
-def test_workers_key_is_deprecated_and_ignored(toy_cfg, toy_index):
-    plain = cmd_run(toy_cfg("genqrensemble", tag="w"))
-    outputs = [path.read_bytes() for path in plain[:2]]
-    with pytest.warns(DeprecationWarning, match="workers is deprecated"):
-        cfg = toy_cfg("genqrensemble", tag="w", workers=4)
-    assert [path.read_bytes() for path in cmd_run(cfg)[:2]] == outputs
-    with pytest.raises(ConfigError, match=r"workers must be in \[1, inf\), got 0"):
-        toy_cfg("genqrensemble", workers=0)
+def test_workers_key_is_deprecated_and_ignored(toy_cfg):
+    """The removed workers key fails at load, whatever its value."""
+    for workers in (4, 0):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['workers'\]"):
+            toy_cfg("genqrensemble", workers=workers)
 
 
 # --- paraphrase command ---

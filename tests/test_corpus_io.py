@@ -57,7 +57,7 @@ def test_trec_text_corpus(tmp_path):
         "<TEXT>\nbody text here\n</TEXT>\n</DOC>\n"
         "<DOC>\n<DOCNO>D-2</DOCNO>\n<TEXT>second</TEXT>\n</DOC>\n")
     docs = list(load_corpus(path, "trec-text"))
-    assert docs[0] == Document("D-1", "body text here", title="hello")
+    assert docs[0] == Document("D-1", "body text here")  # the <TITLE> stays out of the text
     assert docs[1] == Document("D-2", "second")
 
 

@@ -43,16 +43,6 @@ def test_no_relevant_docs_skipped():
     assert ndcg_at_k(run_of("1", ["a", "b"]), qrels, k=3) is None
 
 
-def test_exponential_gain_option():
-    qrels = qrels_of("1", {"a": 2, "b": 1})
-    linear = ndcg_at_k(run_of("1", ["b", "a"]), qrels, k=2, gain="linear")
-    exp = ndcg_at_k(run_of("1", ["b", "a"]), qrels, k=2, gain="exp")
-    # dcg_lin = 1 + 2/log2(3), idcg_lin = 2 + 1/log2(3)
-    # dcg_exp = 1 + 3/log2(3), idcg_exp = 3 + 1/log2(3)
-    assert linear == pytest.approx((1 + 2 / 1.584962500721156) / (2 + 1 / 1.584962500721156))
-    assert exp == pytest.approx((1 + 3 / 1.584962500721156) / (3 + 1 / 1.584962500721156))
-
-
 # --- AP / MRR / P@k ---
 
 

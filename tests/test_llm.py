@@ -13,7 +13,6 @@ import pytest
 
 import genqr
 from genqr import llm
-from genqr.cli import cmd_run
 from genqr.llm import (BackendError, GenRequest, HttpBackend, ReplayBackend,
                        ReplayMissError, ResponseCache, SamplingConfig,
                        StubBackend, cache_key, cached_generate)
@@ -369,30 +368,6 @@ def test_processes_appending_at_once_lose_no_entry(tmp_path, caplog):
         for b in range(20):
             for i in range(25):
                 assert cache.get(f"{name}-{b}-{i}") == name * 4000 + str(i)
-
-
-def test_entry_files_of_the_old_layout_are_imported(toy_cfg, toy_index, tmp_path):
-    cold = toy_cfg("genqrensemble", tag="cold")
-    cold_run, _, _ = cmd_run(cold)
-    assert cold.backend.calls == 100
-    # Rewrite the cache in the one-file-per-entry layout of earlier versions.
-    log = tmp_path / "cache" / "responses.jsonl"
-    old_files = {}
-    for line in log.read_text().splitlines():
-        record = json.loads(line)
-        path = log.parent / record["key"][:2] / f"{record['key']}.json"
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(json.dumps(record, sort_keys=True))
-        old_files[path] = path.read_bytes()
-    log.unlink()
-    assert len(old_files) == 100
-
-    warm = toy_cfg("genqrensemble", tag="cold")
-    warm_run, _, _ = cmd_run(warm)
-    assert warm.backend.calls == 0
-    assert warm_run.read_bytes() == cold_run.read_bytes()
-    assert len(log.read_text().splitlines()) == 100
-    assert {path: path.read_bytes() for path in old_files} == old_files
 
 
 def test_interrupted_batch_caches_the_responses_that_arrived(tmp_path):

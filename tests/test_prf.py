@@ -28,7 +28,6 @@ def test_top_m_of_run():
     texts = {f"d{i}": f"text {i}" for i in range(10)}
     fb = select_feedback(run, lookup_of(texts), m=5)
     assert [d.docno for d in fb.docs] == ["d0", "d1", "d2", "d3", "d4"]
-    assert fb.source == "pseudo"
     assert fb.texts()[0] == "text 0"
 
 
@@ -55,7 +54,6 @@ def test_oracle_orders_by_grade():
     texts = {"d1": "a", "d2": "b", "d3": "c"}
     fb = select_oracle_feedback(qrels, lookup_of(texts), "1", m=2)
     assert [d.docno for d in fb.docs] == ["d1", "d2"]
-    assert fb.source == "oracle"
 
 
 def test_oracle_tie_broken_by_docno():
@@ -75,7 +73,7 @@ def test_oracle_m_exceeding_relevant_count():
 def test_oracle_without_relevant_docs():
     qrels = Qrels({("1", "d1"): 0})
     fb = select_oracle_feedback(qrels, lookup_of({}), "1", m=3)
-    assert fb == FeedbackSet(qid="1", docs=(), source="oracle")
+    assert fb == FeedbackSet(qid="1", docs=())
 
 
 # --- RM3 ---
@@ -171,7 +169,7 @@ def test_duplicated_feedback_docs_leave_model_unchanged():
     query = WeightedQuery.from_terms("q", ["a", "b"])
     texts = {d.docno: d.text for d in FIXTURE_DOCS}
     single = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), 2)
-    doubled = FeedbackSet(qid="q", docs=single.docs + single.docs, source="pseudo")
+    doubled = FeedbackSet(qid="q", docs=single.docs + single.docs)
     m1 = estimate_relevance_model(index, query, single, fb_terms=4, mu=8.0)
     m2 = estimate_relevance_model(index, query, doubled, fb_terms=4, mu=8.0)
     assert set(m1) == set(m2)
@@ -187,7 +185,7 @@ def test_bad_lambda_rejected():
 
 def test_empty_feedback_rejected():
     query = WeightedQuery.from_terms("q", ["a"])
-    empty = FeedbackSet(qid="q", docs=(), source="pseudo")
+    empty = FeedbackSet(qid="q", docs=())
     with pytest.raises(FeedbackError, match="empty"):
         rm3_expand(fixture_index(), query, empty, fb_terms=2, lam=0.5)
 

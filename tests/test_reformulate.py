@@ -450,13 +450,12 @@ def test_feedback_methods_analyze_each_query_once(toy_cfg, toy_index, monkeypatc
 
 
 def test_context_is_space_joined():
-    fb = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "a b", 2.0),
-                                    FeedbackDoc("d2", "c", 1.0)), source="pseudo")
+    fb = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "a b"), FeedbackDoc("d2", "c")))
     assert build_context(fb) == "a b c"
 
 
 def test_context_truncated_at_budget(caplog):
-    fb = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "x" * 100, 1.0),), source="pseudo")
+    fb = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "x" * 100),))
     with caplog.at_level("WARNING"):
         context = build_context(fb, budget=10)
     assert context == "x" * 10
@@ -466,9 +465,7 @@ def test_context_truncated_at_budget(caplog):
 def test_rf_prompt_golden():
     spy = SpyBackend()
     iset = InstructionSet.default()
-    fb = FeedbackSet(qid="156493",
-                     docs=(FeedbackDoc("d1", "goldfish live long", 3.0),),
-                     source="oracle")
+    fb = FeedbackSet(qid="156493", docs=(FeedbackDoc("d1", "goldfish live long"),))
     ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=1), context=build_context(fb))
     assert spy.prompts == [
         "Based on the given context information goldfish live long, "
@@ -484,8 +481,7 @@ def test_rf_instruction_prefix():
 
 def test_rf_records_context_in_provenance():
     stub = StubBackend(THESAURUS, seed=2, n_terms=3)
-    fb = FeedbackSet(qid="156493",
-                     docs=(FeedbackDoc("d1", "carp tank", 3.0),), source="pseudo")
+    fb = FeedbackSet(qid="156493", docs=(FeedbackDoc("d1", "carp tank"),))
     context = build_context(fb)
     fused, keywords = ensemble(stub, InstructionSet.default(), GOLDFISH,
                                ReformulationConfig(n=2), context=context)

@@ -32,15 +32,13 @@ import random
 import re
 import threading
 import time
+import urllib.parse
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .schema import check_fields
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -221,17 +219,22 @@ def write_transcript(rows: List[Dict[str, str]], path: str | Path) -> None:
 
 @dataclass(eq=False)
 class HttpBackend(Backend):
-    """JSON completion endpoint client with bounded retries.
+    """JSON completion endpoint client with bounded retries, on the
+    standard library's `urllib.request`: one connection per attempt, and
+    the `http_proxy`, `https_proxy` and `no_proxy` variables are honoured.
 
     Sends {model, prompt, top_p, top_k, repetition_penalty, temperature,
     max_tokens, seed?}; reads the completion from `completion_field`, a
     dotted path into the response JSON (list indices allowed, e.g.
     "choices.0.text"). An API key, if present in $GENQR_API_KEY, is sent
-    as a bearer token.
+    as a bearer token. `timeout` bounds the connect and each read.
 
-    Timeouts, connection errors, 429 and 5xx are retried, waiting a numeric
-    Retry-After (capped at `timeout`) or else exponential backoff; any
-    other error status fails at once.
+    Retried: a 429 or 5xx status (`urllib.error.HTTPError`), and timeouts
+    and connection errors (`URLError`, `OSError`, `http.client.HTTPException`,
+    which covers a dropped connection and a short body). Between attempts
+    it waits a numeric Retry-After (capped at `timeout`) or else
+    exponential backoff. Any other status fails at once, as does a reply
+    that is not JSON. `retries` counts the attempts after the first.
     """
 
     url: str
@@ -241,6 +244,13 @@ class HttpBackend(Backend):
     max_retries: int = field(default=3, metadata={"min": 1})
     backoff: float = field(default=0.5, metadata={"min": 0})
     api_key_env: str = "GENQR_API_KEY"
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.retries = 0
+        parts = urllib.parse.urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(f"url must be an http:// or https:// URL, got {self.url!r}")
 
     def identity(self) -> str:
         return f"http:{self.url}:{self.model}"
@@ -252,11 +262,19 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def _generate(self, request: GenRequest) -> str:
+    def _post(self, data: bytes) -> bytes:
+        """One attempt: POST `data` and return the body of a 2xx reply."""
         # Imported here, not at module top, so that commands which never
-        # send a request do not pay for loading it. `requests.post` is looked
-        # up on the module at call time, so hooks that replace it see every call.
-        import requests
+        # send a request do not pay for loading it.
+        import urllib.request
+
+        req = urllib.request.Request(self.url, data=data, headers=self._headers())
+        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            return resp.read()
+
+    def _generate(self, request: GenRequest) -> str:
+        import http.client
+        import urllib.error
 
         payload = {
             "model": self.model,
@@ -266,40 +284,40 @@ class HttpBackend(Backend):
         }
         if request.seed is not None:
             payload["seed"] = request.seed
+        data = json.dumps(payload).encode("utf-8")
 
         last_error = None
         for attempt in range(1, self.max_retries + 1):
             delay = self.backoff * (2 ** (attempt - 1))
             try:
-                resp = requests.post(self.url, json=payload, headers=self._headers(),
-                                     timeout=self.timeout)
-                resp.raise_for_status()
-            except requests.HTTPError as e:
-                status = e.response.status_code
-                if status != 429 and status < 500:
+                raw = self._post(data)
+            except urllib.error.HTTPError as e:
+                e.close()
+                if e.code != 429 and e.code < 500:
                     raise BackendError(f"{self.url}: {e}") from e
-                delay = self._retry_after(e.response, delay)
+                delay = self._retry_after(e.headers, delay)
                 last_error = e
-            except (requests.Timeout, requests.ConnectionError) as e:
+            except (OSError, http.client.HTTPException) as e:  # URLError is an OSError
                 last_error = e
-            except requests.RequestException as e:
-                raise BackendError(f"{self.url}: {e}") from e
             else:
                 try:
-                    body = resp.json()
+                    body = json.loads(raw)
                 except ValueError as e:
                     raise BackendError(f"{self.url}: response is not JSON: {e}") from e
                 return self._extract(body)
-            logger.warning("backend call failed (attempt %d/%d): %s",
-                           attempt, self.max_retries, last_error)
+            logger.warning("backend call failed (attempt %d/%d) for prompt %s: %s",
+                           attempt, self.max_retries, prompt_digest(request.prompt),
+                           last_error)
             if attempt < self.max_retries:
+                with self._lock:
+                    self.retries += 1
                 time.sleep(delay)
         raise BackendError(
             f"{self.url}: request failed after {self.max_retries} attempts: {last_error}")
 
-    def _retry_after(self, resp: requests.Response, default: float) -> float:
+    def _retry_after(self, headers, default: float) -> float:
         """Seconds from a numeric Retry-After header (RFC 9110), capped at the timeout."""
-        value = resp.headers.get("Retry-After", "").strip()
+        value = headers.get("Retry-After", "").strip()
         if not (value.isascii() and value.isdigit()):
             return default
         return min(float(value), self.timeout)

@@ -56,9 +56,11 @@ class CannedServer:
     """Loopback JSON completion endpoint for HttpBackend tests.
 
     Answers {"choices": [{"text": reply(prompt)}]} after `delay(prompt)`
-    seconds. The first `fail_first` requests get `fail_status`, and a
-    prompt in `fail_prompts` always gets its mapped status, each with
-    `fail_headers`. Records every payload and the peak number of requests
+    seconds, or sends `reply(prompt)` as the body when it is bytes. The
+    first `fail_first` requests get `fail_status`, and a prompt in
+    `fail_prompts` always gets its mapped status, each with `fail_headers`;
+    a status of None closes the connection without a reply. Records every
+    payload, the headers it came with, and the peak number of requests
     being handled at once; a request stops counting as in flight before
     its reply is sent, so the peak never exceeds the client's own.
     """
@@ -71,13 +73,17 @@ class CannedServer:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                status, headers = server._enter(body)
+                status, headers = server._enter(body, self.headers)
                 try:
                     time.sleep(server.delay(body["prompt"]))
-                    reply = json.dumps(
-                        {"choices": [{"text": server.reply(body["prompt"])}]}).encode()
+                    reply = server.reply(body["prompt"])
+                    if not isinstance(reply, bytes):
+                        reply = json.dumps({"choices": [{"text": reply}]}).encode()
                 finally:
                     server._leave()
+                if status is None:
+                    self.close_connection = True
+                    return
                 self.send_response(status)
                 for name, value in headers.items():
                     self.send_header(name, value)
@@ -102,14 +108,16 @@ class CannedServer:
             self.fail_headers = {}
             self.fail_prompts = {}
             self.payloads = []
+            self.headers = []
             self.in_flight = 0
             self.peak_in_flight = 0
         self.reply = lambda prompt: f"echo {prompt}"
         self.delay = lambda prompt: 0.0
 
-    def _enter(self, body):
+    def _enter(self, body, headers):
         with self._lock:
             self.payloads.append(body)
+            self.headers.append(headers)
             self.in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
             if body["prompt"] in self.fail_prompts:

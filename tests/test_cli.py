@@ -143,6 +143,10 @@ _BAD_BACKENDS = [
     ("http", {"max_retries": 0}, r"backend.max_retries must be in \[1, inf\), got 0"),
     ("http", {"backoff": -1}, r"backend.backoff must be in \[0, inf\), got -1"),
     ("http", {"url": 5}, "backend.url must be str, got 5"),
+    ("http", {"url": "localhost:8000/v1"},
+     "backend: url must be an http:// or https:// URL, got 'localhost:8000/v1'"),
+    ("http", {"url": "ftp://example.org/v1"}, "backend: url must be an http:// or https://"),
+    ("http", {"url": "http:///v1"}, "backend: url must be an http:// or https://"),
     ("gpt", {}, "unknown backend kind 'gpt'"),
     # a replay row's options hold the transcript's text, which the test writes to bad.jsonl
     ("replay", {"transcript": "not json\n"},
@@ -313,6 +317,33 @@ def test_stub_run_does_not_load_requests(tmp_path):
             f"assert main(['run', '--config', {str(cfg_path)!r}]) == 0\n")
     assert _loaded_heavy_modules(code) == []
     assert (tmp_path / "runs" / "run.run").exists()
+
+
+_HTTP_PROBE = '''
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from genqr.llm import GenRequest, HttpBackend
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b'{"text": "koi carp"}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+backend = HttpBackend(f"http://127.0.0.1:{server.server_port}/v1", model="toy",
+                      max_retries=1, timeout=10)
+assert backend.generate(GenRequest(prompt="goldfish")) == "koi carp"
+server.shutdown()
+'''
+
+
+def test_http_request_does_not_load_requests():
+    assert _loaded_heavy_modules(_HTTP_PROBE, HEAVY_MODULES + ("urllib3",)) == []
 
 
 def test_json_config_run_does_not_load_yaml(tmp_path):

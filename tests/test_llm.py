@@ -107,6 +107,15 @@ def test_http_retries_then_succeeds(canned):
     backend = HttpBackend(canned.url, model="toy", completion_field="choices.0.text",
                           max_retries=3, backoff=0.01)
     assert backend.generate(GenRequest(prompt="retry me")) == "echo retry me"
+    assert (backend.calls, backend.retries) == (1, 2)
+
+
+def test_http_sends_api_key_as_bearer_token(canned, monkeypatch):
+    monkeypatch.setenv("GENQR_API_KEY", "s3cret")
+    backend = HttpBackend(canned.url, model="toy", completion_field="choices.0.text")
+    backend.generate(GenRequest(prompt="hi"))
+    assert canned.headers[0]["Authorization"] == "Bearer s3cret"
+    assert canned.headers[0]["Content-Type"] == "application/json"
 
 
 def test_http_failure_reports_attempts(canned):
@@ -139,6 +148,7 @@ def test_http_permanent_error_not_retried(canned, sleeps, status):
         backend.generate(GenRequest(prompt="doomed"))
     assert len(canned.payloads) == 1
     assert sleeps == []
+    assert backend.retries == 0
 
 
 @pytest.mark.parametrize("status", [429, 500])
@@ -161,6 +171,35 @@ def test_http_connection_error_retried(sleeps):
     with pytest.raises(BackendError, match="3 attempts"):
         backend.generate(GenRequest(prompt="nobody listens"))
     assert sleeps == [0.01, 0.02]
+
+
+def test_http_read_timeout_retried(canned, sleeps):
+    canned.delay = lambda prompt: 0.5
+    backend = HttpBackend(canned.url, model="toy", max_retries=3, backoff=0.01,
+                          timeout=0.1)
+    with pytest.raises(BackendError, match="3 attempts"):
+        backend.generate(GenRequest(prompt="too slow"))
+    assert len(canned.payloads) == 3
+    assert sleeps == [0.01, 0.02]
+
+
+def test_http_dropped_connection_retried(canned, sleeps):
+    canned.fail_first = 2
+    canned.fail_status = None  # the server closes the connection without a reply
+    backend = HttpBackend(canned.url, model="toy", completion_field="choices.0.text",
+                          max_retries=3, backoff=0.01)
+    assert backend.generate(GenRequest(prompt="hang up")) == "echo hang up"
+    assert len(canned.payloads) == 3
+    assert sleeps == [0.01, 0.02]
+
+
+def test_http_non_json_reply_fails_at_once(canned, sleeps):
+    canned.reply = lambda prompt: b"<html>gateway</html>"
+    backend = HttpBackend(canned.url, model="toy", max_retries=3, backoff=0.01)
+    with pytest.raises(BackendError, match="response is not JSON"):
+        backend.generate(GenRequest(prompt="hi"))
+    assert len(canned.payloads) == 1
+    assert sleeps == []
 
 
 @pytest.mark.parametrize("header, waits", [

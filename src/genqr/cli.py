@@ -261,31 +261,27 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = [parse_metric(m, min_rel=min_rel) for m in metrics]
 
-    tagged_runs: Dict[str, List[RunList]] = {}
-    tag_order: List[str] = []
+    tagged_runs: Dict[str, List[RunList]] = {}  # in input order
     for path in run_paths:
         runs = read_run(path)
         tag = runs[0].tag if runs else Path(path).stem
         if tag in tagged_runs:
             raise ValueError(f"duplicate run tag {tag!r} across inputs")
         tagged_runs[tag] = runs
-        tag_order.append(tag)
     if baseline is not None and baseline not in tagged_runs:
         raise ValueError(f"baseline tag {baseline!r} not among the evaluated runs")
 
     reports: Dict[Tuple[str, str], EvalReport] = {}
-    for tag in tag_order:
+    for tag, runs in tagged_runs.items():
         for spec in specs:
-            report = evaluate_run(tagged_runs[tag], qrels, spec)
+            report = evaluate_run(runs, qrels, spec)
             reports[(tag, spec.label)] = report
             report.save(out_dir / f"{tag}.{spec.label}.tsv")
             report.save(out_dir / f"{tag}.{spec.label}.json")
-        _warn_missing(tag, tagged_runs[tag], qrels)
+        _warn_missing(tag, runs, qrels)
 
     rows = []
-    comparisons = []  # indices into rows that carry a p-value
-    p_values: List[float] = []
-    for tag in tag_order:
+    for tag in tagged_runs:
         for spec in specs:
             report = reports[(tag, spec.label)]
             row = {"run": tag, "metric": spec.label, "mean": report.mean,
@@ -297,16 +293,12 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
                 if base.mean != 0.0:
                     row["delta_pct"] = 100.0 * (report.mean - base.mean) / base.mean
                 if report.evaluated >= 2:
-                    p = paired_ttest(report.per_query, base.per_query)
-                    row["p_value"] = p
-                    comparisons.append(len(rows))
-                    p_values.append(p)
+                    row["p_value"] = paired_ttest(report.per_query, base.per_query)
             rows.append(row)
 
-    if p_values:
-        flags = holm_bonferroni(p_values, alpha)
-        for idx, flag in zip(comparisons, flags):
-            rows[idx]["significant"] = flag
+    tested = [row for row in rows if row["p_value"] is not None]
+    for row, flag in zip(tested, holm_bonferroni([row["p_value"] for row in tested], alpha)):
+        row["significant"] = flag
 
     table = {"baseline": baseline, "alpha": alpha, "rows": rows}
     with atomic_writer(out_dir / "comparison.json") as f:

@@ -27,7 +27,6 @@ METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf
 RF_METHODS = ("flanprf", "genqrensemble_rf")
 ENSEMBLE_METHODS = ("genqrensemble", "genqrensemble_rf")
 LLM_METHODS = ("flanqr", "genqrensemble", *RF_METHODS)
-FEEDBACK_METHODS = ("rm3", *RF_METHODS)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Supported formats:
 - topics: TSV (qid<TAB>query) or <top>/<num>/<title> markup (title field only).
 - qrels: whitespace-delimited `qid iter docno grade` (iter ignored).
 - runs: 6-column `qid Q0 docno rank score tag`, single spaces, scores at
-  6 decimals so written files are byte-stable.
+  6 decimals so written files are byte-stable. A rank is the 1-based list
+  position: it is written, never stored or read.
 
 Output files are written through `atomic_writer`, so an interrupted write
 leaves the previous file, not a truncated one.
@@ -53,7 +54,7 @@ class Topic:
         if self.qid.split() != [self.qid]:
             raise CorpusFormatError(f"qid {self.qid!r} contains whitespace")
         if not self.query.strip():
-            raise CorpusFormatError(f"topic {self.qid!r} has an empty query")
+            raise CorpusFormatError(f"empty query for qid {self.qid!r}")
 
 
 class Qrels:
@@ -84,13 +85,13 @@ class Qrels:
 @dataclass(frozen=True)
 class RunEntry:
     docno: str
-    rank: int
     score: float
 
 
 @dataclass
 class RunList:
-    """Ranked results for one query in TREC run semantics."""
+    """Ranked results for one query in TREC run semantics: an entry's rank
+    is its 1-based position in `entries`."""
 
     qid: str
     entries: List[RunEntry] = field(default_factory=list)
@@ -99,21 +100,17 @@ class RunList:
     @classmethod
     def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]], tag: str,
                     k: int | None = None) -> "RunList":
-        """Build a valid RunList: sort by score desc, docno asc, ranks from 1."""
+        """Build a valid RunList: sort by score desc, docno asc."""
         ordered = sorted(scored, key=lambda e: (-e[1], e[0]))
         if k is not None:
             ordered = ordered[:k]
-        entries = [RunEntry(docno, rank, score)
-                   for rank, (docno, score) in enumerate(ordered, start=1)]
-        return cls(qid=qid, entries=entries, tag=tag)
+        return cls(qid=qid, entries=[RunEntry(docno, score) for docno, score in ordered],
+                   tag=tag)
 
     def validate(self) -> None:
         seen = set()
         prev_score = None
         for i, entry in enumerate(self.entries, start=1):
-            if entry.rank != i:
-                raise CorpusFormatError(
-                    f"run {self.tag!r} qid {self.qid}: rank {entry.rank} at position {i}")
             if entry.docno in seen:
                 raise CorpusFormatError(
                     f"run {self.tag!r} qid {self.qid}: duplicate docno {entry.docno!r}")
@@ -234,8 +231,6 @@ def _iter_tsv_topics(path: Path) -> Iterator[Tuple[int, Topic]]:
         if "\t" not in line:
             raise CorpusFormatError(f"{path}:{lineno}: expected qid<TAB>query")
         qid, query = line.split("\t", 1)
-        if not query.strip():
-            raise CorpusFormatError(f"{path}:{lineno}: empty query for qid {qid!r}")
         yield lineno, _record(path, lineno, Topic, qid.strip(), query.strip())
 
 
@@ -252,8 +247,6 @@ def _iter_trec_topics(path: Path) -> Iterator[Tuple[int, Topic]]:
             raise CorpusFormatError(f"{path}:{lineno}: <top> without <num>")
         qid = num_m.group(1).strip()
         title = " ".join(title_m.group(1).split()) if title_m else ""
-        if not title:
-            raise CorpusFormatError(f"{path}:{lineno}: empty query for qid {qid!r}")
         yield lineno, _record(path, lineno, Topic, qid, title)
 
 
@@ -307,20 +300,22 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 
 def write_run(runs: List[RunList], path: str | Path) -> None:
-    """Write TREC run lines `qid Q0 docno rank score tag`, queries in input order."""
+    """Write TREC run lines `qid Q0 docno rank score tag`, queries in input
+    order; the rank is each entry's 1-based position in its list."""
     for run in runs:
         run.validate()
     with atomic_writer(path) as f:
         for run in runs:
-            for entry in run.entries:
-                f.write(f"{run.qid} Q0 {entry.docno} {entry.rank} "
+            for rank, entry in enumerate(run.entries, start=1):
+                f.write(f"{run.qid} Q0 {entry.docno} {rank} "
                         f"{entry.score:.6f} {run.tag}\n")
 
 
 def read_run(path: str | Path) -> List[RunList]:
-    """Read a TREC run file; re-sorts per qid by score desc (docno asc on ties)
-    and reassigns ranks, so unsorted input is tolerated. A docno listed
-    twice for one qid is an error, as in trec_eval."""
+    """Read a TREC run file; re-sorts per qid by score desc (docno asc on ties),
+    so unsorted input is tolerated. The rank column is not read: a rank is
+    the list position. A docno listed twice for one qid is an error, as in
+    trec_eval."""
     path = Path(path)
     scored: Dict[str, Dict[str, float]] = {}
     tags: Dict[str, str] = {}

@@ -108,9 +108,9 @@ def mrr(run: RunList, qrels: Qrels, min_rel: int = 1) -> Optional[float]:
     relevant = qrels.relevant(run.qid, min_rel=min_rel)
     if not relevant:
         return None
-    for entry in run.entries:
+    for rank, entry in enumerate(run.entries, start=1):
         if entry.docno in relevant:
-            return 1.0 / entry.rank
+            return 1.0 / rank
     return 0.0
 
 

@@ -256,8 +256,8 @@ class PostingsIndex:
         docnos = self.docnos
         top = heapq.nsmallest(k, seen if candidates is None else candidates,
                               key=lambda d: (-acc[d], docnos[d]))
-        return RunList(qid=query.qid, tag=tag, entries=[
-            RunEntry(docnos[d], rank, acc[d]) for rank, d in enumerate(top, start=1)])
+        return RunList(qid=query.qid, tag=tag,
+                       entries=[RunEntry(docnos[d], acc[d]) for d in top])
 
     # --- persistence ---
 
@@ -345,12 +345,12 @@ def build_index(corpus: Iterable[Document], analyzer: Analyzer) -> PostingsIndex
     """Index a document stream; docnos must be unique."""
     index = PostingsIndex(analyzer)
     lists: Dict[str, Tuple[List[int], List[int]]] = {}
-    seen: Dict[str, int] = {}
+    seen: set[str] = set()
     for doc in corpus:
         if doc.docno in seen:
             raise IndexingError(f"duplicate docno {doc.docno!r}")
+        seen.add(doc.docno)
         doc_ord = len(index.docnos)
-        seen[doc.docno] = doc_ord
         tokens = analyzer.analyze(doc.text)
         counts: Dict[str, int] = {}
         for token in tokens:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .corpus_io import Qrels, RunList
 from .index import PostingsIndex, WeightedQuery
@@ -51,20 +51,24 @@ class FeedbackSet:
         return [d.text for d in self.docs]
 
 
+def _feedback_set(qid: str, docnos: Iterable[str],
+                  corpus_lookup: Callable[[str], str]) -> FeedbackSet:
+    docs = []
+    for docno in docnos:
+        try:
+            docs.append(FeedbackDoc(docno, corpus_lookup(docno)))
+        except KeyError:
+            raise FeedbackError(
+                f"qid {qid}: feedback docno {docno!r} missing from corpus") from None
+    return FeedbackSet(qid=qid, docs=tuple(docs))
+
+
 def select_feedback(run: RunList, corpus_lookup: Callable[[str], str],
                     m: int) -> FeedbackSet:
     """Top-m run documents with texts resolved; fewer than m available -> all."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    docs = []
-    for entry in run.entries[:m]:
-        try:
-            text = corpus_lookup(entry.docno)
-        except KeyError:
-            raise FeedbackError(
-                f"qid {run.qid}: feedback docno {entry.docno!r} missing from corpus") from None
-        docs.append(FeedbackDoc(entry.docno, text))
-    return FeedbackSet(qid=run.qid, docs=tuple(docs))
+    return _feedback_set(run.qid, (e.docno for e in run.entries[:m]), corpus_lookup)
 
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
@@ -75,15 +79,7 @@ def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
         raise ValueError(f"m must be >= 0, got {m}")
     relevant = qrels.relevant(qid, min_rel=1)
     ordered = sorted(relevant.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
-    docs = []
-    for docno, _ in ordered:
-        try:
-            text = corpus_lookup(docno)
-        except KeyError:
-            raise FeedbackError(
-                f"qid {qid}: feedback docno {docno!r} missing from corpus") from None
-        docs.append(FeedbackDoc(docno, text))
-    return FeedbackSet(qid=qid, docs=tuple(docs))
+    return _feedback_set(qid, (docno for docno, _ in ordered), corpus_lookup)
 
 
 def _smoothed_lm(tf: Dict[str, int], doc_len: int, index: PostingsIndex,

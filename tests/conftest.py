@@ -4,7 +4,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import genqr
 from genqr.cli import cmd_index
@@ -16,6 +16,10 @@ TOY = genqr.data_path("toy")
 # pipeline oracles) take it from the profile: hypothesis's default 100
 # examples locally, four times as many under `pytest --hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=400, deadline=None)
+# scripts/mutants.py: repeatable examples, and a failure ends the test at
+# once, as only whether it fails counts there, not its shrunk example.
+settings.register_profile("mutants", derandomize=True, database=None, deadline=None,
+                          phases=[Phase.explicit, Phase.generate])
 
 
 def toy_config_dict(method="raw", tag="run", work=".", **extra):

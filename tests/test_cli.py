@@ -17,7 +17,7 @@ from genqr.analysis import Analyzer
 from genqr.config import (ConfigError, ExperimentConfig, Rm3Params, config_from_dict,
                           load_config)
 from genqr.corpus_io import load_qrels, load_topics, read_run
-from genqr.evaluation import evaluate_run, parse_metric
+from genqr.evaluation import evaluate_run, holm_bonferroni, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
 from genqr.llm import GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
@@ -462,8 +462,7 @@ def test_raw_run_equals_direct_retrieval(toy_cfg, toy_index):
             WeightedQuery.from_terms(topic.qid, index.analyzer.analyze(topic.query)),
             k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b, tag=cfg.run_tag)
         got = next(r for r in runs if r.qid == topic.qid)
-        assert [(e.docno, e.rank) for e in got.entries] == \
-            [(e.docno, e.rank) for e in expected.entries]
+        assert [e.docno for e in got.entries] == [e.docno for e in expected.entries]
         for a, b in zip(got.entries, expected.entries):
             assert a.score == pytest.approx(b.score, abs=1e-6)  # 6-decimal file format
     # provenance rows carry the fused weighted query
@@ -577,6 +576,40 @@ def test_eval_relative_improvement_matches_hand_computation(toy_cfg, toy_index, 
     mean_b = evaluate_run(read_run(run_b), qrels, spec).mean
     row = next(r for r in table["rows"] if r["run"] == "ens")
     assert row["delta_pct"] == pytest.approx(100.0 * (mean_b - mean_a) / mean_a)
+
+
+def _run_with_relevant_at(path, tag, rank_of_relevant):
+    """A run file ranking doc "r" at the given rank of each qid, among nine others."""
+    lines = []
+    for qid, at in rank_of_relevant.items():
+        docs = [f"n{i}" for i in range(1, 10)]
+        docs.insert(at - 1, "r")
+        lines += [f"{qid} Q0 {d} {i} {10 - i}.000000 {tag}" for i, d in enumerate(docs, 1)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_eval_holm_flags_only_the_tested_rows(tmp_path):
+    qids = ["q1", "q2", "q3", "q4", "q5"]
+    qrels = tmp_path / "qrels.txt"  # only q1 has a grade >= 2
+    qrels.write_text("".join(f"{q} 0 r {2 if q == 'q1' else 1}\n" for q in qids))
+    runs = [_run_with_relevant_at(tmp_path / f"{tag}.run", tag, dict(zip(qids, ranks)))
+            for tag, ranks in [("base", [5, 6, 5, 7, 5]), ("good", [1, 1, 1, 1, 2]),
+                               ("near", [4, 7, 5, 6, 5])]]
+    table = cmd_eval(runs, qrels, ["ndcg@10", "map", "mrr"], tmp_path / "eval",
+                     baseline="base", min_rel=2)
+    rows = table["rows"]
+    assert [(r["run"], r["metric"]) for r in rows] == \
+        [(run, m) for run in ("base", "good", "near") for m in ("ndcg@10", "map", "mrr")]
+    # nDCG counts every grade > 0; map and mrr at min_rel 2 evaluate q1 alone
+    tested = [r for r in rows if r["p_value"] is not None]
+    assert [(r["run"], r["metric"]) for r in tested] == [("good", "ndcg@10"),
+                                                         ("near", "ndcg@10")]
+    assert all(r["evaluated"] == 1 for r in rows if r["metric"] != "ndcg@10")
+    flags = holm_bonferroni([r["p_value"] for r in tested], 0.05)
+    assert flags == [True, False]
+    assert [r["significant"] for r in tested] == flags
+    assert all(r["significant"] is None for r in rows if r["p_value"] is None)
 
 
 @pytest.mark.parametrize("baseline", ["a", None])

@@ -225,7 +225,7 @@ def test_qrels_hundred_lines(tmp_path):
 
 
 def test_run_line_format(tmp_path):
-    run = RunList(qid="1", entries=[RunEntry("d5", 1, 2.5)], tag="bm25")
+    run = RunList(qid="1", entries=[RunEntry("d5", 2.5)], tag="bm25")
     path = tmp_path / "r.run"
     write_run([run], path)
     assert path.read_text() == "1 Q0 d5 1 2.500000 bm25\n"
@@ -242,7 +242,9 @@ def test_read_run_resorts_and_reranks(tmp_path):
     path.write_text("1 Q0 low 1 1.000000 t\n1 Q0 hi 2 9.000000 t\n")
     (run,) = read_run(path)
     assert [e.docno for e in run.entries] == ["hi", "low"]
-    assert [e.rank for e in run.entries] == [1, 2]
+    out = tmp_path / "out.run"  # the rank column is not read: ranks follow the new order
+    write_run([run], out)
+    assert out.read_text() == "1 Q0 hi 1 9.000000 t\n1 Q0 low 2 1.000000 t\n"
 
 
 def test_read_run_bad_columns_reports_line(tmp_path):
@@ -304,10 +306,10 @@ def test_write_read_roundtrip_property(tmp_path_factory, runs):
 
 
 def test_write_run_validates_invariants(tmp_path):
-    bad = RunList(qid="1", entries=[RunEntry("a", 1, 1.0), RunEntry("a", 2, 0.5)], tag="t")
+    bad = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("a", 0.5)], tag="t")
     with pytest.raises(CorpusFormatError, match="duplicate docno"):
         write_run([bad], tmp_path / "r.run")
-    increasing = RunList(qid="1", entries=[RunEntry("a", 1, 1.0), RunEntry("b", 2, 2.0)], tag="t")
+    increasing = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("b", 2.0)], tag="t")
     with pytest.raises(CorpusFormatError, match="increase"):
         write_run([increasing], tmp_path / "r.run")
 
@@ -330,11 +332,11 @@ class _InterruptingScore(float):
 
 def test_interrupted_write_run_keeps_previous_run(tmp_path):
     path = tmp_path / "r.run"
-    write_run([RunList(qid="9", entries=[RunEntry("z", 1, 3.0)], tag="old")], path)
+    write_run([RunList(qid="9", entries=[RunEntry("z", 3.0)], tag="old")], path)
     before = path.read_bytes()
     # the second query's line raises after the first query's lines are written
-    first = RunList(qid="1", entries=[RunEntry("a", 1, 2.0), RunEntry("b", 2, 1.0)], tag="t")
-    second = RunList(qid="2", entries=[RunEntry("c", 1, _InterruptingScore(1.0))], tag="t")
+    first = RunList(qid="1", entries=[RunEntry("a", 2.0), RunEntry("b", 1.0)], tag="t")
+    second = RunList(qid="2", entries=[RunEntry("c", _InterruptingScore(1.0))], tag="t")
     with pytest.raises(KeyboardInterrupt):
         write_run([first, second], path)
     assert path.read_bytes() == before

@@ -45,8 +45,14 @@ def test_truncation_when_run_short():
 
 def test_missing_docno_named():
     run = run_of("1", ["ghost"])
-    with pytest.raises(FeedbackError, match="ghost"):
+    with pytest.raises(FeedbackError, match="^qid 1: feedback docno 'ghost' missing"):
         select_feedback(run, lookup_of({}), m=1)
+
+
+def test_oracle_missing_docno_named():
+    qrels = Qrels({("1", "ghost"): 1})
+    with pytest.raises(FeedbackError, match="^qid 1: feedback docno 'ghost' missing"):
+        select_oracle_feedback(qrels, lookup_of({}), "1", m=1)
 
 
 def test_oracle_orders_by_grade():

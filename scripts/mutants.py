@@ -94,6 +94,11 @@ CATALOG = [
            "weights[token] = weights.get(token, 0.0) + 1.0",
            ("tests/test_reformulate.py::test_fuse_beta_scales_expansions",
             "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
+    # --- the sweep reports like eval ---
+    Mutant("sweep baseline is the last value", "cli.py",
+           "baseline=configs[0].run_tag",
+           "baseline=configs[-1].run_tag",
+           ("tests/test_cli.py::test_sweep_reports_like_eval",)),
     # --- the run loop ---
     Mutant("phase-1 errors raised at once", "cli.py",
            "steps = [_attempt(runner.prepare, topic) for topic in chunk]",
@@ -125,6 +130,8 @@ CATALOG = [
            "if acc[d] + rest >= theta",
            "if acc[d] + rest > theta",
            ("tests/test_index.py::test_doc_on_the_pruning_threshold_is_kept",)),
+    # Not listed for it: test_retrieve_equals_exhaustive_top_k, which
+    # passed this mutant at 1 of 10 random seeds.
     Mutant("probe phase skipped", "index.py",
            "                for d in candidates:\n                    at = bisect_left(",
            "                for d in ():\n                    at = bisect_left(",
@@ -133,6 +140,7 @@ CATALOG = [
            "key=lambda d: (-acc[d], docnos[d])",
            "key=lambda d: -acc[d]",
            ("tests/test_index.py::test_doc_on_the_pruning_threshold_is_kept",
+            "tests/test_index.py::test_retrieve_equals_exhaustive_top_k",
             "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
     # --- feedback ---
     Mutant("feedback from ranks 2 to m+1", "cli.py",

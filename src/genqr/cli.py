@@ -7,7 +7,8 @@ Subcommands:
   eval        score runs against qrels; comparison table with relative
               improvements and Holm-Bonferroni-corrected significance
   querywise   per-query metric deltas between two runs (CSV)
-  sweep       re-run + evaluate across a swept parameter (long CSV)
+  sweep       run each value of a swept parameter, then eval the runs
+              against the first (comparison table + long CSV)
   paraphrase  generate an instruction set from a base instruction
 
 Exit code is 0 iff no query failed.
@@ -278,7 +279,10 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
             reports[(tag, spec.label)] = report
             report.save(out_dir / f"{tag}.{spec.label}.tsv")
             report.save(out_dir / f"{tag}.{spec.label}.json")
-        _warn_missing(tag, runs, qrels)
+        missing = missing_topics(runs, qrels)
+        if missing:
+            logger.warning("%s: %d judged topics missing from the run, scored as empty "
+                           "rankings", tag, len(missing))
 
     rows = []
     for tag in tagged_runs:
@@ -313,13 +317,6 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
                 "" if row["significant"] is None else str(row["significant"]).lower(),
             ]) + "\n")
     return table
-
-
-def _warn_missing(tag: str, runs: List[RunList], qrels: Qrels) -> None:
-    missing = missing_topics(runs, qrels)
-    if missing:
-        logger.warning("%s: %d judged topics missing from the run, scored as empty "
-                       "rankings", tag, len(missing))
 
 
 def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels_path: str | Path,
@@ -371,28 +368,32 @@ def _swept_config(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
 
 def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
               out_path: str | Path, lenient: bool = False) -> List[dict]:
-    """Run + evaluate once per swept value; emit long-format CSV rows
-    (param, value, metric, mean). Index and LLM cache are reused. Every
-    value is validated before the first run."""
+    """Run once per swept value, then evaluate the runs with `cmd_eval`, the
+    first value's run as the baseline: reports and comparison table go to
+    <output_dir>/<run_tag>-<param>/. The long-format CSV (param, value,
+    metric, mean) at `out_path` holds the table's means. Index and LLM cache
+    are reused. Every value is checked before the first run."""
     if not values:
         raise ValueError("sweep needs at least one value")
-    if not cfg.qrels:
-        raise ConfigError("sweep needs a qrels path in the config")
+    if not (cfg.qrels and Path(cfg.qrels).is_file()):
+        raise ConfigError(f"sweep needs a qrels file in the config, got {cfg.qrels!r}")
     configs = [_swept_config(cfg, param, value) for value in values]
-    qrels = load_qrels(cfg.qrels)
-    specs = [parse_metric(m, min_rel=cfg.min_rel) for m in cfg.metrics]
-
-    rows = []
-    failures = 0
+    value_of = {}  # run tag -> swept value
     for value, sub in zip(values, configs):
+        if sub.run_tag in value_of:
+            raise ConfigError(f"sweep {param}: repeated run tag {sub.run_tag!r}")
+        value_of[sub.run_tag] = value
+
+    run_paths, failures = [], 0
+    for sub in configs:
         run_path, _, failed = cmd_run(sub, lenient=lenient)
+        run_paths.append(run_path)
         failures += failed
-        runs = read_run(run_path)
-        for spec in specs:
-            report = evaluate_run(runs, qrels, spec)
-            rows.append({"param": param, "value": value,
-                         "metric": spec.label, "mean": report.mean})
-        _warn_missing(sub.run_tag, runs, qrels)
+    table = cmd_eval(run_paths, cfg.qrels, cfg.metrics,
+                     Path(cfg.output_dir) / f"{cfg.run_tag}-{param}",
+                     baseline=configs[0].run_tag, min_rel=cfg.min_rel)
+    rows = [{"param": param, "value": value_of[row["run"]], "metric": row["metric"],
+             "mean": row["mean"]} for row in table["rows"]]
     with atomic_writer(out_path) as f:
         f.write("param,value,metric,mean\n")
         for row in rows:

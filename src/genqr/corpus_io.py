@@ -65,9 +65,6 @@ class Qrels:
         for (qid, docno), grade in (grades or {}).items():
             self._by_qid.setdefault(qid, {})[docno] = grade
 
-    def grade(self, qid: str, docno: str) -> int:
-        return self._by_qid.get(qid, {}).get(docno, 0)
-
     def judged(self, qid: str) -> Dict[str, int]:
         """All judged (docno -> grade) pairs for a query, including grade 0."""
         return dict(self._by_qid.get(qid, {}))
@@ -77,9 +74,6 @@ class Qrels:
 
     def qids(self) -> List[str]:
         return list(self._by_qid.keys())
-
-    def __len__(self) -> int:
-        return sum(map(len, self._by_qid.values()))
 
 
 @dataclass(frozen=True)

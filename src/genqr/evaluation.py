@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 from .corpus_io import Qrels, RunList, atomic_writer
 
 METRIC_KINDS = ("ndcg", "map", "mrr", "precision")
+_METRIC_ALIASES = {"p": "precision"}
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,10 @@ def parse_metric(text: str, min_rel: int = 1) -> MetricSpec:
         k = int(cutoff) if cutoff else None
     except ValueError:
         raise ValueError(f"metric {text!r}: cutoff {cutoff!r} is not an integer") from None
-    if name == "ndcg":
-        return MetricSpec("ndcg", k=k, min_rel=min_rel)
-    if name in ("p", "precision"):
-        return MetricSpec("precision", k=k, min_rel=min_rel)
-    if name == "map":
-        return MetricSpec("map", k=k, min_rel=min_rel)
-    if name == "mrr":
-        return MetricSpec("mrr", k=k, min_rel=min_rel)
-    raise ValueError(f"unknown metric {text!r}")
+    kind = _METRIC_ALIASES.get(name, name)
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric {text!r}")
+    return MetricSpec(kind, k=k, min_rel=min_rel)
 
 
 def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:

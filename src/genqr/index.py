@@ -281,7 +281,6 @@ class PostingsIndex:
             "version": INDEX_VERSION,
             "analyzer": self.analyzer.config(),
             "analyzer_fingerprint": self.analyzer.fingerprint(),
-            "n_docs": self.n_docs,
             "total_tokens": self.total_tokens,
             "docs": [[docno, length] for docno, length in zip(self.docnos, self.doc_lengths)],
             "terms": postings.terms,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -14,8 +15,8 @@ import genqr.index
 from genqr.cli import (cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
                        cmd_run, cmd_sweep, main)
 from genqr.analysis import Analyzer
-from genqr.config import (ConfigError, ExperimentConfig, Rm3Params, config_from_dict,
-                          load_config)
+from genqr.config import (METHODS, ConfigError, ExperimentConfig, Rm3Params,
+                          config_from_dict, load_config)
 from genqr.corpus_io import load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, holm_bonferroni, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
@@ -706,6 +707,32 @@ def test_sweep_scores_failed_queries_zero(toy_cfg, toy_index, tmp_path, caplog):
     assert "s-k11.2: 10 judged topics missing" in caplog.text
 
 
+def test_sweep_reports_like_eval(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble_rf", tag="g")
+    rows = cmd_sweep(cfg, "method", METHODS, tmp_path / "sweep.csv")
+    runs = Path(cfg.output_dir)
+    tags = [f"g-method{method}" for method in METHODS]
+    swept = {tag: (runs / f"{tag}.run").read_bytes() for tag in tags}
+    for method, tag in zip(METHODS, tags):
+        run_path, _, _ = cmd_run(toy_cfg(method, tag=tag, output_dir=str(tmp_path / "alone")))
+        assert run_path.read_bytes() == swept[tag]
+
+    eval_out = tmp_path / "eval"
+    assert main(["eval", *(str(runs / f"{tag}.run") for tag in tags),
+                 "--qrels", str(TOY / "qrels.txt"), "--baseline", tags[0],
+                 "--out", str(eval_out)]) == 0
+    table = (runs / "g-method" / "comparison.tsv").read_bytes()
+    assert table == (eval_out / "comparison.tsv").read_bytes()
+
+    table_means = [tuple(line.split("\t")[:3])
+                   for line in table.decode().splitlines()[1:]]
+    csv_means = [(f"g-method{row['value']}", row["metric"], f"{row['mean']:.6f}")
+                 for row in rows]
+    assert csv_means == table_means
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
+        [f"method,{row['value']},{row['metric']},{row['mean']:.6f}" for row in rows]
+
+
 def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):
     cfg = toy_cfg("genqrensemble_rf", tag="sweep", metrics=["ndcg@10"])
     rows = cmd_sweep(cfg, "m", [0], tmp_path / "sweep.csv")
@@ -745,6 +772,28 @@ def test_sweep_bad_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
     cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
     with pytest.raises(ConfigError, match=param):
         cmd_sweep(cfg, param, values, tmp_path / "sweep.csv")
+    assert not Path(cfg.output_dir).exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("values,tag", [([1, 1], "rep-m1"), ([0, 2, 0], "rep-m0")])
+def test_sweep_repeated_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
+                                                      values, tag):
+    cfg = toy_cfg("genqrensemble_rf", tag="rep", metrics=["ndcg@10"])
+    with pytest.raises(ConfigError, match=f"repeated run tag '{tag}'"):
+        cmd_sweep(cfg, "m", values, tmp_path / "sweep.csv")
+    assert not Path(cfg.output_dir).exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("qrels", [None, "missing.txt"])
+def test_sweep_without_qrels_file_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
+                                                          qrels):
+    qrels = qrels and str(tmp_path / qrels)
+    cfg = toy_cfg("raw", tag="noq", qrels=qrels)
+    with pytest.raises(ConfigError, match=re.escape(f"sweep needs a qrels file in the "
+                                                    f"config, got {qrels!r}")):
+        cmd_sweep(cfg, "k1", [1.2], tmp_path / "sweep.csv")
     assert not Path(cfg.output_dir).exists()
     assert not (tmp_path / "sweep.csv").exists()
 

@@ -189,15 +189,16 @@ def test_qrels_line(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("1 0 d7 2\n")
     qrels = load_qrels(path)
-    assert qrels.grade("1", "d7") == 2
+    assert qrels.qids() == ["1"]
+    assert qrels.judged("1") == {"d7": 2}
 
 
 def test_qrels_unlisted_pair_is_zero(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("1 0 d7 2\n")
     qrels = load_qrels(path)
-    assert qrels.grade("1", "nope") == 0
-    assert qrels.grade("9", "d7") == 0
+    assert "nope" not in qrels.judged("1")
+    assert qrels.judged("9") == {}
 
 
 def test_qrels_repeated_pair_rejected(tmp_path):
@@ -218,7 +219,8 @@ def test_qrels_hundred_lines(tmp_path):
     lines = [f"{q} 0 d{i} {i % 4}" for q in range(10) for i in range(10)]
     path = tmp_path / "q.txt"
     path.write_text("\n".join(lines) + "\n")
-    assert len(load_qrels(path)) == 100  # line-count oracle
+    qrels = load_qrels(path)
+    assert sum(len(qrels.judged(q)) for q in qrels.qids()) == 100  # line-count oracle
 
 
 # --- runs ---

@@ -306,8 +306,10 @@ _weight = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 
 @st.composite
 def _ranked_corpus(draw):
+    """Docnos out of index order, so that a docno tie-break differs from an
+    index-order one."""
     docs = []
-    for i in range(draw(st.integers(1, 40))):
+    for i in draw(st.permutations(range(draw(st.integers(1, 40))))):
         counts = {t: draw(_tf) for t in _RARE if draw(st.integers(0, 5)) == 0}
         counts.update({t: draw(_tf) for t in _HEAD if draw(st.integers(0, 19)) > 0})
         docs.append(Document(f"d{i:02d}", " ".join(t for t, tf in counts.items()
@@ -384,6 +386,23 @@ def test_version_mismatch_rejected(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(IndexingError, match="version"):
         PostingsIndex.load(tmp_path / "idx")
+
+
+def test_index_with_n_docs_key_still_loads(tmp_path):
+    """meta.json no longer carries n_docs (`docs` holds the count); a
+    version-2 index written with it loads as before."""
+    import json
+    index = build_index(make_corpus(random.Random(5), 20, 10), Analyzer())
+    index.save(tmp_path / "idx")
+    meta_path = tmp_path / "idx" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert "n_docs" not in meta and len(meta["docs"]) == 20
+    meta["n_docs"] = 20
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1))
+    loaded = PostingsIndex.load(tmp_path / "idx")
+    assert loaded.n_docs == 20
+    assert (loaded.postings, loaded.docnos, loaded.doc_lengths) == \
+        (index.postings, index.docnos, index.doc_lengths)
 
 
 def test_bad_analyzer_section_rejected(tmp_path):

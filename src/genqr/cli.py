@@ -163,10 +163,8 @@ class _QueryRunner:
             query, keywords = reformulate_query(query, responses, cfg.reformulation,
                                                 self.analyzer)
         elif step.feedback is not None:
-            query = rm3_expand(self.index, query, step.feedback, fb_terms=cfg.rm3.fb_terms,
-                               lam=cfg.rm3.lam, mu=cfg.rm3.mu)
-        run = self.index.retrieve(query, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b,
-                                  tag=cfg.run_tag)
+            query = rm3_expand(self.index, query, step.feedback, cfg.rm3)
+        run = self.index.retrieve(query, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b)
         return run, query_record(step.topic, query, keywords, step.context)
 
 
@@ -203,8 +201,7 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
                     raise step
                 logger.error("qid %s failed: %s", topic.qid, step)
                 failures.append({"qid": topic.qid, "error": str(step)})
-                step = (RunList(qid=topic.qid, entries=[], tag=cfg.run_tag),
-                        query_record(topic))
+                step = (RunList(qid=topic.qid), query_record(topic))
             results.append(step)
 
     runs = [run for run, _ in results]
@@ -212,7 +209,7 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
         runs = _apply_reranker(cfg, runs, out_dir)
 
     run_path = out_dir / f"{cfg.run_tag}.run"
-    write_run(runs, run_path)
+    write_run(runs, run_path, cfg.run_tag)
     ref_path = out_dir / f"{cfg.run_tag}.reformulations.jsonl"
     with atomic_writer(ref_path) as f:
         for _, record in results:
@@ -232,17 +229,14 @@ def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
     `<reranker_cmd> <candidates> <reranked>` and read back new scores."""
     cand_path = out_dir / f"{cfg.run_tag}.candidates.run"
     rerank_path = out_dir / f"{cfg.run_tag}.reranked.run"
-    write_run(runs, cand_path)
+    write_run(runs, cand_path, cfg.run_tag)
     cmd = shlex.split(cfg.reranker_cmd) + [str(cand_path), str(rerank_path)]
     subprocess.run(cmd, check=True)
-    reranked = {run.qid: run for run in read_run(rerank_path)}
-    out = []
+    reranked = {run.qid: run for run in read_run(rerank_path)[1]}
     for run in runs:
         if run.entries and run.qid not in reranked:
             raise RuntimeError(f"reranker output is missing qid {run.qid}")
-        new = reranked.get(run.qid, run)
-        out.append(RunList(qid=run.qid, entries=new.entries, tag=cfg.run_tag))
-    return out
+    return [reranked.get(run.qid, run) for run in runs]
 
 
 def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
@@ -264,8 +258,8 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
 
     tagged_runs: Dict[str, List[RunList]] = {}  # in input order
     for path in run_paths:
-        runs = read_run(path)
-        tag = runs[0].tag if runs else Path(path).stem
+        tag, runs = read_run(path)
+        tag = tag or Path(path).stem
         if tag in tagged_runs:
             raise ValueError(f"duplicate run tag {tag!r} across inputs")
         tagged_runs[tag] = runs
@@ -324,8 +318,8 @@ def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels_path: str | Path,
     """Per-query values of one metric for two runs plus their delta (CSV)."""
     qrels = load_qrels(qrels_path)
     spec = parse_metric(metric, min_rel=min_rel)
-    report_a = evaluate_run(read_run(run_a), qrels, spec)
-    report_b = evaluate_run(read_run(run_b), qrels, spec)
+    report_a = evaluate_run(read_run(run_a)[1], qrels, spec)
+    report_b = evaluate_run(read_run(run_b)[1], qrels, spec)
     if not report_a.per_query:
         raise ValueError("no judged topic has a relevant document")
     rows = [{"qid": q, "value_a": a, "value_b": report_b.per_query[q],
@@ -372,11 +366,13 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
     first value's run as the baseline: reports and comparison table go to
     <output_dir>/<run_tag>-<param>/. The long-format CSV (param, value,
     metric, mean) at `out_path` holds the table's means. Index and LLM cache
-    are reused. Every value is checked before the first run."""
+    are reused. Every value, and the qrels file, is checked before the first
+    run."""
     if not values:
         raise ValueError("sweep needs at least one value")
     if not (cfg.qrels and Path(cfg.qrels).is_file()):
         raise ConfigError(f"sweep needs a qrels file in the config, got {cfg.qrels!r}")
+    load_qrels(cfg.qrels)  # a malformed line fails here, not after every run
     configs = [_swept_config(cfg, param, value) for value in values]
     value_of = {}  # run tag -> swept value
     for value, sub in zip(values, configs):

@@ -17,9 +17,10 @@ from typing import List, Optional
 from .analysis import Analyzer
 from .corpus_io import CORPUS_READERS, TOPIC_READERS
 from .evaluation import parse_metric
+from .index import DEFAULT_B, DEFAULT_K1
 from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, Generator,
                   ResponseCache, SamplingConfig)
-from .prf import DEFAULT_FB_DOCS, DEFAULT_FB_TERMS, DEFAULT_LAMBDA, DEFAULT_MU
+from .prf import Rm3Params
 from .reformulate import InstructionSet, ReformulationConfig
 from .schema import ConfigError, build, check_fields, check_value
 
@@ -27,16 +28,6 @@ METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf
 RF_METHODS = ("flanprf", "genqrensemble_rf")
 ENSEMBLE_METHODS = ("genqrensemble", "genqrensemble_rf")
 LLM_METHODS = ("flanqr", "genqrensemble", *RF_METHODS)
-
-
-@dataclass(frozen=True)
-class Rm3Params:
-    fb_docs: int = field(default=DEFAULT_FB_DOCS, metadata={"min": 0})
-    fb_terms: int = field(default=DEFAULT_FB_TERMS, metadata={"min": 0})
-    lam: float = field(default=DEFAULT_LAMBDA, metadata={"min": 0, "max": 1})
-    mu: float = field(default=DEFAULT_MU, metadata={"min": 0})
-
-    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -48,8 +39,8 @@ class ExperimentConfig:
     topics_format: str = field(default="tsv", metadata={"choices": tuple(TOPIC_READERS)})
     qrels: Optional[str] = None
     analyzer: Analyzer = field(default_factory=Analyzer)
-    k1: float = field(default=1.2, metadata={"min": 0})
-    b: float = field(default=0.75, metadata={"min": 0, "max": 1})
+    k1: float = field(default=DEFAULT_K1, metadata={"min": 0})
+    b: float = field(default=DEFAULT_B, metadata={"min": 0, "max": 1})
     method: str = field(default="raw", metadata={"choices": METHODS})
     retrieval_depth: int = field(default=100, metadata={"min": 1})
     metrics: List[str] = field(default_factory=lambda: ["ndcg@10", "map", "mrr", "p@10"])

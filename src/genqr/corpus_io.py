@@ -9,7 +9,9 @@ Supported formats:
 - qrels: whitespace-delimited `qid iter docno grade` (iter ignored).
 - runs: 6-column `qid Q0 docno rank score tag`, single spaces, scores at
   6 decimals so written files are byte-stable. A rank is the 1-based list
-  position: it is written, never stored or read.
+  position: it is written, never stored or read. The tag names the file:
+  `write_run` writes one on every line, and `read_run` returns the first
+  line's, or None for a file without lines.
 
 Output files are written through `atomic_writer`, so an interrupted write
 leaves the previous file, not a truncated one.
@@ -24,7 +26,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Dict, Iterable, Iterator, List, Tuple
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class CorpusFormatError(ValueError):
@@ -89,29 +91,25 @@ class RunList:
 
     qid: str
     entries: List[RunEntry] = field(default_factory=list)
-    tag: str = "run"
 
     @classmethod
-    def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]], tag: str,
+    def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]],
                     k: int | None = None) -> "RunList":
         """Build a valid RunList: sort by score desc, docno asc."""
         ordered = sorted(scored, key=lambda e: (-e[1], e[0]))
         if k is not None:
             ordered = ordered[:k]
-        return cls(qid=qid, entries=[RunEntry(docno, score) for docno, score in ordered],
-                   tag=tag)
+        return cls(qid=qid, entries=[RunEntry(docno, score) for docno, score in ordered])
 
     def validate(self) -> None:
         seen = set()
         prev_score = None
         for i, entry in enumerate(self.entries, start=1):
             if entry.docno in seen:
-                raise CorpusFormatError(
-                    f"run {self.tag!r} qid {self.qid}: duplicate docno {entry.docno!r}")
+                raise CorpusFormatError(f"qid {self.qid}: duplicate docno {entry.docno!r}")
             seen.add(entry.docno)
             if prev_score is not None and entry.score > prev_score:
-                raise CorpusFormatError(
-                    f"run {self.tag!r} qid {self.qid}: scores increase at rank {i}")
+                raise CorpusFormatError(f"qid {self.qid}: scores increase at rank {i}")
             prev_score = entry.score
 
 
@@ -293,7 +291,7 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def write_run(runs: List[RunList], path: str | Path) -> None:
+def write_run(runs: List[RunList], path: str | Path, tag: str) -> None:
     """Write TREC run lines `qid Q0 docno rank score tag`, queries in input
     order; the rank is each entry's 1-based position in its list."""
     for run in runs:
@@ -302,31 +300,31 @@ def write_run(runs: List[RunList], path: str | Path) -> None:
         for run in runs:
             for rank, entry in enumerate(run.entries, start=1):
                 f.write(f"{run.qid} Q0 {entry.docno} {rank} "
-                        f"{entry.score:.6f} {run.tag}\n")
+                        f"{entry.score:.6f} {tag}\n")
 
 
-def read_run(path: str | Path) -> List[RunList]:
-    """Read a TREC run file; re-sorts per qid by score desc (docno asc on ties),
-    so unsorted input is tolerated. The rank column is not read: a rank is
-    the list position. A docno listed twice for one qid is an error, as in
-    trec_eval."""
+def read_run(path: str | Path) -> Tuple[Optional[str], List[RunList]]:
+    """Read a TREC run file as (tag, rankings); re-sorts per qid by score desc
+    (docno asc on ties), so unsorted input is tolerated. The rank column is
+    not read: a rank is the list position. A docno listed twice for one qid
+    is an error, as in trec_eval."""
     path = Path(path)
     scored: Dict[str, Dict[str, float]] = {}
-    tags: Dict[str, str] = {}
+    tag = None
     for lineno, line in _nonblank_lines(path):
         parts = line.split()
         if len(parts) != 6:
             raise CorpusFormatError(
                 f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-        qid, _, docno, _, score_str, tag = parts
+        qid, _, docno, _, score_str, line_tag = parts
         try:
             score = float(score_str)
         except ValueError as e:
             raise CorpusFormatError(f"{path}:{lineno}: bad score {score_str!r}") from e
+        tag = tag or line_tag
         docs = scored.setdefault(qid, {})
-        tags.setdefault(qid, tag)
         if docno in docs:
             raise CorpusFormatError(
                 f"{path}:{lineno}: repeated docno {docno!r} for qid {qid!r}")
         docs[docno] = score
-    return [RunList.from_scores(qid, scored[qid].items(), tags[qid]) for qid in scored]
+    return tag, [RunList.from_scores(qid, docs.items()) for qid, docs in scored.items()]

@@ -189,7 +189,7 @@ class PostingsIndex:
         return {self.docnos[ord_]: score for ord_, score in accum.items()}
 
     def retrieve(self, query: WeightedQuery, k: int, k1: float = DEFAULT_K1,
-                 b: float = DEFAULT_B, tag: str = "run") -> RunList:
+                 b: float = DEFAULT_B) -> RunList:
         """Top-k candidates by score descending, docno ascending on ties:
         `bm25_scores` ranked and cut at k, entry for entry and bit for bit.
 
@@ -215,7 +215,7 @@ class PostingsIndex:
             if weight != 0.0 and i is not None:
                 lists.append((weight * self.idf(term), postings.starts[i], postings.starts[i + 1]))
         if not lists:
-            return RunList(qid=query.qid, entries=[], tag=tag)
+            return RunList(qid=query.qid)
 
         norms = self._doc_norms(k1, b)
         docs, tfs = postings.docs, postings.tfs
@@ -256,8 +256,7 @@ class PostingsIndex:
         docnos = self.docnos
         top = heapq.nsmallest(k, seen if candidates is None else candidates,
                               key=lambda d: (-acc[d], docnos[d]))
-        return RunList(qid=query.qid, tag=tag,
-                       entries=[RunEntry(docnos[d], acc[d]) for d in top])
+        return RunList(qid=query.qid, entries=[RunEntry(docnos[d], acc[d]) for d in top])
 
     # --- persistence ---
 
@@ -295,7 +294,12 @@ class PostingsIndex:
         meta_path = path / "meta.json"
         if not meta_path.exists():
             raise IndexingError(f"{path}: not an index directory (missing meta.json); {_REBUILD}")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError:  # invalid JSON or UTF-8
+            meta = None
+        if not isinstance(meta, dict):
+            raise IndexingError(f"{path}: meta.json is not a JSON object; {_REBUILD}")
         if meta.get("magic") != INDEX_MAGIC:
             raise IndexingError(f"{path}: bad magic {meta.get('magic')!r}; {_REBUILD}")
         if meta.get("version") != INDEX_VERSION:
@@ -309,13 +313,18 @@ class PostingsIndex:
             raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
         if index.analyzer.fingerprint() != meta.get("analyzer_fingerprint"):
             raise IndexingError(f"{path}: analyzer fingerprint mismatch; {_REBUILD}")
-        for docno, length in meta["docs"]:
-            index.docnos.append(docno)
-            index.doc_lengths.append(int(length))
-        index.total_tokens = int(meta["total_tokens"])
+        try:
+            for docno, length in meta["docs"]:
+                index.docnos.append(docno)
+                index.doc_lengths.append(int(length))
+            index.total_tokens = int(meta["total_tokens"])
+            terms, n_postings = meta["terms"], int(meta["n_postings"])
+            n_terms = len(terms)
+        except KeyError as e:
+            raise IndexingError(f"{path}: meta.json lacks {e}; {_REBUILD}") from None
+        except (TypeError, ValueError) as e:
+            raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
 
-        terms, n_postings = meta["terms"], int(meta["n_postings"])
-        n_terms = len(terms)
         raw = (path / "postings.bin").read_bytes()
         if raw[:len(_POSTINGS_MAGIC)] != _POSTINGS_MAGIC:
             raise IndexingError(f"{path}: corrupted postings header; {_REBUILD}")

@@ -11,22 +11,29 @@ P(t|d) = (tf(t,d) + mu * P(t|C)) / (|d| + mu). The query likelihood
 P(q0|d) uses the same smoothing. Expansion candidates are the terms that
 occur in the feedback documents; the model is truncated to the top
 `fb_terms` terms and renormalized. Original query terms are always
-retained in the output.
+retained in the output. `Rm3Params` holds lam, mu, fb_terms and fb_docs
+(the number of feedback documents), each with its default and bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from .corpus_io import Qrels, RunList
 from .index import PostingsIndex, WeightedQuery
+from .schema import check_fields
 
-DEFAULT_FB_DOCS = 5
-DEFAULT_FB_TERMS = 10
-DEFAULT_LAMBDA = 0.5
-DEFAULT_MU = 2500.0
+
+@dataclass(frozen=True)
+class Rm3Params:
+    fb_docs: int = field(default=5, metadata={"min": 0})
+    fb_terms: int = field(default=10, metadata={"min": 0})
+    lam: float = field(default=0.5, metadata={"min": 0, "max": 1})
+    mu: float = field(default=2500.0, metadata={"min": 0})
+
+    __post_init__ = check_fields
 
 
 class FeedbackError(RuntimeError):
@@ -94,17 +101,14 @@ def _smoothed_lm(tf: Dict[str, int], doc_len: int, index: PostingsIndex,
 
 
 def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
-                             feedback: FeedbackSet, fb_terms: int,
-                             mu: float = DEFAULT_MU) -> Dict[str, float]:
+                             feedback: FeedbackSet, params: Rm3Params) -> Dict[str, float]:
     """Truncated, renormalized relevance model over feedback-document terms.
 
-    Returns at most fb_terms (term -> probability) entries summing to 1.
+    Returns at most params.fb_terms (term -> probability) entries summing to 1.
     """
     if len(feedback) == 0:
         raise FeedbackError(f"qid {original.qid}: empty feedback set")
-    if fb_terms < 0:
-        raise ValueError(f"fb_terms must be >= 0, got {fb_terms}")
-    if fb_terms == 0:
+    if params.fb_terms == 0:
         return {}
 
     q_weights = original.aggregated()
@@ -115,7 +119,7 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
         tf: Dict[str, int] = {}
         for token in tokens:
             tf[token] = tf.get(token, 0) + 1
-        lm = _smoothed_lm(tf, len(tokens), index, mu)
+        lm = _smoothed_lm(tf, len(tokens), index, params.mu)
         # Query likelihood under the same smoothing; terms absent from the
         # whole collection carry no evidence and are skipped.
         loglik = 0.0
@@ -144,7 +148,7 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
         for term in tf:
             scores[term] = scores.get(term, 0.0) + lm(term) * posterior
 
-    top = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:fb_terms]
+    top = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:params.fb_terms]
     mass = sum(p for _, p in top)
     if mass <= 0.0:
         return {}
@@ -152,11 +156,8 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
 
 
 def rm3_expand(index: PostingsIndex, original: WeightedQuery, feedback: FeedbackSet,
-               fb_terms: int = DEFAULT_FB_TERMS, lam: float = DEFAULT_LAMBDA,
-               mu: float = DEFAULT_MU) -> WeightedQuery:
+               params: Rm3Params) -> WeightedQuery:
     """Interpolate the normalized original query with the relevance model."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
     if len(feedback) == 0:
         raise FeedbackError(f"qid {original.qid}: empty feedback set")
 
@@ -166,8 +167,8 @@ def rm3_expand(index: PostingsIndex, original: WeightedQuery, feedback: Feedback
         raise ValueError(f"qid {original.qid}: degenerate original query")
     q_model = {t: w / q_total for t, w in q_weights.items()}
 
-    rel_model = estimate_relevance_model(index, original, feedback, fb_terms, mu=mu) \
-        if lam < 1.0 else {}
+    lam = params.lam
+    rel_model = estimate_relevance_model(index, original, feedback, params) if lam < 1.0 else {}
 
     combined: Dict[str, float] = {t: lam * p for t, p in q_model.items()}
     for term, p in rel_model.items():

@@ -18,7 +18,8 @@ from genqr.evaluation import (average_precision, evaluate_run,
                               parse_metric, precision_at_k)
 from genqr.index import WeightedQuery, build_index
 from genqr.llm import Backend, Generator, ReplayBackend
-from genqr.prf import FeedbackDoc, FeedbackSet, rm3_expand, select_feedback
+from genqr.prf import (FeedbackDoc, FeedbackSet, Rm3Params, estimate_relevance_model,
+                       rm3_expand, select_feedback)
 from genqr.reformulate import (InstructionSet, ReformulationConfig, build_context,
                                paraphrase_instructions, query_prompts,
                                reformulate_query)
@@ -67,7 +68,7 @@ def test_criterion_2_metric_oracle_equivalence():
         grades = {d: rng.randint(0, 3) for d in docs if rng.random() < 0.85}
         ranked = rng.sample(docs, rng.randint(0, len(docs)))
         run = RunList.from_scores(
-            "1", [(d, float(len(ranked) - i)) for i, d in enumerate(ranked)], "t")
+            "1", [(d, float(len(ranked) - i)) for i, d in enumerate(ranked)])
         qrels = Qrels({("1", d): g for d, g in grades.items()})
         k = rng.randint(1, 10)
         checks = [
@@ -83,7 +84,7 @@ def test_criterion_2_metric_oracle_equivalence():
                 assert mine == pytest.approx(ref, abs=1e-9)
     # hand-derived case: grades [0,1,2] at ranks 1..3, judged set {2,1,0}
     qrels = Qrels({("1", "x"): 0, ("1", "y"): 1, ("1", "z"): 2})
-    run = RunList.from_scores("1", [("x", 3.0), ("y", 2.0), ("z", 1.0)], "t")
+    run = RunList.from_scores("1", [("x", 3.0), ("y", 2.0), ("z", 1.0)])
     assert ndcg_at_k(run, qrels, 3) == pytest.approx(0.6199, abs=1e-4)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -185,11 +186,11 @@ def test_criterion_6_rm3_correctness():
             Document("d3", "a a d b"), Document("d4", "a b d c")]
     index = build_index(docs, Analyzer())
     texts = {d.docno: d.text for d in docs}
-    run = RunList.from_scores("q", [("d1", 2.0), ("d2", 1.0)], "t")
+    run = RunList.from_scores("q", [("d1", 2.0), ("d2", 1.0)])
     feedback = select_feedback(run, lambda d: texts[d], m=2)
     query = WeightedQuery.from_terms("q", ["a", "b"])
 
-    out = rm3_expand(index, query, feedback, fb_terms=2, lam=0.5, mu=8.0)
+    out = rm3_expand(index, query, feedback, Rm3Params(fb_terms=2, lam=0.5, mu=8.0))
     weights = dict(out.terms)
     ref = rm3_oracle({d.docno: d.text.split() for d in docs}, ["d1", "d2"],
                      {"a": 1.0, "b": 1.0}, fb_terms=2, lam=0.5, mu=8.0)
@@ -197,11 +198,10 @@ def test_criterion_6_rm3_correctness():
     for term in ref:
         assert weights[term] == pytest.approx(ref[term], abs=1e-9)
 
-    identity = rm3_expand(index, query, feedback, fb_terms=2, lam=1.0, mu=8.0)
+    identity = rm3_expand(index, query, feedback, Rm3Params(fb_terms=2, lam=1.0, mu=8.0))
     assert dict(identity.terms) == pytest.approx({"a": 0.5, "b": 0.5}, abs=1e-12)
 
-    from genqr.prf import estimate_relevance_model
-    model = estimate_relevance_model(index, query, feedback, fb_terms=2, mu=8.0)
+    model = estimate_relevance_model(index, query, feedback, Rm3Params(fb_terms=2, mu=8.0))
     assert sum(model.values()) == pytest.approx(1.0, abs=1e-9)
     _ok(6, "RM3 matches the exhaustive enumeration; lam=1 is the identity")
 
@@ -242,7 +242,7 @@ def _grid_means(tmp_path):
             first = False
         run_path, _, failed = cmd_run(cfg)
         assert failed == 0
-        means[tag] = evaluate_run(read_run(run_path), qrels, spec).mean
+        means[tag] = evaluate_run(read_run(run_path)[1], qrels, spec).mean
     return means
 
 

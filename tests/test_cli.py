@@ -17,7 +17,7 @@ from genqr.cli import (cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
 from genqr.analysis import Analyzer
 from genqr.config import (METHODS, ConfigError, ExperimentConfig, Rm3Params,
                           config_from_dict, load_config)
-from genqr.corpus_io import load_qrels, load_topics, read_run
+from genqr.corpus_io import CorpusFormatError, load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, holm_bonferroni, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
 from genqr.llm import GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key
@@ -456,12 +456,13 @@ def test_raw_run_equals_direct_retrieval(toy_cfg, toy_index):
     cfg = toy_cfg("raw")
     run_path, ref_path, failed = cmd_run(cfg)
     assert failed == 0
-    runs = read_run(run_path)
+    tag, runs = read_run(run_path)
+    assert tag == cfg.run_tag
     index = PostingsIndex.load(cfg.index_dir)
     for topic in load_topics(cfg.topics):
         expected = index.retrieve(
             WeightedQuery.from_terms(topic.qid, index.analyzer.analyze(topic.query)),
-            k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b, tag=cfg.run_tag)
+            k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b)
         got = next(r for r in runs if r.qid == topic.qid)
         assert [e.docno for e in got.entries] == [e.docno for e in expected.entries]
         for a, b in zip(got.entries, expected.entries):
@@ -522,7 +523,7 @@ def test_lenient_mode_records_failures(toy_cfg, toy_index, tmp_path):
     failures = [json.loads(line) for line in
                 (run_path.parent / "raw.failures.jsonl").read_text().splitlines()]
     assert failures[0]["qid"] == "2"
-    assert all(r.qid == "1" for r in read_run(run_path))
+    assert all(r.qid == "1" for r in read_run(run_path)[1])
 
 
 def test_reranker_seam(toy_cfg, toy_index, tmp_path):
@@ -538,7 +539,7 @@ def test_reranker_seam(toy_cfg, toy_index, tmp_path):
     rerank = toy_cfg("raw", tag="rerank", reranker_cmd=f"python3 {script}")
     run_plain, _, _ = cmd_run(plain)
     run_rerank, _, _ = cmd_run(rerank)
-    for before, after in zip(read_run(run_plain), read_run(run_rerank)):
+    for before, after in zip(read_run(run_plain)[1], read_run(run_rerank)[1]):
         assert [e.docno for e in after.entries] == \
             [e.docno for e in reversed(before.entries)]
 
@@ -573,8 +574,8 @@ def test_eval_relative_improvement_matches_hand_computation(toy_cfg, toy_index, 
                      tmp_path / "eval", baseline="base")
     qrels = load_qrels(TOY / "qrels.txt")
     spec = parse_metric("ndcg@10")
-    mean_a = evaluate_run(read_run(run_a), qrels, spec).mean
-    mean_b = evaluate_run(read_run(run_b), qrels, spec).mean
+    mean_a = evaluate_run(read_run(run_a)[1], qrels, spec).mean
+    mean_b = evaluate_run(read_run(run_b)[1], qrels, spec).mean
     row = next(r for r in table["rows"] if r["run"] == "ens")
     assert row["delta_pct"] == pytest.approx(100.0 * (mean_b - mean_a) / mean_a)
 
@@ -639,8 +640,8 @@ def test_querywise_matches_eval_module(toy_cfg, toy_index, tmp_path):
                          tmp_path / "qw.csv")
     qrels = load_qrels(TOY / "qrels.txt")
     spec = parse_metric("ndcg@10")
-    per_a = evaluate_run(read_run(run_a), qrels, spec).per_query
-    per_b = evaluate_run(read_run(run_b), qrels, spec).per_query
+    per_a = evaluate_run(read_run(run_a)[1], qrels, spec).per_query
+    per_b = evaluate_run(read_run(run_b)[1], qrels, spec).per_query
     for row in rows:
         assert row["value_a"] == pytest.approx(per_a[row["qid"]])
         assert row["value_b"] == pytest.approx(per_b[row["qid"]])
@@ -654,7 +655,7 @@ def test_querywise_disjoint_queries_score_missing_zero(toy_cfg, toy_index, tmp_p
     other.write_text("99 Q0 d011 1 1.000000 x\n")  # qid 99 is unjudged
     rows = cmd_querywise(run_path, other, TOY / "qrels.txt", "ndcg@10",
                          tmp_path / "qw.csv")
-    per_a = evaluate_run(read_run(run_path), load_qrels(TOY / "qrels.txt"),
+    per_a = evaluate_run(read_run(run_path)[1], load_qrels(TOY / "qrels.txt"),
                          parse_metric("ndcg@10")).per_query
     assert sorted(r["qid"] for r in rows) == sorted(load_qrels(TOY / "qrels.txt").qids())
     for row in rows:
@@ -692,7 +693,7 @@ def test_eval_scores_judged_topics_missing_from_run(toy_cfg, toy_index, tmp_path
     rows = {row["run"]: row for row in table["rows"]}
     assert rows["failed"]["evaluated"] == rows["partial"]["evaluated"] == 10
     assert rows["failed"]["mean"] == 0.0
-    one = evaluate_run(read_run(partial), load_qrels(TOY / "qrels.txt"),
+    one = evaluate_run(read_run(partial)[1], load_qrels(TOY / "qrels.txt"),
                        parse_metric("map")).per_query[first_qid]
     assert rows["partial"]["mean"] == pytest.approx(one / 10)
     assert "failed: 10 judged topics missing" in caplog.text
@@ -739,7 +740,7 @@ def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):
     plain_run, _, _ = cmd_run(toy_cfg("genqrensemble", tag="plain",
                                       metrics=["ndcg@10"]))
     qrels = load_qrels(TOY / "qrels.txt")
-    plain_mean = evaluate_run(read_run(plain_run), qrels, parse_metric("ndcg@10")).mean
+    plain_mean = evaluate_run(read_run(plain_run)[1], qrels, parse_metric("ndcg@10")).mean
     assert rows[0]["mean"] == pytest.approx(plain_mean)
 
 
@@ -795,6 +796,16 @@ def test_sweep_without_qrels_file_rejected_before_any_run(toy_cfg, toy_index, tm
                                                     f"config, got {qrels!r}")):
         cmd_sweep(cfg, "k1", [1.2], tmp_path / "sweep.csv")
     assert not Path(cfg.output_dir).exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_malformed_qrels_rejected_before_any_run(toy_cfg, toy_index, tmp_path):
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("1 0 d001 x\n")
+    cfg = toy_cfg("raw", tag="badq", qrels=str(qrels))
+    with pytest.raises(CorpusFormatError, match="non-integer grade 'x'"):
+        cmd_sweep(cfg, "k1", [1.0, 1.2], tmp_path / "sweep.csv")
+    assert not list(tmp_path.rglob("*.run"))
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -868,8 +879,8 @@ def test_beta_zero_matches_raw_on_every_metric(toy_cfg, toy_index, tmp_path):
     qrels = load_qrels(TOY / "qrels.txt")
     for metric in ("ndcg@10", "map", "mrr", "p@10"):
         spec = parse_metric(metric)
-        a = evaluate_run(read_run(raw_run), qrels, spec)
-        b = evaluate_run(read_run(beta0_run), qrels, spec)
+        a = evaluate_run(read_run(raw_run)[1], qrels, spec)
+        b = evaluate_run(read_run(beta0_run)[1], qrels, spec)
         assert a.per_query == pytest.approx(b.per_query)
 
 

@@ -227,25 +227,26 @@ def test_qrels_hundred_lines(tmp_path):
 
 
 def test_run_line_format(tmp_path):
-    run = RunList(qid="1", entries=[RunEntry("d5", 2.5)], tag="bm25")
+    run = RunList(qid="1", entries=[RunEntry("d5", 2.5)])
     path = tmp_path / "r.run"
-    write_run([run], path)
+    write_run([run], path, "bm25")
     assert path.read_text() == "1 Q0 d5 1 2.500000 bm25\n"
 
 
 def test_empty_run_empty_file(tmp_path):
     path = tmp_path / "r.run"
-    write_run([], path)
+    write_run([], path, "t")
     assert path.read_text() == ""
+    assert read_run(path) == (None, [])
 
 
 def test_read_run_resorts_and_reranks(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 low 1 1.000000 t\n1 Q0 hi 2 9.000000 t\n")
-    (run,) = read_run(path)
+    tag, (run,) = read_run(path)
     assert [e.docno for e in run.entries] == ["hi", "low"]
     out = tmp_path / "out.run"  # the rank column is not read: ranks follow the new order
-    write_run([run], out)
+    write_run([run], out, tag)
     assert out.read_text() == "1 Q0 hi 1 9.000000 t\n1 Q0 low 2 1.000000 t\n"
 
 
@@ -266,12 +267,20 @@ def test_read_run_repeated_docno_rejected(tmp_path):
 def test_read_run_two_queries(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 a 1 2.000000 t\n2 Q0 b 1 1.000000 t\n")
-    runs = read_run(path)
+    _, runs = read_run(path)
     assert [r.qid for r in runs] == ["1", "2"]
 
 
+def test_read_run_names_a_file_by_its_first_tag(tmp_path):
+    path = tmp_path / "r.run"
+    path.write_text("\n2 Q0 b 1 1.000000 first\n1 Q0 a 1 2.000000 second\n")
+    tag, runs = read_run(path)
+    assert tag == "first"
+    assert [r.qid for r in runs] == ["2", "1"]
+
+
 def test_tie_scores_broken_by_docno():
-    run = RunList.from_scores("1", [("z", 1.0), ("a", 1.0), ("m", 2.0)], "t")
+    run = RunList.from_scores("1", [("z", 1.0), ("a", 1.0), ("m", 2.0)])
     assert [e.docno for e in run.entries] == ["m", "a", "z"]
 
 
@@ -282,10 +291,10 @@ def test_write_read_roundtrip_randomized(tmp_path):
         for qid in range(rng.randint(1, 4)):
             docnos = rng.sample([f"doc{i}" for i in range(30)], rng.randint(1, 10))
             scored = [(d, rng.randint(0, 10_000_000) / 1e6) for d in docnos]
-            runs.append(RunList.from_scores(str(qid), scored, tag=f"t{trial}"))
+            runs.append(RunList.from_scores(str(qid), scored))
         path = tmp_path / f"r{trial}.run"
-        write_run(runs, path)
-        assert read_run(path) == runs
+        write_run(runs, path, f"t{trial}")
+        assert read_run(path) == (f"t{trial}", runs)
 
 
 # Run-file fields: any non-empty text without whitespace, line breaks or
@@ -296,24 +305,22 @@ _SCORE = st.integers(-10**12, 10**12).map(lambda i: i / 1e6)
 
 
 @settings(max_examples=100, deadline=None)
-@given(runs=st.dictionaries(
-    _FIELD, st.tuples(_FIELD, st.dictionaries(_FIELD, _SCORE, min_size=1, max_size=6)),
-    max_size=4))
-def test_write_read_roundtrip_property(tmp_path_factory, runs):
-    expected = [RunList.from_scores(qid, scored.items(), tag)
-                for qid, (tag, scored) in runs.items()]
+@given(tag=_FIELD, runs=st.dictionaries(
+    _FIELD, st.dictionaries(_FIELD, _SCORE, min_size=1, max_size=6), max_size=4))
+def test_write_read_roundtrip_property(tmp_path_factory, tag, runs):
+    expected = [RunList.from_scores(qid, scored.items()) for qid, scored in runs.items()]
     path = tmp_path_factory.mktemp("rt") / "r.run"
-    write_run(expected, path)
-    assert read_run(path) == expected
+    write_run(expected, path, tag)
+    assert read_run(path) == (tag if expected else None, expected)
 
 
 def test_write_run_validates_invariants(tmp_path):
-    bad = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("a", 0.5)], tag="t")
+    bad = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("a", 0.5)])
     with pytest.raises(CorpusFormatError, match="duplicate docno"):
-        write_run([bad], tmp_path / "r.run")
-    increasing = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("b", 2.0)], tag="t")
+        write_run([bad], tmp_path / "r.run", "t")
+    increasing = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("b", 2.0)])
     with pytest.raises(CorpusFormatError, match="increase"):
-        write_run([increasing], tmp_path / "r.run")
+        write_run([increasing], tmp_path / "r.run", "t")
 
 
 def test_atomic_writer_keeps_previous_file_on_error(tmp_path):
@@ -334,13 +341,13 @@ class _InterruptingScore(float):
 
 def test_interrupted_write_run_keeps_previous_run(tmp_path):
     path = tmp_path / "r.run"
-    write_run([RunList(qid="9", entries=[RunEntry("z", 3.0)], tag="old")], path)
+    write_run([RunList(qid="9", entries=[RunEntry("z", 3.0)])], path, "old")
     before = path.read_bytes()
     # the second query's line raises after the first query's lines are written
-    first = RunList(qid="1", entries=[RunEntry("a", 2.0), RunEntry("b", 1.0)], tag="t")
-    second = RunList(qid="2", entries=[RunEntry("c", _InterruptingScore(1.0))], tag="t")
+    first = RunList(qid="1", entries=[RunEntry("a", 2.0), RunEntry("b", 1.0)])
+    second = RunList(qid="2", entries=[RunEntry("c", _InterruptingScore(1.0))])
     with pytest.raises(KeyboardInterrupt):
-        write_run([first, second], path)
+        write_run([first, second], path, "t")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["r.run"]
 

@@ -14,9 +14,9 @@ from genqr.evaluation import (EvalReport, MetricSpec, average_precision,
                               student_t_two_sided)
 
 
-def run_of(qid, docnos, tag="t"):
+def run_of(qid, docnos):
     return RunList.from_scores(qid, [(d, float(len(docnos) - i))
-                                     for i, d in enumerate(docnos)], tag=tag)
+                                     for i, d in enumerate(docnos)])
 
 
 def qrels_of(qid, grades):
@@ -75,7 +75,7 @@ def test_precision_cases():
     qrels3 = qrels_of("1", {"a": 1, "b": 2, "c": 1})
     ranked = ["a", "x1", "b", "x2", "c"] + [f"x{i}" for i in range(3, 8)]
     assert precision_at_k(run_of("1", ranked), qrels3, k=10) == pytest.approx(0.3)
-    assert precision_at_k(RunList(qid="1", entries=[], tag="t"), qrels3, k=10) == 0.0
+    assert precision_at_k(RunList(qid="1", entries=[]), qrels3, k=10) == 0.0
 
 
 def test_min_rel_threshold():
@@ -121,7 +121,7 @@ def test_rank_only_dependence():
     qrels = qrels_of("1", {"a": 2, "b": 1})
     base = run_of("1", ["b", "a", "c"])
     rescaled = RunList.from_scores(
-        "1", [(e.docno, e.score * 1000 + 7) for e in base.entries], tag="t")
+        "1", [(e.docno, e.score * 1000 + 7) for e in base.entries])
     for spec in [MetricSpec("ndcg", 3), MetricSpec("map"), MetricSpec("mrr"),
                  MetricSpec("precision", 3)]:
         a = evaluate_run([base], qrels, spec).per_query["1"]

@@ -218,8 +218,7 @@ def test_retrieve_rejects_bad_parameters(k, k1, b, match):
 
 
 def exhaustive(index, query, k, k1=1.2, b=0.75):
-    return RunList.from_scores(query.qid, index.bm25_scores(query, k1=k1, b=b).items(),
-                               tag="run", k=k)
+    return RunList.from_scores(query.qid, index.bm25_scores(query, k1=k1, b=b).items(), k=k)
 
 
 def entries(run):
@@ -307,8 +306,9 @@ _weight = st.sampled_from([0.0, 0.5, 1.0, 2.5])
 @st.composite
 def _ranked_corpus(draw):
     """Docnos out of index order, so that a docno tie-break differs from an
-    index-order one."""
-    docs = []
+    index-order one. Up to 120 docs of head terms alone come first: their
+    long head-term lists make retrieve probe them by bisection."""
+    docs = [Document(f"h{i:03d}", " ".join(_HEAD)) for i in range(draw(st.integers(0, 120)))]
     for i in draw(st.permutations(range(draw(st.integers(1, 40))))):
         counts = {t: draw(_tf) for t in _RARE if draw(st.integers(0, 5)) == 0}
         counts.update({t: draw(_tf) for t in _HEAD if draw(st.integers(0, 19)) > 0})
@@ -415,6 +415,34 @@ def test_bad_analyzer_section_rejected(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(IndexingError,
                        match=r"analyzer keys: \['mystery'\]\); rebuild it with `genqr index --force`$"):
+        PostingsIndex.load(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "[]", "docs", "terms", "total_tokens",
+                                        "n_postings", {"docs": 5}, {"total_tokens": "x"}],
+                         ids=["truncated", "not-an-object", "no-docs", "no-terms",
+                              "no-total_tokens", "no-n_postings", "docs-5", "total_tokens-x"])
+def test_corrupt_meta_rejected(tmp_path, corruption):
+    """A truncated meta.json, a root that is not an object, a missing key or
+    a value of the wrong type."""
+    import json
+    build_index([Document("d1", "a")], Analyzer()).save(tmp_path / "idx")
+    meta_path = tmp_path / "idx" / "meta.json"
+    text = meta_path.read_text()
+    if corruption == "truncated":
+        text = text[:len(text) // 2]
+    elif corruption == "[]":
+        text = corruption
+    else:
+        meta = json.loads(text)
+        if isinstance(corruption, dict):
+            meta.update(corruption)
+        else:
+            del meta[corruption]
+        text = json.dumps(meta)
+    meta_path.write_text(text)
+    with pytest.raises(IndexingError,
+                       match=r"meta\.json .*; rebuild it with `genqr index --force`$"):
         PostingsIndex.load(tmp_path / "idx")
 
 

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -379,34 +381,51 @@ def test_torn_last_line_skipped_and_next_put_starts_a_new_line(tmp_path, caplog)
     assert [reopened.get(k * 64) for k in "abcd"] == ["first", "second", "third", "fourth"]
 
 
-_APPEND_BATCHES = """
-import os, sys, time
+# Appends 25 entries to the cache in argv[1]. Before `put` takes the log's
+# lock it creates argv[1]/waiting, so the test can see that it has begun.
+_APPEND_ANNOUNCED = """
+import fcntl, sys
+from pathlib import Path
 from genqr.llm import ResponseCache
-directory, name = sys.argv[1:]
-while not os.path.exists(os.path.join(directory, "go")):
-    time.sleep(0.001)
-cache = ResponseCache(directory)
-for b in range(20):
-    cache.put({f"{name}-{b}-{i}": name * 4000 + str(i) for i in range(25)})
+directory = Path(sys.argv[1])
+flock = fcntl.flock
+
+def announced_flock(f, operation):
+    (directory / "waiting").touch()
+    flock(f, operation)
+
+fcntl.flock = announced_flock
+ResponseCache(directory).put({f"y-{i}": "y" * 4000 + str(i) for i in range(25)})
 """
 
 
 def test_processes_appending_at_once_lose_no_entry(tmp_path, caplog):
+    """This process holds the log's lock with half a line written; the other
+    process's append, once it waits on the lock, lands after the whole line."""
     env = dict(os.environ, PYTHONPATH=str(Path(genqr.__file__).parents[1]))
-    writers = [subprocess.Popen([sys.executable, "-c", _APPEND_BATCHES, str(tmp_path), name],
-                                env=env) for name in "xy"]
-    (tmp_path / "go").touch()
-    for writer in writers:
-        assert writer.wait(timeout=60) == 0
+    held = llm._log_line("x", "held").encode()
+    with open(tmp_path / ResponseCache.LOG, "ab") as f:
+        fcntl.flock(f, fcntl.LOCK_EX)
+        f.write(held[:10])
+        f.flush()
+        writer = subprocess.Popen([sys.executable, "-c", _APPEND_ANNOUNCED, str(tmp_path)],
+                                  env=env)
+        # An append without the lock never announces itself: it just ends.
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "waiting").exists() and writer.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        f.write(held[10:])
+        f.flush()  # closing the file then releases the lock
+    assert writer.wait(timeout=60) == 0
     with caplog.at_level("WARNING"):
         cache = ResponseCache(tmp_path)
     assert caplog.text == ""
-    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
-    assert len(lines) == 2 * 20 * 25
-    for name in "xy":
-        for b in range(20):
-            for i in range(25):
-                assert cache.get(f"{name}-{b}-{i}") == name * 4000 + str(i)
+    lines = (tmp_path / "responses.jsonl").read_bytes().splitlines(keepends=True)
+    assert lines[0] == held and len(lines) == 1 + 25
+    assert cache.get("x") == "held"
+    for i in range(25):
+        assert cache.get(f"y-{i}") == "y" * 4000 + str(i)
 
 
 def test_interrupted_batch_caches_the_responses_that_arrived(tmp_path):

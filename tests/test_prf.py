@@ -7,13 +7,14 @@ from oracles import rm3_oracle
 from genqr.analysis import Analyzer
 from genqr.corpus_io import Document, Qrels, RunList
 from genqr.index import WeightedQuery, build_index
-from genqr.prf import (FeedbackError, FeedbackSet, estimate_relevance_model,
+from genqr.prf import (FeedbackError, FeedbackSet, Rm3Params, estimate_relevance_model,
                        rm3_expand, select_feedback, select_oracle_feedback)
+from genqr.schema import ConfigError
 
 
 def run_of(qid, docnos):
     return RunList.from_scores(qid, [(d, float(len(docnos) - i))
-                                     for i, d in enumerate(docnos)], tag="t")
+                                     for i, d in enumerate(docnos)])
 
 
 def lookup_of(texts):
@@ -103,14 +104,16 @@ def fixture_feedback():
 
 def test_lambda_one_returns_normalized_original():
     query = WeightedQuery(qid="q", terms=(("a", 2.0), ("b", 1.0)))
-    out = rm3_expand(fixture_index(), query, fixture_feedback(), fb_terms=2, lam=1.0)
+    out = rm3_expand(fixture_index(), query, fixture_feedback(),
+                     Rm3Params(fb_terms=2, lam=1.0))
     weights = dict(out.terms)
     assert weights == pytest.approx({"a": 2 / 3, "b": 1 / 3})
 
 
 def test_fb_terms_zero_keeps_original_up_to_scale():
     query = WeightedQuery.from_terms("q", ["a", "b"])
-    out = rm3_expand(fixture_index(), query, fixture_feedback(), fb_terms=0, lam=0.5)
+    out = rm3_expand(fixture_index(), query, fixture_feedback(),
+                     Rm3Params(fb_terms=0, lam=0.5))
     weights = dict(out.terms)
     assert set(weights) == {"a", "b"}
     assert weights["a"] == pytest.approx(weights["b"])
@@ -121,7 +124,7 @@ def test_frozen_two_doc_fixture():
     # posteriors 3/5 and 2/5; top-2 model {c: 6/11, b: 5/11}; lam = 0.5
     query = WeightedQuery.from_terms("q", ["a", "b"])
     out = rm3_expand(fixture_index(), query, fixture_feedback(),
-                     fb_terms=2, lam=0.5, mu=8.0)
+                     Rm3Params(fb_terms=2, lam=0.5, mu=8.0))
     weights = dict(out.terms)
     expected = {"a": 0.25, "b": 0.4772727272727273, "c": 0.27272727272727276}
     assert set(weights) == set(expected)
@@ -144,7 +147,8 @@ def test_relevance_model_smooths_every_feedback_doc():
     texts = {d.docno: d.text for d in docs}
     fb = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), m=2)
     query = WeightedQuery.from_terms("q", ["w1"])
-    out = rm3_expand(build_index(docs, Analyzer()), query, fb, fb_terms=2, lam=0.0, mu=1.0)
+    out = rm3_expand(build_index(docs, Analyzer()), query, fb,
+                     Rm3Params(fb_terms=2, lam=0.0, mu=1.0))
     ref = rm3_oracle({d.docno: d.text.split() for d in docs}, ["d1", "d2"], {"w1": 1.0},
                      fb_terms=2, lam=0.0, mu=1.0)
     assert dict(out.terms) == pytest.approx(ref, abs=1e-9)
@@ -162,10 +166,11 @@ def test_relevance_model_sums_to_one():
         fb = select_feedback(run_of("q", [d.docno for d in docs]), lookup_of(texts), m)
         query = WeightedQuery.from_terms("q", rng.choices(vocab, k=2))
         fb_terms = rng.randint(1, 6)
-        model = estimate_relevance_model(index, query, fb, fb_terms, mu=rng.choice([1.0, 50.0, 2500.0]))
+        model = estimate_relevance_model(
+            index, query, fb, Rm3Params(fb_terms=fb_terms, mu=rng.choice([1.0, 50.0, 2500.0])))
         assert sum(model.values()) == pytest.approx(1.0, abs=1e-9)
         assert len(model) <= fb_terms
-        out = rm3_expand(index, query, fb, fb_terms, lam=rng.random())
+        out = rm3_expand(index, query, fb, Rm3Params(fb_terms=fb_terms, lam=rng.random()))
         for _, weight in out.terms:
             assert weight >= 0.0 and weight == weight  # non-negative, finite
 
@@ -176,29 +181,28 @@ def test_duplicated_feedback_docs_leave_model_unchanged():
     texts = {d.docno: d.text for d in FIXTURE_DOCS}
     single = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), 2)
     doubled = FeedbackSet(qid="q", docs=single.docs + single.docs)
-    m1 = estimate_relevance_model(index, query, single, fb_terms=4, mu=8.0)
-    m2 = estimate_relevance_model(index, query, doubled, fb_terms=4, mu=8.0)
+    m1 = estimate_relevance_model(index, query, single, Rm3Params(fb_terms=4, mu=8.0))
+    m2 = estimate_relevance_model(index, query, doubled, Rm3Params(fb_terms=4, mu=8.0))
     assert set(m1) == set(m2)
     for term in m1:
         assert m1[term] == pytest.approx(m2[term], abs=1e-12)
 
 
 def test_bad_lambda_rejected():
-    query = WeightedQuery.from_terms("q", ["a"])
-    with pytest.raises(ValueError, match="lambda"):
-        rm3_expand(fixture_index(), query, fixture_feedback(), fb_terms=2, lam=1.5)
+    with pytest.raises(ConfigError, match=r"lam must be in \[0, 1\], got 1.5"):
+        Rm3Params(fb_terms=2, lam=1.5)
 
 
 def test_empty_feedback_rejected():
     query = WeightedQuery.from_terms("q", ["a"])
     empty = FeedbackSet(qid="q", docs=())
     with pytest.raises(FeedbackError, match="empty"):
-        rm3_expand(fixture_index(), query, empty, fb_terms=2, lam=0.5)
+        rm3_expand(fixture_index(), query, empty, Rm3Params(fb_terms=2, lam=0.5))
 
 
 def test_original_terms_retained():
     # "a" stays in the output even when the relevance model drops it
     query = WeightedQuery.from_terms("q", ["a", "b"])
     out = rm3_expand(fixture_index(), query, fixture_feedback(),
-                     fb_terms=2, lam=0.5, mu=8.0)
+                     Rm3Params(fb_terms=2, lam=0.5, mu=8.0))
     assert "a" in dict(out.terms)

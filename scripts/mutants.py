@@ -127,6 +127,17 @@ CATALOG = [
            "            fcntl.flock(f, fcntl.LOCK_EX)\n",
            "",
            ("tests/test_llm.py::test_processes_appending_at_once_lose_no_entry",)),
+    # --- the index build ---
+    Mutant("every tf is 1", "index.py",
+           "tfs.extend(counts.values())",
+           "tfs.extend(one * n_docs)",
+           ("tests/test_index.py::test_build_equals_inverted_index_oracle",
+            "tests/test_index.py::test_single_doc_statistics")),
+    Mutant("cf written as df", "index.py",
+           "cf.append(len(ords))",
+           "cf.append(n_docs)",
+           ("tests/test_index.py::test_build_equals_inverted_index_oracle",
+            "tests/test_index.py::test_build_save_load_preserves_index")),
     # --- rank-safe top k ---
     Mutant("no 1e-9 slack on the pruning threshold", "index.py",
            "[-1] * (1.0 - _PRUNE_SLACK)",

@@ -24,6 +24,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from conftest import TOY, toy_config_dict  # noqa: E402
 from genqr.cli import cmd_eval, cmd_index, cmd_run  # noqa: E402
 from genqr.config import METHODS, config_from_dict  # noqa: E402
+from genqr.corpus_io import load_qrels  # noqa: E402
 
 
 def grid_digest(work: Path) -> str:
@@ -37,7 +38,8 @@ def grid_digest(work: Path) -> str:
         if failed:
             raise SystemExit(f"{cfg.method}: {failed} queries failed")
         run_paths.append(run_path)
-    cmd_eval(run_paths, TOY / "qrels.txt", configs[0].metrics, work / "eval", baseline="raw")
+    cmd_eval(run_paths, load_qrels(TOY / "qrels.txt"), configs[0].metrics, work / "eval",
+             baseline="raw")
 
     digest = hashlib.sha256()
     outputs = sorted(p for d in ("runs", "eval") for p in (work / d).rglob("*") if p.is_file())

@@ -239,7 +239,7 @@ def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
     return [reranked.get(run.qid, run) for run in runs]
 
 
-def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
+def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
              metrics: List[str], out_dir: str | Path, baseline: Optional[str] = None,
              alpha: float = 0.05, min_rel: int = 1) -> dict:
     """Evaluate runs, write per-run reports and a cross-run comparison table.
@@ -251,7 +251,6 @@ def cmd_eval(run_paths: List[str | Path], qrels_path: str | Path,
     """
     if not 0.0 < alpha < 1.0:  # checked before anything is written
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    qrels = load_qrels(qrels_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = [parse_metric(m, min_rel=min_rel) for m in metrics]
@@ -372,7 +371,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
         raise ValueError("sweep needs at least one value")
     if not (cfg.qrels and Path(cfg.qrels).is_file()):
         raise ConfigError(f"sweep needs a qrels file in the config, got {cfg.qrels!r}")
-    load_qrels(cfg.qrels)  # a malformed line fails here, not after every run
+    qrels = load_qrels(cfg.qrels)  # a malformed line fails here, not after every run
     configs = [_swept_config(cfg, param, value) for value in values]
     value_of = {}  # run tag -> swept value
     for value, sub in zip(values, configs):
@@ -385,7 +384,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
         run_path, _, failed = cmd_run(sub, lenient=lenient)
         run_paths.append(run_path)
         failures += failed
-    table = cmd_eval(run_paths, cfg.qrels, cfg.metrics,
+    table = cmd_eval(run_paths, qrels, cfg.metrics,
                      Path(cfg.output_dir) / f"{cfg.run_tag}-{param}",
                      baseline=configs[0].run_tag, min_rel=cfg.min_rel)
     rows = [{"param": param, "value": value_of[row["run"]], "metric": row["metric"],
@@ -477,7 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _, _, failed = cmd_run(load_config(args.config), lenient=args.lenient)
         return 1 if failed else 0
     if args.command == "eval":
-        cmd_eval(args.runs, args.qrels, args.metrics, args.out,
+        cmd_eval(args.runs, load_qrels(args.qrels), args.metrics, args.out,
                  baseline=args.baseline, alpha=args.alpha, min_rel=args.min_rel)
         return 0
     if args.command == "querywise":

@@ -14,6 +14,9 @@ Metric conventions follow the trec_eval family:
 Significance: two-sided paired t-test (p through the regularized
 incomplete beta function, evaluated in-repo by its continued fraction)
 with Holm-Bonferroni step-down correction.
+
+Floats are summed with `math.fsum`, correctly rounded, so that reports do
+not depend on the Python version: 3.12 changed `sum()` of floats.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:
         grade = judged.get(entry.docno, 0)
         if grade > 0:
             dcg += grade / math.log2(i + 1)
-    idcg = sum(g / math.log2(i + 1)
-               for i, g in enumerate(ideal_grades[:k], start=1))
+    idcg = math.fsum(g / math.log2(i + 1)
+                     for i, g in enumerate(ideal_grades[:k], start=1))
     return dcg / idcg
 
 
@@ -139,7 +142,7 @@ class EvalReport:
     def mean(self) -> float:
         if not self.per_query:
             return 0.0
-        return sum(self.per_query.values()) / len(self.per_query)
+        return math.fsum(self.per_query.values()) / len(self.per_query)
 
     @property
     def evaluated(self) -> int:
@@ -190,7 +193,8 @@ def evaluate_run(runs: List[RunList], qrels: Qrels, spec: MetricSpec) -> EvalRep
 def paired_ttest(a: Dict[str, float], b: Dict[str, float]) -> float:
     """Two-sided paired t-test p-value over per-query values keyed by qid.
 
-    Zero-variance differences give p = 1.0 by convention.
+    When every difference is the same, t is 0/0 or infinite: p is 1.0 if
+    the differences are 0, else 0.0.
     """
     if set(a) != set(b):
         missing = sorted(set(a) ^ set(b))
@@ -200,10 +204,10 @@ def paired_ttest(a: Dict[str, float], b: Dict[str, float]) -> float:
     if n < 2:
         raise ValueError(f"need at least 2 paired observations, got {n}")
     diffs = [a[q] - b[q] for q in qids]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    if var == 0.0:
-        return 1.0
+    if len(set(diffs)) == 1:  # decided here, as the variance below may not round to 0
+        return 1.0 if diffs[0] == 0.0 else 0.0
+    mean = math.fsum(diffs) / n
+    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
     t = mean / math.sqrt(var / n)
     return student_t_two_sided(t, n - 1)
 

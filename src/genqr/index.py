@@ -20,6 +20,16 @@ bound U = w * idf * (k1 + 1). Once the bounds of the unscanned terms sum to
 less than the k-th best score so far, no unseen doc can reach the top k:
 the remaining lists only update the docs that still can, found by
 bisection in a long list. No per-term statistic beyond df is needed.
+
+`build_index` inverts by occurrence (Witten, Moffat & Bell, *Managing
+Gigabytes*, ch. 5): one pass over each doc's tokens appends the doc's
+ordinal to its term's list, so each list is ascending. Then, term by term
+in sorted order, the uint32 columns are written: where no doc repeats the
+term (most terms of a Zipf corpus), docs is the list and every tf is 1;
+otherwise `Counter` gives each doc once with its tf. df is the number of
+distinct docs and cf the number of occurrences. `save` writes the columns
+to postings.bin and the docnos, doc lengths and terms to meta.json, as
+compact JSON; an indented meta.json, as older saves wrote, loads the same.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
@@ -95,17 +106,6 @@ class Postings(Mapping):
         self.ids = dict(zip(terms, range(len(terms))))
         self.starts = list(accumulate(df, initial=0))
 
-    @classmethod
-    def from_lists(cls, lists: Dict[str, Tuple[List[int], List[int]]]) -> "Postings":
-        """Columns from term -> (doc ordinals, tfs) lists."""
-        terms = sorted(lists)
-        docs, tfs = array(_U32), array(_U32)
-        for term in terms:
-            docs.extend(lists[term][0])
-            tfs.extend(lists[term][1])
-        return cls(terms, array(_U32, [len(lists[t][0]) for t in terms]),
-                   array(_U32, [sum(lists[t][1]) for t in terms]), docs, tfs)
-
     def __getitem__(self, term: str) -> Tuple[array, array]:
         i = self.ids[term]
         start, end = self.starts[i], self.starts[i + 1]
@@ -124,7 +124,7 @@ class PostingsIndex:
 
     def __init__(self, analyzer: Analyzer):
         self.analyzer = analyzer
-        self.postings = Postings.from_lists({})
+        self.postings = Postings([], array(_U32), array(_U32), array(_U32), array(_U32))
         self.docnos: List[str] = []
         self.doc_lengths: List[int] = []
         self.total_tokens = 0
@@ -286,7 +286,7 @@ class PostingsIndex:
             "n_postings": len(postings.docs),
         }
         with atomic_writer(path / "meta.json") as f:
-            f.write(json.dumps(meta, sort_keys=True, indent=1))
+            f.write(json.dumps(meta, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "PostingsIndex":
@@ -352,7 +352,7 @@ class PostingsIndex:
 def build_index(corpus: Iterable[Document], analyzer: Analyzer) -> PostingsIndex:
     """Index a document stream; docnos must be unique."""
     index = PostingsIndex(analyzer)
-    lists: Dict[str, Tuple[List[int], List[int]]] = {}
+    occurrences: Dict[str, List[int]] = defaultdict(list)  # term -> doc ordinal per occurrence
     seen: set[str] = set()
     for doc in corpus:
         if doc.docno in seen:
@@ -360,17 +360,26 @@ def build_index(corpus: Iterable[Document], analyzer: Analyzer) -> PostingsIndex
         seen.add(doc.docno)
         doc_ord = len(index.docnos)
         tokens = analyzer.analyze(doc.text)
-        counts: Dict[str, int] = {}
         for token in tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, tf in counts.items():
-            entry = lists.get(term)
-            if entry is None:
-                entry = lists[term] = ([], [])
-            entry[0].append(doc_ord)
-            entry[1].append(tf)
+            occurrences[token].append(doc_ord)
         index.docnos.append(doc.docno)
         index.doc_lengths.append(len(tokens))
         index.total_tokens += len(tokens)
-    index.postings = Postings.from_lists(lists)
+
+    terms = sorted(occurrences)
+    df, cf, docs, tfs = array(_U32), array(_U32), array(_U32), array(_U32)
+    one = array(_U32, [1])
+    for term in terms:
+        ords = occurrences.pop(term)  # ascending; each list is freed once written
+        n_docs = len(set(ords))
+        if n_docs == len(ords):  # no doc repeats the term: every tf is 1
+            docs.extend(ords)
+            tfs.extend(one * n_docs)
+        else:
+            counts = Counter(ords)  # keys keep the ascending order of ords
+            docs.extend(counts)
+            tfs.extend(counts.values())
+        df.append(n_docs)
+        cf.append(len(ords))
+    index.postings = Postings(terms, df, cf, docs, tfs)
     return index

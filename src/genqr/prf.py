@@ -140,7 +140,7 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
         posteriors = [1.0 / len(feedback)] * len(feedback)
     else:
         raw = [math.exp(ll - peak) for ll in log_likelihoods]
-        total = sum(raw)
+        total = math.fsum(raw)
         posteriors = [r / total for r in raw]
 
     scores: Dict[str, float] = {}
@@ -149,7 +149,7 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
             scores[term] = scores.get(term, 0.0) + lm(term) * posterior
 
     top = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:params.fb_terms]
-    mass = sum(p for _, p in top)
+    mass = math.fsum(p for _, p in top)
     if mass <= 0.0:
         return {}
     return {term: p / mass for term, p in top}
@@ -162,7 +162,7 @@ def rm3_expand(index: PostingsIndex, original: WeightedQuery, feedback: Feedback
         raise FeedbackError(f"qid {original.qid}: empty feedback set")
 
     q_weights = original.aggregated()
-    q_total = sum(q_weights.values())
+    q_total = math.fsum(q_weights.values())
     if q_total <= 0:
         raise ValueError(f"qid {original.qid}: degenerate original query")
     q_model = {t: w / q_total for t, w in q_weights.items()}

@@ -57,6 +57,18 @@ def analyze_oracle(text: str, lowercase: bool = True, strip_punctuation: bool = 
     return tokens
 
 
+# --- index --------------------------------------------------------------------
+
+
+def inverted_index_oracle(doc_tokens: Sequence[List[str]]) -> Dict[str, List[Tuple[int, int]]]:
+    """term -> [(doc ordinal, tf), ...] in ordinal order, over each term that
+    occurs, counted doc by doc with list.count."""
+    vocabulary = {term for tokens in doc_tokens for term in tokens}
+    return {term: [(ord_, tokens.count(term)) for ord_, tokens in enumerate(doc_tokens)
+                   if term in tokens]
+            for term in vocabulary}
+
+
 # --- BM25 ---------------------------------------------------------------------
 
 

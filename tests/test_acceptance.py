@@ -267,7 +267,7 @@ def test_criterion_9_determinism(tmp_path):
         cmd_index(cfg)
         run_path, ref_path, _ = cmd_run(cfg)
         eval_dir = work / "eval"
-        cmd_eval([run_path], TOY / "qrels.txt", ["ndcg@10", "map", "mrr", "p@10"],
+        cmd_eval([run_path], load_qrels(TOY / "qrels.txt"), ["ndcg@10", "map", "mrr", "p@10"],
                  eval_dir, baseline=None)
         blobs = [run_path.read_bytes(), ref_path.read_bytes(),
                  (eval_dir / "comparison.tsv").read_bytes()]

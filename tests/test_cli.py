@@ -549,7 +549,7 @@ def test_reranker_seam(toy_cfg, toy_index, tmp_path):
 
 def test_eval_single_run(toy_cfg, toy_index, tmp_path):
     run_path, _, _ = cmd_run(toy_cfg("raw"))
-    table = cmd_eval([run_path], TOY / "qrels.txt", ["ndcg@10", "map"],
+    table = cmd_eval([run_path], load_qrels(TOY / "qrels.txt"), ["ndcg@10", "map"],
                      tmp_path / "eval")
     assert len(table["rows"]) == 2
     assert (tmp_path / "eval" / "raw.ndcg@10.tsv").exists()
@@ -559,7 +559,7 @@ def test_eval_single_run(toy_cfg, toy_index, tmp_path):
 def test_eval_identical_runs_zero_delta_p_one(toy_cfg, toy_index, tmp_path):
     run_a, _, _ = cmd_run(toy_cfg("raw", tag="a"))
     run_b, _, _ = cmd_run(toy_cfg("raw", tag="b"))
-    table = cmd_eval([run_a, run_b], TOY / "qrels.txt", ["ndcg@10"],
+    table = cmd_eval([run_a, run_b], load_qrels(TOY / "qrels.txt"), ["ndcg@10"],
                      tmp_path / "eval", baseline="a")
     row_b = next(r for r in table["rows"] if r["run"] == "b")
     assert row_b["delta_pct"] == pytest.approx(0.0)
@@ -570,9 +570,8 @@ def test_eval_identical_runs_zero_delta_p_one(toy_cfg, toy_index, tmp_path):
 def test_eval_relative_improvement_matches_hand_computation(toy_cfg, toy_index, tmp_path):
     run_a, _, _ = cmd_run(toy_cfg("raw", tag="base"))
     run_b, _, _ = cmd_run(toy_cfg("genqrensemble", tag="ens"))
-    table = cmd_eval([run_a, run_b], TOY / "qrels.txt", ["ndcg@10"],
-                     tmp_path / "eval", baseline="base")
     qrels = load_qrels(TOY / "qrels.txt")
+    table = cmd_eval([run_a, run_b], qrels, ["ndcg@10"], tmp_path / "eval", baseline="base")
     spec = parse_metric("ndcg@10")
     mean_a = evaluate_run(read_run(run_a)[1], qrels, spec).mean
     mean_b = evaluate_run(read_run(run_b)[1], qrels, spec).mean
@@ -598,7 +597,7 @@ def test_eval_holm_flags_only_the_tested_rows(tmp_path):
     runs = [_run_with_relevant_at(tmp_path / f"{tag}.run", tag, dict(zip(qids, ranks)))
             for tag, ranks in [("base", [5, 6, 5, 7, 5]), ("good", [1, 1, 1, 1, 2]),
                                ("near", [4, 7, 5, 6, 5])]]
-    table = cmd_eval(runs, qrels, ["ndcg@10", "map", "mrr"], tmp_path / "eval",
+    table = cmd_eval(runs, load_qrels(qrels), ["ndcg@10", "map", "mrr"], tmp_path / "eval",
                      baseline="base", min_rel=2)
     rows = table["rows"]
     assert [(r["run"], r["metric"]) for r in rows] == \
@@ -620,7 +619,7 @@ def test_eval_rejects_alpha_before_writing(toy_cfg, toy_index, tmp_path, baselin
     out = tmp_path / "eval"
     out.mkdir()
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.5"):
-        cmd_eval(runs, TOY / "qrels.txt", ["ndcg@10", "map"], out, baseline=baseline,
+        cmd_eval(runs, load_qrels(TOY / "qrels.txt"), ["ndcg@10", "map"], out, baseline=baseline,
                  alpha=1.5)
     assert list(out.iterdir()) == []
 
@@ -688,7 +687,7 @@ def test_eval_scores_judged_topics_missing_from_run(toy_cfg, toy_index, tmp_path
     partial.write_text("".join(line.replace(" raw", " partial") + "\n" for line in raw_lines
                                if line.split()[0] == first_qid))
     with caplog.at_level("WARNING"):
-        table = cmd_eval([failed_path, partial], TOY / "qrels.txt", ["map"],
+        table = cmd_eval([failed_path, partial], load_qrels(TOY / "qrels.txt"), ["map"],
                          tmp_path / "eval")
     rows = {row["run"]: row for row in table["rows"]}
     assert rows["failed"]["evaluated"] == rows["partial"]["evaluated"] == 10
@@ -807,6 +806,18 @@ def test_sweep_malformed_qrels_rejected_before_any_run(toy_cfg, toy_index, tmp_p
         cmd_sweep(cfg, "k1", [1.0, 1.2], tmp_path / "sweep.csv")
     assert not list(tmp_path.rglob("*.run"))
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_reads_the_qrels_once(toy_cfg, toy_index, tmp_path, monkeypatch):
+    paths = []
+
+    def counting(path):
+        paths.append(path)
+        return load_qrels(path)
+
+    monkeypatch.setattr(genqr.cli, "load_qrels", counting)
+    cmd_sweep(toy_cfg("raw", tag="once"), "k1", [1.0, 1.2], tmp_path / "sweep.csv")
+    assert len(paths) == 1
 
 
 def test_sweep_bad_lambda_rejected_before_any_run(toy_index, tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
-TOY_GRID_DIGEST = "3f88245a108162a380ed3d0dc0ce5e54684024567533ac4826052ac1ef100f3e"
+TOY_GRID_DIGEST = "b9906ff8ac4c22b705a4923190440e3ce0ccba9e25438004f407f17c6b1f2edb"
 ANALYZER_DIGEST = "851c0b4e3bdcc6f4cc8c838b5182198c81a32d5d62f7874dfbfafa8563aefcd6"
 
 

@@ -163,6 +163,11 @@ def test_report_tsv_and_json():
     assert blob["mean"] == 0.75 and blob["skipped"] == ["9"]
 
 
+def test_report_mean_is_correctly_rounded():
+    # A left-to-right float sum gives 0.09999999999999999 before Python 3.12.
+    assert EvalReport("p@10", {str(i): 0.1 for i in range(10)}).mean == 0.1
+
+
 def test_parse_metric():
     assert parse_metric("ndcg@10").label == "ndcg@10"
     assert parse_metric("P@10").label == "p@10"
@@ -182,6 +187,15 @@ def test_parse_metric():
 def test_ttest_identical_values():
     a = {"1": 0.5, "2": 0.7, "3": 0.1}
     assert paired_ttest(a, dict(a)) == 1.0
+
+
+def test_ttest_constant_shift():
+    # Every difference equal and nonzero: t is infinite, so p is 0
+    # (scipy.stats.ttest_rel gives 0.0 too), whichever way the variance
+    # rounds. The toy grid's raw MAP is 1/6 on every topic.
+    a = {str(i): 1.0 for i in range(10)}
+    b = {str(i): 1 / 6 for i in range(10)}
+    assert paired_ttest(a, b) == paired_ttest(b, a) == 0.0
 
 
 def test_ttest_reference_value():

@@ -3,10 +3,10 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bm25_oracle, rank_oracle
+from oracles import bm25_oracle, inverted_index_oracle, rank_oracle
 
 from genqr import index as index_module
 from genqr.analysis import Analyzer
@@ -71,6 +71,31 @@ def test_postings_match_brute_force_recount():
     for term, (docs, tfs) in index.postings.items():
         assert index.df(term) == len(docs) == len(tfs)
     assert index.avgdl == index.total_tokens / index.n_docs
+
+
+_BUILD_WORDS = ["a", "b", "c", "déjà"]
+
+
+@settings(deadline=None)
+@given(corpus=st.lists(st.lists(st.sampled_from(_BUILD_WORDS), max_size=8),
+                       min_size=1, max_size=8))
+@example(corpus=[["a", "b", "a", "a"]])  # one doc, a term repeated in it
+@example(corpus=[["a", "b"], ["c", "a"], ["a", "a"]])  # a term in every doc
+@example(corpus=[[], ["b", "b"], [], ["b"]])  # empty docs
+def test_build_equals_inverted_index_oracle(corpus):
+    docs = [Document(f"d{i}", " ".join(tokens)) for i, tokens in enumerate(corpus)]
+    index = build_index(docs, Analyzer())
+    lists = inverted_index_oracle(corpus)
+    terms = sorted(lists)
+    postings = index.postings
+    assert postings.terms == terms
+    assert list(postings.df) == [len(lists[t]) for t in terms]
+    assert list(postings.cf) == [sum(tf for _, tf in lists[t]) for t in terms]
+    assert list(postings.docs) == [d for t in terms for d, _ in lists[t]]
+    assert list(postings.tfs) == [tf for t in terms for _, tf in lists[t]]
+    assert index.docnos == [doc.docno for doc in docs]
+    assert index.doc_lengths == [len(tokens) for tokens in corpus]
+    assert index.total_tokens == sum(map(len, corpus))
 
 
 # --- scoring ---
@@ -389,13 +414,15 @@ def test_version_mismatch_rejected(tmp_path):
 
 
 def test_index_with_n_docs_key_still_loads(tmp_path):
-    """meta.json no longer carries n_docs (`docs` holds the count); a
-    version-2 index written with it loads as before."""
+    """meta.json no longer carries n_docs (`docs` holds the count), and is
+    compact JSON; a version-2 index written with n_docs, indented, loads as
+    before."""
     import json
     index = build_index(make_corpus(random.Random(5), 20, 10), Analyzer())
     index.save(tmp_path / "idx")
     meta_path = tmp_path / "idx" / "meta.json"
     meta = json.loads(meta_path.read_text())
+    assert meta_path.read_text() == json.dumps(meta, sort_keys=True)
     assert "n_docs" not in meta and len(meta["docs"]) == 20
     meta["n_docs"] = 20
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1))

@@ -70,6 +70,40 @@ CATALOG = [
            "tag = tag or line_tag",
            "tag = line_tag",
            ("tests/test_corpus_io.py::test_read_run_names_a_file_by_its_first_tag",)),
+    Mutant("run_tag may hold '/'", "config.py",
+           'if "/" in self.run_tag:',
+           "if False:",
+           ("tests/test_cli.py::test_bad_config_value_raises_config_error[run_tag='../escaped']",
+            "tests/test_cli.py::test_sweep_tag_with_a_slash_rejected_before_any_run")),
+    Mutant("eval takes a run file's tag with '/'", "cli.py",
+           'if "/" in tag:',
+           "if False:",
+           ("tests/test_cli.py::test_eval_rejects_a_run_tag_with_a_slash_before_writing",)),
+    # --- a score is a finite number ---
+    Mutant("read_run takes a non-finite score", "corpus_io.py",
+           "        if not math.isfinite(score):\n",
+           "        if False:\n",
+           ("tests/test_corpus_io.py::test_read_run_rejects_a_non_finite_score[nan]",
+            "tests/test_corpus_io.py::test_read_run_rejects_a_non_finite_score[-inf]")),
+    Mutant("RunList.validate passes a non-finite score", "corpus_io.py",
+           "            if not math.isfinite(entry.score):\n",
+           "            if False:\n",
+           ("tests/test_corpus_io.py::test_write_run_rejects_a_non_finite_score[nan]",
+            "tests/test_corpus_io.py::test_write_run_rejects_a_non_finite_score[inf]")),
+    # --- one metric, one evaluation; eval computes before it writes ---
+    Mutant("a repeated metric is evaluated again", "evaluation.py",
+           "        if spec.label in specs:\n",
+           "        if False:\n",
+           ("tests/test_evaluation.py::test_parse_metrics_rejects_a_repeated_label",
+            "tests/test_cli.py::test_eval_evaluates_a_metric_once",
+            "tests/test_cli.py::test_bad_config_value_raises_config_error[metrics=['map', 'MAP']]")),
+    Mutant("eval makes --out before it computes", "cli.py",
+           "    specs = parse_metrics(metrics, min_rel=min_rel)\n",
+           "    Path(out_dir).mkdir(parents=True, exist_ok=True)\n"
+           "    specs = parse_metrics(metrics, min_rel=min_rel)\n",
+           ("tests/test_cli.py::test_bad_alpha_leaves_out_uncreated",
+            "tests/test_cli.py::test_eval_evaluates_a_metric_once",
+            "tests/test_cli.py::test_eval_rejects_a_run_tag_with_a_slash_before_writing")),
     # --- fusion ---
     Mutant("fuse never dedups", "reformulate.py",
            "    if config.dedup:\n        expansion = dict.fromkeys(expansion)",
@@ -138,6 +172,11 @@ CATALOG = [
            "cf.append(n_docs)",
            ("tests/test_index.py::test_build_equals_inverted_index_oracle",
             "tests/test_index.py::test_build_save_load_preserves_index")),
+    Mutant("an index loads under any analyzer", "index.py",
+           "        if index.analyzer != analyzer:\n",
+           "        if False:\n",
+           ("tests/test_cli.py::test_index_analyzer_mismatch_errors",
+            "tests/test_cli.py::test_run_against_index_of_another_analyzer_asks_for_force_rebuild")),
     # --- rank-safe top k ---
     Mutant("no 1e-9 slack on the pruning threshold", "index.py",
            "[-1] * (1.0 - _PRUNE_SLACK)",

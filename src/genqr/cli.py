@@ -29,11 +29,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import (ENSEMBLE_METHODS, LLM_METHODS, RF_METHODS, ConfigError,
                      ExperimentConfig, load_config)
-from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus,
-                        load_qrels, load_topics, read_run, write_run)
-from .evaluation import (EvalReport, evaluate_run, holm_bonferroni,
-                         missing_topics, paired_ttest, parse_metric)
-from .index import IndexingError, PostingsIndex, WeightedQuery, build_index
+from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus, load_qrels,
+                        load_topics, read_run, write_jsonl, write_run)
+from .evaluation import (DEFAULT_METRICS, EvalReport, evaluate_run, holm_bonferroni,
+                         missing_topics, paired_ttest, parse_metric, parse_metrics)
+from .index import PostingsIndex, WeightedQuery, build_index
 from .llm import Generator
 from .prf import FeedbackSet, rm3_expand, select_feedback, select_oracle_feedback
 from .reformulate import (InstructionSet, build_context, paraphrase_instructions,
@@ -46,23 +46,13 @@ def cmd_index(cfg: ExperimentConfig, force: bool = False) -> PostingsIndex:
     """Build the index, or verify it when one already exists (idempotent)."""
     dest = Path(cfg.index_dir)
     if (dest / "meta.json").exists() and not force:
-        existing = _load_index_for(cfg)
+        existing = PostingsIndex.load(dest, cfg.analyzer)
         logger.info("index %s is up to date", dest)
         return existing
     index = build_index(load_corpus(cfg.corpus, cfg.corpus_format), cfg.analyzer)
     index.save(dest)
     logger.info("indexed %d documents (%d tokens) into %s",
                 index.n_docs, index.total_tokens, dest)
-    return index
-
-
-def _load_index_for(cfg: ExperimentConfig) -> PostingsIndex:
-    if not (Path(cfg.index_dir) / "meta.json").exists():
-        raise IndexingError(f"no index at {cfg.index_dir}; run `genqr index` first")
-    index = PostingsIndex.load(cfg.index_dir)
-    if index.analyzer.fingerprint() != cfg.analyzer.fingerprint():
-        raise IndexingError(f"{cfg.index_dir}: index analyzer differs from the configured "
-                            f"one; rebuild it with `genqr index --force`")
     return index
 
 
@@ -179,7 +169,7 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     the first one in topic order unless lenient, in which case it gets an
     empty ranking and a row in <tag>.failures.jsonl.
     """
-    index = _load_index_for(cfg)
+    index = PostingsIndex.load(cfg.index_dir, cfg.analyzer)
     topics = load_topics(cfg.topics, cfg.topics_format)
     runner = _QueryRunner(cfg, index)
     out_dir = Path(cfg.output_dir)
@@ -211,14 +201,10 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     run_path = out_dir / f"{cfg.run_tag}.run"
     write_run(runs, run_path, cfg.run_tag)
     ref_path = out_dir / f"{cfg.run_tag}.reformulations.jsonl"
-    with atomic_writer(ref_path) as f:
-        for _, record in results:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl((record for _, record in results), ref_path)
     if failures:
-        fail_path = out_dir / f"{cfg.run_tag}.failures.jsonl"
-        with atomic_writer(fail_path) as f:
-            for row in sorted(failures, key=lambda r: r["qid"]):
-                f.write(json.dumps(row, sort_keys=True) + "\n")
+        write_jsonl(sorted(failures, key=lambda r: r["qid"]),
+                    out_dir / f"{cfg.run_tag}.failures.jsonl")
     logger.info("wrote %s (%d queries, %d failures)", run_path, len(topics), len(failures))
     return run_path, ref_path, len(failures)
 
@@ -247,18 +233,18 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
     Relative improvements and significance are computed against the
     `baseline` run tag; the Holm-Bonferroni family is every (run, metric)
     comparison against the baseline in this invocation. Judged topics
-    missing from a run score as empty rankings, with a warning.
+    missing from a run score as empty rankings, with a warning. Everything
+    is computed before `out_dir` is made, so an input that fails writes
+    nothing.
     """
-    if not 0.0 < alpha < 1.0:  # checked before anything is written
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    specs = [parse_metric(m, min_rel=min_rel) for m in metrics]
+    specs = parse_metrics(metrics, min_rel=min_rel)
 
     tagged_runs: Dict[str, List[RunList]] = {}  # in input order
     for path in run_paths:
         tag, runs = read_run(path)
         tag = tag or Path(path).stem
+        if "/" in tag:  # the tag names the report files
+            raise ValueError(f"{path}: run tag {tag!r} must not contain '/'")
         if tag in tagged_runs:
             raise ValueError(f"duplicate run tag {tag!r} across inputs")
         tagged_runs[tag] = runs
@@ -268,10 +254,7 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
     reports: Dict[Tuple[str, str], EvalReport] = {}
     for tag, runs in tagged_runs.items():
         for spec in specs:
-            report = evaluate_run(runs, qrels, spec)
-            reports[(tag, spec.label)] = report
-            report.save(out_dir / f"{tag}.{spec.label}.tsv")
-            report.save(out_dir / f"{tag}.{spec.label}.json")
+            reports[(tag, spec.label)] = evaluate_run(runs, qrels, spec)
         missing = missing_topics(runs, qrels)
         if missing:
             logger.warning("%s: %d judged topics missing from the run, scored as empty "
@@ -297,6 +280,11 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
     for row, flag in zip(tested, holm_bonferroni([row["p_value"] for row in tested], alpha)):
         row["significant"] = flag
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (tag, label), report in reports.items():
+        report.save(out_dir / f"{tag}.{label}.tsv")
+        report.save(out_dir / f"{tag}.{label}.json")
     table = {"baseline": baseline, "alpha": alpha, "rows": rows}
     with atomic_writer(out_dir / "comparison.json") as f:
         f.write(json.dumps(table, sort_keys=True, indent=1))
@@ -312,10 +300,9 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
     return table
 
 
-def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels_path: str | Path,
+def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels: Qrels,
                   metric: str, out_path: str | Path, min_rel: int = 1) -> List[dict]:
     """Per-query values of one metric for two runs plus their delta (CSV)."""
-    qrels = load_qrels(qrels_path)
     spec = parse_metric(metric, min_rel=min_rel)
     report_a = evaluate_run(read_run(run_a)[1], qrels, spec)
     report_b = evaluate_run(read_run(run_b)[1], qrels, spec)
@@ -402,8 +389,8 @@ def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> I
     """Generate `count` instructions (base + paraphrases) and persist them."""
     if cfg.backend is None:
         raise ConfigError("paraphrase needs a backend section")
-    base = cfg.base_instruction or InstructionSet.default().base
-    instructions = paraphrase_instructions(cfg.make_generator(), base, count)
+    instructions = paraphrase_instructions(cfg.make_generator(), cfg.instructions.base,
+                                           count)
     instructions.save(out_path)
     logger.info("wrote %d instructions to %s", instructions.n, out_path)
     return instructions
@@ -438,8 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_eval = sub.add_parser("eval", help="evaluate run files against qrels")
     p_eval.add_argument("runs", nargs="+")
     p_eval.add_argument("--qrels", required=True)
-    p_eval.add_argument("--metrics", nargs="+",
-                        default=["ndcg@10", "map", "mrr", "p@10"])
+    p_eval.add_argument("--metrics", nargs="+", default=list(DEFAULT_METRICS))
     p_eval.add_argument("--baseline", default=None,
                         help="run tag used for relative improvements and significance")
     p_eval.add_argument("--out", required=True)
@@ -480,8 +466,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                  baseline=args.baseline, alpha=args.alpha, min_rel=args.min_rel)
         return 0
     if args.command == "querywise":
-        cmd_querywise(args.run_a, args.run_b, args.qrels, args.metric, args.out,
-                      min_rel=args.min_rel)
+        cmd_querywise(args.run_a, args.run_b, load_qrels(args.qrels), args.metric,
+                      args.out, min_rel=args.min_rel)
         return 0
     if args.command == "sweep":
         cmd_sweep(load_config(args.config), args.param, _parse_values(args.values),

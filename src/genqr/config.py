@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .analysis import Analyzer
 from .corpus_io import CORPUS_READERS, TOPIC_READERS
-from .evaluation import parse_metric
+from .evaluation import DEFAULT_METRICS, parse_metrics
 from .index import DEFAULT_B, DEFAULT_K1
 from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, Generator,
                   ResponseCache, SamplingConfig)
@@ -43,7 +43,7 @@ class ExperimentConfig:
     b: float = field(default=DEFAULT_B, metadata={"min": 0, "max": 1})
     method: str = field(default="raw", metadata={"choices": METHODS})
     retrieval_depth: int = field(default=100, metadata={"min": 1})
-    metrics: List[str] = field(default_factory=lambda: ["ndcg@10", "map", "mrr", "p@10"])
+    metrics: List[str] = field(default_factory=lambda: list(DEFAULT_METRICS))
     min_rel: int = field(default=1, metadata={"min": 1})
     reformulation: ReformulationConfig = field(default_factory=ReformulationConfig)
     rm3: Rm3Params = field(default_factory=Rm3Params)
@@ -51,7 +51,6 @@ class ExperimentConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     max_new_tokens: int = field(default=DEFAULT_MAX_NEW_TOKENS, metadata={"min": 1})
     instructions: InstructionSet = field(default_factory=InstructionSet.default)
-    base_instruction: Optional[str] = None
     cache_dir: Optional[str] = None
     output_dir: str = "runs"
     run_tag: str = "run"
@@ -70,11 +69,12 @@ class ExperimentConfig:
         if self.run_tag.split() != [self.run_tag]:
             raise ConfigError(f"run_tag must be non-empty and without whitespace, "
                               f"got {self.run_tag!r}")
-        for metric in self.metrics:
-            try:
-                parse_metric(metric, min_rel=self.min_rel)
-            except ValueError as e:
-                raise ConfigError(f"metrics: {e}") from e
+        if "/" in self.run_tag:  # the tag names the run's files
+            raise ConfigError(f"run_tag must not contain '/', got {self.run_tag!r}")
+        try:
+            parse_metrics(self.metrics, min_rel=self.min_rel)
+        except ValueError as e:
+            raise ConfigError(f"metrics: {e}") from e
 
     def make_generator(self) -> Generator:
         cache = ResponseCache(self.cache_dir) if self.cache_dir else None

@@ -14,12 +14,14 @@ Supported formats:
   line's, or None for a file without lines.
 
 Output files are written through `atomic_writer`, so an interrupted write
-leaves the previous file, not a truncated one.
+leaves the previous file, not a truncated one; `write_jsonl` writes a file
+of JSON rows (reformulations, failures, replay transcripts) through it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -108,6 +110,9 @@ class RunList:
             if entry.docno in seen:
                 raise CorpusFormatError(f"qid {self.qid}: duplicate docno {entry.docno!r}")
             seen.add(entry.docno)
+            if not math.isfinite(entry.score):
+                raise CorpusFormatError(f"qid {self.qid}: non-finite score {entry.score} "
+                                        f"at rank {i}")
             if prev_score is not None and entry.score > prev_score:
                 raise CorpusFormatError(f"qid {self.qid}: scores increase at rank {i}")
             prev_score = entry.score
@@ -291,6 +296,13 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
+    """Write one JSON object per line, keys sorted."""
+    with atomic_writer(path) as f:
+        for row in rows:
+            f.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def write_run(runs: List[RunList], path: str | Path, tag: str) -> None:
     """Write TREC run lines `qid Q0 docno rank score tag`, queries in input
     order; the rank is each entry's 1-based position in its list."""
@@ -319,8 +331,10 @@ def read_run(path: str | Path) -> Tuple[Optional[str], List[RunList]]:
         qid, _, docno, _, score_str, line_tag = parts
         try:
             score = float(score_str)
-        except ValueError as e:
-            raise CorpusFormatError(f"{path}:{lineno}: bad score {score_str!r}") from e
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise CorpusFormatError(f"{path}:{lineno}: bad score {score_str!r}")
         tag = tag or line_tag
         docs = scored.setdefault(qid, {})
         if docno in docs:

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from .corpus_io import Qrels, RunList, atomic_writer
 
 METRIC_KINDS = ("ndcg", "map", "mrr", "precision")
+DEFAULT_METRICS = ("ndcg@10", "map", "mrr", "p@10")
 _METRIC_ALIASES = {"p": "precision"}
 
 
@@ -70,6 +71,17 @@ def parse_metric(text: str, min_rel: int = 1) -> MetricSpec:
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric {text!r}")
     return MetricSpec(kind, k=k, min_rel=min_rel)
+
+
+def parse_metrics(texts: Sequence[str], min_rel: int = 1) -> List[MetricSpec]:
+    """Parse a metric list; two entries with one label ("map", "MAP") are an error."""
+    specs: Dict[str, MetricSpec] = {}
+    for text in texts:
+        spec = parse_metric(text, min_rel=min_rel)
+        if spec.label in specs:
+            raise ValueError(f"metric {text!r} repeats {spec.label}")
+        specs[spec.label] = spec
+    return list(specs.values())
 
 
 def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:

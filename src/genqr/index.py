@@ -289,7 +289,8 @@ class PostingsIndex:
             f.write(json.dumps(meta, sort_keys=True))
 
     @classmethod
-    def load(cls, path: str | Path) -> "PostingsIndex":
+    def load(cls, path: str | Path, analyzer: Analyzer) -> "PostingsIndex":
+        """The index saved at `path`, which must have been built with `analyzer`."""
         path = Path(path)
         meta_path = path / "meta.json"
         if not meta_path.exists():
@@ -313,6 +314,9 @@ class PostingsIndex:
             raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
         if index.analyzer.fingerprint() != meta.get("analyzer_fingerprint"):
             raise IndexingError(f"{path}: analyzer fingerprint mismatch; {_REBUILD}")
+        if index.analyzer != analyzer:
+            raise IndexingError(
+                f"{path}: index analyzer differs from the configured one; {_REBUILD}")
         try:
             for docno, length in meta["docs"]:
                 index.docnos.append(docno)

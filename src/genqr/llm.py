@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .corpus_io import write_jsonl
 from .schema import check_fields
 
 logger = logging.getLogger(__name__)
@@ -207,14 +208,8 @@ class ReplayBackend(Backend):
 
 def write_transcript(rows: List[Dict[str, str]], path: str | Path) -> None:
     """Write a replay transcript; rows need "prompt" and "response" keys."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in rows:
-            record = {
-                "prompt_digest": prompt_digest(row["prompt"]),
-                "prompt": row["prompt"],
-                "response": row["response"],
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(({"prompt_digest": prompt_digest(row["prompt"]), "prompt": row["prompt"],
+                  "response": row["response"]} for row in rows), path)
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis import Analyzer
-from .corpus_io import Topic
+from .corpus_io import Topic, atomic_writer
 from .index import DegenerateQueryError, WeightedQuery
 from .llm import Generator
 from .prf import FeedbackSet
@@ -65,7 +65,8 @@ class InstructionSet:
         return [self.base, *self.paraphrases]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.all()) + "\n", encoding="utf-8")
+        with atomic_writer(path) as f:
+            f.write("\n".join(self.all()) + "\n")
 
     @classmethod
     def from_lines(cls, lines: List[str]) -> "InstructionSet":

@@ -1,6 +1,9 @@
 import json
+import resource
+import signal
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -37,6 +40,21 @@ def toy_config_dict(method="raw", tag="run", work=".", **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+@contextmanager
+def file_size_limit(n_bytes):
+    """Within the block, a write that grows any file of this process past
+    `n_bytes` fails with EFBIG, as a full disk fails it. pytest's captured
+    output is such a file, so the block should print nothing."""
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # else SIGXFSZ ends the process
+    resource.setrlimit(resource.RLIMIT_FSIZE, (n_bytes, limit[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+        signal.signal(signal.SIGXFSZ, handler)
 
 
 @pytest.fixture

@@ -20,7 +20,8 @@ from genqr.config import (METHODS, ConfigError, ExperimentConfig, Rm3Params,
 from genqr.corpus_io import CorpusFormatError, load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, holm_bonferroni, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
-from genqr.llm import GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key
+from genqr.llm import (GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key,
+                       write_transcript)
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 from genqr.schema import build
 
@@ -104,6 +105,8 @@ _BAD_VALUES = [
     ("instructions", 5, "instructions must be str, got 5"),
     ("run_tag", "my run", "run_tag must be non-empty and without whitespace, got 'my run'"),
     ("run_tag", "", "run_tag must be non-empty and without whitespace, got ''"),
+    ("run_tag", "../escaped", r"run_tag must not contain '/', got '\.\./escaped'"),
+    ("run_tag", "sub/x", "run_tag must not contain '/', got 'sub/x'"),
     ("reformulation", {"prompt_template": "{instruction}: {querry}"},
      r"reformulation.prompt_template must be a format string .*\(KeyError: 'querry'\)"),
     ("reformulation", {"prompt_template": "{instruction}: {query"},
@@ -116,6 +119,7 @@ _BAD_VALUES = [
     ("metrics", ["map@5"], "metrics: map takes no cutoff"),
     ("metrics", ["p@0"], "metrics: precision requires a positive cutoff"),
     ("metrics", ["p@x"], "metrics: metric 'p@x': cutoff 'x' is not an integer"),
+    ("metrics", ["map", "MAP"], "metrics: metric 'MAP' repeats map"),
 ]
 
 
@@ -404,7 +408,7 @@ def test_version_1_index_asks_for_force_rebuild(toy_cfg):
     meta["version"] = 1
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(IndexingError, match="version 1 .*genqr index --force"):
-        PostingsIndex.load(cfg.index_dir)
+        PostingsIndex.load(cfg.index_dir, cfg.analyzer)
     with pytest.raises(IndexingError, match="version 1 .*genqr index --force"):
         cmd_index(cfg)
     assert cmd_index(cfg, force=True).n_docs == 50
@@ -431,12 +435,21 @@ def test_interrupted_index_save_is_rejected_then_rebuilt(toy_cfg, monkeypatch, c
     dest = Path(cfg.index_dir)
     assert sorted(p.name for p in dest.iterdir()) == ["postings.bin"]  # no meta, no temp file
     with pytest.raises(IndexingError, match="genqr index --force"):
-        PostingsIndex.load(dest)
+        PostingsIndex.load(dest, cfg.analyzer)
     with caplog.at_level("INFO"):
         rebuilt = cmd_index(cfg)
     assert "indexed 50 documents" in caplog.text
     assert rebuilt.postings == built.postings
-    assert PostingsIndex.load(dest).postings == built.postings
+    assert PostingsIndex.load(dest, cfg.analyzer).postings == built.postings
+
+
+def test_run_against_index_of_another_analyzer_asks_for_force_rebuild(toy_cfg):
+    cmd_index(toy_cfg("raw"))
+    changed = toy_cfg("raw", analyzer={"stemmer": "porter"})
+    with pytest.raises(IndexingError, match="index analyzer differs from the configured one; "
+                                            "rebuild it with `genqr index --force`"):
+        cmd_run(changed)
+    assert not Path(changed.output_dir).exists()
 
 
 def test_index_analyzer_mismatch_errors(toy_cfg):
@@ -458,7 +471,7 @@ def test_raw_run_equals_direct_retrieval(toy_cfg, toy_index):
     assert failed == 0
     tag, runs = read_run(run_path)
     assert tag == cfg.run_tag
-    index = PostingsIndex.load(cfg.index_dir)
+    index = PostingsIndex.load(cfg.index_dir, cfg.analyzer)
     for topic in load_topics(cfg.topics):
         expected = index.retrieve(
             WeightedQuery.from_terms(topic.qid, index.analyzer.analyze(topic.query)),
@@ -495,7 +508,7 @@ def test_rf_oracle_vs_pseudo_differ_only_via_context(toy_cfg, toy_index):
     corpus = {json.loads(l)["docno"]: json.loads(l)["text"]
               for l in (TOY / "corpus.jsonl").read_text().splitlines()}
     qrels = load_qrels(TOY / "qrels.txt")
-    index = PostingsIndex.load(pseudo_cfg.index_dir)
+    index = PostingsIndex.load(pseudo_cfg.index_dir, pseudo_cfg.analyzer)
     for row_p, row_o in zip(rows_p, rows_o):
         assert row_p["qid"] == row_o["qid"]
         assert row_p["original"] == row_o["original"]
@@ -624,10 +637,38 @@ def test_eval_rejects_alpha_before_writing(toy_cfg, toy_index, tmp_path, baselin
     assert list(out.iterdir()) == []
 
 
+def test_bad_alpha_leaves_out_uncreated(toy_cfg, toy_index, tmp_path):
+    run_path, _, _ = cmd_run(toy_cfg("raw"))
+    out = tmp_path / "eval"
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 0.0"):
+        main(["eval", str(run_path), "--qrels", str(TOY / "qrels.txt"), "--out", str(out),
+              "--alpha", "0"])
+    assert not out.exists()
+
+
+def test_eval_rejects_a_run_tag_with_a_slash_before_writing(tmp_path):
+    """The tag names the report files: `../outside` would put them beside --out."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "x.run").write_text("1 Q0 d001 1 1.000000 ../outside\n")
+    with pytest.raises(ValueError, match=r"x.run: run tag '\.\./outside' must not contain '/'"):
+        cmd_eval([runs / "x.run"], load_qrels(TOY / "qrels.txt"), ["map"], runs / "ev2")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["runs", "x.run"]
+
+
+def test_eval_evaluates_a_metric_once(toy_cfg, toy_index, tmp_path):
+    run_path, _, _ = cmd_run(toy_cfg("raw"))
+    out = tmp_path / "eval"
+    with pytest.raises(ValueError, match="metric 'MAP' repeats map"):
+        main(["eval", str(run_path), "--qrels", str(TOY / "qrels.txt"), "--out", str(out),
+              "--metrics", "map", "MAP", "map"])
+    assert not out.exists()
+
+
 def test_querywise_self_comparison_all_zero(toy_cfg, toy_index, tmp_path):
     run_path, _, _ = cmd_run(toy_cfg("raw"))
     out = tmp_path / "qw.csv"
-    rows = cmd_querywise(run_path, run_path, TOY / "qrels.txt", "ndcg@10", out)
+    rows = cmd_querywise(run_path, run_path, load_qrels(TOY / "qrels.txt"), "ndcg@10", out)
     assert all(r["delta"] == 0.0 for r in rows)
     assert out.read_text().splitlines()[0] == "qid,value_a,value_b,delta"
 
@@ -635,7 +676,7 @@ def test_querywise_self_comparison_all_zero(toy_cfg, toy_index, tmp_path):
 def test_querywise_matches_eval_module(toy_cfg, toy_index, tmp_path):
     run_a, _, _ = cmd_run(toy_cfg("raw", tag="a"))
     run_b, _, _ = cmd_run(toy_cfg("genqrensemble", tag="b"))
-    rows = cmd_querywise(run_a, run_b, TOY / "qrels.txt", "ndcg@10",
+    rows = cmd_querywise(run_a, run_b, load_qrels(TOY / "qrels.txt"), "ndcg@10",
                          tmp_path / "qw.csv")
     qrels = load_qrels(TOY / "qrels.txt")
     spec = parse_metric("ndcg@10")
@@ -652,7 +693,7 @@ def test_querywise_disjoint_queries_score_missing_zero(toy_cfg, toy_index, tmp_p
     run_path, _, _ = cmd_run(toy_cfg("raw"))
     other = tmp_path / "other.run"
     other.write_text("99 Q0 d011 1 1.000000 x\n")  # qid 99 is unjudged
-    rows = cmd_querywise(run_path, other, TOY / "qrels.txt", "ndcg@10",
+    rows = cmd_querywise(run_path, other, load_qrels(TOY / "qrels.txt"), "ndcg@10",
                          tmp_path / "qw.csv")
     per_a = evaluate_run(read_run(run_path)[1], load_qrels(TOY / "qrels.txt"),
                          parse_metric("ndcg@10")).per_query
@@ -667,7 +708,7 @@ def test_querywise_without_relevant_documents_error(toy_cfg, toy_index, tmp_path
     qrels = tmp_path / "qrels.txt"
     qrels.write_text("1 0 d001 0\n")
     with pytest.raises(ValueError, match="no judged topic has a relevant document"):
-        cmd_querywise(run_path, run_path, qrels, "ndcg@10", tmp_path / "qw.csv")
+        cmd_querywise(run_path, run_path, load_qrels(qrels), "ndcg@10", tmp_path / "qw.csv")
 
 
 def _failing_topics(tmp_path):
@@ -774,6 +815,15 @@ def test_sweep_bad_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
         cmd_sweep(cfg, param, values, tmp_path / "sweep.csv")
     assert not Path(cfg.output_dir).exists()
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_tag_with_a_slash_rejected_before_any_run(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble", tag="t")
+    template = "{instruction}/{query}"  # a swept value names the run: t-<param><value>
+    with pytest.raises(ConfigError, match="run_tag must not contain '/'"):
+        cmd_sweep(cfg, "reformulation.prompt_template", ["{instruction}:{query}", template],
+                  tmp_path / "sweep.csv")
+    assert not Path(cfg.output_dir).exists()
 
 
 @pytest.mark.parametrize("values,tag", [([1, 1], "rep-m1"), ([0, 2, 0], "rep-m0")])
@@ -925,6 +975,19 @@ def test_paraphrase_command_writes_instruction_file(tmp_path):
     assert iset.n == 10
     assert out.read_text().splitlines()[1] == \
         "Recommend expansion terms for the query to improve search results"
+
+
+def test_paraphrase_starts_from_the_configured_instruction_set(tmp_path):
+    (tmp_path / "mine.txt").write_text("Name search words for\nList more words for\n")
+    write_transcript([{"prompt": f"{PARAPHRASE_PROMPT} Name search words for",
+                       "response": "1. Give terms for\n2. Suggest words for"}],
+                     tmp_path / "t.jsonl")
+    cfg = config_from_dict({"instructions": str(tmp_path / "mine.txt"),
+                            "backend": {"kind": "replay",
+                                        "transcript": str(tmp_path / "t.jsonl")}})
+    cmd_paraphrase(cfg, count=3, out_path=tmp_path / "out.txt")
+    assert (tmp_path / "out.txt").read_text().splitlines() == \
+        ["Name search words for", "Give terms for", "Suggest words for"]
 
 
 def test_paraphrase_cache_key_keeps_512_tokens(tmp_path):

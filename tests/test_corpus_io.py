@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunEntry,
                              RunList, Topic, atomic_writer, load_corpus,
-                             load_qrels, load_topics, read_run, write_run)
+                             load_qrels, load_topics, read_run, write_jsonl, write_run)
 
 
 # --- corpus loading ---
@@ -264,6 +264,24 @@ def test_read_run_repeated_docno_rejected(tmp_path):
         read_run(path)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+def test_read_run_rejects_a_non_finite_score(tmp_path, score):
+    """A NaN compares false with every score, so its rank would depend on
+    the order of the file's lines."""
+    path = tmp_path / "r.run"
+    path.write_text(f"1 Q0 d1 1 2.0 t\n1 Q0 d2 2 {score} t\n1 Q0 d3 3 1.0 t\n")
+    with pytest.raises(CorpusFormatError, match=f"r.run:2: bad score '{score}'"):
+        read_run(path)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_write_run_rejects_a_non_finite_score(tmp_path, score):
+    run = RunList(qid="1", entries=[RunEntry("a", 2.0), RunEntry("b", score)])
+    with pytest.raises(CorpusFormatError, match=f"qid 1: non-finite score {score} at rank 2"):
+        write_run([run], tmp_path / "r.run", "t")
+    assert not (tmp_path / "r.run").exists()
+
+
 def test_read_run_two_queries(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 a 1 2.000000 t\n2 Q0 b 1 1.000000 t\n")
@@ -350,6 +368,21 @@ def test_interrupted_write_run_keeps_previous_run(tmp_path):
         write_run([first, second], path, "t")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["r.run"]
+
+
+def test_interrupted_write_jsonl_keeps_previous_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl([{"qid": "old"}], path)
+    before = path.read_bytes()
+
+    def rows():
+        yield {"qid": "1"}
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_jsonl(rows(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 
 def test_qrels_relevant_filter():

@@ -10,8 +10,8 @@ from oracles import ap_oracle, ndcg_oracle, prec_oracle, rr_oracle
 from genqr.corpus_io import Qrels, RunList
 from genqr.evaluation import (EvalReport, MetricSpec, average_precision,
                               evaluate_run, holm_bonferroni, missing_topics, mrr,
-                              ndcg_at_k, paired_ttest, parse_metric, precision_at_k,
-                              student_t_two_sided)
+                              ndcg_at_k, paired_ttest, parse_metric, parse_metrics,
+                              precision_at_k, student_t_two_sided)
 
 
 def run_of(qid, docnos):
@@ -179,6 +179,17 @@ def test_parse_metric():
         parse_metric("ndcg")  # needs a cutoff
     with pytest.raises(ValueError, match="metric 'p@x': cutoff 'x' is not an integer"):
         parse_metric("p@x")
+
+
+def test_parse_metrics_rejects_a_repeated_label():
+    """"map" and "MAP" are one metric: evaluated twice, it would give two
+    identical rows and two Holm hypotheses where there is one test."""
+    assert [s.label for s in parse_metrics(["ndcg@10", "map", "P@10"])] == \
+        ["ndcg@10", "map", "p@10"]
+    with pytest.raises(ValueError, match="metric 'MAP' repeats map"):
+        parse_metrics(["map", "MAP", "map"])
+    with pytest.raises(ValueError, match="metric 'p@10' repeats p@10"):
+        parse_metrics(["P@10", "ndcg@10", "p@10"])
 
 
 # --- significance ---

@@ -375,9 +375,10 @@ def test_retrieve_equals_exhaustive_top_k(docs, query, k, k1, b):
 def test_save_load_roundtrip(tmp_path):
     rng = random.Random(77)
     docs = make_corpus(rng, 50, 20)
-    index = build_index(docs, Analyzer(stopwords=frozenset({"t0"})))
+    analyzer = Analyzer(stopwords=frozenset({"t0"}))
+    index = build_index(docs, analyzer)
     index.save(tmp_path / "idx")
-    loaded = PostingsIndex.load(tmp_path / "idx")
+    loaded = PostingsIndex.load(tmp_path / "idx", analyzer)
     assert loaded.postings == index.postings
     assert loaded.docnos == index.docnos
     assert loaded.doc_lengths == index.doc_lengths
@@ -389,7 +390,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_empty_index_roundtrips(tmp_path):
     index = build_index([], Analyzer())
     index.save(tmp_path / "idx")
-    loaded = PostingsIndex.load(tmp_path / "idx")
+    loaded = PostingsIndex.load(tmp_path / "idx", Analyzer())
     assert loaded.n_docs == 0
 
 
@@ -398,7 +399,7 @@ def test_corrupted_header_rejected(tmp_path):
     index.save(tmp_path / "idx")
     (tmp_path / "idx" / "postings.bin").write_bytes(b"GARBAGE!")
     with pytest.raises(IndexingError, match="rebuild"):
-        PostingsIndex.load(tmp_path / "idx")
+        PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -410,7 +411,7 @@ def test_version_mismatch_rejected(tmp_path):
     meta["version"] = 999
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(IndexingError, match="version"):
-        PostingsIndex.load(tmp_path / "idx")
+        PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
 def test_index_with_n_docs_key_still_loads(tmp_path):
@@ -426,7 +427,7 @@ def test_index_with_n_docs_key_still_loads(tmp_path):
     assert "n_docs" not in meta and len(meta["docs"]) == 20
     meta["n_docs"] = 20
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1))
-    loaded = PostingsIndex.load(tmp_path / "idx")
+    loaded = PostingsIndex.load(tmp_path / "idx", Analyzer())
     assert loaded.n_docs == 20
     assert (loaded.postings, loaded.docnos, loaded.doc_lengths) == \
         (index.postings, index.docnos, index.doc_lengths)
@@ -442,7 +443,7 @@ def test_bad_analyzer_section_rejected(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(IndexingError,
                        match=r"analyzer keys: \['mystery'\]\); rebuild it with `genqr index --force`$"):
-        PostingsIndex.load(tmp_path / "idx")
+        PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "[]", "docs", "terms", "total_tokens",
@@ -470,7 +471,7 @@ def test_corrupt_meta_rejected(tmp_path, corruption):
     meta_path.write_text(text)
     with pytest.raises(IndexingError,
                        match=r"meta\.json .*; rebuild it with `genqr index --force`$"):
-        PostingsIndex.load(tmp_path / "idx")
+        PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
 def _bump_first_df(raw: bytes) -> bytes:
@@ -488,7 +489,7 @@ def test_truncated_or_extended_postings_rejected(tmp_path, edit):
     postings = tmp_path / "idx" / "postings.bin"
     postings.write_bytes(edit(postings.read_bytes()))
     with pytest.raises(IndexingError, match="rebuild"):
-        PostingsIndex.load(tmp_path / "idx")
+        PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
 # --- properties ---
@@ -508,7 +509,7 @@ def test_build_save_load_preserves_index(corpus, weights):
     index = build_index(docs, Analyzer())
     with tempfile.TemporaryDirectory() as tmp:
         index.save(tmp)
-        loaded = PostingsIndex.load(tmp)
+        loaded = PostingsIndex.load(tmp, Analyzer())
     assert loaded.postings == index.postings
     assert loaded.docnos == index.docnos
     assert loaded.doc_lengths == index.doc_lengths

@@ -21,6 +21,8 @@ from genqr.reformulate import (InstructionSet, ReformulationConfig,
                                paraphrase_instructions, parse_paraphrase_list,
                                query_prompts, query_record, reformulate_query)
 
+from conftest import file_size_limit
+
 TOY = genqr.data_path("toy")
 GOLDFISH = Topic("156493", "do goldfish grow")
 THESAURUS = {"goldfish": ["carp", "fishbowl", "koi"],
@@ -91,6 +93,15 @@ def test_instruction_set_save_load(tmp_path):
     iset = InstructionSet(base="alpha", paraphrases=("beta", "gamma"))
     iset.save(tmp_path / "i.txt")
     assert InstructionSet.load(tmp_path / "i.txt") == iset
+
+
+def test_interrupted_instruction_set_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "i.txt"
+    InstructionSet(base="old").save(path)
+    with pytest.raises(OSError), file_size_limit(8):  # a disk that fills mid-write
+        InstructionSet(base="alpha", paraphrases=("beta", "gamma")).save(path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["i.txt"]
 
 
 # --- paraphrasing ---

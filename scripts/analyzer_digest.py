@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Print one sha256 over the analyzer's token streams of the bundled data
-under all eight analyzer configs (lowercase x strip_punctuation x stemmer,
-each with a small stopword set).
+under both stemmers, each with a small stopword set.
 
-The toy grid uses only the default analyzer; this digest also gates the
-other modes. A change that must keep every token stream identical prints
-the same digest before and after it:
+The toy grid uses only the default analyzer; this digest also gates
+stopword removal and the Porter stemmer. A change that must keep every
+token stream identical prints the same digest before and after it:
 
     python3 scripts/analyzer_digest.py
 
 Every line of each file is analyzed as it stands, markup included, so the
-JSON and TSV punctuation exercises the keep-punctuation mode. The texts are
+JSON and TSV punctuation exercises the tokenizer's separators. The texts are
 the toy corpus and topics, the goldfish replay transcript and the default
 instruction set; the analyzer is the one in the checkout holding this script.
 """
 
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -33,10 +31,8 @@ STOPWORDS = frozenset({"a", "for", "of", "the", "to"})
 
 def analyzer_digest() -> str:
     digest = hashlib.sha256()
-    for lowercase, strip, stemmer in itertools.product(
-            (True, False), (True, False), ("none", "porter")):
-        analyzer = Analyzer(lowercase=lowercase, strip_punctuation=strip,
-                            stopwords=STOPWORDS, stemmer=stemmer)
+    for stemmer in ("none", "porter"):
+        analyzer = Analyzer(stopwords=STOPWORDS, stemmer=stemmer)
         for name in TEXTS:
             lines = (DATA / name).read_text(encoding="utf-8").splitlines()
             digest.update(json.dumps([analyzer.config(), name]).encode())

@@ -140,6 +140,18 @@ CATALOG = [
            "steps = [_attempt(runner.prepare, topic) for topic in chunk]",
            "steps = [runner.prepare(topic) for topic in chunk]",
            ("tests/test_reformulate.py::test_strict_run_raises_the_first_failing_topic",)),
+    Mutant("a clean rerun keeps the old failures file", "cli.py",
+           "        fail_path.unlink(missing_ok=True)\n",
+           "        pass\n",
+           ("tests/test_cli.py::test_clean_rerun_removes_the_old_failures_file",)),
+    # --- a prompt template names both fields ---
+    Mutant("prompt_template may omit {query}", "reformulate.py",
+           'for name in ("instruction", "query")',
+           'for name in ("instruction",)',
+           ("tests/test_cli.py::test_bad_config_value_raises_config_error"
+            "[reformulation={'prompt_template': '{instruction}'}]",
+            "tests/test_cli.py::test_bad_config_value_raises_config_error"
+            "[reformulation={'prompt_template': ''}]")),
     # --- corpus reading ---
     Mutant("trec-text count position does not advance", "corpus_io.py",
            "        pos = match.start()\n",

@@ -3,16 +3,15 @@
 Analysis is a pure function of (analyzer config, text): the same config and
 input always produce the same token sequence.
 
-Tokenisation rule, applied after optional lowercasing: a character is a
-separator when `str.isspace()` is true for it, a punctuation or symbol
-character when its Unicode category is P* or S*, and a word character
-otherwise. A token is a maximal run of word characters; with
-`strip_punctuation` off, a maximal run of punctuation/symbol characters is
-a token too. In strip mode this is `text.translate(_SEPARATORS).split()`:
-P*/S* characters become spaces, and `split()` with no argument splits on
-exactly the characters for which `str.isspace()` is true (CPython decides
-both with `_PyUnicode_IsWhitespace`), so no per-character Python code runs
-for a character already in the table.
+Tokenisation rule: the text is lowercased, then a character is a separator
+when `str.isspace()` is true for it or its Unicode category is P* or S*
+(punctuation or symbol), and a word character otherwise; a token is a
+maximal run of word characters. `analyze` computes this as
+`text.lower().translate(_SEPARATORS).split()`: P*/S* characters become
+spaces, and `split()` with no argument splits on exactly the characters
+for which `str.isspace()` is true (CPython decides both with
+`_PyUnicode_IsWhitespace`), so no per-character Python code runs for a
+character already in the table.
 """
 
 from __future__ import annotations
@@ -22,16 +21,11 @@ import json
 import unicodedata
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from typing import FrozenSet, List
 
 from .schema import build, check_fields
 
 STEMMERS = ("none", "porter")
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in "PS"
 
 
 class _SeparatorTable(dict):
@@ -44,28 +38,16 @@ class _SeparatorTable(dict):
 
     def __missing__(self, code: int) -> int:
         # Returning None would make translate delete the character.
-        value = 32 if _is_punct(chr(code)) else code
+        value = 32 if unicodedata.category(chr(code))[0] in "PS" else code
         self[code] = value
         return value
 
 
-class _ClassTable(dict):
-    """Character -> 0 (whitespace), 1 (word) or 2 (punctuation/symbol)."""
-
-    def __missing__(self, ch: str) -> int:
-        value = 0 if ch.isspace() else 2 if _is_punct(ch) else 1
-        self[ch] = value
-        return value
-
-
 _SEPARATORS = _SeparatorTable()
-_CLASSES = _ClassTable()
 
 
 @dataclass(frozen=True)
 class Analyzer:
-    lowercase: bool = True
-    strip_punctuation: bool = True
     stopwords: FrozenSet[str] = field(default_factory=frozenset)
     stemmer: str = field(default="none", metadata={"choices": STEMMERS})
 
@@ -73,12 +55,7 @@ class Analyzer:
 
     def analyze(self, text: str) -> List[str]:
         """Tokenize `text` under this configuration; empty input yields []."""
-        if self.lowercase:
-            text = text.lower()
-        if self.strip_punctuation:
-            tokens = text.translate(_SEPARATORS).split()
-        else:
-            tokens = ["".join(run) for cls, run in groupby(text, _CLASSES.__getitem__) if cls]
+        tokens = text.lower().translate(_SEPARATORS).split()
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         if self.stemmer == "porter":

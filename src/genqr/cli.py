@@ -202,9 +202,11 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     write_run(runs, run_path, cfg.run_tag)
     ref_path = out_dir / f"{cfg.run_tag}.reformulations.jsonl"
     write_jsonl((record for _, record in results), ref_path)
+    fail_path = out_dir / f"{cfg.run_tag}.failures.jsonl"
     if failures:
-        write_jsonl(sorted(failures, key=lambda r: r["qid"]),
-                    out_dir / f"{cfg.run_tag}.failures.jsonl")
+        write_jsonl(sorted(failures, key=lambda r: r["qid"]), fail_path)
+    else:  # an earlier run's failures are no longer this tag's
+        fail_path.unlink(missing_ok=True)
     logger.info("wrote %s (%d queries, %d failures)", run_path, len(topics), len(failures))
     return run_path, ref_path, len(failures)
 

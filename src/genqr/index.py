@@ -280,7 +280,6 @@ class PostingsIndex:
             "version": INDEX_VERSION,
             "analyzer": self.analyzer.config(),
             "analyzer_fingerprint": self.analyzer.fingerprint(),
-            "total_tokens": self.total_tokens,
             "docs": [[docno, length] for docno, length in zip(self.docnos, self.doc_lengths)],
             "terms": postings.terms,
             "n_postings": len(postings.docs),
@@ -321,7 +320,6 @@ class PostingsIndex:
             for docno, length in meta["docs"]:
                 index.docnos.append(docno)
                 index.doc_lengths.append(int(length))
-            index.total_tokens = int(meta["total_tokens"])
             terms, n_postings = meta["terms"], int(meta["n_postings"])
             n_terms = len(terms)
         except KeyError as e:
@@ -329,6 +327,7 @@ class PostingsIndex:
         except (TypeError, ValueError) as e:
             raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
 
+        index.total_tokens = sum(index.doc_lengths)
         raw = (path / "postings.bin").read_bytes()
         if raw[:len(_POSTINGS_MAGIC)] != _POSTINGS_MAGIC:
             raise IndexingError(f"{path}: corrupted postings header; {_REBUILD}")

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from string import Formatter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis import Analyzer
@@ -98,12 +99,18 @@ class ReformulationConfig:
 
     def __post_init__(self):
         check_fields(self)
-        try:  # the fields `query_prompts` fills
-            self.prompt_template.format(instruction="i", query="q")
+        template = self.prompt_template
+        try:  # the fields `query_prompts` fills, and no other
+            template.format(instruction="i", query="q")
         except (LookupError, ValueError, AttributeError) as e:
+            problem = f"{type(e).__name__}: {e}"
+        else:  # each of them at least once
+            names = {name for _, name, _, _ in Formatter().parse(template)}
+            problem = " and ".join(f"no {{{name}}}" for name in ("instruction", "query")
+                                   if name not in names)
+        if problem:
             raise ConfigError(f"prompt_template must be a format string of {{instruction}} "
-                              f"and {{query}}, got {self.prompt_template!r} "
-                              f"({type(e).__name__}: {e})") from e
+                              f"and {{query}}, got {template!r} ({problem})")
 
 
 def query_record(topic: Topic, fused: Optional[WeightedQuery] = None,
@@ -228,6 +235,6 @@ def reformulate_query(original: WeightedQuery, responses: Sequence[Union[str, Ex
 
 # perfbench/trace_cli.py patches these three old names to time the pipeline.
 # They are bound to the one function object, so patching them wraps it; they
-# go when the benchmark upkeep of ROADMAP item 7 has trace_cli patch
+# go when the benchmark upkeep of ROADMAP item 1 has trace_cli patch
 # `reformulate_query` instead. Not exported.
 flanqr = genqr_ensemble = genqr_ensemble_rf = reformulate_query

@@ -23,30 +23,19 @@ def _is_word_char(ch: str) -> bool:
     return not (cat.startswith("P") or cat.startswith("S"))
 
 
-def analyze_oracle(text: str, lowercase: bool = True, strip_punctuation: bool = True,
-                   stopwords: FrozenSet[str] = frozenset(),
+def analyze_oracle(text: str, stopwords: FrozenSet[str] = frozenset(),
                    stem: Optional[Callable[[str], str]] = None) -> List[str]:
-    """The character-at-a-time tokenizer: whitespace separates tokens, a
-    change between word and P*/S* characters ends a token, and P*/S* runs
-    are dropped when `strip_punctuation` is set; then stopwords, then `stem`."""
-    if lowercase:
-        text = text.lower()
+    """The character-at-a-time tokenizer: after lowercasing, a token is a
+    maximal run of characters that are neither whitespace nor P*/S*; then
+    stopwords, then `stem`."""
     tokens: List[str] = []
     buf: List[str] = []
-    buf_is_word = True
-    for ch in text:
-        if ch.isspace():
-            if buf:
-                tokens.append("".join(buf))
-                buf = []
-            continue
-        is_word = _is_word_char(ch)
-        if buf and is_word != buf_is_word:
+    for ch in text.lower():
+        if _is_word_char(ch):
+            buf.append(ch)
+        elif buf:
             tokens.append("".join(buf))
             buf = []
-        if is_word or not strip_punctuation:
-            buf.append(ch)
-            buf_is_word = is_word
     if buf:
         tokens.append("".join(buf))
 

@@ -16,12 +16,11 @@ _TEXT = st.text(st.one_of(
     st.sampled_from("\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\t\n '-.!éİß"),
 ), max_size=40)
 
-_STOPWORDS = frozenset({"a", "the", "s", "-", "!"})
-_CONFIGS = [Analyzer(lowercase=lower, strip_punctuation=strip, stopwords=_STOPWORDS,
-                     stemmer=stemmer)
-            for lower, strip, stemmer in itertools.product(
-                (True, False), (True, False), ("none", "porter"))]
-_CONFIG_IDS = ["lower={} strip={} stem={}".format(a.lowercase, a.strip_punctuation, a.stemmer)
+_STOPWORDS = frozenset({"a", "the", "s"})
+_CONFIGS = [Analyzer(stopwords=stopwords, stemmer=stemmer)
+            for stemmer, stopwords in itertools.product(("none", "porter"),
+                                                        (frozenset(), _STOPWORDS))]
+_CONFIG_IDS = ["stem={} stopwords={}".format(a.stemmer, ",".join(sorted(a.stopwords)) or "none")
                for a in _CONFIGS]
 
 
@@ -44,16 +43,6 @@ def test_determinism():
     assert analyzer.analyze(text) == analyzer.analyze(text)
 
 
-def test_keep_punctuation_tokens():
-    analyzer = Analyzer(strip_punctuation=False)
-    assert analyzer.analyze("Hello, world!") == ["hello", ",", "world", "!"]
-
-
-def test_no_lowercase():
-    analyzer = Analyzer(lowercase=False)
-    assert analyzer.analyze("Hello World") == ["Hello", "World"]
-
-
 def test_unicode_symbols_split():
     assert Analyzer().analyze("café ☕ naïve") == ["café", "naïve"]
 
@@ -66,8 +55,7 @@ def test_unicode_symbols_split():
 @example(text="a\x1cb")
 def test_analyze_matches_character_loop_oracle(analyzer, text):
     stem = porter_stem if analyzer.stemmer == "porter" else None
-    assert analyzer.analyze(text) == analyze_oracle(
-        text, analyzer.lowercase, analyzer.strip_punctuation, analyzer.stopwords, stem)
+    assert analyzer.analyze(text) == analyze_oracle(text, analyzer.stopwords, stem)
 
 
 @pytest.mark.parametrize("analyzer", _CONFIGS, ids=_CONFIG_IDS)
@@ -97,8 +85,7 @@ def test_fingerprint_tracks_config():
 
 
 def test_config_roundtrip():
-    analyzer = Analyzer(lowercase=False, strip_punctuation=False,
-                        stopwords=frozenset({"x", "y"}), stemmer="porter")
+    analyzer = Analyzer(stopwords=frozenset({"x", "y"}), stemmer="porter")
     assert Analyzer.from_config(analyzer.config()) == analyzer
 
 

@@ -86,7 +86,7 @@ def test_unknown_config_key_rejected():
     pytest.param("analyzer", {"stopwords": "the"},
                  "analyzer.stopwords must be a list of str, got 'the'", id="stopwords=the"),
     pytest.param("analyzer", {"lowercase": "false"},
-                 "analyzer.lowercase must be bool, got 'false'", id="lowercase=false"),
+                 r"unknown analyzer keys: \['lowercase'\]", id="lowercase=false"),
 ], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
 def test_bad_config_section_raises_config_error(section, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -111,6 +111,13 @@ _BAD_VALUES = [
      r"reformulation.prompt_template must be a format string .*\(KeyError: 'querry'\)"),
     ("reformulation", {"prompt_template": "{instruction}: {query"},
      r"reformulation.prompt_template must be a format string .*\(ValueError: "),
+    ("reformulation", {"prompt_template": ""},
+     r"reformulation.prompt_template must be a format string .*, got '' "
+     r"\(no \{instruction\} and no \{query\}\)"),
+    ("reformulation", {"prompt_template": "{instruction}"},
+     r"reformulation.prompt_template must be a format string .*\(no \{query\}\)"),
+    ("reformulation", {"prompt_template": "{query}"},
+     r"reformulation.prompt_template must be a format string .*\(no \{instruction\}\)"),
     ("metrics", "ndcg@10", "metrics must be a list of str, got 'ndcg@10'"),
     ("corpus_format", "xml", r"corpus_format must be one of \(.*'trec-text'\), got 'xml'"),
     ("topics_format", "jsonl", r"topics_format must be one of \(.*'trec-topic'\), got 'jsonl'"),
@@ -537,6 +544,17 @@ def test_lenient_mode_records_failures(toy_cfg, toy_index, tmp_path):
                 (run_path.parent / "raw.failures.jsonl").read_text().splitlines()]
     assert failures[0]["qid"] == "2"
     assert all(r.qid == "1" for r in read_run(run_path)[1])
+
+
+def test_clean_rerun_removes_the_old_failures_file(toy_cfg, toy_index, tmp_path):
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("1\tgoldfish growth\n2\t???\n")  # qid 2 analyzes to nothing
+    run_path, _, failed = cmd_run(toy_cfg("raw", topics=str(topics)), lenient=True)
+    fail_path = run_path.parent / "raw.failures.jsonl"
+    assert failed == 1 and fail_path.exists()
+    topics.write_text("1\tgoldfish growth\n")
+    _, _, failed = cmd_run(toy_cfg("raw", topics=str(topics)), lenient=True)
+    assert failed == 0 and not fail_path.exists()
 
 
 def test_reranker_seam(toy_cfg, toy_index, tmp_path):

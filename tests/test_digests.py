@@ -11,7 +11,7 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 TOY_GRID_DIGEST = "b9906ff8ac4c22b705a4923190440e3ce0ccba9e25438004f407f17c6b1f2edb"
-ANALYZER_DIGEST = "851c0b4e3bdcc6f4cc8c838b5182198c81a32d5d62f7874dfbfafa8563aefcd6"
+ANALYZER_DIGEST = "e81c6eb732695b1ab451b69b0fb80268a1c6b168ec4851e7a8343cb0a83e0d8d"
 
 
 def _script(name: str):

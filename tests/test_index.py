@@ -415,41 +415,46 @@ def test_version_mismatch_rejected(tmp_path):
 
 
 def test_index_with_n_docs_key_still_loads(tmp_path):
-    """meta.json no longer carries n_docs (`docs` holds the count), and is
-    compact JSON; a version-2 index written with n_docs, indented, loads as
-    before."""
+    """meta.json no longer carries n_docs or total_tokens (`docs` holds the
+    count and the lengths that sum to it), and is compact JSON; a version-2
+    index written with either key, indented, loads as before."""
     import json
     index = build_index(make_corpus(random.Random(5), 20, 10), Analyzer())
     index.save(tmp_path / "idx")
     meta_path = tmp_path / "idx" / "meta.json"
     meta = json.loads(meta_path.read_text())
     assert meta_path.read_text() == json.dumps(meta, sort_keys=True)
-    assert "n_docs" not in meta and len(meta["docs"]) == 20
-    meta["n_docs"] = 20
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1))
-    loaded = PostingsIndex.load(tmp_path / "idx", Analyzer())
-    assert loaded.n_docs == 20
-    assert (loaded.postings, loaded.docnos, loaded.doc_lengths) == \
-        (index.postings, index.docnos, index.doc_lengths)
+    assert "n_docs" not in meta and "total_tokens" not in meta and len(meta["docs"]) == 20
+    for extra in ({"n_docs": 20}, {"total_tokens": index.total_tokens}):
+        meta_path.write_text(json.dumps(dict(meta, **extra), sort_keys=True, indent=1))
+        loaded = PostingsIndex.load(tmp_path / "idx", Analyzer())
+        assert (loaded.n_docs, loaded.total_tokens) == (20, index.total_tokens)
+        assert (loaded.postings, loaded.docnos, loaded.doc_lengths) == \
+            (index.postings, index.docnos, index.doc_lengths)
 
 
 def test_bad_analyzer_section_rejected(tmp_path):
+    """An unknown analyzer key fails the load, as do the `lowercase` and
+    `strip_punctuation` keys that indexes built before their removal name."""
     import json
     index = build_index([Document("d1", "a")], Analyzer())
     index.save(tmp_path / "idx")
     meta_path = tmp_path / "idx" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta["analyzer"]["mystery"] = 1
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(IndexingError,
-                       match=r"analyzer keys: \['mystery'\]\); rebuild it with `genqr index --force`$"):
-        PostingsIndex.load(tmp_path / "idx", Analyzer())
+    old_analyzer = {"lowercase": True, "strip_punctuation": True, "stopwords": [],
+                    "stemmer": "none"}
+    for analyzer, keys in ((dict(meta["analyzer"], mystery=1), r"\['mystery'\]"),
+                           (old_analyzer, r"\['lowercase', 'strip_punctuation'\]")):
+        meta_path.write_text(json.dumps(dict(meta, analyzer=analyzer)))
+        with pytest.raises(IndexingError, match=rf"analyzer keys: {keys}\); "
+                                                r"rebuild it with `genqr index --force`$"):
+            PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "[]", "docs", "terms", "total_tokens",
-                                        "n_postings", {"docs": 5}, {"total_tokens": "x"}],
+@pytest.mark.parametrize("corruption", ["truncated", "[]", "docs", "terms", "n_postings",
+                                        {"docs": 5}],
                          ids=["truncated", "not-an-object", "no-docs", "no-terms",
-                              "no-total_tokens", "no-n_postings", "docs-5", "total_tokens-x"])
+                              "no-n_postings", "docs-5"])
 def test_corrupt_meta_rejected(tmp_path, corruption):
     """A truncated meta.json, a root that is not an object, a missing key or
     a value of the wrong type."""

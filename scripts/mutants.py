@@ -185,10 +185,22 @@ CATALOG = [
            ("tests/test_index.py::test_build_equals_inverted_index_oracle",
             "tests/test_index.py::test_build_save_load_preserves_index")),
     Mutant("an index loads under any analyzer", "index.py",
-           "        if index.analyzer != analyzer:\n",
+           "        if stored != analyzer:\n",
            "        if False:\n",
            ("tests/test_cli.py::test_index_analyzer_mismatch_errors",
             "tests/test_cli.py::test_run_against_index_of_another_analyzer_asks_for_force_rebuild")),
+    # --- outputs ---
+    Mutant("atomic_writer makes no directory", "corpus_io.py",
+           "    path.parent.mkdir(parents=True, exist_ok=True)\n",
+           "",
+           ("tests/test_cli.py::test_sweep_out_in_a_new_directory",
+            "tests/test_cli.py::test_querywise_out_in_a_new_directory")),
+    Mutant("reranker exchange files left in output_dir", "cli.py",
+           "        cand_path = Path(tmp) / f\"{cfg.run_tag}.candidates.run\"\n"
+           "        rerank_path = Path(tmp) / f\"{cfg.run_tag}.reranked.run\"\n",
+           "        cand_path = out_dir / f\"{cfg.run_tag}.candidates.run\"\n"
+           "        rerank_path = out_dir / f\"{cfg.run_tag}.reranked.run\"\n",
+           ("tests/test_cli.py::test_reranker_exchange_files_leave_output_dir",)),
     # --- rank-safe top k ---
     Mutant("no 1e-9 slack on the pruning threshold", "index.py",
            "[-1] * (1.0 - _PRUNE_SLACK)",

@@ -23,6 +23,7 @@ import logging
 import shlex
 import subprocess
 import sys
+import tempfile
 from itertools import islice
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -173,7 +174,6 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     topics = load_topics(cfg.topics, cfg.topics_format)
     runner = _QueryRunner(cfg, index)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     failures: List[dict] = []
     results: List[Tuple[RunList, dict]] = []
@@ -214,13 +214,18 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
 def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
                     out_dir: Path) -> List[RunList]:
     """File-exchange reranker hook: hand the run to an external command
-    `<reranker_cmd> <candidates> <reranked>` and read back new scores."""
-    cand_path = out_dir / f"{cfg.run_tag}.candidates.run"
-    rerank_path = out_dir / f"{cfg.run_tag}.reranked.run"
-    write_run(runs, cand_path, cfg.run_tag)
-    cmd = shlex.split(cfg.reranker_cmd) + [str(cand_path), str(rerank_path)]
-    subprocess.run(cmd, check=True)
-    reranked = {run.qid: run for run in read_run(rerank_path)[1]}
+    `<reranker_cmd> <candidates> <reranked>` and read back new scores. The
+    two files live in a temporary directory under `out_dir`, removed once
+    the output is read or the hook fails, so no run file but the run's own
+    is left there."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{cfg.run_tag}.rerank-", dir=out_dir) as tmp:
+        cand_path = Path(tmp) / f"{cfg.run_tag}.candidates.run"
+        rerank_path = Path(tmp) / f"{cfg.run_tag}.reranked.run"
+        write_run(runs, cand_path, cfg.run_tag)
+        cmd = shlex.split(cfg.reranker_cmd) + [str(cand_path), str(rerank_path)]
+        subprocess.run(cmd, check=True)
+        reranked = {run.qid: run for run in read_run(rerank_path)[1]}
     for run in runs:
         if run.entries and run.qid not in reranked:
             raise RuntimeError(f"reranker output is missing qid {run.qid}")
@@ -236,8 +241,8 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
     `baseline` run tag; the Holm-Bonferroni family is every (run, metric)
     comparison against the baseline in this invocation. Judged topics
     missing from a run score as empty rankings, with a warning. Everything
-    is computed before `out_dir` is made, so an input that fails writes
-    nothing.
+    is computed before the first write, which makes `out_dir`, so an input
+    that fails writes nothing.
     """
     specs = parse_metrics(metrics, min_rel=min_rel)
 
@@ -283,7 +288,6 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
         row["significant"] = flag
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for (tag, label), report in reports.items():
         report.save(out_dir / f"{tag}.{label}.tsv")
         report.save(out_dir / f"{tag}.{label}.json")

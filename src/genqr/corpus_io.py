@@ -95,12 +95,9 @@ class RunList:
     entries: List[RunEntry] = field(default_factory=list)
 
     @classmethod
-    def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]],
-                    k: int | None = None) -> "RunList":
+    def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]]) -> "RunList":
         """Build a valid RunList: sort by score desc, docno asc."""
         ordered = sorted(scored, key=lambda e: (-e[1], e[0]))
-        if k is not None:
-            ordered = ordered[:k]
         return cls(qid=qid, entries=[RunEntry(docno, score) for docno, score in ordered])
 
     def validate(self) -> None:
@@ -280,11 +277,13 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open a file that replaces `path` only when the block completes: a
     UTF-8 text file with "\\n" line ends, or a binary one if `binary`.
 
-    The content goes to a temporary file in the same directory, which
-    os.replace then moves over `path`. If the block raises, the temporary
-    file is removed and `path` keeps its previous content.
+    The parent directory is made if missing. The content goes to a
+    temporary file in it, which os.replace then moves over `path`. If the
+    block raises, the temporary file is removed and `path` keeps its
+    previous content.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         with (open(tmp, "wb") if binary

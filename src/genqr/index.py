@@ -1,6 +1,11 @@
 """Inverted index with BM25 scoring.
 
-The index is immutable after build and safe to share across threads.
+An index is built whole: `build_index` and `PostingsIndex.load` each make
+one with a single call of the `PostingsIndex` constructor, which derives
+the term ids, list offsets and token total. Nothing assigns its fields
+after that, so it is safe to share across threads. `postings(term)` reads
+one term's list.
+
 Scoring uses the Robertson BM25 form with the +1-inside-log idf variant,
 which keeps scores non-negative even for very common terms:
 
@@ -41,11 +46,10 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .analysis import Analyzer
 from .corpus_io import Document, RunEntry, RunList, atomic_writer
@@ -86,8 +90,8 @@ class WeightedQuery:
                 raise ValueError(f"query {self.qid}: bad weight {weight!r} for {term!r}")
 
     @classmethod
-    def from_terms(cls, qid: str, terms: Iterable[str], weight: float = 1.0) -> "WeightedQuery":
-        return cls(qid=qid, terms=tuple((t, weight) for t in terms))
+    def from_terms(cls, qid: str, terms: Iterable[str]) -> "WeightedQuery":
+        return cls(qid=qid, terms=tuple((t, 1.0) for t in terms))
 
     def aggregated(self) -> Dict[str, float]:
         agg: Dict[str, float] = {}
@@ -96,38 +100,20 @@ class WeightedQuery:
         return agg
 
 
-class Postings(Mapping):
-    """Read-only term -> (doc ordinals, tfs) over uint32 columns in sorted term
-    order: df and cf per term, then every term's doc ordinals and tfs
-    concatenated. postings.bin stores exactly these columns."""
-
-    def __init__(self, terms: List[str], df: array, cf: array, docs: array, tfs: array):
-        self.terms, self.df, self.cf, self.docs, self.tfs = terms, df, cf, docs, tfs
-        self.ids = dict(zip(terms, range(len(terms))))
-        self.starts = list(accumulate(df, initial=0))
-
-    def __getitem__(self, term: str) -> Tuple[array, array]:
-        i = self.ids[term]
-        start, end = self.starts[i], self.starts[i + 1]
-        return self.docs[start:end], self.tfs[start:end]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 class PostingsIndex:
-    """Term -> postings (doc ordinals, tfs) plus per-term, per-doc and corpus
-    statistics."""
+    """Postings and statistics of an indexed corpus, over uint32 columns in
+    sorted term order: df and cf per term, then every term's doc ordinals
+    and tfs concatenated. postings.bin stores exactly these columns;
+    meta.json the docnos, doc lengths and terms."""
 
-    def __init__(self, analyzer: Analyzer):
+    def __init__(self, analyzer: Analyzer, docnos: List[str], doc_lengths: List[int],
+                 terms: List[str], df: array, cf: array, docs: array, tfs: array):
         self.analyzer = analyzer
-        self.postings = Postings([], array(_U32), array(_U32), array(_U32), array(_U32))
-        self.docnos: List[str] = []
-        self.doc_lengths: List[int] = []
-        self.total_tokens = 0
+        self.docnos, self.doc_lengths = docnos, doc_lengths
+        self.terms, self.dfs, self.cfs, self.docs, self.tfs = terms, df, cf, docs, tfs
+        self.ids = dict(zip(terms, range(len(terms))))
+        self.starts = list(accumulate(df, initial=0))  # term i's postings: starts[i]:starts[i+1]
+        self.total_tokens = sum(doc_lengths)
         self._norms: Dict[Tuple[float, float], List[float]] = {}
 
     @property
@@ -139,12 +125,18 @@ class PostingsIndex:
         return self.total_tokens / self.n_docs if self.n_docs else 0.0
 
     def df(self, term: str) -> int:
-        i = self.postings.ids.get(term)
-        return 0 if i is None else self.postings.df[i]
+        i = self.ids.get(term)
+        return 0 if i is None else self.dfs[i]
 
     def collection_freq(self, term: str) -> int:
-        i = self.postings.ids.get(term)
-        return 0 if i is None else self.postings.cf[i]
+        i = self.ids.get(term)
+        return 0 if i is None else self.cfs[i]
+
+    def postings(self, term: str) -> Tuple[array, array]:
+        """The doc ordinals, ascending, and tfs of an indexed term."""
+        i = self.ids[term]
+        start, end = self.starts[i], self.starts[i + 1]
+        return self.docs[start:end], self.tfs[start:end]
 
     def idf(self, term: str) -> float:
         n, df = self.n_docs, self.df(term)
@@ -179,11 +171,11 @@ class PostingsIndex:
         accum: Dict[int, float] = {}
         k1_plus_1 = k1 + 1.0
         for term, weight in self._weights(query).items():
-            if weight == 0.0 or term not in self.postings.ids:
+            if weight == 0.0 or term not in self.ids:
                 continue
             norms = self._doc_norms(k1, b)  # here, where avgdl > 0 is certain
             scale = weight * self.idf(term)
-            for doc_ord, tf in zip(*self.postings[term]):
+            for doc_ord, tf in zip(*self.postings(term)):
                 partial = scale * tf * k1_plus_1 / (tf + norms[doc_ord])
                 accum[doc_ord] = accum.get(doc_ord, 0.0) + partial
         return {self.docnos[ord_]: score for ord_, score in accum.items()}
@@ -208,17 +200,17 @@ class PostingsIndex:
             raise ValueError(f"k must be positive, got {k}")
         if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
             raise ValueError(f"retrieve needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
-        postings, k1_plus_1 = self.postings, k1 + 1.0
+        k1_plus_1 = k1 + 1.0
         lists = []  # (scale, start, end) of each matched term, in query order
         for term, weight in self._weights(query).items():
-            i = postings.ids.get(term)
+            i = self.ids.get(term)
             if weight != 0.0 and i is not None:
-                lists.append((weight * self.idf(term), postings.starts[i], postings.starts[i + 1]))
+                lists.append((weight * self.idf(term), self.starts[i], self.starts[i + 1]))
         if not lists:
             return RunList(qid=query.qid)
 
         norms = self._doc_norms(k1, b)
-        docs, tfs = postings.docs, postings.tfs
+        docs, tfs = self.docs, self.tfs
         bounds = [scale * k1_plus_1 for scale, _, _ in lists]
         rests = list(accumulate(reversed(bounds)))[::-1]  # rests[j]: bounds of terms j..
         unscanned = sum(end - start for _, start, end in lists)
@@ -265,12 +257,10 @@ class PostingsIndex:
         it is removed first and written last, so an interrupted save leaves
         a directory that `load` rejects."""
         path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
         (path / "meta.json").unlink(missing_ok=True)
-        postings = self.postings
         with atomic_writer(path / "postings.bin", binary=True) as f:
             f.write(_POSTINGS_MAGIC)
-            for column in (postings.df, postings.cf, postings.docs, postings.tfs):
+            for column in (self.dfs, self.cfs, self.docs, self.tfs):
                 if sys.byteorder == "big":
                     column = array(_U32, column)
                     column.byteswap()
@@ -281,8 +271,8 @@ class PostingsIndex:
             "analyzer": self.analyzer.config(),
             "analyzer_fingerprint": self.analyzer.fingerprint(),
             "docs": [[docno, length] for docno, length in zip(self.docnos, self.doc_lengths)],
-            "terms": postings.terms,
-            "n_postings": len(postings.docs),
+            "terms": self.terms,
+            "n_postings": len(self.docs),
         }
         with atomic_writer(path / "meta.json") as f:
             f.write(json.dumps(meta, sort_keys=True))
@@ -308,18 +298,17 @@ class PostingsIndex:
                 f"(expected {INDEX_VERSION}); {_REBUILD}")
 
         try:
-            index = cls(Analyzer.from_config(meta.get("analyzer")))
+            stored = Analyzer.from_config(meta.get("analyzer"))
         except ConfigError as e:
             raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
-        if index.analyzer.fingerprint() != meta.get("analyzer_fingerprint"):
+        if stored.fingerprint() != meta.get("analyzer_fingerprint"):
             raise IndexingError(f"{path}: analyzer fingerprint mismatch; {_REBUILD}")
-        if index.analyzer != analyzer:
+        if stored != analyzer:
             raise IndexingError(
                 f"{path}: index analyzer differs from the configured one; {_REBUILD}")
         try:
-            for docno, length in meta["docs"]:
-                index.docnos.append(docno)
-                index.doc_lengths.append(int(length))
+            docnos = [docno for docno, _ in meta["docs"]]
+            doc_lengths = [int(length) for _, length in meta["docs"]]
             terms, n_postings = meta["terms"], int(meta["n_postings"])
             n_terms = len(terms)
         except KeyError as e:
@@ -327,7 +316,6 @@ class PostingsIndex:
         except (TypeError, ValueError) as e:
             raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
 
-        index.total_tokens = sum(index.doc_lengths)
         raw = (path / "postings.bin").read_bytes()
         if raw[:len(_POSTINGS_MAGIC)] != _POSTINGS_MAGIC:
             raise IndexingError(f"{path}: corrupted postings header; {_REBUILD}")
@@ -346,28 +334,26 @@ class PostingsIndex:
                 f"{path}: postings.bin document frequencies do not sum to {n_postings}; "
                 f"{_REBUILD}")
         docs_at = 2 * n_terms
-        index.postings = Postings(terms, df, columns[n_terms:docs_at],
-                                  columns[docs_at:docs_at + n_postings],
-                                  columns[docs_at + n_postings:])
-        return index
+        return cls(stored, docnos, doc_lengths, terms, df, columns[n_terms:docs_at],
+                   columns[docs_at:docs_at + n_postings], columns[docs_at + n_postings:])
 
 
 def build_index(corpus: Iterable[Document], analyzer: Analyzer) -> PostingsIndex:
     """Index a document stream; docnos must be unique."""
-    index = PostingsIndex(analyzer)
+    docnos: List[str] = []
+    doc_lengths: List[int] = []
     occurrences: Dict[str, List[int]] = defaultdict(list)  # term -> doc ordinal per occurrence
     seen: set[str] = set()
     for doc in corpus:
         if doc.docno in seen:
             raise IndexingError(f"duplicate docno {doc.docno!r}")
         seen.add(doc.docno)
-        doc_ord = len(index.docnos)
+        doc_ord = len(docnos)
         tokens = analyzer.analyze(doc.text)
         for token in tokens:
             occurrences[token].append(doc_ord)
-        index.docnos.append(doc.docno)
-        index.doc_lengths.append(len(tokens))
-        index.total_tokens += len(tokens)
+        docnos.append(doc.docno)
+        doc_lengths.append(len(tokens))
 
     terms = sorted(occurrences)
     df, cf, docs, tfs = array(_U32), array(_U32), array(_U32), array(_U32)
@@ -384,5 +370,4 @@ def build_index(corpus: Iterable[Document], analyzer: Analyzer) -> PostingsIndex
             tfs.extend(counts.values())
         df.append(n_docs)
         cf.append(len(ords))
-    index.postings = Postings(terms, df, cf, docs, tfs)
-    return index
+    return PostingsIndex(analyzer, docnos, doc_lengths, terms, df, cf, docs, tfs)

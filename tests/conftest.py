@@ -42,6 +42,14 @@ def toy_config_dict(method="raw", tag="run", work=".", **extra):
     return cfg
 
 
+def assert_same_index(a, b):
+    """`a` and `b` hold the same terms, df, cf, docs and tfs columns, docnos,
+    doc lengths and token total."""
+    for name in ("terms", "dfs", "cfs", "docs", "tfs", "docnos", "doc_lengths",
+                 "total_tokens"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
 @contextmanager
 def file_size_limit(n_bytes):
     """Within the block, a write that grows any file of this process past

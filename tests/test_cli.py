@@ -25,7 +25,7 @@ from genqr.llm import (GenRequest, ReplayBackend, ResponseCache, SamplingConfig,
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 from genqr.schema import build
 
-from conftest import TOY, toy_config_dict
+from conftest import TOY, assert_same_index, toy_config_dict
 
 
 # --- config ---
@@ -404,7 +404,7 @@ def test_index_builds_and_is_idempotent(toy_cfg, caplog):
     with caplog.at_level("INFO"):
         again = cmd_index(cfg)
     assert "up to date" in caplog.text
-    assert again.postings == first.postings
+    assert_same_index(again, first)
 
 
 def test_version_1_index_asks_for_force_rebuild(toy_cfg):
@@ -446,8 +446,8 @@ def test_interrupted_index_save_is_rejected_then_rebuilt(toy_cfg, monkeypatch, c
     with caplog.at_level("INFO"):
         rebuilt = cmd_index(cfg)
     assert "indexed 50 documents" in caplog.text
-    assert rebuilt.postings == built.postings
-    assert PostingsIndex.load(dest, cfg.analyzer).postings == built.postings
+    assert_same_index(rebuilt, built)
+    assert_same_index(PostingsIndex.load(dest, cfg.analyzer), built)
 
 
 def test_run_against_index_of_another_analyzer_asks_for_force_rebuild(toy_cfg):
@@ -557,8 +557,8 @@ def test_clean_rerun_removes_the_old_failures_file(toy_cfg, toy_index, tmp_path)
     assert failed == 0 and not fail_path.exists()
 
 
-def test_reranker_seam(toy_cfg, toy_index, tmp_path):
-    # a reranker that reverses each query's ordering via the file exchange
+def _reversing_reranker(tmp_path):
+    """A reranker_cmd that reverses each query's ordering via the file exchange."""
     script = tmp_path / "reverse.py"
     script.write_text(
         "import sys\n"
@@ -566,13 +566,34 @@ def test_reranker_seam(toy_cfg, toy_index, tmp_path):
         "with open(sys.argv[2], 'w') as out:\n"
         "    for qid, _, docno, rank, score, tag in lines:\n"
         "        out.write(f'{qid} Q0 {docno} {rank} {-float(score):.6f} {tag}\\n')\n")
+    return f"python3 {script}"
+
+
+def test_reranker_seam(toy_cfg, toy_index, tmp_path):
     plain = toy_cfg("raw", tag="plain")
-    rerank = toy_cfg("raw", tag="rerank", reranker_cmd=f"python3 {script}")
+    rerank = toy_cfg("raw", tag="rerank", reranker_cmd=_reversing_reranker(tmp_path))
     run_plain, _, _ = cmd_run(plain)
     run_rerank, _, _ = cmd_run(rerank)
     for before, after in zip(read_run(run_plain)[1], read_run(run_rerank)[1]):
         assert [e.docno for e in after.entries] == \
             [e.docno for e in reversed(before.entries)]
+
+
+def test_reranker_exchange_files_leave_output_dir(toy_cfg, toy_index, tmp_path):
+    """The hook's candidates and reranked files are gone after the run, so
+    `eval` over <output_dir>/*.run sees one file per tag."""
+    cfg = toy_cfg("raw", tag="rr", reranker_cmd=_reversing_reranker(tmp_path))
+    cmd_run(cfg)
+    out = Path(cfg.output_dir)
+    assert sorted(p.name for p in out.iterdir()) == ["rr.reformulations.jsonl", "rr.run"]
+    table = cmd_eval(sorted(out.glob("*.run")), load_qrels(TOY / "qrels.txt"), ["map"],
+                     tmp_path / "eval")
+    assert [row["run"] for row in table["rows"]] == ["rr"]
+
+    failing = toy_cfg("raw", tag="bad", reranker_cmd="false")
+    with pytest.raises(subprocess.CalledProcessError):
+        cmd_run(failing)
+    assert sorted(p.name for p in out.iterdir()) == ["rr.reformulations.jsonl", "rr.run"]
 
 
 # --- eval / querywise / sweep ---
@@ -721,6 +742,15 @@ def test_querywise_disjoint_queries_score_missing_zero(toy_cfg, toy_index, tmp_p
         assert row["value_b"] == 0.0
 
 
+def test_querywise_out_in_a_new_directory(toy_cfg, toy_index, tmp_path):
+    run_path, _, _ = cmd_run(toy_cfg("raw"))
+    out = tmp_path / "nodir2" / "q.csv"
+    assert main(["querywise", str(run_path), str(run_path), "--qrels", str(TOY / "qrels.txt"),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "qid,value_a,value_b,delta"
+    assert [p.name for p in out.parent.iterdir()] == ["q.csv"]
+
+
 def test_querywise_without_relevant_documents_error(toy_cfg, toy_index, tmp_path):
     run_path, _, _ = cmd_run(toy_cfg("raw"))
     qrels = tmp_path / "qrels.txt"
@@ -764,6 +794,15 @@ def test_sweep_scores_failed_queries_zero(toy_cfg, toy_index, tmp_path, caplog):
         cmd_sweep(cfg, "k1", [1.2], tmp_path / "sweep.csv", lenient=True)
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == "k1,1.2,map,0.000000"
     assert "s-k11.2: 10 judged topics missing" in caplog.text
+
+
+def test_sweep_out_in_a_new_directory(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("rm3", tag="s", metrics=["map"])
+    out = tmp_path / "nodir" / "sweep.csv"
+    rows = cmd_sweep(cfg, "fb_docs", [1, 2, 3], out)
+    assert out.read_text().splitlines() == ["param,value,metric,mean"] + \
+        [f"fb_docs,{row['value']},map,{row['mean']:.6f}" for row in rows]
+    assert [p.name for p in out.parent.iterdir()] == ["sweep.csv"]
 
 
 def test_sweep_reports_like_eval(toy_cfg, toy_index, tmp_path):

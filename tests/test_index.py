@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_index
 from oracles import bm25_oracle, inverted_index_oracle, rank_oracle
 
 from genqr import index as index_module
@@ -35,8 +36,9 @@ def tokens_of(docs):
 
 def test_single_doc_statistics():
     index = build_index([Document("d1", "a b a")], Analyzer())
-    assert list(zip(*index.postings["a"])) == [(0, 2)]
-    assert list(zip(*index.postings["b"])) == [(0, 1)]
+    assert index.terms == ["a", "b"]
+    assert list(zip(*index.postings("a"))) == [(0, 2)]
+    assert list(zip(*index.postings("b"))) == [(0, 1)]
     assert index.doc_lengths == [3]
     assert index.avgdl == 3.0
     assert index.total_tokens == 3
@@ -60,15 +62,16 @@ def test_postings_match_brute_force_recount():
     docs = make_corpus(rng, 50, 20)
     index = build_index(docs, Analyzer())
     by_doc = tokens_of(docs)
-    for term, (docs, tfs) in index.postings.items():
-        for doc_ord, tf in zip(docs, tfs):
+    for term in index.terms:
+        for doc_ord, tf in zip(*index.postings(term)):
             assert by_doc[index.docnos[doc_ord]].count(term) == tf
     # invariants: sum tf per doc == doc length; df == postings length
     for doc_ord, docno in enumerate(index.docnos):
-        total = sum(tf for docs, tfs in index.postings.values()
-                    for d, tf in zip(docs, tfs) if d == doc_ord)
+        total = sum(tf for term in index.terms
+                    for d, tf in zip(*index.postings(term)) if d == doc_ord)
         assert total == index.doc_lengths[doc_ord] == len(by_doc[docno])
-    for term, (docs, tfs) in index.postings.items():
+    for term in index.terms:
+        docs, tfs = index.postings(term)
         assert index.df(term) == len(docs) == len(tfs)
     assert index.avgdl == index.total_tokens / index.n_docs
 
@@ -87,12 +90,11 @@ def test_build_equals_inverted_index_oracle(corpus):
     index = build_index(docs, Analyzer())
     lists = inverted_index_oracle(corpus)
     terms = sorted(lists)
-    postings = index.postings
-    assert postings.terms == terms
-    assert list(postings.df) == [len(lists[t]) for t in terms]
-    assert list(postings.cf) == [sum(tf for _, tf in lists[t]) for t in terms]
-    assert list(postings.docs) == [d for t in terms for d, _ in lists[t]]
-    assert list(postings.tfs) == [tf for t in terms for _, tf in lists[t]]
+    assert index.terms == terms
+    assert [index.df(t) for t in terms] == [len(lists[t]) for t in terms]
+    assert [index.collection_freq(t) for t in terms] == \
+        [sum(tf for _, tf in lists[t]) for t in terms]
+    assert [list(zip(*index.postings(t))) for t in terms] == [lists[t] for t in terms]
     assert index.docnos == [doc.docno for doc in docs]
     assert index.doc_lengths == [len(tokens) for tokens in corpus]
     assert index.total_tokens == sum(map(len, corpus))
@@ -243,7 +245,9 @@ def test_retrieve_rejects_bad_parameters(k, k1, b, match):
 
 
 def exhaustive(index, query, k, k1=1.2, b=0.75):
-    return RunList.from_scores(query.qid, index.bm25_scores(query, k1=k1, b=b).items(), k=k)
+    run = RunList.from_scores(query.qid, index.bm25_scores(query, k1=k1, b=b).items())
+    del run.entries[k:]
+    return run
 
 
 def entries(run):
@@ -379,9 +383,7 @@ def test_save_load_roundtrip(tmp_path):
     index = build_index(docs, analyzer)
     index.save(tmp_path / "idx")
     loaded = PostingsIndex.load(tmp_path / "idx", analyzer)
-    assert loaded.postings == index.postings
-    assert loaded.docnos == index.docnos
-    assert loaded.doc_lengths == index.doc_lengths
+    assert_same_index(loaded, index)
     assert loaded.analyzer == index.analyzer
     query = WeightedQuery.from_terms("q", ["t1", "t5"])
     assert loaded.retrieve(query, k=10) == index.retrieve(query, k=10)
@@ -428,9 +430,8 @@ def test_index_with_n_docs_key_still_loads(tmp_path):
     for extra in ({"n_docs": 20}, {"total_tokens": index.total_tokens}):
         meta_path.write_text(json.dumps(dict(meta, **extra), sort_keys=True, indent=1))
         loaded = PostingsIndex.load(tmp_path / "idx", Analyzer())
-        assert (loaded.n_docs, loaded.total_tokens) == (20, index.total_tokens)
-        assert (loaded.postings, loaded.docnos, loaded.doc_lengths) == \
-            (index.postings, index.docnos, index.doc_lengths)
+        assert loaded.n_docs == 20
+        assert_same_index(loaded, index)
 
 
 def test_bad_analyzer_section_rejected(tmp_path):
@@ -515,13 +516,10 @@ def test_build_save_load_preserves_index(corpus, weights):
     with tempfile.TemporaryDirectory() as tmp:
         index.save(tmp)
         loaded = PostingsIndex.load(tmp, Analyzer())
-    assert loaded.postings == index.postings
-    assert loaded.docnos == index.docnos
-    assert loaded.doc_lengths == index.doc_lengths
-    assert loaded.total_tokens == index.total_tokens
+    assert_same_index(loaded, index)
 
     by_doc = tokens_of(docs)
-    for term in set(_WORDS) | set(index.postings):
+    for term in set(_WORDS) | set(index.terms):
         recount = sum(tokens.count(term) for tokens in by_doc.values())
         assert index.collection_freq(term) == loaded.collection_freq(term) == recount
 

@@ -227,6 +227,21 @@ CATALOG = [
            "first_pass = self.index.retrieve(query, k=m + 1, k1=cfg.k1, b=cfg.b)\n"
            "            first_pass.entries = first_pass.entries[1:]",
            ("tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle",)),
+    Mutant("rm3 ignores oracle mode", "cli.py",
+           '            if cfg.feedback_mode == "oracle":\n',
+           '            if cfg.feedback_mode == "oracle" and cfg.method != "rm3":\n',
+           ("tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle",)),
+    Mutant("an RF method reads a constant depth instead of fb_docs", "cli.py",
+           "self.feedback_m = cfg.fb_docs if cfg.method in FEEDBACK_METHODS else 0",
+           'self.feedback_m = (cfg.fb_docs if cfg.method == "rm3" else 5) '
+           "if cfg.method in FEEDBACK_METHODS else 0",
+           ("tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle",)),
+    Mutant("an empty feedback doc under mu = 0 divides by zero", "prf.py",
+           "    if doc_len + mu == 0:  # an empty document under mu = 0 gives every term 0\n"
+           "        return lambda term: 0.0\n",
+           "",
+           ("tests/test_prf.py::test_empty_feedback_doc_under_mu_zero_gives_no_term_mass",
+            "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
     Mutant("rm3_expand ignores params.mu", "prf.py",
            "estimate_relevance_model(index, original, feedback, params) if",
            "estimate_relevance_model(index, original, feedback,\n"

@@ -28,7 +28,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .config import (ENSEMBLE_METHODS, LLM_METHODS, RF_METHODS, ConfigError,
+from .config import (ENSEMBLE_METHODS, FEEDBACK_METHODS, LLM_METHODS, ConfigError,
                      ExperimentConfig, load_config)
 from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus, load_qrels,
                         load_topics, read_run, write_jsonl, write_run)
@@ -86,9 +86,9 @@ class _QueryRunner:
     """Per-topic execution of the configured method: one path for all six.
 
     The topic's query is analysed once. A feedback method (rm3, flanprf,
-    genqrensemble_rf) then takes m feedback documents: the judged ones
-    under oracle feedback, else the top m of a first pass. RM3 expands the
-    query from them; the LLM methods expand it with their text as context.
+    genqrensemble_rf) then takes m = `fb_docs` documents: the judged ones
+    under oracle `feedback_mode`, else the top m of a first pass. RM3
+    expands the query from them; the LLM methods use their text as context.
     A feedback method that finds none runs as its pre-retrieval form: rm3
     as raw, an RF method as its plain method. flanqr and flanprf are
     genqrensemble and genqrensemble_rf with the first instruction only.
@@ -102,17 +102,15 @@ class _QueryRunner:
         self.qrels: Optional[Qrels] = None
         self.generator: Optional[Generator] = None
         self.instructions: List[str] = []
-        method, ref_cfg = cfg.method, cfg.reformulation
-        self.feedback_m = (cfg.rm3.fb_docs if method == "rm3"
-                           else ref_cfg.m if method in RF_METHODS else 0)
+        self.feedback_m = cfg.fb_docs if cfg.method in FEEDBACK_METHODS else 0
 
         if self.feedback_m:
             self.texts = {doc.docno: doc.text
                           for doc in load_corpus(cfg.corpus, cfg.corpus_format)}
-        if method in RF_METHODS and ref_cfg.feedback_mode == "oracle":
-            self.qrels = load_qrels(cfg.qrels)
-        if method in LLM_METHODS:
-            n = ref_cfg.n if method in ENSEMBLE_METHODS else 1
+            if cfg.feedback_mode == "oracle":
+                self.qrels = load_qrels(cfg.qrels)
+        if cfg.method in LLM_METHODS:
+            n = cfg.reformulation.n if cfg.method in ENSEMBLE_METHODS else 1
             self.instructions = cfg.instructions.all()[:n]
             self.generator = cfg.make_generator()
 
@@ -326,10 +324,8 @@ def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels: Qrels,
 
 
 _SWEEP_PARAMS = {
-    "m": "reformulation.m",
     "n": "reformulation.n",
     "beta": "reformulation.beta",
-    "fb_docs": "rm3.fb_docs",
     "fb_terms": "rm3.fb_terms",
     "lambda": "rm3.lam",
 }

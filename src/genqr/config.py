@@ -2,9 +2,10 @@
 
 One file describes a full experiment: data paths, analyzer, BM25
 parameters, the reformulation method and its parameters, the generation
-backend, and output locations. Input paths are resolved relative to the
-config file; output paths (index_dir, cache_dir, output_dir) are resolved
-relative to the working directory.
+backend, and output locations. Input paths, the backend's vocab and
+transcript among them, are resolved against the config file's directory
+when relative and non-empty; output paths (index_dir, cache_dir,
+output_dir) are resolved relative to the working directory.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from .evaluation import DEFAULT_METRICS, parse_metrics
 from .index import DEFAULT_B, DEFAULT_K1
 from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, Generator,
                   ResponseCache, SamplingConfig)
-from .prf import Rm3Params
+from .prf import FEEDBACK_MODES, Rm3Params
 from .reformulate import InstructionSet, ReformulationConfig
 from .schema import ConfigError, build, check_fields, check_value
 
 METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf")
-RF_METHODS = ("flanprf", "genqrensemble_rf")
+FEEDBACK_METHODS = ("rm3", "flanprf", "genqrensemble_rf")
 ENSEMBLE_METHODS = ("genqrensemble", "genqrensemble_rf")
-LLM_METHODS = ("flanqr", "genqrensemble", *RF_METHODS)
+LLM_METHODS = ("flanqr", "genqrensemble", "flanprf", "genqrensemble_rf")
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class ExperimentConfig:
     retrieval_depth: int = field(default=100, metadata={"min": 1})
     metrics: List[str] = field(default_factory=lambda: list(DEFAULT_METRICS))
     min_rel: int = field(default=1, metadata={"min": 1})
+    fb_docs: int = field(default=5, metadata={"min": 0})
+    feedback_mode: str = field(default="pseudo", metadata={"choices": FEEDBACK_MODES})
     reformulation: ReformulationConfig = field(default_factory=ReformulationConfig)
     rm3: Rm3Params = field(default_factory=Rm3Params)
     backend: Optional[Backend] = None
@@ -63,8 +66,7 @@ class ExperimentConfig:
         n, n_set = self.reformulation.n, self.instructions.n
         if self.method in ENSEMBLE_METHODS and n > n_set:
             raise ConfigError(f"reformulation.n={n} exceeds the {n_set}-instruction set")
-        if (self.method in RF_METHODS and self.reformulation.feedback_mode == "oracle"
-                and not self.qrels):
+        if self.method in FEEDBACK_METHODS and self.feedback_mode == "oracle" and not self.qrels:
             raise ConfigError("oracle feedback needs a qrels path in the config")
         if self.run_tag.split() != [self.run_tag]:
             raise ConfigError(f"run_tag must be non-empty and without whitespace, "
@@ -81,12 +83,20 @@ class ExperimentConfig:
         return Generator(self.backend, cache, self.sampling, self.max_new_tokens)
 
 
-_INPUT_PATH_KEYS = ("corpus", "topics", "qrels", "instructions")
-_BACKEND_PATH_KEYS = ("vocab", "transcript")
+_PATH_KEYS = ("corpus", "topics", "qrels", "instructions", "vocab", "transcript")
 
 
-def make_backend(cfg: dict) -> Backend:
-    options = dict(cfg)
+def _resolve_paths(mapping: dict, base_dir: Path | None) -> dict:
+    """A copy of `mapping` whose path keys that hold a non-empty relative path are
+    resolved against `base_dir`; other values, empty and absolute paths too, as given."""
+    return {key: str((base_dir / value).resolve())
+            if base_dir is not None and key in _PATH_KEYS and isinstance(value, str) and value
+            and not Path(value).is_absolute() else value
+            for key, value in mapping.items()}
+
+
+def make_backend(cfg: dict, base_dir: Path | None) -> Backend:
+    options = _resolve_paths(cfg, base_dir)
     kind = options.pop("kind", None)
     if not (isinstance(kind, str) and kind in BACKENDS):
         raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
@@ -99,20 +109,10 @@ def make_backend(cfg: dict) -> Backend:
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build the config from a mapping: the backend is built and the
     instruction file read here, so every check runs before any command."""
-    raw = dict(raw)
+    raw = _resolve_paths(raw, base_dir)
     backend = raw.get("backend")
     if isinstance(backend, dict):
-        backend = dict(backend)
-        for key in _BACKEND_PATH_KEYS:
-            if (base_dir is not None and isinstance(backend.get(key), str)
-                    and not Path(backend[key]).is_absolute()):
-                backend[key] = str((base_dir / backend[key]).resolve())
-        raw["backend"] = make_backend(backend) if backend else None
-    if base_dir is not None:
-        for key in _INPUT_PATH_KEYS:
-            if raw.get(key) and isinstance(raw[key], str):
-                raw[key] = str((base_dir / raw[key]).resolve()
-                               if not Path(raw[key]).is_absolute() else Path(raw[key]))
+        raw["backend"] = make_backend(backend, base_dir) if backend else None
     instructions = raw.pop("instructions", None)
     if instructions is not None:
         check_value("instructions", str, instructions, {})

@@ -124,13 +124,27 @@ def _record(path: Path, lineno: int, cls, *fields):
         raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
 
 
+def _not_utf8(path: Path) -> CorpusFormatError:
+    """The error for a file that is not UTF-8: it names the line, as text mode counts
+    lines, of the first bad byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        lineno = head.count("\n") + 1
+        return CorpusFormatError(f"{path}:{lineno}: not UTF-8")
+    return CorpusFormatError(f"{path}: not UTF-8")  # rewritten since the failed read
+
+
 def _nonblank_lines(path: Path) -> Iterator[Tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            yield lineno, line
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):  # text mode ends each line with \n
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def load_corpus(path: str | Path, format: str = "jsonl") -> Iterator[Document]:
@@ -183,7 +197,10 @@ _TREC_FIELD = {
 def _marked_blocks(pattern: re.Pattern, path: Path) -> Iterator[Tuple[int, str]]:
     """The first group of each `pattern` match in the file, with the line
     the match starts on."""
-    raw = path.read_text(encoding="utf-8")
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     lineno, pos = 1, 0
     for match in pattern.finditer(raw):
         lineno += raw.count("\n", pos, match.start())

@@ -320,17 +320,11 @@ class HttpBackend(Backend):
     def _extract(self, body) -> str:
         node = body
         for part in self.completion_field.split("."):
-            if isinstance(node, list):
-                try:
-                    node = node[int(part)]
-                except (ValueError, IndexError):
-                    raise BackendError(
-                        f"completion field {self.completion_field!r} missing in response") from None
-            elif isinstance(node, dict) and part in node:
-                node = node[part]
-            else:
+            try:  # a list takes an index; a dict, a key; any other node, nothing
+                node = node[int(part)] if isinstance(node, list) else node[part]
+            except (ValueError, IndexError, KeyError, TypeError):
                 raise BackendError(
-                    f"completion field {self.completion_field!r} missing in response")
+                    f"completion field {self.completion_field!r} missing in response") from None
         if not isinstance(node, str):
             raise BackendError(
                 f"completion field {self.completion_field!r} is not a string")

@@ -7,28 +7,29 @@ with the original query:
     w'(t)   =  lam * P(t|q0) + (1 - lam) * P(t|R)
 
 Document language models are Dirichlet-smoothed against the collection:
-P(t|d) = (tf(t,d) + mu * P(t|C)) / (|d| + mu). The query likelihood
-P(q0|d) uses the same smoothing. Expansion candidates are the terms that
-occur in the feedback documents; the model is truncated to the top
-`fb_terms` terms and renormalized. Original query terms are always
-retained in the output. `Rm3Params` holds lam, mu, fb_terms and fb_docs
-(the number of feedback documents), each with its default and bounds.
+P(t|d) = (tf(t,d) + mu * P(t|C)) / (|d| + mu), 0 for an empty document
+under mu = 0. The query likelihood P(q0|d) uses the same smoothing.
+Expansion candidates are the terms that occur in the feedback documents;
+the model is truncated to the top `fb_terms` terms and renormalized.
+Original query terms are always retained in the output. `Rm3Params` holds
+lam, mu and fb_terms, each with its default and bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .corpus_io import Qrels, RunList
 from .index import PostingsIndex, WeightedQuery
 from .schema import check_fields
 
+FEEDBACK_MODES = ("pseudo", "oracle")
+
 
 @dataclass(frozen=True)
 class Rm3Params:
-    fb_docs: int = field(default=5, metadata={"min": 0})
     fb_terms: int = field(default=10, metadata={"min": 0})
     lam: float = field(default=0.5, metadata={"min": 0, "max": 1})
     mu: float = field(default=2500.0, metadata={"min": 0})
@@ -54,14 +55,13 @@ class FeedbackSet:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def texts(self) -> List[str]:
-        return [d.text for d in self.docs]
 
-
-def _feedback_set(qid: str, docnos: Iterable[str],
-                  corpus_lookup: Callable[[str], str]) -> FeedbackSet:
+def _feedback_set(qid: str, docnos: Sequence[str], corpus_lookup: Callable[[str], str],
+                  m: int) -> FeedbackSet:
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     docs = []
-    for docno in docnos:
+    for docno in docnos[:m]:
         try:
             docs.append(FeedbackDoc(docno, corpus_lookup(docno)))
         except KeyError:
@@ -73,25 +73,23 @@ def _feedback_set(qid: str, docnos: Iterable[str],
 def select_feedback(run: RunList, corpus_lookup: Callable[[str], str],
                     m: int) -> FeedbackSet:
     """Top-m run documents with texts resolved; fewer than m available -> all."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return _feedback_set(run.qid, (e.docno for e in run.entries[:m]), corpus_lookup)
+    return _feedback_set(run.qid, [e.docno for e in run.entries], corpus_lookup, m)
 
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
                            qid: str, m: int) -> FeedbackSet:
     """The m highest-graded relevant documents, grade desc then docno asc;
     none for a topic without a judged relevant document."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
     relevant = qrels.relevant(qid, min_rel=1)
-    ordered = sorted(relevant.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
-    return _feedback_set(qid, (docno for docno, _ in ordered), corpus_lookup)
+    ordered = sorted(relevant, key=lambda docno: (-relevant[docno], docno))
+    return _feedback_set(qid, ordered, corpus_lookup, m)
 
 
 def _smoothed_lm(tf: Dict[str, int], doc_len: int, index: PostingsIndex,
                  mu: float) -> Callable[[str], float]:
     total = index.total_tokens
+    if doc_len + mu == 0:  # an empty document under mu = 0 gives every term 0
+        return lambda term: 0.0
 
     def prob(term: str) -> float:
         p_coll = index.collection_freq(term) / total if total else 0.0

@@ -37,8 +37,6 @@ DEFAULT_PROMPT_TEMPLATE = "{instruction}: {query}"
 DEFAULT_CONTEXT_BUDGET = 4000
 PARAPHRASE_MAX_NEW_TOKENS = 512
 
-FEEDBACK_MODES = ("pseudo", "oracle")
-
 
 class ReformulationError(RuntimeError):
     pass
@@ -92,8 +90,6 @@ class ReformulationConfig:
     n: int = field(default=10, metadata={"min": 1})
     beta: float = field(default=1.0, metadata={"min": 0})
     dedup: bool = False
-    feedback_mode: str = field(default="pseudo", metadata={"choices": FEEDBACK_MODES})
-    m: int = field(default=5, metadata={"min": 0})
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     context_budget: int = field(default=DEFAULT_CONTEXT_BUDGET, metadata={"min": 0})
 
@@ -198,7 +194,7 @@ def fuse(original: WeightedQuery, expansions: Sequence[List[str]],
 
 def build_context(feedback: FeedbackSet, budget: int = DEFAULT_CONTEXT_BUDGET) -> str:
     """Single-space join of feedback document texts, truncated to `budget` chars."""
-    context = " ".join(feedback.texts())
+    context = " ".join(doc.text for doc in feedback.docs)
     if len(context) > budget:
         logger.warning("qid %s: context truncated from %d to %d characters",
                        feedback.qid, len(context), budget)
@@ -233,8 +229,6 @@ def reformulate_query(original: WeightedQuery, responses: Sequence[Union[str, Ex
     return fuse(original, expansions, config), tuple(responses)
 
 
-# perfbench/trace_cli.py patches these three old names to time the pipeline.
-# They are bound to the one function object, so patching them wraps it; they
-# go when the benchmark upkeep of ROADMAP item 1 has trace_cli patch
-# `reformulate_query` instead. Not exported.
+# perfbench/trace_cli.py patches these old names, bound to the one function, to time
+# the pipeline; they go when trace_cli patches `reformulate_query` instead. Not exported.
 flanqr = genqr_ensemble = genqr_ensemble_rf = reformulate_query

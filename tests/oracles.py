@@ -149,7 +149,8 @@ def rm3_oracle(corpus_tokens: Dict[str, List[str]], feedback: List[str],
                mu: float) -> Dict[str, float]:
     """Exhaustive enumeration of the RM3 formula.
 
-    Dirichlet document models P(t|d) = (tf + mu*cf(t)/|C|) / (|d| + mu);
+    Dirichlet document models P(t|d) = (tf + mu*cf(t)/|C|) / (|d| + mu),
+    0 for an empty doc under mu = 0 (and cf(t)/|C| = 0 when |C| = 0);
     P(q0|d) = prod_t P(t|d)^w(t) over query terms present in the collection;
     P(t|R) = sum_d P(t|d) * P(q0|d)/Z over feedback-doc terms, truncated to
     the fb_terms most probable (ties by term) and renormalized; output
@@ -163,7 +164,10 @@ def rm3_oracle(corpus_tokens: Dict[str, List[str]], feedback: List[str],
 
     def p_td(term: str, docno: str) -> float:
         toks = corpus_tokens[docno]
-        return (toks.count(term) + mu * cf.get(term, 0) / total_tokens) / (len(toks) + mu)
+        if len(toks) + mu == 0:
+            return 0.0
+        p_coll = cf.get(term, 0) / total_tokens if total_tokens else 0.0
+        return (toks.count(term) + mu * p_coll) / (len(toks) + mu)
 
     likelihoods = []
     for docno in feedback:
@@ -194,7 +198,7 @@ def rm3_oracle(corpus_tokens: Dict[str, List[str]], feedback: List[str],
 # --- the whole pipeline -------------------------------------------------------
 
 RF_CONTEXT_PREFIX = "Based on the given context information "
-_RF_METHODS = ("flanprf", "genqrensemble_rf")
+_FEEDBACK_METHODS = ("rm3", "flanprf", "genqrensemble_rf")
 
 
 def pipeline_oracle(method: str, docs: Dict[str, str], topics: Dict[str, str],
@@ -206,14 +210,15 @@ def pipeline_oracle(method: str, docs: Dict[str, str], topics: Dict[str, str],
     ranking holds every candidate; it is None when the final query has no
     positive weight, and the topic fails.
 
-    `docs` maps docno -> text. `config` holds k1, b, fb_docs, fb_terms,
-    lam and mu (RM3), n, beta, dedup, m, feedback_mode, template,
-    context_budget and instructions (the LLM methods), and qrels
-    (qid -> docno -> grade). `generate` answers one prompt.
+    `docs` maps docno -> text. `config` holds k1, b, fb_docs and
+    feedback_mode (the feedback methods), fb_terms, lam and mu (RM3), n,
+    beta, dedup, template, context_budget and instructions (the LLM
+    methods), and qrels (qid -> docno -> grade). `generate` answers one
+    prompt.
 
-    A feedback method takes the top m of a first ranking, or the m judged
-    docs of highest grade (docno on ties) under oracle feedback; finding
-    none, it runs as rm3 -> raw, flanprf -> flanqr, genqrensemble_rf ->
+    A feedback method takes the top m = fb_docs of a first ranking, or the
+    m judged docs of highest grade (docno on ties) under oracle feedback;
+    finding none, it runs as rm3 -> raw, flanprf -> flanqr, genqrensemble_rf ->
     genqrensemble. RM3 expands by `rm3_oracle`. An LLM method prompts each
     instruction (flanqr/flanprf: the first only) with the query, prefixed
     by the feedback texts as context, and adds beta to a term per token of
@@ -227,9 +232,9 @@ def pipeline_oracle(method: str, docs: Dict[str, str], topics: Dict[str, str],
         for term in analyze_oracle(text):
             weights[term] = weights.get(term, 0.0) + 1.0
 
-        m = c["fb_docs"] if method == "rm3" else c["m"] if method in _RF_METHODS else 0
+        m = c["fb_docs"] if method in _FEEDBACK_METHODS else 0
         feedback: List[str] = []
-        if m and method != "rm3" and c["feedback_mode"] == "oracle":
+        if m and c["feedback_mode"] == "oracle":
             judged = [(d, g) for d, g in c["qrels"].get(qid, {}).items() if g >= 1]
             feedback = [d for d, _ in sorted(judged, key=lambda e: (-e[1], e[0]))[:m]]
         elif m:

@@ -111,8 +111,7 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
     work_a, work_b = tmp_path / "a", tmp_path / "b"
     cfg_plain = config_from_dict(toy_config_dict("genqrensemble", "same", work=str(work_a)))
     cfg_rf0 = config_from_dict(toy_config_dict(
-        "genqrensemble_rf", "same", work=str(work_b),
-        reformulation={"feedback_mode": "pseudo", "m": 0}))
+        "genqrensemble_rf", "same", work=str(work_b), feedback_mode="pseudo", fb_docs=0))
     cmd_index(cfg_plain)
     cmd_index(cfg_rf0)
     run_plain, ref_plain, _ = cmd_run(cfg_plain)
@@ -225,11 +224,9 @@ def _grid_means(tmp_path):
         "rm3": toy_config_dict("rm3", "rm3", work=work),
         "flanprf": toy_config_dict("flanprf", "flanprf", work=work),
         "rf_pseudo": toy_config_dict(
-            "genqrensemble_rf", "rf_pseudo", work=work,
-            reformulation={"feedback_mode": "pseudo", "m": 5}),
+            "genqrensemble_rf", "rf_pseudo", work=work, feedback_mode="pseudo", fb_docs=5),
         "rf_oracle": toy_config_dict(
-            "genqrensemble_rf", "rf_oracle", work=work,
-            reformulation={"feedback_mode": "oracle", "m": 5}),
+            "genqrensemble_rf", "rf_oracle", work=work, feedback_mode="oracle", fb_docs=5),
     }
     qrels = load_qrels(TOY / "qrels.txt")
     spec = parse_metric("ndcg@10")

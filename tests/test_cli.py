@@ -44,6 +44,32 @@ def test_load_config_resolves_input_paths(tmp_path):
     assert cfg.index_dir == "idx"  # outputs stay working-directory relative
 
 
+def test_config_paths_follow_one_rule(tmp_path, monkeypatch):
+    """Input and backend paths alike: a relative one resolves against the
+    config's directory, an empty or absolute one is kept as given."""
+    base, elsewhere = tmp_path / "cfg", tmp_path / "cwd"
+    base.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    transcript = tmp_path / "t.jsonl"
+    write_transcript([{"prompt": "p", "response": "r"}], transcript)
+    write_transcript([{"prompt": "p", "response": "r"}], base / "t.jsonl")
+    cfg = config_from_dict({"corpus": "", "topics": str(tmp_path / "topics.tsv"),
+                            "qrels": "q.txt", "backend": {"kind": "replay",
+                                                          "transcript": str(transcript)}},
+                           base_dir=base)
+    assert (cfg.corpus, cfg.topics, cfg.qrels) == ("", str(tmp_path / "topics.tsv"),
+                                                   str(base / "q.txt"))
+    assert cfg.backend.transcript == str(transcript)
+    cfg = config_from_dict({"backend": {"kind": "replay", "transcript": "t.jsonl"}},
+                           base_dir=base)
+    assert cfg.backend.transcript == str(base / "t.jsonl")
+    for kind, key in (("replay", "transcript"), ("stub", "vocab")):
+        # "" stays "", so the backend opens the working directory, not the config's
+        with pytest.raises(ConfigError, match=r"backend: .*Is a directory: '\.'"):
+            config_from_dict({"backend": {"kind": kind, key: ""}}, base_dir=base)
+
+
 def test_load_config_takes_inline_stub_vocab(tmp_path):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump({
@@ -81,7 +107,7 @@ def test_unknown_config_key_rejected():
                  id="top_k=1.5"),
     pytest.param("sampling", {"temperature": float("nan")},
                  "sampling.temperature must be finite, got nan", id="temperature=nan"),
-    pytest.param("rm3", {"fb_docs": 2.5}, "rm3.fb_docs must be int, got 2.5",
+    pytest.param("rm3", {"fb_docs": 2.5}, r"unknown rm3 keys: \['fb_docs'\]",
                  id="fb_docs=2.5"),
     pytest.param("analyzer", {"stopwords": "the"},
                  "analyzer.stopwords must be a list of str, got 'the'", id="stopwords=the"),
@@ -96,6 +122,8 @@ def test_bad_config_section_raises_config_error(section, value, match):
 _BAD_VALUES = [
     ("workers", True, r"unknown config keys: \['workers'\]"),
     ("retrieval_depth", 2.5, "retrieval_depth must be int, got 2.5"),
+    ("fb_docs", -1, r"fb_docs must be in \[0, inf\), got -1"),
+    ("fb_docs", 2.5, "fb_docs must be int, got 2.5"),
     ("k1", "1.2", "k1 must be float, got '1.2'"),
     ("b", float("nan"), "b must be finite, got nan"),
     ("b", 2, r"b must be in \[0, 1\], got 2"),
@@ -245,14 +273,34 @@ def test_llm_method_requires_backend():
 
 def test_rf_method_defaults_to_pseudo_feedback():
     cfg = config_from_dict(toy_config_dict(method="genqrensemble_rf"))
-    assert cfg.reformulation.feedback_mode == "pseudo"
+    assert (cfg.feedback_mode, cfg.fb_docs) == ("pseudo", 5)
 
 
 def test_oracle_feedback_without_qrels_fails_at_load():
-    raw = toy_config_dict("flanprf", qrels=None, reformulation={"feedback_mode": "oracle"})
+    raw = toy_config_dict("flanprf", qrels=None, feedback_mode="oracle")
     with pytest.raises(ConfigError, match="oracle feedback needs a qrels path"):
         config_from_dict(raw)
     config_from_dict({**raw, "method": "flanqr"})  # a pre-retrieval method takes no feedback
+
+
+def test_rm3_oracle_feedback_without_qrels_fails_at_load():
+    raw = toy_config_dict("rm3", qrels=None, feedback_mode="oracle")
+    with pytest.raises(ConfigError, match="oracle feedback needs a qrels path"):
+        config_from_dict(raw)
+    config_from_dict({**raw, "method": "raw"})
+
+
+@pytest.mark.parametrize("section,key", [("reformulation", "m"),
+                                         ("reformulation", "feedback_mode"),
+                                         ("rm3", "fb_docs")])
+def test_removed_feedback_keys_fail_at_load(tmp_path, section, key):
+    """A config that still sets a removed per-method feedback key names it:
+    top-level `fb_docs` and `feedback_mode` replace all three."""
+    cfg_path = tmp_path / "exp.yaml"
+    value = "oracle" if key == "feedback_mode" else 2
+    cfg_path.write_text(yaml.safe_dump(toy_config_dict("rm3", **{section: {key: value}})))
+    with pytest.raises(ConfigError, match=rf"unknown {section} keys: \['{key}'\]"):
+        load_config(cfg_path)
 
 
 def test_instructions_file_read_at_load(tmp_path):
@@ -270,9 +318,9 @@ def test_instructions_file_read_at_load(tmp_path):
 
 def test_feedback_mode_none_runs_as_pseudo():
     """The removed feedback mode "none" fails at load."""
-    with pytest.raises(ConfigError, match=r"reformulation.feedback_mode must be one of "
+    with pytest.raises(ConfigError, match=r"^feedback_mode must be one of "
                                           r"\('pseudo', 'oracle'\), got 'none'"):
-        config_from_dict(toy_config_dict("flanprf", reformulation={"feedback_mode": "none"}))
+        config_from_dict(toy_config_dict("flanprf", feedback_mode="none"))
 
 
 @pytest.mark.parametrize("parser", ["raw-append", "whitespace"])
@@ -287,7 +335,7 @@ def test_unknown_keyword_parser_rejected():
         config_from_dict(toy_config_dict(reformulation={"keyword_parser": "regex"}))
 
 
-@pytest.mark.parametrize("rm3", [{"fb_docs": -1}, {"fb_terms": -1}, {"lam": 2},
+@pytest.mark.parametrize("rm3", [{"fb_terms": -1}, {"lam": 2},
                                  {"lam": -0.1}, {"lam": float("nan")}, {"mu": -1.0},
                                  {"mu": float("inf")}, {"mu": float("nan")}],
                          ids=lambda rm3: "{}={}".format(*next(iter(rm3.items()))))
@@ -373,10 +421,10 @@ def test_yaml_config_with_comments_loads(tmp_path):
     cfg_path.write_text("# an experiment\n"
                         "method: rm3  # pseudo feedback\n"
                         "rm3:\n"
-                        "  fb_docs: 5\n"
+                        "  fb_terms: 7\n"
                         "run_tag: commented\n")
     cfg = load_config(cfg_path)
-    assert (cfg.method, cfg.rm3.fb_docs, cfg.run_tag) == ("rm3", 5, "commented")
+    assert (cfg.method, cfg.rm3.fb_terms, cfg.run_tag) == ("rm3", 7, "commented")
     for empty in ("", "# only a comment\n", "null"):  # an empty document: all defaults
         cfg_path.write_text(empty)
         assert load_config(cfg_path) == ExperimentConfig()
@@ -504,10 +552,8 @@ def test_flanqr_equals_ensemble_n1_byte_for_byte(toy_cfg, toy_index):
 
 
 def test_rf_oracle_vs_pseudo_differ_only_via_context(toy_cfg, toy_index):
-    pseudo_cfg = toy_cfg("genqrensemble_rf", tag="pseudo",
-                         reformulation={"feedback_mode": "pseudo", "m": 2})
-    oracle_cfg = toy_cfg("genqrensemble_rf", tag="oracle",
-                         reformulation={"feedback_mode": "oracle", "m": 2})
+    pseudo_cfg = toy_cfg("genqrensemble_rf", tag="pseudo", feedback_mode="pseudo", fb_docs=2)
+    oracle_cfg = toy_cfg("genqrensemble_rf", tag="oracle", feedback_mode="oracle", fb_docs=2)
     _, ref_p, _ = cmd_run(pseudo_cfg)
     _, ref_o, _ = cmd_run(oracle_cfg)
     rows_p = [json.loads(line) for line in ref_p.read_text().splitlines()]
@@ -833,7 +879,7 @@ def test_sweep_reports_like_eval(toy_cfg, toy_index, tmp_path):
 
 def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):
     cfg = toy_cfg("genqrensemble_rf", tag="sweep", metrics=["ndcg@10"])
-    rows = cmd_sweep(cfg, "m", [0], tmp_path / "sweep.csv")
+    rows = cmd_sweep(cfg, "fb_docs", [0], tmp_path / "sweep.csv")
     plain_run, _, _ = cmd_run(toy_cfg("genqrensemble", tag="plain",
                                       metrics=["ndcg@10"]))
     qrels = load_qrels(TOY / "qrels.txt")
@@ -844,7 +890,7 @@ def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):
 def test_sweep_row_count_and_reuse(toy_cfg, toy_index, tmp_path, monkeypatch):
     cfg = toy_cfg("genqrensemble_rf", tag="s", metrics=["ndcg@10", "map"])
     out = tmp_path / "sweep.csv"
-    rows = cmd_sweep(cfg, "m", [0, 1, 2], out)
+    rows = cmd_sweep(cfg, "fb_docs", [0, 1, 2], out)
     assert len(rows) == 3 * 2
     assert out.read_text().splitlines()[0] == "param,value,metric,mean"
 
@@ -858,7 +904,7 @@ def test_sweep_row_count_and_reuse(toy_cfg, toy_index, tmp_path, monkeypatch):
         return original(self, request)
 
     monkeypatch.setattr(StubBackend, "_generate", counting)
-    rows_again = cmd_sweep(cfg, "m", [0, 1, 2], out)
+    rows_again = cmd_sweep(cfg, "fb_docs", [0, 1, 2], out)
     assert calls["n"] == 0
     assert rows_again == rows
 
@@ -883,12 +929,12 @@ def test_sweep_tag_with_a_slash_rejected_before_any_run(toy_cfg, toy_index, tmp_
     assert not Path(cfg.output_dir).exists()
 
 
-@pytest.mark.parametrize("values,tag", [([1, 1], "rep-m1"), ([0, 2, 0], "rep-m0")])
+@pytest.mark.parametrize("values,tag", [([1, 1], "rep-fb_docs1"), ([0, 2, 0], "rep-fb_docs0")])
 def test_sweep_repeated_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
                                                       values, tag):
     cfg = toy_cfg("genqrensemble_rf", tag="rep", metrics=["ndcg@10"])
     with pytest.raises(ConfigError, match=f"repeated run tag '{tag}'"):
-        cmd_sweep(cfg, "m", values, tmp_path / "sweep.csv")
+        cmd_sweep(cfg, "fb_docs", values, tmp_path / "sweep.csv")
     assert not Path(cfg.output_dir).exists()
     assert not (tmp_path / "sweep.csv").exists()
 
@@ -956,7 +1002,8 @@ def test_sweep_bool_values_through_main(toy_index, tmp_path):
 
 def test_sweep_unknown_param_rejected(toy_cfg, toy_index, tmp_path):
     cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
-    for param in ("mystery", "reformulation.mystery", "backend.mystery"):
+    # m was the alias of the removed reformulation.m; fb_docs is a config field now
+    for param in ("mystery", "m", "reformulation.mystery", "backend.mystery"):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             cmd_sweep(cfg, param, [1], tmp_path / "sweep.csv")
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,47 @@ def test_bad_record_id_names_its_line(tmp_path, load, format, text, match):
     path.write_text(text)
     with pytest.raises(CorpusFormatError, match=match):
         list(load(path, format))
+
+
+def _read_corpus(fmt):
+    return lambda path: list(load_corpus(path, fmt))
+
+
+def _read_topics(fmt):
+    return lambda path: load_topics(path, fmt)
+
+
+# One byte that is not UTF-8 (Latin-1 e-acute, or 0xff) per reader family;
+# the line before it ends in \r\n, \r or \n, as text mode counts lines.
+_NOT_UTF8 = [
+    ("corpus-jsonl", _read_corpus("jsonl"),
+     b'{"docno": "d0", "text": "ok"}\r\n\n{"docno": "d1", "text": "caf\xe9"}\n', 3),
+    ("corpus-tsv", _read_corpus("tsv"), b"d0\tok\rd1\tcaf\xe9\n", 2),
+    ("corpus-trec-text", _read_corpus("trec-text"),
+     b"<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>caf\xe9</TEXT>\n</DOC>\n", 3),
+    ("topics-tsv", _read_topics("tsv"), b"1\tgoldfish\n2\tcaf\xe9\n", 2),
+    ("topics-trec-topic", _read_topics("trec-topic"),
+     b"<top>\n<num> Number: 1\n<title> caf\xe9\n</top>\n", 3),
+    ("qrels", load_qrels, b"1 0 d1 1\n1 0 d\xff 0\n", 2),
+    ("runs", read_run, b"1 Q0 d1 1 1.0 t\n1 Q0 d2 2 0.5 t\xff\n", 2),
+]
+
+
+@pytest.mark.parametrize("read,data,lineno", [row[1:] for row in _NOT_UTF8],
+                         ids=[row[0] for row in _NOT_UTF8])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, read, data, lineno):
+    path = tmp_path / "in"
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:{lineno}: not UTF-8$"):
+        read(path)
+
+
+def test_a_bad_byte_past_the_first_read_chunk_names_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"".join(b'{"docno": "d%d", "text": "x"}\n' % i for i in range(5000))
+                     + b'{"docno": "bad", "text": "\xe9"}\n')
+    with pytest.raises(CorpusFormatError, match=r":5001: not UTF-8$"):
+        list(load_corpus(path))
 
 
 # --- qrels ---

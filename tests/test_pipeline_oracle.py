@@ -13,7 +13,7 @@ from oracles import analyze_oracle, pipeline_oracle, rm3_oracle
 
 from genqr.analysis import Analyzer
 from genqr.cli import _QueryRunner
-from genqr.config import METHODS, RF_METHODS, config_from_dict
+from genqr.config import FEEDBACK_METHODS, METHODS, config_from_dict
 from genqr.corpus_io import Document, Topic
 from genqr.index import DegenerateQueryError, build_index
 from genqr.llm import GenRequest, StubBackend
@@ -52,7 +52,7 @@ _params = st.fixed_dictionaries({
     # from rm3_oracle's; with mu = 0 a doc without t gives P(t|d) = 0 in both.
     "mu": st.just(0.0), "n": st.integers(1, 10),
     "beta": st.sampled_from([0.0, 0.5, 1.0, 2.0]), "dedup": st.booleans(),
-    "m": st.integers(0, 6), "context_budget": st.sampled_from([0, 12, 4000]),
+    "context_budget": st.sampled_from([0, 12, 4000]),
 })
 
 
@@ -61,11 +61,10 @@ def _config(method, mode, params, work):
     return config_from_dict({
         "corpus": str(work / "corpus.jsonl"), "qrels": str(work / "qrels.txt"),
         "method": method, "backend": STUB, "k1": p["k1"], "b": p["b"],
-        "retrieval_depth": p["depth"],
-        "rm3": {"fb_docs": p["fb_docs"], "fb_terms": p["fb_terms"], "lam": p["lam"],
-                "mu": p["mu"]},
-        "reformulation": {"n": p["n"], "beta": p["beta"], "dedup": p["dedup"], "m": p["m"],
-                          "feedback_mode": mode, "context_budget": p["context_budget"]},
+        "retrieval_depth": p["depth"], "fb_docs": p["fb_docs"], "feedback_mode": mode,
+        "rm3": {"fb_terms": p["fb_terms"], "lam": p["lam"], "mu": p["mu"]},
+        "reformulation": {"n": p["n"], "beta": p["beta"], "dedup": p["dedup"],
+                          "context_budget": p["context_budget"]},
     })
 
 
@@ -132,7 +131,7 @@ def test_query_runner_matches_pipeline_oracle(inputs, params):
             f"{qid} 0 {d} {grade}\n" for qid, grades in qrels.items()
             for d, grade in grades.items()))
         for method in METHODS:
-            for mode in ("pseudo", "oracle") if method in RF_METHODS else ("pseudo",):
+            for mode in ("pseudo", "oracle") if method in FEEDBACK_METHODS else ("pseudo",):
                 runner = _QueryRunner(_config(method, mode, params, work), index)
                 expected = pipeline_oracle(
                     method, docs, topics, {**oracle_config, "feedback_mode": mode},

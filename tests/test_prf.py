@@ -29,7 +29,7 @@ def test_top_m_of_run():
     texts = {f"d{i}": f"text {i}" for i in range(10)}
     fb = select_feedback(run, lookup_of(texts), m=5)
     assert [d.docno for d in fb.docs] == ["d0", "d1", "d2", "d3", "d4"]
-    assert fb.texts()[0] == "text 0"
+    assert fb.docs[0].text == "text 0"
 
 
 def test_m_zero_empty_set():
@@ -117,6 +117,22 @@ def test_fb_terms_zero_keeps_original_up_to_scale():
     weights = dict(out.terms)
     assert set(weights) == {"a", "b"}
     assert weights["a"] == pytest.approx(weights["b"])
+
+
+def test_empty_feedback_doc_under_mu_zero_gives_no_term_mass():
+    # Oracle feedback can take a judged doc with no tokens; under mu = 0 its
+    # P(t|d) is 0 for every t, not 0/0, and the other doc carries the model.
+    docs = [Document("d1", ""), Document("d2", "a b b")]
+    fb = select_oracle_feedback(Qrels({("q", "d1"): 2, ("q", "d2"): 1}),
+                                lookup_of({d.docno: d.text for d in docs}), "q", m=2)
+    assert [d.docno for d in fb.docs] == ["d1", "d2"]
+    query = WeightedQuery.from_terms("q", ["a"])
+    out = rm3_expand(build_index(docs, Analyzer()), query, fb,
+                     Rm3Params(fb_terms=2, lam=0.0, mu=0.0))
+    ref = rm3_oracle({d.docno: d.text.split() for d in docs}, ["d1", "d2"], {"a": 1.0},
+                     fb_terms=2, lam=0.0, mu=0.0)
+    assert dict(out.terms) == pytest.approx(ref, abs=1e-12)
+    assert ref == pytest.approx({"a": 1 / 3, "b": 2 / 3})
 
 
 def test_frozen_two_doc_fixture():

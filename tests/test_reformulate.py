@@ -419,19 +419,16 @@ def test_n_exceeding_set_rejected(toy_cfg, tmp_path):
 # --- RF variant ---
 
 
-@pytest.mark.parametrize("plain_method,feedback_method,section,key", [
-    ("genqrensemble", "genqrensemble_rf", "reformulation", "m"),
-    ("raw", "rm3", "rm3", "fb_docs"),
+@pytest.mark.parametrize("plain_method,feedback_method", [
+    ("genqrensemble", "genqrensemble_rf"), ("raw", "rm3"),
 ], ids=["genqrensemble_rf", "rm3"])
-def test_rf_empty_feedback_degenerates(toy_cfg, toy_index, plain_method, feedback_method,
-                                       section, key):
+def test_rf_empty_feedback_degenerates(toy_cfg, toy_index, plain_method, feedback_method):
     sections = {"reformulation": {"n": 4}}
     plain_runner = _QueryRunner(toy_cfg(plain_method, tag="same", **sections), toy_index)
-    # m=0 asks for no feedback; a query that matches no document finds none
+    # fb_docs=0 asks for no feedback; a query that matches no document finds none
     for m, topic in ((0, GOLDFISH), (5, Topic("1", "zzyzx qwvk"))):
-        swept = {**sections, section: {**sections.get(section, {}), key: m}}
-        feedback_runner = _QueryRunner(toy_cfg(feedback_method, tag="same", **swept),
-                                       toy_index)
+        feedback_runner = _QueryRunner(toy_cfg(feedback_method, tag="same", fb_docs=m,
+                                               **sections), toy_index)
         assert run_topics(plain_runner, topic) == run_topics(feedback_runner, topic)
 
 
@@ -439,8 +436,8 @@ def test_oracle_feedback_without_relevant_docs_runs_plain_method(toy_cfg, toy_in
     sections = {"reformulation": {"n": 4}}
     plain_runner = _QueryRunner(toy_cfg("genqrensemble", tag="same", **sections), toy_index)
     oracle_runner = _QueryRunner(
-        toy_cfg("genqrensemble_rf", tag="same",
-                reformulation={"n": 4, "feedback_mode": "oracle"}), toy_index)
+        toy_cfg("genqrensemble_rf", tag="same", feedback_mode="oracle",
+                reformulation={"n": 4}), toy_index)
     topic = Topic("99", GOLDFISH.query)  # no qrels row for qid 99
     assert run_topics(oracle_runner, topic) == run_topics(plain_runner, topic)
 

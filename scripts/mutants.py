@@ -50,13 +50,18 @@ CATALOG = [
            ("tests/test_corpus_io.py::test_run_line_format",
             "tests/test_corpus_io.py::test_read_run_resorts_and_reranks")),
     Mutant("mrr numbers from 0", "evaluation.py",
-           "    for rank, entry in enumerate(run.entries, start=1):\n"
+           "    for rank, entry in enumerate(run.entries[:k], start=1):\n"
            "        if entry.docno in relevant:\n"
            "            return 1.0 / rank",
-           "    for rank, entry in enumerate(run.entries, start=0):\n"
+           "    for rank, entry in enumerate(run.entries[:k], start=0):\n"
            "        if entry.docno in relevant:\n"
            "            return 1.0 / rank",
            ("tests/test_acceptance.py::test_criterion_2_metric_oracle_equivalence",)),
+    Mutant("mrr@k reads rank k + 1", "evaluation.py",
+           "for rank, entry in enumerate(run.entries[:k], start=1)",
+           "for rank, entry in enumerate(run.entries[:k and k + 1], start=1)",
+           ("tests/test_evaluation.py::test_mrr_cases",
+            "tests/test_acceptance.py::test_criterion_2_metric_oracle_equivalence")),
     Mutant("Holm flags zipped over every row", "cli.py",
            "for row, flag in zip(tested, holm_bonferroni(",
            "for row, flag in zip(rows, holm_bonferroni(",
@@ -158,6 +163,17 @@ CATALOG = [
            "",
            ("tests/test_corpus_io.py::test_trec_text_bad_record_reports_its_line",
             "tests/test_corpus_io.py::test_trec_topic_bad_record_reports_its_line")),
+    Mutant("decode error escapes", "corpus_io.py",
+           "        raise _not_utf8(Path(path)) from None\n",
+           "        raise\n",
+           ("tests/test_corpus_io.py::test_a_byte_that_is_not_utf8_names_its_line[corpus-trec-text]",
+            "tests/test_corpus_io.py::test_a_byte_that_is_not_utf8_names_its_line"
+            "[topics-trec-topic]",
+            "tests/test_cli.py::test_a_config_input_that_is_not_utf8_names_its_line[config]",
+            "tests/test_cli.py::test_a_config_input_that_is_not_utf8_names_its_line[vocab]",
+            "tests/test_cli.py::test_a_config_input_that_is_not_utf8_names_its_line[transcript]",
+            "tests/test_cli.py::test_a_config_input_that_is_not_utf8_names_its_line"
+            "[instructions]")),
     # --- the response cache ---
     Mutant("no newline repair in ResponseCache.put", "llm.py",
            'data = "\\n" + data',
@@ -189,6 +205,11 @@ CATALOG = [
            "        if False:\n",
            ("tests/test_cli.py::test_index_analyzer_mismatch_errors",
             "tests/test_cli.py::test_run_against_index_of_another_analyzer_asks_for_force_rebuild")),
+    Mutant("checksum not compared", "index.py",
+           'if zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(raw[-4:], "little"):',
+           "if False:",
+           ("tests/test_index.py::test_any_changed_byte_or_word_fails_the_load",
+            "tests/test_index.py::test_overwritten_doc_ordinal_rejected")),
     # --- outputs ---
     Mutant("atomic_writer makes no directory", "corpus_io.py",
            "    path.parent.mkdir(parents=True, exist_ok=True)\n",

@@ -16,8 +16,6 @@ character already in the table.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import unicodedata
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -64,10 +62,6 @@ class Analyzer:
 
     def config(self) -> dict:
         return dict(asdict(self), stopwords=sorted(self.stopwords))
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Analyzer":

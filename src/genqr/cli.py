@@ -46,7 +46,7 @@ logger = logging.getLogger(__name__)
 def cmd_index(cfg: ExperimentConfig, force: bool = False) -> PostingsIndex:
     """Build the index, or verify it when one already exists (idempotent)."""
     dest = Path(cfg.index_dir)
-    if (dest / "meta.json").exists() and not force:
+    if (dest / "postings.bin").exists() and not force:
         existing = PostingsIndex.load(dest, cfg.analyzer)
         logger.info("index %s is up to date", dest)
         return existing

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis import Analyzer
-from .corpus_io import CORPUS_READERS, TOPIC_READERS
+from .corpus_io import CORPUS_READERS, TOPIC_READERS, CorpusFormatError, read_text
 from .evaluation import DEFAULT_METRICS, parse_metrics
 from .index import DEFAULT_B, DEFAULT_K1
 from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, Generator,
@@ -102,7 +102,7 @@ def make_backend(cfg: dict, base_dir: Path | None) -> Backend:
         raise ConfigError(f"unknown backend kind {kind!r}; choose stub, replay, or http")
     try:
         return build(BACKENDS[kind], options, "backend")
-    except (OSError, BackendError) as e:  # a vocab or transcript file that cannot be read
+    except (OSError, BackendError, CorpusFormatError) as e:  # an unreadable vocab or transcript
         raise ConfigError(f"backend: {e}") from e
 
 
@@ -125,7 +125,10 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = read_text(path)
+    except CorpusFormatError as e:
+        raise ConfigError(str(e)) from None
     try:
         raw = json.loads(text)
     except ValueError:

@@ -124,6 +124,15 @@ def _record(path: Path, lineno: int, cls, *fields):
         raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, read in text mode. A file that is not UTF-8
+    raises CorpusFormatError `<path>:<line>: not UTF-8`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(Path(path)) from None
+
+
 def _not_utf8(path: Path) -> CorpusFormatError:
     """The error for a file that is not UTF-8: it names the line, as text mode counts
     lines, of the first bad byte."""
@@ -197,10 +206,7 @@ _TREC_FIELD = {
 def _marked_blocks(pattern: re.Pattern, path: Path) -> Iterator[Tuple[int, str]]:
     """The first group of each `pattern` match in the file, with the line
     the match starts on."""
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    raw = read_text(path)
     lineno, pos = 1, 0
     for match in pattern.finditer(raw):
         lineno += raw.count("\n", pos, match.start())

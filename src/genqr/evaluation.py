@@ -10,6 +10,8 @@ Metric conventions follow the trec_eval family:
 - A judged topic missing from the run is scored as an empty ranking
   (trec_eval -c), so it counts 0 when it has a relevant document.
 - Binary metrics (MAP, MRR, P@k) binarize at grade >= min_rel.
+- MRR@k, MS MARCO's MRR@10 protocol, scores 0 when the first relevant
+  document is below rank k; plain MRR reads the whole ranking.
 
 Significance: two-sided paired t-test (p through the regularized
 incomplete beta function, evaluated in-repo by its continued fraction)
@@ -46,22 +48,21 @@ class MetricSpec:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind in ("ndcg", "precision") and (self.k is None or self.k < 1):
             raise ValueError(f"{self.kind} requires a positive cutoff k")
-        if self.kind in ("map", "mrr") and self.k is not None:
-            raise ValueError(f"{self.kind} takes no cutoff")
+        if self.kind == "map" and self.k is not None:
+            raise ValueError("map takes no cutoff")
+        if self.kind == "mrr" and self.k is not None and self.k < 1:
+            raise ValueError("mrr takes no cutoff or a positive one")
         if self.min_rel < 1:
             raise ValueError(f"min_rel must be >= 1, got {self.min_rel}")
 
     @property
     def label(self) -> str:
-        if self.kind == "ndcg":
-            return f"ndcg@{self.k}"
-        if self.kind == "precision":
-            return f"p@{self.k}"
-        return self.kind
+        name = "p" if self.kind == "precision" else self.kind
+        return name if self.k is None else f"{name}@{self.k}"
 
 
 def parse_metric(text: str, min_rel: int = 1) -> MetricSpec:
-    """Parse labels like "ndcg@10", "map", "mrr", "p@10"."""
+    """Parse labels like "ndcg@10", "map", "mrr", "mrr@10", "p@10"."""
     name, _, cutoff = text.strip().lower().partition("@")
     try:
         k = int(cutoff) if cutoff else None
@@ -114,12 +115,14 @@ def average_precision(run: RunList, qrels: Qrels, min_rel: int = 1) -> Optional[
     return total / len(relevant)
 
 
-def mrr(run: RunList, qrels: Qrels, min_rel: int = 1) -> Optional[float]:
-    """Reciprocal rank of the first relevant document, 0 if none retrieved."""
+def mrr(run: RunList, qrels: Qrels, min_rel: int = 1,
+        k: Optional[int] = None) -> Optional[float]:
+    """Reciprocal rank of the first relevant document in the top k (in the
+    whole ranking when k is None), 0 if there is none."""
     relevant = qrels.relevant(run.qid, min_rel=min_rel)
     if not relevant:
         return None
-    for rank, entry in enumerate(run.entries, start=1):
+    for rank, entry in enumerate(run.entries[:k], start=1):
         if entry.docno in relevant:
             return 1.0 / rank
     return 0.0
@@ -140,7 +143,7 @@ def compute_metric(run: RunList, qrels: Qrels, spec: MetricSpec) -> Optional[flo
     if spec.kind == "map":
         return average_precision(run, qrels, min_rel=spec.min_rel)
     if spec.kind == "mrr":
-        return mrr(run, qrels, min_rel=spec.min_rel)
+        return mrr(run, qrels, min_rel=spec.min_rel, k=spec.k)
     return precision_at_k(run, qrels, spec.k, min_rel=spec.min_rel)
 
 

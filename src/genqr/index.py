@@ -32,9 +32,20 @@ ordinal to its term's list, so each list is ascending. Then, term by term
 in sorted order, the uint32 columns are written: where no doc repeats the
 term (most terms of a Zipf corpus), docs is the list and every tf is 1;
 otherwise `Counter` gives each doc once with its tf. df is the number of
-distinct docs and cf the number of occurrences. `save` writes the columns
-to postings.bin and the docnos, doc lengths and terms to meta.json, as
-compact JSON; an indented meta.json, as older saves wrote, loads the same.
+distinct docs and cf the number of occurrences.
+
+An index is one file, postings.bin, after PISA's columnar layout (Mallia
+et al., OSIRRC 2019):
+
+    magic     b"GQRPOST3", which is also the format version
+    header    one line of compact JSON: {"analyzer", "docnos", "terms"}
+    columns   uint32, little-endian: doc lengths, df, cf, docs, tfs
+    crc       zlib crc32 of all of the above, a little-endian uint32
+
+The column sizes follow from the header and the file size, so no count is
+stored. The crc covers every byte that decides a ranking, the analyzer
+section included, and detects any change of up to 32 consecutive bits, so
+any one changed byte or word. `atomic_writer` commits the file whole.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import heapq
 import json
 import math
 import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -53,11 +65,8 @@ from typing import Dict, Iterable, List, Tuple
 
 from .analysis import Analyzer
 from .corpus_io import Document, RunEntry, RunList, atomic_writer
-from .schema import ConfigError
 
-INDEX_MAGIC = "genqr-index"
-INDEX_VERSION = 2
-_POSTINGS_MAGIC = b"GQRPOST2"
+_MAGIC = b"GQRPOST3"  # also the format version: a file of another version fails its check
 _U32 = "I"  # array typecode of the postings columns: 4 bytes on CPython's platforms
 _REBUILD = "rebuild it with `genqr index --force`"
 
@@ -103,8 +112,8 @@ class WeightedQuery:
 class PostingsIndex:
     """Postings and statistics of an indexed corpus, over uint32 columns in
     sorted term order: df and cf per term, then every term's doc ordinals
-    and tfs concatenated. postings.bin stores exactly these columns;
-    meta.json the docnos, doc lengths and terms."""
+    and tfs concatenated. `save` writes them to postings.bin with the
+    analyzer config, docnos, doc lengths and terms."""
 
     def __init__(self, analyzer: Analyzer, docnos: List[str], doc_lengths: List[int],
                  terms: List[str], df: array, cf: array, docs: array, tfs: array):
@@ -253,88 +262,75 @@ class PostingsIndex:
     # --- persistence ---
 
     def save(self, path: str | Path) -> None:
-        """Write postings.bin, then meta.json. meta.json is the commit marker:
-        it is removed first and written last, so an interrupted save leaves
-        a directory that `load` rejects."""
-        path = Path(path)
-        (path / "meta.json").unlink(missing_ok=True)
-        with atomic_writer(path / "postings.bin", binary=True) as f:
-            f.write(_POSTINGS_MAGIC)
-            for column in (self.dfs, self.cfs, self.docs, self.tfs):
-                if sys.byteorder == "big":
-                    column = array(_U32, column)
-                    column.byteswap()
-                f.write(column.tobytes())
-        meta = {
-            "magic": INDEX_MAGIC,
-            "version": INDEX_VERSION,
-            "analyzer": self.analyzer.config(),
-            "analyzer_fingerprint": self.analyzer.fingerprint(),
-            "docs": [[docno, length] for docno, length in zip(self.docnos, self.doc_lengths)],
-            "terms": self.terms,
-            "n_postings": len(self.docs),
-        }
-        with atomic_writer(path / "meta.json") as f:
-            f.write(json.dumps(meta, sort_keys=True))
+        """Write `path`/postings.bin, laid out as the module docstring says,
+        through `atomic_writer`: an interrupted save leaves the previous file."""
+        header = json.dumps({"analyzer": self.analyzer.config(), "docnos": self.docnos,
+                             "terms": self.terms}, separators=(",", ":"))
+        pieces = [_MAGIC, header.encode("utf-8") + b"\n"]
+        for column in (array(_U32, self.doc_lengths), self.dfs, self.cfs, self.docs, self.tfs):
+            if sys.byteorder == "big":
+                column = array(_U32, column)
+                column.byteswap()
+            pieces.append(column)
+        crc = 0
+        with atomic_writer(Path(path) / "postings.bin", binary=True) as f:
+            for piece in pieces:
+                f.write(piece)
+                crc = zlib.crc32(piece, crc)
+            f.write(crc.to_bytes(4, "little"))
 
     @classmethod
     def load(cls, path: str | Path, analyzer: Analyzer) -> "PostingsIndex":
-        """The index saved at `path`, which must have been built with `analyzer`."""
+        """The index saved at `path`, which must have been built with `analyzer`.
+        It checks the magic, the crc, the header, the column sizes (df sums
+        to the postings count) and last the analyzer; each failure raises
+        IndexingError with the rebuild hint."""
         path = Path(path)
-        meta_path = path / "meta.json"
-        if not meta_path.exists():
-            raise IndexingError(f"{path}: not an index directory (missing meta.json); {_REBUILD}")
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError:  # invalid JSON or UTF-8
-            meta = None
-        if not isinstance(meta, dict):
-            raise IndexingError(f"{path}: meta.json is not a JSON object; {_REBUILD}")
-        if meta.get("magic") != INDEX_MAGIC:
-            raise IndexingError(f"{path}: bad magic {meta.get('magic')!r}; {_REBUILD}")
-        if meta.get("version") != INDEX_VERSION:
+            raw = (path / "postings.bin").read_bytes()
+        except FileNotFoundError:
             raise IndexingError(
-                f"{path}: index version {meta.get('version')} unsupported "
-                f"(expected {INDEX_VERSION}); {_REBUILD}")
+                f"{path}: not an index directory (missing postings.bin); {_REBUILD}") from None
+        if raw[:len(_MAGIC)] != _MAGIC:
+            raise IndexingError(
+                f"{path}: postings.bin starts {raw[:len(_MAGIC)]!r}, not {_MAGIC!r}: an index "
+                f"of another version, or not an index; {_REBUILD}")
+        if zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(raw[-4:], "little"):
+            raise IndexingError(f"{path}: postings.bin fails its crc32 check; {_REBUILD}")
 
+        end = raw.find(b"\n", len(_MAGIC), len(raw) - 4)  # the header line's end
         try:
-            stored = Analyzer.from_config(meta.get("analyzer"))
-        except ConfigError as e:
-            raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
-        if stored.fingerprint() != meta.get("analyzer_fingerprint"):
-            raise IndexingError(f"{path}: analyzer fingerprint mismatch; {_REBUILD}")
-        if stored != analyzer:
+            if end < 0:
+                raise ValueError("no header line")
+            header = json.loads(raw[len(_MAGIC):end])
+            stored = Analyzer.from_config(header["analyzer"])
+            docnos, terms = header["docnos"], header["terms"]
+            if not (isinstance(docnos, list) and isinstance(terms, list)):
+                raise TypeError("docnos and terms must be lists")
+        except (KeyError, TypeError, ValueError) as e:  # ValueError covers invalid JSON
             raise IndexingError(
-                f"{path}: index analyzer differs from the configured one; {_REBUILD}")
-        try:
-            docnos = [docno for docno, _ in meta["docs"]]
-            doc_lengths = [int(length) for _, length in meta["docs"]]
-            terms, n_postings = meta["terms"], int(meta["n_postings"])
-            n_terms = len(terms)
-        except KeyError as e:
-            raise IndexingError(f"{path}: meta.json lacks {e}; {_REBUILD}") from None
-        except (TypeError, ValueError) as e:
-            raise IndexingError(f"{path}: bad meta.json ({e}); {_REBUILD}") from e
-
-        raw = (path / "postings.bin").read_bytes()
-        if raw[:len(_POSTINGS_MAGIC)] != _POSTINGS_MAGIC:
-            raise IndexingError(f"{path}: corrupted postings header; {_REBUILD}")
-        expected = len(_POSTINGS_MAGIC) + 4 * (2 * n_terms + 2 * n_postings)
-        if len(raw) != expected:
+                f"{path}: bad index header ({type(e).__name__}: {e}); {_REBUILD}") from None
+        n_docs, n_terms = len(docnos), len(terms)
+        n_words, odd_bytes = divmod(len(raw) - 4 - (end + 1), 4)
+        n_postings, odd_words = divmod(n_words - n_docs - 2 * n_terms, 2)
+        if odd_bytes or odd_words or n_postings < 0:
             raise IndexingError(
-                f"{path}: postings.bin has {len(raw)} bytes, expected {expected} for "
-                f"{n_terms} terms and {n_postings} postings; {_REBUILD}")
+                f"{path}: postings.bin has {n_words} words after its header, which do not "
+                f"fit {n_docs} docs and {n_terms} terms; {_REBUILD}")
         columns = array(_U32)
-        columns.frombytes(memoryview(raw)[len(_POSTINGS_MAGIC):])
+        columns.frombytes(memoryview(raw)[end + 1:-4])
         if sys.byteorder == "big":
             columns.byteswap()
-        df = columns[:n_terms]
+        df_at, cf_at, docs_at = n_docs, n_docs + n_terms, n_docs + 2 * n_terms
+        df = columns[df_at:cf_at]
         if sum(df) != n_postings:
             raise IndexingError(
                 f"{path}: postings.bin document frequencies do not sum to {n_postings}; "
                 f"{_REBUILD}")
-        docs_at = 2 * n_terms
-        return cls(stored, docnos, doc_lengths, terms, df, columns[n_terms:docs_at],
+        if stored != analyzer:
+            raise IndexingError(
+                f"{path}: index analyzer differs from the configured one; {_REBUILD}")
+        return cls(stored, docnos, columns[:df_at].tolist(), terms, df, columns[cf_at:docs_at],
                    columns[docs_at:docs_at + n_postings], columns[docs_at + n_postings:])
 
 

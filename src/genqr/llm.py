@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .corpus_io import write_jsonl
+from .corpus_io import read_text, write_jsonl
 from .schema import check_fields
 
 logger = logging.getLogger(__name__)
@@ -125,7 +125,7 @@ class StubBackend(Backend):
         if isinstance(vocab, (str, Path)):
             source = str(vocab)
             try:
-                vocab = json.loads(Path(vocab).read_text(encoding="utf-8"))
+                vocab = json.loads(read_text(vocab))
             except json.JSONDecodeError as e:
                 raise BackendError(f"{source}: invalid JSON ({e.msg})") from e
         if not (isinstance(vocab, dict) and all(
@@ -174,7 +174,7 @@ class ReplayBackend(Backend):
     def __post_init__(self):
         super().__post_init__()
         self._responses: Dict[str, str] = {}
-        raw = Path(self.transcript).read_text(encoding="utf-8")
+        raw = read_text(self.transcript)
         for lineno, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue

@@ -23,7 +23,7 @@ from string import Formatter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis import Analyzer
-from .corpus_io import Topic, atomic_writer
+from .corpus_io import Topic, atomic_writer, read_text
 from .index import DegenerateQueryError, WeightedQuery
 from .llm import Generator
 from .prf import FeedbackSet
@@ -76,7 +76,7 @@ class InstructionSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "InstructionSet":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
+        return cls.from_lines(read_text(path).splitlines())
 
     @classmethod
     def default(cls) -> "InstructionSet":

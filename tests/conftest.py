@@ -3,8 +3,10 @@ import resource
 import signal
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
@@ -48,6 +50,23 @@ def assert_same_index(a, b):
     for name in ("terms", "dfs", "cfs", "docs", "tfs", "docnos", "doc_lengths",
                  "total_tokens"):
         assert getattr(a, name) == getattr(b, name), name
+
+
+def read_index_file(index_dir):
+    """An index's postings.bin as (magic, header text, column bytes)."""
+    raw = (Path(index_dir) / "postings.bin").read_bytes()
+    end = raw.index(b"\n")
+    return raw[:8], raw[8:end].decode("utf-8"), raw[end + 1:-4]
+
+
+def write_index_file(index_dir, magic, header, columns):
+    """Write postings.bin from its parts, `header` as text or a mapping,
+    with the crc32 of what was written, so that a test of a later check
+    gets past the crc."""
+    if not isinstance(header, str):
+        header = json.dumps(header)
+    body = magic + header.encode("utf-8") + b"\n" + columns
+    (Path(index_dir) / "postings.bin").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 @contextmanager

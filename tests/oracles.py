@@ -123,13 +123,14 @@ def ap_oracle(ranking: Sequence[str], grades: Dict[str, int], min_rel: int = 1):
     return total / len(relevant)
 
 
-def rr_oracle(ranking: Sequence[str], grades: Dict[str, int], min_rel: int = 1):
+def rr_oracle(ranking: Sequence[str], grades: Dict[str, int], min_rel: int = 1,
+              k: Optional[int] = None):
     relevant = {d for d, g in grades.items() if g >= min_rel}
     if not relevant:
         return None
     for i, d in enumerate(ranking, start=1):
         if d in relevant:
-            return 1.0 / i
+            return 1.0 / i if k is None or i <= k else 0.0
     return 0.0
 
 

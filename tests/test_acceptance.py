@@ -75,6 +75,7 @@ def test_criterion_2_metric_oracle_equivalence():
             (ndcg_at_k(run, qrels, k), ndcg_oracle(ranked, grades, k)),
             (average_precision(run, qrels), ap_oracle(ranked, grades)),
             (mrr(run, qrels), rr_oracle(ranked, grades)),
+            (mrr(run, qrels, k=k), rr_oracle(ranked, grades, k=k)),
             (precision_at_k(run, qrels, k), prec_oracle(ranked, grades, k)),
         ]
         for mine, ref in checks:

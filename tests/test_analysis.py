@@ -77,13 +77,6 @@ def test_unknown_stemmer_rejected():
         Analyzer(stemmer="krovetz")
 
 
-def test_fingerprint_tracks_config():
-    a = Analyzer()
-    b = Analyzer(stopwords=frozenset({"the"}))
-    assert a.fingerprint() == Analyzer().fingerprint()
-    assert a.fingerprint() != b.fingerprint()
-
-
 def test_config_roundtrip():
     analyzer = Analyzer(stopwords=frozenset({"x", "y"}), stemmer="porter")
     assert Analyzer.from_config(analyzer.config()) == analyzer

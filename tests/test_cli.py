@@ -25,7 +25,8 @@ from genqr.llm import (GenRequest, ReplayBackend, ResponseCache, SamplingConfig,
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 from genqr.schema import build
 
-from conftest import TOY, assert_same_index, toy_config_dict
+from conftest import (TOY, assert_same_index, read_index_file, toy_config_dict,
+                      write_index_file)
 
 
 # --- config ---
@@ -228,6 +229,32 @@ def test_missing_input_file_fails_at_load(tmp_path):
         config_from_dict(toy_config_dict("raw", backend=backend))
     with pytest.raises(ConfigError, match="instructions .*No such file.*missing.txt"):
         config_from_dict(toy_config_dict("raw", instructions=str(tmp_path / "missing.txt")))
+
+
+# One Latin-1 byte per config input, on the line given: (input, bytes, line).
+_CONFIG_NOT_UTF8 = [
+    ("config", b'{"method": "raw",\n "run_tag": "caf\xe9"}\n', 2),
+    ("vocab", b'{"goldfish": ["carp"],\n "caf\xe9": ["tea"]}\n', 2),
+    ("transcript", b'{"prompt": "p", "response": "r"}\n{"prompt": "q\xe9", "response": "s"}\n', 2),
+    ("instructions", b"Expand the query.\nAdd synonyms.\nAdd caf\xe9 terms.\n", 3),
+]
+
+
+@pytest.mark.parametrize("source,data,lineno", _CONFIG_NOT_UTF8,
+                         ids=[row[0] for row in _CONFIG_NOT_UTF8])
+def test_a_config_input_that_is_not_utf8_names_its_line(tmp_path, source, data, lineno):
+    path = tmp_path / source
+    path.write_bytes(data)
+    where = f"{re.escape(str(path))}:{lineno}: not UTF-8$"
+    if source == "config":
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            load_config(path)
+        return
+    extra = {"instructions": str(path)} if source == "instructions" else {
+        "backend": {"kind": "stub", "vocab": str(path)} if source == "vocab"
+        else {"kind": "replay", "transcript": str(path)}}
+    with pytest.raises(ConfigError, match=f"^(backend|instructions '.*'): {where}"):
+        config_from_dict(toy_config_dict("raw", **extra))
 
 
 def test_bad_backend_option_stops_lenient_run_before_any_query(toy_index, tmp_path):
@@ -458,18 +485,20 @@ def test_index_builds_and_is_idempotent(toy_cfg, caplog):
 def test_version_1_index_asks_for_force_rebuild(toy_cfg):
     cfg = toy_cfg("raw")
     cmd_index(cfg)
-    meta_path = Path(cfg.index_dir) / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["version"] = 1
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(IndexingError, match="version 1 .*genqr index --force"):
+    _, header, columns = read_index_file(cfg.index_dir)
+    write_index_file(cfg.index_dir, b"GQRPOST1", header, columns)
+    old = r"b'GQRPOST1', not b'GQRPOST3': an index of another version.*genqr index --force"
+    with pytest.raises(IndexingError, match=old):
         PostingsIndex.load(cfg.index_dir, cfg.analyzer)
-    with pytest.raises(IndexingError, match="version 1 .*genqr index --force"):
+    with pytest.raises(IndexingError, match=old):
         cmd_index(cfg)
     assert cmd_index(cfg, force=True).n_docs == 50
 
 
 def test_interrupted_index_save_is_rejected_then_rebuilt(toy_cfg, monkeypatch, caplog):
+    """A `--force` save that dies mid-write leaves the previous index, which
+    still loads. A torn postings.bin, as a copy that stopped part way leaves,
+    is rejected, and `genqr index --force` rebuilds it."""
     cfg = toy_cfg("raw")
     built = cmd_index(cfg)
     real_writer = genqr.index.atomic_writer
@@ -478,7 +507,7 @@ def test_interrupted_index_save_is_rejected_then_rebuilt(toy_cfg, monkeypatch, c
     def dies_mid_postings(path, binary=False):
         with real_writer(path, binary) as f:
             if binary:
-                f.write(b"GQRPOST2\x01\x00")
+                f.write(b"GQRPOST3{")
                 raise OSError("no space left on device")
             yield f
 
@@ -488,11 +517,17 @@ def test_interrupted_index_save_is_rejected_then_rebuilt(toy_cfg, monkeypatch, c
     monkeypatch.undo()
 
     dest = Path(cfg.index_dir)
-    assert sorted(p.name for p in dest.iterdir()) == ["postings.bin"]  # no meta, no temp file
-    with pytest.raises(IndexingError, match="genqr index --force"):
-        PostingsIndex.load(dest, cfg.analyzer)
+    assert sorted(p.name for p in dest.iterdir()) == ["postings.bin"]  # no temp file
+    assert_same_index(PostingsIndex.load(dest, cfg.analyzer), built)
+
+    postings = dest / "postings.bin"
+    postings.write_bytes(postings.read_bytes()[:-100])
+    for load in (lambda: PostingsIndex.load(dest, cfg.analyzer), lambda: cmd_index(cfg)):
+        with pytest.raises(IndexingError, match="crc32 check; rebuild it with "
+                                                "`genqr index --force`$"):
+            load()
     with caplog.at_level("INFO"):
-        rebuilt = cmd_index(cfg)
+        rebuilt = cmd_index(cfg, force=True)
     assert "indexed 50 documents" in caplog.text
     assert_same_index(rebuilt, built)
     assert_same_index(PostingsIndex.load(dest, cfg.analyzer), built)

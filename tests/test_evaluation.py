@@ -67,6 +67,10 @@ def test_mrr_cases():
     assert mrr(run_of("1", ["a", "b"]), qrels) == 1.0
     assert mrr(run_of("1", ["x", "y", "z", "d"]), qrels) == 0.25
     assert mrr(run_of("1", ["x", "y"]), qrels) == 0.0
+    # mrr@k: a first hit at rank k counts 1/k, one at rank k + 1 counts 0
+    assert mrr(run_of("1", ["x", "y", "z", "d"]), qrels, k=4) == 0.25
+    assert mrr(run_of("1", ["x", "y", "z", "d"]), qrels, k=3) == 0.0
+    assert rr_oracle(["x", "y", "z", "d"], {"a": 1, "d": 2}, k=3) == 0.0
 
 
 def test_precision_cases():
@@ -106,6 +110,7 @@ def test_metrics_match_oracles_randomized():
             (ndcg_at_k(run, qrels, k), ndcg_oracle(ranked, grades, k)),
             (average_precision(run, qrels), ap_oracle(ranked, grades)),
             (mrr(run, qrels), rr_oracle(ranked, grades)),
+            (mrr(run, qrels, k=k), rr_oracle(ranked, grades, k=k)),
             (precision_at_k(run, qrels, k), prec_oracle(ranked, grades, k)),
         ]
         for mine, ref in pairs:
@@ -172,7 +177,11 @@ def test_parse_metric():
     assert parse_metric("ndcg@10").label == "ndcg@10"
     assert parse_metric("P@10").label == "p@10"
     assert parse_metric("map").kind == "map"
-    assert parse_metric("mrr").kind == "mrr"
+    assert parse_metric("mrr").label == "mrr"
+    assert parse_metric("MRR@10") == MetricSpec("mrr", 10)
+    assert parse_metric("mrr@10").label == "mrr@10"
+    with pytest.raises(ValueError, match="mrr takes no cutoff or a positive one"):
+        parse_metric("mrr@0")
     with pytest.raises(ValueError):
         parse_metric("bogus@3")
     with pytest.raises(ValueError):

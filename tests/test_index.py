@@ -1,17 +1,18 @@
 import math
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_index
+from conftest import TOY, assert_same_index, read_index_file, write_index_file
 from oracles import bm25_oracle, inverted_index_oracle, rank_oracle
 
 from genqr import index as index_module
 from genqr.analysis import Analyzer
-from genqr.corpus_io import Document, RunList
+from genqr.corpus_io import Document, RunList, load_corpus
 from genqr.index import (DegenerateQueryError, IndexingError, PostingsIndex,
                          WeightedQuery, build_index)
 
@@ -404,34 +405,37 @@ def test_corrupted_header_rejected(tmp_path):
         PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
-def test_version_mismatch_rejected(tmp_path):
-    import json
-    index = build_index([Document("d1", "a")], Analyzer())
-    index.save(tmp_path / "idx")
-    meta_path = tmp_path / "idx" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["version"] = 999
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(IndexingError, match="version"):
+def test_index_is_one_file(tmp_path):
+    build_index(make_corpus(random.Random(2), 5, 4), Analyzer()).save(tmp_path / "idx")
+    assert [p.name for p in (tmp_path / "idx").iterdir()] == ["postings.bin"]
+
+
+def test_missing_postings_rejected(tmp_path):
+    """A directory without postings.bin, such as a version-2 one whose
+    postings.bin was deleted, beside its meta.json."""
+    (tmp_path / "idx").mkdir()
+    (tmp_path / "idx" / "meta.json").write_text("{}")
+    with pytest.raises(IndexingError, match=r"missing postings\.bin\); rebuild it with "
+                                            r"`genqr index --force`$"):
         PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
-def test_index_with_n_docs_key_still_loads(tmp_path):
-    """meta.json no longer carries n_docs or total_tokens (`docs` holds the
-    count and the lengths that sum to it), and is compact JSON; a version-2
-    index written with either key, indented, loads as before."""
-    import json
-    index = build_index(make_corpus(random.Random(5), 20, 10), Analyzer())
+def test_version_mismatch_rejected(tmp_path):
+    """Another magic fails the load, as does a version-2 directory: a
+    meta.json beside a GQRPOST2 postings.bin."""
+    index = build_index([Document("d1", "a")], Analyzer())
     index.save(tmp_path / "idx")
-    meta_path = tmp_path / "idx" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    assert meta_path.read_text() == json.dumps(meta, sort_keys=True)
-    assert "n_docs" not in meta and "total_tokens" not in meta and len(meta["docs"]) == 20
-    for extra in ({"n_docs": 20}, {"total_tokens": index.total_tokens}):
-        meta_path.write_text(json.dumps(dict(meta, **extra), sort_keys=True, indent=1))
-        loaded = PostingsIndex.load(tmp_path / "idx", Analyzer())
-        assert loaded.n_docs == 20
-        assert_same_index(loaded, index)
+    _, header, columns = read_index_file(tmp_path / "idx")
+    write_index_file(tmp_path / "idx", b"GQRPOST9", header, columns)
+    with pytest.raises(IndexingError, match=r"b'GQRPOST9', not b'GQRPOST3': an index of "
+                                            r"another version.*genqr index --force"):
+        PostingsIndex.load(tmp_path / "idx", Analyzer())
+    v2 = tmp_path / "v2"
+    v2.mkdir()
+    (v2 / "meta.json").write_text('{"magic": "genqr-index", "version": 2}')
+    (v2 / "postings.bin").write_bytes(b"GQRPOST2" + bytes(16))
+    with pytest.raises(IndexingError, match="b'GQRPOST2'.*genqr index --force"):
+        PostingsIndex.load(v2, Analyzer())
 
 
 def test_bad_analyzer_section_rejected(tmp_path):
@@ -440,62 +444,81 @@ def test_bad_analyzer_section_rejected(tmp_path):
     import json
     index = build_index([Document("d1", "a")], Analyzer())
     index.save(tmp_path / "idx")
-    meta_path = tmp_path / "idx" / "meta.json"
-    meta = json.loads(meta_path.read_text())
+    magic, header, columns = read_index_file(tmp_path / "idx")
+    header = json.loads(header)
     old_analyzer = {"lowercase": True, "strip_punctuation": True, "stopwords": [],
                     "stemmer": "none"}
-    for analyzer, keys in ((dict(meta["analyzer"], mystery=1), r"\['mystery'\]"),
+    for analyzer, keys in ((dict(header["analyzer"], mystery=1), r"\['mystery'\]"),
                            (old_analyzer, r"\['lowercase', 'strip_punctuation'\]")):
-        meta_path.write_text(json.dumps(dict(meta, analyzer=analyzer)))
+        write_index_file(tmp_path / "idx", magic, dict(header, analyzer=analyzer), columns)
         with pytest.raises(IndexingError, match=rf"analyzer keys: {keys}\); "
                                                 r"rebuild it with `genqr index --force`$"):
             PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "[]", "docs", "terms", "n_postings",
-                                        {"docs": 5}],
+@pytest.mark.parametrize("corruption", ["truncated", "[]", "docnos", "terms", "analyzer",
+                                        {"docnos": 5}],
                          ids=["truncated", "not-an-object", "no-docs", "no-terms",
-                              "no-n_postings", "docs-5"])
+                              "no-analyzer", "docs-5"])
 def test_corrupt_meta_rejected(tmp_path, corruption):
-    """A truncated meta.json, a root that is not an object, a missing key or
-    a value of the wrong type."""
+    """A header line that is truncated, a root that is not an object, a
+    missing key or a value of the wrong type, each under a valid crc."""
     import json
     build_index([Document("d1", "a")], Analyzer()).save(tmp_path / "idx")
-    meta_path = tmp_path / "idx" / "meta.json"
-    text = meta_path.read_text()
+    magic, header, columns = read_index_file(tmp_path / "idx")
     if corruption == "truncated":
-        text = text[:len(text) // 2]
+        header = header[:len(header) // 2]
     elif corruption == "[]":
-        text = corruption
+        header = corruption
     else:
-        meta = json.loads(text)
+        header = json.loads(header)
         if isinstance(corruption, dict):
-            meta.update(corruption)
+            header.update(corruption)
         else:
-            del meta[corruption]
-        text = json.dumps(meta)
-    meta_path.write_text(text)
+            del header[corruption]
+    write_index_file(tmp_path / "idx", magic, header, columns)
     with pytest.raises(IndexingError,
-                       match=r"meta\.json .*; rebuild it with `genqr index --force`$"):
+                       match=r"index header .*; rebuild it with `genqr index --force`$"):
         PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
-def _bump_first_df(raw: bytes) -> bytes:
+def _bump_first_df(columns: bytes, n_docs: int) -> bytes:
     # same length, but the df column no longer sums to the postings count
-    first = int.from_bytes(raw[8:12], "little") + 1
-    return raw[:8] + first.to_bytes(4, "little") + raw[12:]
+    at = 4 * n_docs
+    first = int.from_bytes(columns[at:at + 4], "little") + 1
+    return columns[:at] + first.to_bytes(4, "little") + columns[at + 4:]
 
 
-@pytest.mark.parametrize("edit", [lambda raw: raw[:-4], lambda raw: raw[:len(raw) // 2],
-                                  lambda raw: raw + b"\0\0\0\0", _bump_first_df],
-                         ids=["short-by-4", "half", "extended", "df-sum"])
+@pytest.mark.parametrize("edit", [lambda columns, n: columns[:-4],
+                                  lambda columns, n: columns[:len(columns) // 2],
+                                  lambda columns, n: columns + b"\0\0\0\0",
+                                  lambda columns, n: columns[:-1], _bump_first_df],
+                         ids=["short-by-4", "half", "extended", "short-by-1", "df-sum"])
 def test_truncated_or_extended_postings_rejected(tmp_path, edit):
+    """Columns that do not fit the header, under a valid crc."""
     index = build_index(make_corpus(random.Random(3), 10, 8), Analyzer())
     index.save(tmp_path / "idx")
-    postings = tmp_path / "idx" / "postings.bin"
-    postings.write_bytes(edit(postings.read_bytes()))
-    with pytest.raises(IndexingError, match="rebuild"):
+    magic, header, columns = read_index_file(tmp_path / "idx")
+    write_index_file(tmp_path / "idx", magic, header, edit(columns, index.n_docs))
+    with pytest.raises(IndexingError, match="postings.bin .*rebuild"):
         PostingsIndex.load(tmp_path / "idx", Analyzer())
+
+
+def test_overwritten_doc_ordinal_rejected(tmp_path):
+    """The toy index with the first doc ordinal of `anemone` overwritten: an
+    index that loaded without error before the crc, and moved the term's top
+    hit (with 1) or made `retrieve` raise a bare IndexError (with 10**6)."""
+    toy = build_index(load_corpus(TOY / "corpus.jsonl"), Analyzer())
+    toy.save(tmp_path / "idx")
+    path = tmp_path / "idx" / "postings.bin"
+    raw = path.read_bytes()
+    at = len(raw) - 4 - 4 * 2 * len(toy.docs) + 4 * toy.starts[toy.ids["anemone"]]
+    assert int.from_bytes(raw[at:at + 4], "little") == toy.postings("anemone")[0][0]
+    for word in (1, 10**6):
+        path.write_bytes(raw[:at] + word.to_bytes(4, "little") + raw[at + 4:])
+        with pytest.raises(IndexingError, match="crc32 check; rebuild it with "
+                                                "`genqr index --force`$"):
+            PostingsIndex.load(tmp_path / "idx", Analyzer())
 
 
 # --- properties ---
@@ -532,3 +555,32 @@ def test_build_save_load_preserves_index(corpus, weights):
             return type(e)
 
     assert outcome(loaded) == outcome(index)
+
+
+_STORED_WORDS = [0, 1, 2, 7, 1000, 10**6, 2**32 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=st.lists(_doc, max_size=6), data=st.data())
+def test_any_changed_byte_or_word_fails_the_load(corpus, data):
+    """One byte of postings.bin XORed with a nonzero mask, or one 4-aligned
+    word overwritten with a value it does not hold, anywhere in the file:
+    the crc32 catches every such change."""
+    docs = [Document(f"d{i}", " ".join(word for word, tf in doc for _ in range(tf)))
+            for i, doc in enumerate(corpus)]
+    with tempfile.TemporaryDirectory() as tmp:
+        build_index(docs, Analyzer()).save(tmp)
+        path = Path(tmp) / "postings.bin"
+        raw = path.read_bytes()
+        if data.draw(st.booleans(), label="flip a byte"):
+            at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            edited = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+        else:
+            at = 4 * data.draw(st.integers(0, len(raw) // 4 - 1), label="word")
+            word = data.draw(st.sampled_from(_STORED_WORDS).filter(
+                lambda w: w.to_bytes(4, "little") != raw[at:at + 4]), label="value")
+            edited = raw[:at] + word.to_bytes(4, "little") + raw[at + 4:]
+        path.write_bytes(edited)
+        with pytest.raises(IndexingError, match="rebuild it with `genqr index --force`$"):
+            PostingsIndex.load(tmp, Analyzer())

@@ -66,10 +66,11 @@ CATALOG = [
            "for row, flag in zip(tested, holm_bonferroni(",
            "for row, flag in zip(rows, holm_bonferroni(",
            ("tests/test_cli.py::test_eval_holm_flags_only_the_tested_rows",)),
-    Mutant("feedback helper names the wrong qid", "prf.py",
-           "return _feedback_set(run.qid,",
-           "return _feedback_set(run.entries[0].docno,",
-           ("tests/test_prf.py::test_missing_docno_named",)),
+    Mutant("feedback names the wrong qid", "prf.py",
+           'f"qid {run.qid}: feedback docno',
+           'f"qid {run.entries[0].docno}: feedback docno',
+           ("tests/test_prf.py::test_missing_docno_named",
+            "tests/test_prf.py::test_oracle_missing_docno_named")),
     # --- a run's tag belongs to its file ---
     Mutant("read_run takes the last line's tag", "corpus_io.py",
            "tag = tag or line_tag",
@@ -236,12 +237,28 @@ CATALOG = [
            "                for d in ():\n                    at = bisect_left(",
            ("tests/test_index.py::test_pruned_terms_are_probed",
             "tests/test_index.py::test_retrieve_equals_exhaustive_top_k")),
-    Mutant("no docno tie-break in retrieve", "index.py",
-           "key=lambda d: (-acc[d], docnos[d])",
-           "key=lambda d: -acc[d]",
-           ("tests/test_index.py::test_doc_on_the_pruning_threshold_is_kept",
+    Mutant("no docno tie-break in retrieve", "corpus_io.py",
+           "key=lambda e: (-e[1], e[0])",
+           "key=lambda e: -e[1]",
+           ("tests/test_corpus_io.py::test_tie_scores_broken_by_docno",
+            "tests/test_index.py::test_ties_at_the_cut_go_by_docno",
+            "tests/test_index.py::test_doc_on_the_pruning_threshold_is_kept",
             "tests/test_index.py::test_retrieve_equals_exhaustive_top_k",
+            "tests/test_acceptance.py::test_criterion_1_bm25_oracle_equivalence",
             "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
+    Mutant("k-th score off by one", "index.py",
+           "cut = scores[-min(k, len(scores))]",
+           "cut = scores[-min(k + 1, len(scores))]",
+           ("tests/test_index.py::test_retrieve_ranks_only_the_docs_at_the_cut",)),
+    Mutant("theta from the (k+1)-th score", "index.py",
+           "heapq.nlargest(k, map(",
+           "heapq.nlargest(k + 1, map(",
+           ("tests/test_index.py::test_pruning_keeps_only_docs_that_can_reach_the_top_k",)),
+    Mutant("ties at the cut dropped", "index.py",
+           "if acc[d] >= cut]",
+           "if acc[d] > cut]",
+           ("tests/test_index.py::test_ties_at_the_cut_go_by_docno",
+            "tests/test_index.py::test_retrieve_equals_exhaustive_top_k")),
     # --- feedback and RM3 ---
     Mutant("feedback from ranks 2 to m+1", "cli.py",
            "first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)",

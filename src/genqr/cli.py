@@ -20,10 +20,7 @@ import argparse
 import dataclasses
 import json
 import logging
-import shlex
-import subprocess
 import sys
-import tempfile
 from itertools import islice
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -216,6 +213,10 @@ def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
     two files live in a temporary directory under `out_dir`, removed once
     the output is read or the hook fails, so no run file but the run's own
     is left there."""
+    import shlex  # here, not at module top: only a run with a reranker loads them
+    import subprocess
+    import tempfile
+
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{cfg.run_tag}.rerank-", dir=out_dir) as tmp:
         cand_path = Path(tmp) / f"{cfg.run_tag}.candidates.run"

@@ -18,13 +18,14 @@ identically to the same term listed once with weight 2.
 `bm25_scores` scores every candidate and is the reference path. `retrieve`
 returns the same top k, with the same scores bit for bit, doing less work:
 it sums each doc's partials into a dense per-ordinal list, in the query's
-term order as `bm25_scores` does, and keeps the top k with a heap. It also
-prunes, after MaxScore (Turtle & Flood, IP&M 1995). With k1 >= 0 and
-0 <= b <= 1 every doc norm is >= 0, so a term's partial never exceeds its
-bound U = w * idf * (k1 + 1). Once the bounds of the unscanned terms sum to
-less than the k-th best score so far, no unseen doc can reach the top k:
-the remaining lists only update the docs that still can, found by
-bisection in a long list. No per-term statistic beyond df is needed.
+term order as `bm25_scores` does, and ranks only the docs at or above the
+k-th best score, through `RunList.from_scores`. It also prunes, after
+MaxScore (Turtle & Flood, IP&M 1995). With k1 >= 0 and 0 <= b <= 1 every
+doc norm is >= 0, so a term's partial never exceeds its bound
+U = w * idf * (k1 + 1). Once the bounds of the unscanned terms sum to less
+than the k-th best score so far, no unseen doc can reach the top k: the
+remaining lists only update the docs that still can, found by bisection.
+No per-term statistic beyond df is needed.
 
 `build_index` inverts by occurrence (Witten, Moffat & Bell, *Managing
 Gigabytes*, ch. 5): one pass over each doc's tokens appends the doc's
@@ -61,14 +62,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .analysis import Analyzer
-from .corpus_io import Document, RunEntry, RunList, atomic_writer
+from .corpus_io import Document, RunList, atomic_writer
 
 _MAGIC = b"GQRPOST3"  # also the format version: a file of another version fails its check
 _U32 = "I"  # array typecode of the postings columns: 4 bytes on CPython's platforms
 _REBUILD = "rebuild it with `genqr index --force`"
+Column = Sequence[int]  # a uint32 array, or a memoryview of a loaded file's bytes
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -116,7 +118,7 @@ class PostingsIndex:
     analyzer config, docnos, doc lengths and terms."""
 
     def __init__(self, analyzer: Analyzer, docnos: List[str], doc_lengths: List[int],
-                 terms: List[str], df: array, cf: array, docs: array, tfs: array):
+                 terms: List[str], df: Column, cf: Column, docs: Column, tfs: Column):
         self.analyzer = analyzer
         self.docnos, self.doc_lengths = docnos, doc_lengths
         self.terms, self.dfs, self.cfs, self.docs, self.tfs = terms, df, cf, docs, tfs
@@ -141,7 +143,7 @@ class PostingsIndex:
         i = self.ids.get(term)
         return 0 if i is None else self.cfs[i]
 
-    def postings(self, term: str) -> Tuple[array, array]:
+    def postings(self, term: str) -> Tuple[Column, Column]:
         """The doc ordinals, ascending, and tfs of an indexed term."""
         i = self.ids[term]
         start, end = self.starts[i], self.starts[i + 1]
@@ -199,11 +201,12 @@ class PostingsIndex:
         scanned, and theta the k-th best score so far less a 1e-9 relative
         slack. If rest < theta, no doc yet unseen can enter the top k, so the
         candidates shrink to the seen docs with score + rest >= theta, and
-        each later term adds its partial to those alone: by bisection when
-        its list is over 8 times longer than the candidates, else by a
-        filtered scan. Theta is only computed when rest is below the bounds
-        already scanned and the unscanned postings at least double the seen
-        docs, as otherwise pruning cannot fire or cannot pay.
+        each later term adds its partial to those alone, found by bisection.
+        Theta is only computed when rest is below the bounds already scanned
+        and the unscanned postings at least double the seen docs, as
+        otherwise pruning cannot fire or cannot pay. Last, the docs at or
+        above the k-th best score, ties at the cut included, are ranked by
+        `RunList.from_scores` and cut at k.
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
@@ -234,30 +237,28 @@ class PostingsIndex:
                 theta = heapq.nlargest(k, map(acc.__getitem__, seen))[-1] * (1.0 - _PRUNE_SLACK)
                 if rest < theta:
                     candidates = sorted(d for d in seen if acc[d] + rest >= theta)
-                    keep = set(candidates)
             if candidates is None:
                 block = docs[start:end]
                 seen.update(block)
                 for d, tf in zip(block, tfs[start:end]):
                     acc[d] += scale * tf * k1_plus_1 / (tf + norms[d])
-            elif 8 * len(candidates) < end - start:
+            else:
                 at = start
                 for d in candidates:
                     at = bisect_left(docs, d, at, end)
                     if at < end and docs[at] == d:
                         tf = tfs[at]
                         acc[d] += scale * tf * k1_plus_1 / (tf + norms[d])
-            else:
-                for d, tf in zip(docs[start:end], tfs[start:end]):
-                    if d in keep:
-                        acc[d] += scale * tf * k1_plus_1 / (tf + norms[d])
             scanned += bound
             unscanned -= end - start
 
-        docnos = self.docnos
-        top = heapq.nsmallest(k, seen if candidates is None else candidates,
-                              key=lambda d: (-acc[d], docnos[d]))
-        return RunList(qid=query.qid, entries=[RunEntry(docnos[d], acc[d]) for d in top])
+        pool = seen if candidates is None else candidates
+        scores = sorted(map(acc.__getitem__, pool))
+        cut = scores[-min(k, len(scores))]  # the k-th best score, or the worst if fewer
+        top = [(self.docnos[d], acc[d]) for d in pool if acc[d] >= cut]  # ties at the cut too
+        run = RunList.from_scores(query.qid, top)
+        del run.entries[k:]
+        return run
 
     # --- persistence ---
 
@@ -317,9 +318,9 @@ class PostingsIndex:
             raise IndexingError(
                 f"{path}: postings.bin has {n_words} words after its header, which do not "
                 f"fit {n_docs} docs and {n_terms} terms; {_REBUILD}")
-        columns = array(_U32)
-        columns.frombytes(memoryview(raw)[end + 1:-4])
+        columns = memoryview(raw)[end + 1:-4].cast(_U32)  # views of raw: no column is copied
         if sys.byteorder == "big":
+            columns = array(_U32, columns)
             columns.byteswap()
         df_at, cf_at, docs_at = n_docs, n_docs + n_terms, n_docs + 2 * n_terms
         df = columns[df_at:cf_at]

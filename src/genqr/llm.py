@@ -33,7 +33,6 @@ import re
 import threading
 import time
 import urllib.parse
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -435,6 +434,8 @@ def cached_generate(cache: Optional[ResponseCache], backend: Backend,
             misses[key] = request
         else:
             results[key] = hit
+
+    from concurrent.futures import Future, ThreadPoolExecutor  # here: see HttpBackend._post
 
     futures: Dict[str, Future] = {}
     pool = ThreadPoolExecutor(backend.max_in_flight, thread_name_prefix="genqr-backend")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 from .corpus_io import Qrels, RunList
 from .index import PostingsIndex, WeightedQuery
@@ -56,33 +56,27 @@ class FeedbackSet:
         return len(self.docs)
 
 
-def _feedback_set(qid: str, docnos: Sequence[str], corpus_lookup: Callable[[str], str],
-                  m: int) -> FeedbackSet:
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    docs = []
-    for docno in docnos[:m]:
-        try:
-            docs.append(FeedbackDoc(docno, corpus_lookup(docno)))
-        except KeyError:
-            raise FeedbackError(
-                f"qid {qid}: feedback docno {docno!r} missing from corpus") from None
-    return FeedbackSet(qid=qid, docs=tuple(docs))
-
-
 def select_feedback(run: RunList, corpus_lookup: Callable[[str], str],
                     m: int) -> FeedbackSet:
     """Top-m run documents with texts resolved; fewer than m available -> all."""
-    return _feedback_set(run.qid, [e.docno for e in run.entries], corpus_lookup, m)
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    docs = []
+    for entry in run.entries[:m]:
+        try:
+            docs.append(FeedbackDoc(entry.docno, corpus_lookup(entry.docno)))
+        except KeyError:
+            raise FeedbackError(
+                f"qid {run.qid}: feedback docno {entry.docno!r} missing from corpus") from None
+    return FeedbackSet(qid=run.qid, docs=tuple(docs))
 
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
                            qid: str, m: int) -> FeedbackSet:
-    """The m highest-graded relevant documents, grade desc then docno asc;
-    none for a topic without a judged relevant document."""
-    relevant = qrels.relevant(qid, min_rel=1)
-    ordered = sorted(relevant, key=lambda docno: (-relevant[docno], docno))
-    return _feedback_set(qid, ordered, corpus_lookup, m)
+    """The m highest-graded relevant documents, ranked as a run with their
+    grades as scores; none for a topic without a judged relevant document."""
+    graded = RunList.from_scores(qid, qrels.relevant(qid, min_rel=1).items())
+    return select_feedback(graded, corpus_lookup, m)
 
 
 def _smoothed_lm(tf: Dict[str, int], doc_len: int, index: PostingsIndex,

@@ -1,11 +1,14 @@
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TOY
 from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunEntry,
                              RunList, Topic, atomic_writer, load_corpus,
                              load_qrels, load_topics, read_run, write_jsonl, write_run)
@@ -432,3 +435,59 @@ def test_qrels_relevant_filter():
     assert qrels.relevant("1") == {"a": 3, "b": 1}
     assert qrels.relevant("1", min_rel=2) == {"a": 3}
     assert qrels.judged("1") == {"a": 3, "b": 1, "c": 0}
+
+
+# --- byte mutation ---
+
+
+def _toy_inputs():
+    """Each reader's input, made from the toy corpus, topics and qrels."""
+    docs = list(load_corpus(TOY / "corpus.jsonl"))
+    topics = load_topics(TOY / "topics.tsv")
+    qrels = (TOY / "qrels.txt").read_text(encoding="utf-8")
+    run = "".join(f"{qid} Q0 {docno} {rank} {1.0 / rank:.6f} toy\n"
+                  for rank, (qid, _, docno, _) in enumerate(
+                      (line.split() for line in qrels.splitlines()), start=1))
+    return {
+        "corpus-jsonl": (_read_corpus("jsonl"), (TOY / "corpus.jsonl").read_text("utf-8")),
+        "corpus-tsv": (_read_corpus("tsv"), "".join(f"{d.docno}\t{d.text}\n" for d in docs)),
+        "corpus-trec-text": (_read_corpus("trec-text"), "".join(
+            f"<DOC>\n<DOCNO>{d.docno}</DOCNO>\n<TEXT>\n{d.text}\n</TEXT>\n</DOC>\n"
+            for d in docs)),
+        "topics-tsv": (_read_topics("tsv"), (TOY / "topics.tsv").read_text("utf-8")),
+        "topics-trec-topic": (_read_topics("trec-topic"), "".join(
+            f"<top>\n<num> Number: {t.qid}\n<title> {t.query}\n</top>\n" for t in topics)),
+        "qrels": (load_qrels, qrels),
+        "runs": (read_run, run),
+    }
+
+
+_TOY_INPUTS = _toy_inputs()
+# A byte replaced, inserted or deleted; its position is taken modulo the length.
+_BYTE_EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                       st.integers(0, 2**16), st.integers(0, 255))
+
+
+@pytest.mark.parametrize("name", sorted(_TOY_INPUTS))
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(_BYTE_EDIT, min_size=1, max_size=3))
+def test_a_mutated_input_parses_or_fails_typed(name, edits):
+    """After 1-3 byte edits a toy input either parses, or raises
+    CorpusFormatError naming the file and a line; no other exception escapes."""
+    read, text = _TOY_INPUTS[name]
+    data = bytearray(text.encode("utf-8"))
+    for kind, at, byte in edits:
+        at %= len(data) + (kind == "insert")
+        if kind == "replace":
+            data[at] = byte
+        elif kind == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in"
+        path.write_bytes(data)
+        try:
+            read(path)
+        except CorpusFormatError as e:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(e)), str(e)

@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,59 @@ def test_pruning_threshold_absorbs_rounding():
     assert index.retrieve(query, 1, k1=0.0).entries[0].docno == "da"
 
 
+def test_ties_at_the_cut_go_by_docno():
+    # Ten docs tie, in index order d9, d8, ..., d0: the top 3 are the three
+    # lowest docnos, however many tie at the k-th score.
+    docs = [Document(f"d{i}", "tie") for i in reversed(range(10))] + [Document("x", "pad")]
+    index = build_index(docs, Analyzer())
+    query = WeightedQuery.from_terms("q", ["tie"])
+    run = index.retrieve(query, k=3)
+    expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 3)
+    assert [(e.docno, e.score) for e in run.entries] == expected
+    assert [e.docno for e in run.entries] == ["d0", "d1", "d2"]
+
+
+def test_pruning_keeps_only_docs_that_can_reach_the_top_k(monkeypatch):
+    # The three "rare" docs score apart by more than the bound of "head",
+    # which is in every doc: with k = 1 only the best rare doc can still win,
+    # so only it is probed in the head list.
+    docs = [Document(f"d{i:02d}", "rare " * (3 - i) if i < 3 else "filler") for i in range(30)]
+    docs = [Document(d.docno, d.text + " head") for d in docs]
+    index = build_index(docs, Analyzer())
+    probes = []
+
+    def counting(*args):
+        probes.append(args[1])
+        return bisect_left(*args)
+
+    bisect_left = index_module.bisect_left
+    monkeypatch.setattr(index_module, "bisect_left", counting)
+    query = WeightedQuery(qid="q", terms=(("rare", 1.0), ("head", 0.01)))
+    assert_rank_safe(index, query, k=1)
+    assert probes == [0]
+
+
+def test_retrieve_ranks_only_the_docs_at_the_cut(monkeypatch):
+    # 30 docs match; RunList.from_scores ranks the 2 that score at least the
+    # 2nd best score, not all 30.
+    docs = [Document(f"d{i:02d}", "term " * (1 + i % 5) + "pad " * (i % 7)) for i in range(30)]
+    index = build_index(docs, Analyzer())
+    ranked = []
+    from_scores = RunList.from_scores.__func__
+
+    def counting(cls, qid, scored):
+        scored = list(scored)
+        ranked.append(len(scored))
+        return from_scores(cls, qid, scored)
+
+    monkeypatch.setattr(RunList, "from_scores", classmethod(counting))
+    query = WeightedQuery.from_terms("q", ["term"])
+    run = index.retrieve(query, k=2)
+    assert ranked == [2]
+    expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 2)
+    assert [(e.docno, e.score) for e in run.entries] == expected
+
+
 # Rare terms pick a few docs, head terms are in nearly every doc: a query
 # that takes the rare terms first prunes the head terms' lists.
 _RARE, _HEAD = ["r0", "r1", "r2", "r3"], ["h0", "h1", "h2"]
@@ -388,6 +442,21 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.analyzer == index.analyzer
     query = WeightedQuery.from_terms("q", ["t1", "t5"])
     assert loaded.retrieve(query, k=10) == index.retrieve(query, k=10)
+
+
+def test_load_keeps_one_copy_of_the_file(tmp_path):
+    """While `load` runs, it holds at most one file size more than the
+    index it returns retains."""
+    build_index(make_corpus(random.Random(7), 2000, 400), Analyzer()).save(tmp_path)
+    size = (tmp_path / "postings.bin").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = PostingsIndex.load(tmp_path, Analyzer())
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.n_docs == 2000
+    assert peak - retained <= size
 
 
 def test_empty_index_roundtrips(tmp_path):

@@ -275,15 +275,19 @@ CATALOG = [
            "if cfg.method in FEEDBACK_METHODS else 0",
            ("tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle",)),
     Mutant("an empty feedback doc under mu = 0 divides by zero", "prf.py",
-           "    if doc_len + mu == 0:  # an empty document under mu = 0 gives every term 0\n"
-           "        return lambda term: 0.0\n",
-           "",
+           "p = (tf[term] + mu * p_coll[term]) / norm if norm else 0.0",
+           "p = (tf[term] + mu * p_coll[term]) / norm",
            ("tests/test_prf.py::test_empty_feedback_doc_under_mu_zero_gives_no_term_mass",
             "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
+    Mutant("RM3's P(t|C) reads df for cf", "prf.py",
+           "index.collection_freq(term) / total",
+           "index.df(term) / total",
+           ("tests/test_prf.py::test_frozen_two_doc_fixture",
+            "tests/test_acceptance.py::test_criterion_6_rm3_correctness")),
     Mutant("rm3_expand ignores params.mu", "prf.py",
-           "estimate_relevance_model(index, original, feedback, params) if",
+           "estimate_relevance_model(index, original, feedback, params).items()",
            "estimate_relevance_model(index, original, feedback,\n"
-           "                                         Rm3Params(fb_terms=params.fb_terms)) if",
+           "                                             Rm3Params(fb_terms=params.fb_terms)).items()",
            ("tests/test_acceptance.py::test_criterion_6_rm3_correctness",)),
 ]
 

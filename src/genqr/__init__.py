@@ -16,8 +16,8 @@ from .index import (DegenerateQueryError, PostingsIndex, WeightedQuery,
 from .llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                   ResponseCache, SamplingConfig, StubBackend, cache_key,
                   cached_generate)
-from .prf import (FeedbackDoc, FeedbackSet, estimate_relevance_model,
-                  rm3_expand, select_feedback, select_oracle_feedback)
+from .prf import (FeedbackSet, estimate_relevance_model, rm3_expand,
+                  select_feedback, select_oracle_feedback)
 from .reformulate import (InstructionSet, ReformulationConfig, build_context,
                           fuse, paraphrase_instructions, query_record,
                           reformulate_query)

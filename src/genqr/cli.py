@@ -27,8 +27,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import (ENSEMBLE_METHODS, FEEDBACK_METHODS, LLM_METHODS, ConfigError,
                      ExperimentConfig, load_config)
-from .corpus_io import (Qrels, RunList, Topic, atomic_writer, load_corpus, load_qrels,
-                        load_topics, read_run, write_jsonl, write_run)
+from .corpus_io import (Document, Qrels, RunList, Topic, atomic_writer, load_corpus,
+                        load_qrels, load_topics, read_run, write_jsonl, write_run)
 from .evaluation import (DEFAULT_METRICS, EvalReport, evaluate_run, holm_bonferroni,
                          missing_topics, paired_ttest, parse_metric, parse_metrics)
 from .index import PostingsIndex, WeightedQuery, build_index
@@ -95,15 +95,14 @@ class _QueryRunner:
         self.cfg = cfg
         self.index = index
         self.analyzer = index.analyzer
-        self.texts: Dict[str, str] = {}
+        self.docs: Dict[str, Document] = {}
         self.qrels: Optional[Qrels] = None
         self.generator: Optional[Generator] = None
         self.instructions: List[str] = []
         self.feedback_m = cfg.fb_docs if cfg.method in FEEDBACK_METHODS else 0
 
         if self.feedback_m:
-            self.texts = {doc.docno: doc.text
-                          for doc in load_corpus(cfg.corpus, cfg.corpus_format)}
+            self.docs = {doc.docno: doc for doc in load_corpus(cfg.corpus, cfg.corpus_format)}
             if cfg.feedback_mode == "oracle":
                 self.qrels = load_qrels(cfg.qrels)
         if cfg.method in LLM_METHODS:
@@ -117,10 +116,10 @@ class _QueryRunner:
         if m == 0:
             return None
         if self.qrels is not None:
-            feedback = select_oracle_feedback(self.qrels, self.texts.__getitem__, query.qid, m)
+            feedback = select_oracle_feedback(self.qrels, self.docs.__getitem__, query.qid, m)
         else:
             first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)
-            feedback = select_feedback(first_pass, self.texts.__getitem__, m)
+            feedback = select_feedback(first_pass, self.docs.__getitem__, m)
         if len(feedback) == 0:
             logger.warning("qid %s: no feedback documents, running without feedback",
                            query.qid)
@@ -392,6 +391,8 @@ def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> I
     """Generate `count` instructions (base + paraphrases) and persist them."""
     if cfg.backend is None:
         raise ConfigError("paraphrase needs a backend section")
+    if count < 1:  # checked before make_generator creates cache_dir
+        raise ValueError(f"count must be >= 1, got {count}")
     instructions = paraphrase_instructions(cfg.make_generator(), cfg.instructions.base,
                                            count)
     instructions.save(out_path)

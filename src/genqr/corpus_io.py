@@ -35,7 +35,7 @@ class CorpusFormatError(ValueError):
     """Malformed corpus/topics/qrels/run input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     docno: str
     text: str

@@ -13,15 +13,21 @@ Expansion candidates are the terms that occur in the feedback documents;
 the model is truncated to the top `fb_terms` terms and renormalized.
 Original query terms are always retained in the output. `Rm3Params` holds
 lam, mu and fb_terms, each with its default and bounds.
+
+`estimate_relevance_model` is one pass: each feedback document is analysed
+and counted once, and P(t|C) = cf(t) / |C| is computed once for each
+distinct term of the query and the feedback documents.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, Tuple
 
-from .corpus_io import Qrels, RunList
+from .corpus_io import Document, Qrels, RunList
 from .index import PostingsIndex, WeightedQuery
 from .schema import check_fields
 
@@ -42,54 +48,35 @@ class FeedbackError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FeedbackDoc:
-    docno: str
-    text: str
-
-
-@dataclass(frozen=True)
 class FeedbackSet:
     qid: str
-    docs: Tuple[FeedbackDoc, ...]
+    docs: Tuple[Document, ...]
 
     def __len__(self) -> int:
         return len(self.docs)
 
 
-def select_feedback(run: RunList, corpus_lookup: Callable[[str], str],
+def select_feedback(run: RunList, corpus_lookup: Callable[[str], Document],
                     m: int) -> FeedbackSet:
-    """Top-m run documents with texts resolved; fewer than m available -> all."""
+    """Top-m run documents, looked up by docno; fewer than m available -> all."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     docs = []
     for entry in run.entries[:m]:
         try:
-            docs.append(FeedbackDoc(entry.docno, corpus_lookup(entry.docno)))
+            docs.append(corpus_lookup(entry.docno))
         except KeyError:
             raise FeedbackError(
                 f"qid {run.qid}: feedback docno {entry.docno!r} missing from corpus") from None
     return FeedbackSet(qid=run.qid, docs=tuple(docs))
 
 
-def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], str],
+def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], Document],
                            qid: str, m: int) -> FeedbackSet:
     """The m highest-graded relevant documents, ranked as a run with their
     grades as scores; none for a topic without a judged relevant document."""
     graded = RunList.from_scores(qid, qrels.relevant(qid, min_rel=1).items())
     return select_feedback(graded, corpus_lookup, m)
-
-
-def _smoothed_lm(tf: Dict[str, int], doc_len: int, index: PostingsIndex,
-                 mu: float) -> Callable[[str], float]:
-    total = index.total_tokens
-    if doc_len + mu == 0:  # an empty document under mu = 0 gives every term 0
-        return lambda term: 0.0
-
-    def prob(term: str) -> float:
-        p_coll = index.collection_freq(term) / total if total else 0.0
-        return (tf.get(term, 0) + mu * p_coll) / (doc_len + mu)
-
-    return prob
 
 
 def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
@@ -103,42 +90,43 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
     if params.fb_terms == 0:
         return {}
 
+    mu, total = params.mu, index.total_tokens
     q_weights = original.aggregated()
-    doc_models = []
+    docs = [(Counter(tokens), len(tokens) + mu)
+            for tokens in map(index.analyzer.analyze, (doc.text for doc in feedback.docs))]
+    p_coll = {term: index.collection_freq(term) / total if total else 0.0
+              for term in set(chain(q_weights, *(tf for tf, _ in docs)))}
+
+    # Query likelihood under the same smoothing; terms absent from the whole
+    # collection carry no evidence and are skipped.
     log_likelihoods = []
-    for doc in feedback.docs:
-        tokens = index.analyzer.analyze(doc.text)
-        tf: Dict[str, int] = {}
-        for token in tokens:
-            tf[token] = tf.get(token, 0) + 1
-        lm = _smoothed_lm(tf, len(tokens), index, params.mu)
-        # Query likelihood under the same smoothing; terms absent from the
-        # whole collection carry no evidence and are skipped.
+    for tf, norm in docs:
         loglik = 0.0
         for term, weight in q_weights.items():
-            if weight <= 0 or index.collection_freq(term) == 0:
+            if weight <= 0 or p_coll[term] == 0:
                 continue
-            p = lm(term)
+            # an empty document under mu = 0 gives every term 0
+            p = (tf[term] + mu * p_coll[term]) / norm if norm else 0.0
             if p <= 0.0:
                 loglik = -math.inf
                 break
             loglik += weight * math.log(p)
-        doc_models.append((tf, lm))
         log_likelihoods.append(loglik)
 
-    # Normalize document posteriors in log space (scale-invariant downstream).
+    # Normalize document posteriors in log space (scale-invariant downstream);
+    # when every document gives the query probability 0, each gets the same.
     peak = max(log_likelihoods)
     if peak == -math.inf:
-        posteriors = [1.0 / len(feedback)] * len(feedback)
-    else:
-        raw = [math.exp(ll - peak) for ll in log_likelihoods]
-        total = math.fsum(raw)
-        posteriors = [r / total for r in raw]
+        log_likelihoods, peak = [0.0] * len(docs), 0.0
+    raw = [math.exp(ll - peak) for ll in log_likelihoods]
+    evidence = math.fsum(raw)
+    posteriors = [r / evidence for r in raw]
 
     scores: Dict[str, float] = {}
-    for (tf, lm), posterior in zip(doc_models, posteriors):
-        for term in tf:
-            scores[term] = scores.get(term, 0.0) + lm(term) * posterior
+    for (tf, norm), posterior in zip(docs, posteriors):
+        for term, count in tf.items():
+            p = (count + mu * p_coll[term]) / norm
+            scores[term] = scores.get(term, 0.0) + p * posterior
 
     top = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:params.fb_terms]
     mass = math.fsum(p for _, p in top)
@@ -157,14 +145,11 @@ def rm3_expand(index: PostingsIndex, original: WeightedQuery, feedback: Feedback
     q_total = math.fsum(q_weights.values())
     if q_total <= 0:
         raise ValueError(f"qid {original.qid}: degenerate original query")
-    q_model = {t: w / q_total for t, w in q_weights.items()}
-
     lam = params.lam
-    rel_model = estimate_relevance_model(index, original, feedback, params) if lam < 1.0 else {}
-
-    combined: Dict[str, float] = {t: lam * p for t, p in q_model.items()}
-    for term, p in rel_model.items():
-        combined[term] = combined.get(term, 0.0) + (1.0 - lam) * p
+    combined = {t: lam * (w / q_total) for t, w in q_weights.items()}
+    if lam < 1.0:
+        for term, p in estimate_relevance_model(index, original, feedback, params).items():
+            combined[term] = combined.get(term, 0.0) + (1.0 - lam) * p
 
     terms = tuple(sorted(combined.items(), key=lambda kv: (-kv[1], kv[0])))
     return WeightedQuery(qid=original.qid, terms=terms)

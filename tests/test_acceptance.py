@@ -18,7 +18,7 @@ from genqr.evaluation import (average_precision, evaluate_run,
                               parse_metric, precision_at_k)
 from genqr.index import WeightedQuery, build_index
 from genqr.llm import Backend, Generator, ReplayBackend
-from genqr.prf import (FeedbackDoc, FeedbackSet, Rm3Params, estimate_relevance_model,
+from genqr.prf import (FeedbackSet, Rm3Params, estimate_relevance_model,
                        rm3_expand, select_feedback)
 from genqr.reformulate import (InstructionSet, ReformulationConfig, build_context,
                                paraphrase_instructions, query_prompts,
@@ -134,8 +134,8 @@ def test_criterion_4_rf_degeneracy_and_prompt_prefix(tmp_path):
             return "kw"
 
     spy = Spy()
-    feedback = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "first text"),
-                                          FeedbackDoc("d2", "second")))
+    feedback = FeedbackSet(qid="1", docs=(Document("d1", "first text"),
+                                          Document("d2", "second")))
     from genqr.corpus_io import Topic
     topic = Topic("1", "goldfish growth")
     query = WeightedQuery.from_terms(topic.qid, Analyzer().analyze(topic.query))
@@ -185,9 +185,9 @@ def test_criterion_6_rm3_correctness():
     docs = [Document("d1", "a c c b"), Document("d2", "c b d d"),
             Document("d3", "a a d b"), Document("d4", "a b d c")]
     index = build_index(docs, Analyzer())
-    texts = {d.docno: d.text for d in docs}
+    by_docno = {d.docno: d for d in docs}
     run = RunList.from_scores("q", [("d1", 2.0), ("d2", 1.0)])
-    feedback = select_feedback(run, lambda d: texts[d], m=2)
+    feedback = select_feedback(run, lambda d: by_docno[d], m=2)
     query = WeightedQuery.from_terms("q", ["a", "b"])
 
     out = rm3_expand(index, query, feedback, Rm3Params(fb_terms=2, lam=0.5, mu=8.0))

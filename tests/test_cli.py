@@ -463,6 +463,40 @@ def test_yaml_config_with_comments_loads(tmp_path):
             load_config(cfg_path)
 
 
+def test_malformed_yaml_config_names_its_line(tmp_path):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text("corpus: a\n\tmethod: raw\n")  # a tab cannot indent YAML
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg_path))}:2: invalid YAML "
+                                          r"\(found character '\\t' that cannot start"):
+        load_config(cfg_path)
+
+
+# A key given twice, at the top and one level down: (file name, text, line).
+_REPEATED_KEYS = [
+    ("top.json", '{"method": "raw", "method": "rm3"}', None),
+    ("nested.json", '{"rm3": {"mu": 1.0, "lam": 0.2, "mu": 2.0}}', None),
+    ("top.yaml", "method: raw\nrun_tag: t\nmethod: rm3\n", 3),
+    ("nested.yaml", "rm3:\n  mu: 1.0\n  mu: 2.0\n", 3),
+]
+
+
+@pytest.mark.parametrize("name,text,lineno", _REPEATED_KEYS,
+                         ids=[row[0] for row in _REPEATED_KEYS])
+def test_config_key_given_twice_is_rejected(tmp_path, name, text, lineno):
+    cfg_path = tmp_path / name
+    cfg_path.write_text(text)
+    key = "method" if name.startswith("top") else "mu"
+    where = re.escape(str(cfg_path)) + (f":{lineno}: invalid YAML \\(" if lineno else ": ")
+    with pytest.raises(ConfigError, match=f"^{where}key '{key}' given twice"):
+        load_config(cfg_path)
+
+
+def test_yaml_merge_key_is_not_a_repeated_key(tmp_path):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text("rm3: {<<: {fb_terms: 3, mu: 1.0}, mu: 2.0}\n")
+    assert load_config(cfg_path).rm3 == Rm3Params(fb_terms=3, mu=2.0)
+
+
 def test_json_config_takes_exponent_floats(tmp_path):
     # YAML 1.1 reads 2.5e3 as a string; as JSON it is the float it looks like.
     cfg_path = tmp_path / "exp.json"
@@ -1129,6 +1163,17 @@ def test_paraphrase_starts_from_the_configured_instruction_set(tmp_path):
     cmd_paraphrase(cfg, count=3, out_path=tmp_path / "out.txt")
     assert (tmp_path / "out.txt").read_text().splitlines() == \
         ["Name search words for", "Give terms for", "Suggest words for"]
+
+
+def test_paraphrase_count_zero_creates_nothing(tmp_path):
+    cfg = config_from_dict({
+        "method": "raw", "cache_dir": str(tmp_path / "cache"),
+        "backend": {"kind": "replay",
+                    "transcript": str(genqr.data_path("replay", "goldfish.jsonl"))},
+    })
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+        cmd_paraphrase(cfg, count=0, out_path=tmp_path / "instructions.txt")
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_paraphrase_cache_key_keeps_512_tokens(tmp_path):

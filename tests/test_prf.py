@@ -18,7 +18,7 @@ def run_of(qid, docnos):
 
 
 def lookup_of(texts):
-    return lambda docno: texts[docno]
+    return lambda docno: Document(docno, texts[docno])
 
 
 # --- feedback selection ---
@@ -168,6 +168,19 @@ def test_relevance_model_smooths_every_feedback_doc():
     ref = rm3_oracle({d.docno: d.text.split() for d in docs}, ["d1", "d2"], {"w1": 1.0},
                      fb_terms=2, lam=0.0, mu=1.0)
     assert dict(out.terms) == pytest.approx(ref, abs=1e-9)
+
+
+def test_collection_probability_computed_once_per_term(monkeypatch):
+    # d1 and d2 share "b" and "c", and the query holds "a" and "b": the four
+    # distinct terms need one collection frequency each.
+    index = fixture_index()
+    calls = []
+    cf = type(index).collection_freq
+    monkeypatch.setattr(type(index), "collection_freq",
+                        lambda self, term: calls.append(term) or cf(self, term))
+    query = WeightedQuery.from_terms("q", ["a", "b", "a"])
+    estimate_relevance_model(index, query, fixture_feedback(), Rm3Params(fb_terms=4, mu=8.0))
+    assert sorted(calls) == ["a", "b", "c", "d"]
 
 
 def test_relevance_model_sums_to_one():

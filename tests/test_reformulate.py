@@ -11,11 +11,11 @@ from genqr.analysis import Analyzer
 from genqr import cli
 from genqr.cli import _QueryRunner, cmd_run
 from genqr.config import ConfigError
-from genqr.corpus_io import Topic, load_topics, read_run
+from genqr.corpus_io import Document, Topic, load_topics, read_run
 from genqr.index import DegenerateQueryError, WeightedQuery
 from genqr.llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                        ResponseCache, StubBackend, cache_key)
-from genqr.prf import FeedbackDoc, FeedbackSet
+from genqr.prf import FeedbackSet
 from genqr.reformulate import (InstructionSet, ReformulationConfig,
                                ReformulationError, build_context, fuse,
                                paraphrase_instructions, parse_paraphrase_list,
@@ -458,12 +458,12 @@ def test_feedback_methods_analyze_each_query_once(toy_cfg, toy_index, monkeypatc
 
 
 def test_context_is_space_joined():
-    fb = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "a b"), FeedbackDoc("d2", "c")))
+    fb = FeedbackSet(qid="1", docs=(Document("d1", "a b"), Document("d2", "c")))
     assert build_context(fb) == "a b c"
 
 
 def test_context_truncated_at_budget(caplog):
-    fb = FeedbackSet(qid="1", docs=(FeedbackDoc("d1", "x" * 100),))
+    fb = FeedbackSet(qid="1", docs=(Document("d1", "x" * 100),))
     with caplog.at_level("WARNING"):
         context = build_context(fb, budget=10)
     assert context == "x" * 10
@@ -473,7 +473,7 @@ def test_context_truncated_at_budget(caplog):
 def test_rf_prompt_golden():
     spy = SpyBackend()
     iset = InstructionSet.default()
-    fb = FeedbackSet(qid="156493", docs=(FeedbackDoc("d1", "goldfish live long"),))
+    fb = FeedbackSet(qid="156493", docs=(Document("d1", "goldfish live long"),))
     ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=1), context=build_context(fb))
     assert spy.prompts == [
         "Based on the given context information goldfish live long, "
@@ -489,7 +489,7 @@ def test_rf_instruction_prefix():
 
 def test_rf_records_context_in_provenance():
     stub = StubBackend(THESAURUS, seed=2, n_terms=3)
-    fb = FeedbackSet(qid="156493", docs=(FeedbackDoc("d1", "carp tank"),))
+    fb = FeedbackSet(qid="156493", docs=(Document("d1", "carp tank"),))
     context = build_context(fb)
     fused, keywords = ensemble(stub, InstructionSet.default(), GOLDFISH,
                                ReformulationConfig(n=2), context=context)

@@ -43,23 +43,23 @@ class Mutant(NamedTuple):
 CATALOG = [
     # --- a rank is the list position ---
     Mutant("write_run numbers from 0", "corpus_io.py",
-           "for rank, entry in enumerate(run.entries, start=1):\n"
+           "for rank, (docno, score) in enumerate(run.entries, start=1):\n"
            "                f.write(",
-           "for rank, entry in enumerate(run.entries, start=0):\n"
+           "for rank, (docno, score) in enumerate(run.entries, start=0):\n"
            "                f.write(",
            ("tests/test_corpus_io.py::test_run_line_format",
             "tests/test_corpus_io.py::test_read_run_resorts_and_reranks")),
     Mutant("mrr numbers from 0", "evaluation.py",
-           "    for rank, entry in enumerate(run.entries[:k], start=1):\n"
-           "        if entry.docno in relevant:\n"
+           "    for rank, (docno, _) in enumerate(run.entries[:k], start=1):\n"
+           "        if docno in relevant:\n"
            "            return 1.0 / rank",
-           "    for rank, entry in enumerate(run.entries[:k], start=0):\n"
-           "        if entry.docno in relevant:\n"
+           "    for rank, (docno, _) in enumerate(run.entries[:k], start=0):\n"
+           "        if docno in relevant:\n"
            "            return 1.0 / rank",
            ("tests/test_acceptance.py::test_criterion_2_metric_oracle_equivalence",)),
     Mutant("mrr@k reads rank k + 1", "evaluation.py",
-           "for rank, entry in enumerate(run.entries[:k], start=1)",
-           "for rank, entry in enumerate(run.entries[:k and k + 1], start=1)",
+           "for rank, (docno, _) in enumerate(run.entries[:k], start=1)",
+           "for rank, (docno, _) in enumerate(run.entries[:k and k + 1], start=1)",
            ("tests/test_evaluation.py::test_mrr_cases",
             "tests/test_acceptance.py::test_criterion_2_metric_oracle_equivalence")),
     Mutant("Holm flags zipped over every row", "cli.py",
@@ -68,7 +68,7 @@ CATALOG = [
            ("tests/test_cli.py::test_eval_holm_flags_only_the_tested_rows",)),
     Mutant("feedback names the wrong qid", "prf.py",
            'f"qid {run.qid}: feedback docno',
-           'f"qid {run.entries[0].docno}: feedback docno',
+           'f"qid {run.entries[0][0]}: feedback docno',
            ("tests/test_prf.py::test_missing_docno_named",
             "tests/test_prf.py::test_oracle_missing_docno_named")),
     # --- a run's tag belongs to its file ---
@@ -87,15 +87,46 @@ CATALOG = [
            ("tests/test_cli.py::test_eval_rejects_a_run_tag_with_a_slash_before_writing",)),
     # --- a score is a finite number ---
     Mutant("read_run takes a non-finite score", "corpus_io.py",
-           "        if not math.isfinite(score):\n",
-           "        if False:\n",
+           "            score = math.nan\n        if not math.isfinite(score):\n",
+           "            score = math.nan\n        if False:\n",
            ("tests/test_corpus_io.py::test_read_run_rejects_a_non_finite_score[nan]",
             "tests/test_corpus_io.py::test_read_run_rejects_a_non_finite_score[-inf]")),
     Mutant("RunList.validate passes a non-finite score", "corpus_io.py",
-           "            if not math.isfinite(entry.score):\n",
+           "            if not math.isfinite(score):\n",
            "            if False:\n",
            ("tests/test_corpus_io.py::test_write_run_rejects_a_non_finite_score[nan]",
             "tests/test_corpus_io.py::test_write_run_rejects_a_non_finite_score[inf]")),
+    # --- a backend fixture states each key and each prompt once ---
+    Mutant("vocab keeps the last of a repeated key", "llm.py",
+           "vocab = json.loads(read_text(vocab), object_pairs_hook=unique_keys)",
+           "vocab = json.loads(read_text(vocab))",
+           ("tests/test_cli.py::test_bad_backend_option_raises_config_error"
+            """[stub-{'vocab': '{"goldfish": ["carp"], "goldfish": ["koi"]}'}]""",)),
+    Mutant("vocab folds keys into one word in lower case", "llm.py",
+           "self.vocab = unique_keys((str(k).lower(), list(vs)) for k, vs in vocab.items())",
+           "self.vocab = {str(k).lower(): list(vs) for k, vs in vocab.items()}",
+           ("tests/test_cli.py::test_bad_backend_option_raises_config_error"
+            """[stub-{'vocab': '{"Goldfish": ["carp"], "goldfish": ["koi"]}'}]""",
+            "tests/test_cli.py::test_bad_backend_option_raises_config_error"
+            "[stub-{'vocab': {'Goldfish': ['carp'], 'goldfish': ['koi']}}]")),
+    Mutant("replay row keeps the last of a repeated key", "llm.py",
+           "row = json.loads(line, object_pairs_hook=unique_keys)",
+           "row = json.loads(line)",
+           ("tests/test_cli.py::test_bad_backend_option_raises_config_error"
+            """[replay-{'transcript': '{"prompt": "p0", "response": "r"}\\\\n"""
+            """{"prompt": "p1", "response": "a", "response": "b"}\\\\n'}]""",)),
+    Mutant("replay keeps the last response", "llm.py",
+           "if self._responses.setdefault(prompt, response) != response:",
+           "if self._responses.__setitem__(prompt, response):",
+           ("tests/test_cli.py::test_bad_backend_option_raises_config_error"
+            """[replay-{'transcript': '{"prompt": "p2", "response": "x"}\\\\n\\\\n"""
+            """{"prompt": "p2", "response": "y"}\\\\n'}]""",)),
+    # --- querywise and sweep write CSV ---
+    Mutant("CSV fields joined unquoted", "cli.py",
+           'csv.writer(f, lineterminator="\\n").writerows(rows)',
+           'f.writelines(",".join(row) + "\\n" for row in rows)',
+           ("tests/test_cli.py::test_querywise_quotes_a_qid_with_a_comma",
+            "tests/test_cli.py::test_sweep_quotes_a_value_with_a_quote")),
     # --- one metric, one evaluation; eval computes before it writes ---
     Mutant("a repeated metric is evaluated again", "evaluation.py",
            "        if spec.label in specs:\n",

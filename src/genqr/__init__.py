@@ -6,8 +6,8 @@ from importlib import resources
 from pathlib import Path
 
 from .analysis import Analyzer, porter_stem
-from .corpus_io import (Document, Qrels, RunEntry, RunList, Topic, load_corpus,
-                        load_qrels, load_topics, read_run, write_run)
+from .corpus_io import (Document, Qrels, RunList, Topic, load_corpus, load_qrels,
+                        load_topics, read_run, write_run)
 from .evaluation import (EvalReport, MetricSpec, average_precision,
                          evaluate_run, holm_bonferroni, mrr, ndcg_at_k,
                          paired_ttest, parse_metric, precision_at_k)
@@ -16,8 +16,8 @@ from .index import (DegenerateQueryError, PostingsIndex, WeightedQuery,
 from .llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                   ResponseCache, SamplingConfig, StubBackend, cache_key,
                   cached_generate)
-from .prf import (FeedbackSet, estimate_relevance_model, rm3_expand,
-                  select_feedback, select_oracle_feedback)
+from .prf import (estimate_relevance_model, rm3_expand, select_feedback,
+                  select_oracle_feedback)
 from .reformulate import (InstructionSet, ReformulationConfig, build_context,
                           fuse, paraphrase_instructions, query_record,
                           reformulate_query)

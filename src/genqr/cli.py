@@ -23,7 +23,7 @@ import logging
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import (ENSEMBLE_METHODS, FEEDBACK_METHODS, LLM_METHODS, ConfigError,
                      ExperimentConfig, load_config)
@@ -33,7 +33,7 @@ from .evaluation import (DEFAULT_METRICS, EvalReport, evaluate_run, holm_bonferr
                          missing_topics, paired_ttest, parse_metric, parse_metrics)
 from .index import PostingsIndex, WeightedQuery, build_index
 from .llm import Generator
-from .prf import FeedbackSet, rm3_expand, select_feedback, select_oracle_feedback
+from .prf import rm3_expand, select_feedback, select_oracle_feedback
 from .reformulate import (InstructionSet, build_context, paraphrase_instructions,
                           query_prompts, query_record, reformulate_query)
 
@@ -66,7 +66,7 @@ class _Prepared(NamedTuple):
 
     topic: Topic
     query: WeightedQuery
-    feedback: Optional[FeedbackSet]
+    feedback: Optional[Tuple[Document, ...]]
     context: Optional[str]
     prompts: List[str]
 
@@ -110,7 +110,7 @@ class _QueryRunner:
             self.instructions = cfg.instructions.all()[:n]
             self.generator = cfg.make_generator()
 
-    def _feedback(self, query: WeightedQuery) -> Optional[FeedbackSet]:
+    def _feedback(self, query: WeightedQuery) -> Optional[Tuple[Document, ...]]:
         """The method's feedback documents; None when it takes or finds none."""
         m, cfg = self.feedback_m, self.cfg
         if m == 0:
@@ -120,7 +120,7 @@ class _QueryRunner:
         else:
             first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)
             feedback = select_feedback(first_pass, self.docs.__getitem__, m)
-        if len(feedback) == 0:
+        if not feedback:
             logger.warning("qid %s: no feedback documents, running without feedback",
                            query.qid)
             return None
@@ -134,7 +134,7 @@ class _QueryRunner:
         context, prompts = None, []
         if self.generator is not None:
             if feedback is not None:
-                context = build_context(feedback, ref_cfg.context_budget)
+                context = build_context(topic.qid, feedback, ref_cfg.context_budget)
             prompts = query_prompts(topic.query, self.instructions, context,
                                     ref_cfg.prompt_template)
         return _Prepared(topic, query, feedback, context, prompts)
@@ -315,12 +315,17 @@ def cmd_querywise(run_a: str | Path, run_b: str | Path, qrels: Qrels,
     rows = [{"qid": q, "value_a": a, "value_b": report_b.per_query[q],
              "delta": a - report_b.per_query[q]} for q, a in report_a.per_query.items()]
     rows.sort(key=lambda r: (r["delta"], r["qid"]))
-    with atomic_writer(out_path) as f:
-        f.write("qid,value_a,value_b,delta\n")
-        for row in rows:
-            f.write(f"{row['qid']},{row['value_a']:.6f},{row['value_b']:.6f},"
-                    f"{row['delta']:.6f}\n")
+    _write_csv(out_path, [["qid", "value_a", "value_b", "delta"]] + [
+        [row["qid"], *(f"{row[k]:.6f}" for k in ("value_a", "value_b", "delta"))] for row in rows])
     return rows
+
+
+def _write_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write `rows` as CSV with "\\n" line ends, quoting a field with a comma or a quote."""
+    import csv  # here, not at module top: only querywise and sweep write CSV
+
+    with atomic_writer(path) as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 _SWEEP_PARAMS = {
@@ -378,10 +383,8 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
                      baseline=configs[0].run_tag, min_rel=cfg.min_rel)
     rows = [{"param": param, "value": value_of[row["run"]], "metric": row["metric"],
              "mean": row["mean"]} for row in table["rows"]]
-    with atomic_writer(out_path) as f:
-        f.write("param,value,metric,mean\n")
-        for row in rows:
-            f.write(f"{row['param']},{row['value']},{row['metric']},{row['mean']:.6f}\n")
+    _write_csv(out_path, [["param", "value", "metric", "mean"]] + [
+        [row["param"], str(row["value"]), row["metric"], f"{row['mean']:.6f}"] for row in rows])
     if failures:
         raise RuntimeError(f"{failures} queries failed during the sweep")
     return rows

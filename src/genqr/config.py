@@ -23,7 +23,7 @@ from .llm import (BACKENDS, DEFAULT_MAX_NEW_TOKENS, Backend, BackendError, Gener
                   ResponseCache, SamplingConfig)
 from .prf import FEEDBACK_MODES, Rm3Params
 from .reformulate import InstructionSet, ReformulationConfig
-from .schema import ConfigError, build, check_fields, check_value
+from .schema import ConfigError, build, check_fields, check_value, unique_keys
 
 METHODS = ("raw", "flanqr", "genqrensemble", "rm3", "flanprf", "genqrensemble_rf")
 FEEDBACK_METHODS = ("rm3", "flanprf", "genqrensemble_rf")
@@ -123,16 +123,6 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ExperimentConfi
     return build(ExperimentConfig, raw)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object; a key given twice is a ConfigError."""
-    mapping = {}
-    for key, value in pairs:
-        if key in mapping:
-            raise ConfigError(f"key {key!r} given twice")
-        mapping[key] = value
-    return mapping
-
-
 def _load_yaml(text: str, path: Path):
     """The YAML document in `text`. Malformed YAML, or a key given twice in
     one mapping, is a ConfigError `<path>:<line>: invalid YAML (...)`."""
@@ -165,7 +155,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except CorpusFormatError as e:
         raise ConfigError(str(e)) from None
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError:
         raw = _load_yaml(text, path)
     except ConfigError as e:

@@ -80,39 +80,32 @@ class Qrels:
         return list(self._by_qid.keys())
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    docno: str
-    score: float
-
-
 @dataclass
 class RunList:
-    """Ranked results for one query in TREC run semantics: an entry's rank
-    is its 1-based position in `entries`."""
+    """Ranked results for one query in TREC run semantics: `entries` are
+    (docno, score) pairs, and an entry's rank is its 1-based position."""
 
     qid: str
-    entries: List[RunEntry] = field(default_factory=list)
+    entries: List[Tuple[str, float]] = field(default_factory=list)
 
     @classmethod
     def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]]) -> "RunList":
         """Build a valid RunList: sort by score desc, docno asc."""
-        ordered = sorted(scored, key=lambda e: (-e[1], e[0]))
-        return cls(qid=qid, entries=[RunEntry(docno, score) for docno, score in ordered])
+        return cls(qid=qid, entries=sorted(scored, key=lambda e: (-e[1], e[0])))
 
     def validate(self) -> None:
         seen = set()
         prev_score = None
-        for i, entry in enumerate(self.entries, start=1):
-            if entry.docno in seen:
-                raise CorpusFormatError(f"qid {self.qid}: duplicate docno {entry.docno!r}")
-            seen.add(entry.docno)
-            if not math.isfinite(entry.score):
-                raise CorpusFormatError(f"qid {self.qid}: non-finite score {entry.score} "
+        for i, (docno, score) in enumerate(self.entries, start=1):
+            if docno in seen:
+                raise CorpusFormatError(f"qid {self.qid}: duplicate docno {docno!r}")
+            seen.add(docno)
+            if not math.isfinite(score):
+                raise CorpusFormatError(f"qid {self.qid}: non-finite score {score} "
                                         f"at rank {i}")
-            if prev_score is not None and entry.score > prev_score:
+            if prev_score is not None and score > prev_score:
                 raise CorpusFormatError(f"qid {self.qid}: scores increase at rank {i}")
-            prev_score = entry.score
+            prev_score = score
 
 
 def _record(path: Path, lineno: int, cls, *fields):
@@ -332,9 +325,8 @@ def write_run(runs: List[RunList], path: str | Path, tag: str) -> None:
         run.validate()
     with atomic_writer(path) as f:
         for run in runs:
-            for rank, entry in enumerate(run.entries, start=1):
-                f.write(f"{run.qid} Q0 {entry.docno} {rank} "
-                        f"{entry.score:.6f} {tag}\n")
+            for rank, (docno, score) in enumerate(run.entries, start=1):
+                f.write(f"{run.qid} Q0 {docno} {rank} {score:.6f} {tag}\n")
 
 
 def read_run(path: str | Path) -> Tuple[Optional[str], List[RunList]]:

@@ -92,8 +92,8 @@ def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:
     if not ideal_grades:
         return None
     dcg = 0.0
-    for i, entry in enumerate(run.entries[:k], start=1):
-        grade = judged.get(entry.docno, 0)
+    for i, (docno, _) in enumerate(run.entries[:k], start=1):
+        grade = judged.get(docno, 0)
         if grade > 0:
             dcg += grade / math.log2(i + 1)
     idcg = math.fsum(g / math.log2(i + 1)
@@ -108,8 +108,8 @@ def average_precision(run: RunList, qrels: Qrels, min_rel: int = 1) -> Optional[
         return None
     hits = 0
     total = 0.0
-    for i, entry in enumerate(run.entries, start=1):
-        if entry.docno in relevant:
+    for i, (docno, _) in enumerate(run.entries, start=1):
+        if docno in relevant:
             hits += 1
             total += hits / i
     return total / len(relevant)
@@ -122,8 +122,8 @@ def mrr(run: RunList, qrels: Qrels, min_rel: int = 1,
     relevant = qrels.relevant(run.qid, min_rel=min_rel)
     if not relevant:
         return None
-    for rank, entry in enumerate(run.entries[:k], start=1):
-        if entry.docno in relevant:
+    for rank, (docno, _) in enumerate(run.entries[:k], start=1):
+        if docno in relevant:
             return 1.0 / rank
     return 0.0
 
@@ -133,7 +133,7 @@ def precision_at_k(run: RunList, qrels: Qrels, k: int, min_rel: int = 1) -> Opti
     relevant = qrels.relevant(run.qid, min_rel=min_rel)
     if not relevant:
         return None
-    hits = sum(1 for entry in run.entries[:k] if entry.docno in relevant)
+    hits = sum(1 for docno, _ in run.entries[:k] if docno in relevant)
     return hits / k
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .corpus_io import read_text, write_jsonl
-from .schema import check_fields
+from .schema import ConfigError, check_fields, unique_keys
 
 logger = logging.getLogger(__name__)
 
@@ -121,17 +121,19 @@ class StubBackend(Backend):
     def __post_init__(self):
         super().__post_init__()
         vocab, source = self.vocab, "vocab"
-        if isinstance(vocab, (str, Path)):
-            source = str(vocab)
-            try:
-                vocab = json.loads(read_text(vocab))
-            except json.JSONDecodeError as e:
-                raise BackendError(f"{source}: invalid JSON ({e.msg})") from e
-        if not (isinstance(vocab, dict) and all(
-                isinstance(vs, list) and all(isinstance(v, str) for v in vs)
-                for vs in vocab.values())):
-            raise BackendError(f"{source}: a vocab must map words to lists of strings")
-        self.vocab = {str(k).lower(): list(vs) for k, vs in vocab.items()}
+        try:
+            if isinstance(vocab, (str, Path)):
+                source = str(vocab)
+                vocab = json.loads(read_text(vocab), object_pairs_hook=unique_keys)
+            if not (isinstance(vocab, dict) and all(
+                    isinstance(vs, list) and all(isinstance(v, str) for v in vs)
+                    for vs in vocab.values())):
+                raise BackendError(f"{source}: a vocab must map words to lists of strings")
+            self.vocab = unique_keys((str(k).lower(), list(vs)) for k, vs in vocab.items())
+        except json.JSONDecodeError as e:
+            raise BackendError(f"{source}: invalid JSON ({e.msg})") from e
+        except ConfigError as e:  # a key given twice, as written or in lower case
+            raise BackendError(f"{source}: {e}") from None
         blob = json.dumps(self.vocab, sort_keys=True, separators=(",", ":"))
         self._fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -173,14 +175,17 @@ class ReplayBackend(Backend):
     def __post_init__(self):
         super().__post_init__()
         self._responses: Dict[str, str] = {}
+        lines: Dict[str, int] = {}  # prompt -> the line that first records it
         raw = read_text(self.transcript)
         for lineno, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as e:
                 raise BackendError(f"{self.transcript}:{lineno}: invalid JSON ({e.msg})") from e
+            except ConfigError as e:
+                raise BackendError(f"{self.transcript}:{lineno}: {e}") from None
             if not (isinstance(row, dict) and isinstance(row.get("prompt"), str)
                     and isinstance(row.get("response"), str)):
                 raise BackendError(f"{self.transcript}:{lineno}: a row needs string "
@@ -190,7 +195,10 @@ class ReplayBackend(Backend):
             if recorded and recorded != prompt_digest(prompt):
                 raise BackendError(
                     f"{self.transcript}:{lineno}: prompt_digest does not match prompt")
-            self._responses[prompt] = response
+            first = lines.setdefault(prompt, lineno)
+            if self._responses.setdefault(prompt, response) != response:
+                raise BackendError(f"{self.transcript}:{lineno}: prompt {prompt_digest(prompt)} "
+                                   f"has another response at line {first}")
         self._fingerprint = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def identity(self) -> str:

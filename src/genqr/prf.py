@@ -47,32 +47,23 @@ class FeedbackError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class FeedbackSet:
-    qid: str
-    docs: Tuple[Document, ...]
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-
 def select_feedback(run: RunList, corpus_lookup: Callable[[str], Document],
-                    m: int) -> FeedbackSet:
+                    m: int) -> Tuple[Document, ...]:
     """Top-m run documents, looked up by docno; fewer than m available -> all."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     docs = []
-    for entry in run.entries[:m]:
+    for docno, _ in run.entries[:m]:
         try:
-            docs.append(corpus_lookup(entry.docno))
+            docs.append(corpus_lookup(docno))
         except KeyError:
             raise FeedbackError(
-                f"qid {run.qid}: feedback docno {entry.docno!r} missing from corpus") from None
-    return FeedbackSet(qid=run.qid, docs=tuple(docs))
+                f"qid {run.qid}: feedback docno {docno!r} missing from corpus") from None
+    return tuple(docs)
 
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], Document],
-                           qid: str, m: int) -> FeedbackSet:
+                           qid: str, m: int) -> Tuple[Document, ...]:
     """The m highest-graded relevant documents, ranked as a run with their
     grades as scores; none for a topic without a judged relevant document."""
     graded = RunList.from_scores(qid, qrels.relevant(qid, min_rel=1).items())
@@ -80,12 +71,13 @@ def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], Document
 
 
 def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
-                             feedback: FeedbackSet, params: Rm3Params) -> Dict[str, float]:
+                             feedback: Tuple[Document, ...],
+                             params: Rm3Params) -> Dict[str, float]:
     """Truncated, renormalized relevance model over feedback-document terms.
 
     Returns at most params.fb_terms (term -> probability) entries summing to 1.
     """
-    if len(feedback) == 0:
+    if not feedback:
         raise FeedbackError(f"qid {original.qid}: empty feedback set")
     if params.fb_terms == 0:
         return {}
@@ -93,7 +85,7 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
     mu, total = params.mu, index.total_tokens
     q_weights = original.aggregated()
     docs = [(Counter(tokens), len(tokens) + mu)
-            for tokens in map(index.analyzer.analyze, (doc.text for doc in feedback.docs))]
+            for tokens in map(index.analyzer.analyze, (doc.text for doc in feedback))]
     p_coll = {term: index.collection_freq(term) / total if total else 0.0
               for term in set(chain(q_weights, *(tf for tf, _ in docs)))}
 
@@ -135,10 +127,10 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
     return {term: p / mass for term, p in top}
 
 
-def rm3_expand(index: PostingsIndex, original: WeightedQuery, feedback: FeedbackSet,
-               params: Rm3Params) -> WeightedQuery:
+def rm3_expand(index: PostingsIndex, original: WeightedQuery,
+               feedback: Tuple[Document, ...], params: Rm3Params) -> WeightedQuery:
     """Interpolate the normalized original query with the relevance model."""
-    if len(feedback) == 0:
+    if not feedback:
         raise FeedbackError(f"qid {original.qid}: empty feedback set")
 
     q_weights = original.aggregated()

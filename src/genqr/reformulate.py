@@ -23,10 +23,9 @@ from string import Formatter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis import Analyzer
-from .corpus_io import Topic, atomic_writer, read_text
+from .corpus_io import Document, Topic, atomic_writer, read_text
 from .index import DegenerateQueryError, WeightedQuery
 from .llm import Generator
-from .prf import FeedbackSet
 from .schema import ConfigError, check_fields
 
 logger = logging.getLogger(__name__)
@@ -192,12 +191,13 @@ def fuse(original: WeightedQuery, expansions: Sequence[List[str]],
 # --- the pipeline --------------------------------------------------------------
 
 
-def build_context(feedback: FeedbackSet, budget: int = DEFAULT_CONTEXT_BUDGET) -> str:
+def build_context(qid: str, docs: Sequence[Document],
+                  budget: int = DEFAULT_CONTEXT_BUDGET) -> str:
     """Single-space join of feedback document texts, truncated to `budget` chars."""
-    context = " ".join(doc.text for doc in feedback.docs)
+    context = " ".join(doc.text for doc in docs)
     if len(context) > budget:
         logger.warning("qid %s: context truncated from %d to %d characters",
-                       feedback.qid, len(context), budget)
+                       qid, len(context), budget)
         context = context[:budget]
     return context
 

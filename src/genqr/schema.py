@@ -11,13 +11,24 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from functools import lru_cache
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Tuple, Union, get_args, get_origin, get_type_hints
 
 _hints = lru_cache(maxsize=None)(get_type_hints)
 
 
 class ConfigError(ValueError):
     pass
+
+
+def unique_keys(pairs: Iterable[Tuple[str, object]]) -> dict:
+    """A mapping of `pairs`, such as json's `object_pairs_hook` passes; a key
+    given twice is a ConfigError."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f"key {key!r} given twice")
+        mapping[key] = value
+    return mapping
 
 
 def check_value(name: str, tp, value, meta) -> None:

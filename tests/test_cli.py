@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -202,6 +203,19 @@ _BAD_BACKENDS = [
     ("stub", {"vocab": {"a": 5}}, "backend: vocab: a vocab must map words to lists of strings"),
     ("stub", {"vocab": {"a": ["b", 3]}},
      "backend: vocab: a vocab must map words to lists of strings"),
+    # a key given twice, as written or in lower case, and a prompt recorded twice
+    ("stub", {"vocab": '{"goldfish": ["carp"], "goldfish": ["koi"]}'},
+     "backend: .*bad.json: key 'goldfish' given twice"),
+    ("stub", {"vocab": '{"Goldfish": ["carp"], "goldfish": ["koi"]}'},
+     "backend: .*bad.json: key 'goldfish' given twice"),
+    ("stub", {"vocab": {"Goldfish": ["carp"], "goldfish": ["koi"]}},
+     "backend: vocab: key 'goldfish' given twice"),
+    ("replay", {"transcript": '{"prompt": "p0", "response": "r"}\n'
+                              '{"prompt": "p1", "response": "a", "response": "b"}\n'},
+     "backend: .*bad.jsonl:2: key 'response' given twice"),
+    ("replay", {"transcript": '{"prompt": "p2", "response": "x"}\n\n'
+                              '{"prompt": "p2", "response": "y"}\n'},
+     r"backend: .*bad.jsonl:3: prompt \w+ has another response at line 1"),
 ]
 
 
@@ -603,9 +617,9 @@ def test_raw_run_equals_direct_retrieval(toy_cfg, toy_index):
             WeightedQuery.from_terms(topic.qid, index.analyzer.analyze(topic.query)),
             k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b)
         got = next(r for r in runs if r.qid == topic.qid)
-        assert [e.docno for e in got.entries] == [e.docno for e in expected.entries]
-        for a, b in zip(got.entries, expected.entries):
-            assert a.score == pytest.approx(b.score, abs=1e-6)  # 6-decimal file format
+        assert [d for d, _ in got.entries] == [d for d, _ in expected.entries]
+        for (_, a), (_, b) in zip(got.entries, expected.entries):
+            assert a == pytest.approx(b, abs=1e-6)  # 6-decimal file format
     # provenance rows carry the fused weighted query
     rows = [json.loads(line) for line in ref_path.read_text().splitlines()]
     assert all(row["keywords"] == [] and row["context"] is None for row in rows)
@@ -645,7 +659,7 @@ def test_rf_oracle_vs_pseudo_differ_only_via_context(toy_cfg, toy_index):
         # pseudo context is the top-2 texts of a first-pass raw retrieval
         raw_query = WeightedQuery.from_terms(qid, index.analyzer.analyze(row_p["original"]))
         first = index.retrieve(raw_query, k=pseudo_cfg.retrieval_depth)
-        expected_pseudo = " ".join(corpus[e.docno] for e in first.entries[:2])
+        expected_pseudo = " ".join(corpus[d] for d, _ in first.entries[:2])
         assert row_p["context"] == expected_pseudo
 
 
@@ -692,8 +706,8 @@ def test_reranker_seam(toy_cfg, toy_index, tmp_path):
     run_plain, _, _ = cmd_run(plain)
     run_rerank, _, _ = cmd_run(rerank)
     for before, after in zip(read_run(run_plain)[1], read_run(run_rerank)[1]):
-        assert [e.docno for e in after.entries] == \
-            [e.docno for e in reversed(before.entries)]
+        assert [d for d, _ in after.entries] == \
+            [d for d, _ in reversed(before.entries)]
 
 
 def test_reranker_exchange_files_leave_output_dir(toy_cfg, toy_index, tmp_path):
@@ -868,6 +882,17 @@ def test_querywise_out_in_a_new_directory(toy_cfg, toy_index, tmp_path):
     assert [p.name for p in out.parent.iterdir()] == ["q.csv"]
 
 
+def test_querywise_quotes_a_qid_with_a_comma(tmp_path):
+    run_a, run_b, qrels = tmp_path / "a.run", tmp_path / "b.run", tmp_path / "qrels.txt"
+    run_a.write_text("q,1 Q0 d1 1 2.000000 a\n")
+    run_b.write_text("q,1 Q0 d2 1 2.000000 b\nq,1 Q0 d1 2 1.000000 b\n")
+    qrels.write_text("q,1 0 d1 1\n")
+    cmd_querywise(run_a, run_b, load_qrels(qrels), "mrr", tmp_path / "qw.csv")
+    with open(tmp_path / "qw.csv", newline="") as f:
+        assert list(csv.reader(f)) == [["qid", "value_a", "value_b", "delta"],
+                                       ["q,1", "1.000000", "0.500000", "0.500000"]]
+
+
 def test_querywise_without_relevant_documents_error(toy_cfg, toy_index, tmp_path):
     run_path, _, _ = cmd_run(toy_cfg("raw"))
     qrels = tmp_path / "qrels.txt"
@@ -946,6 +971,15 @@ def test_sweep_reports_like_eval(toy_cfg, toy_index, tmp_path):
     assert csv_means == table_means
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
         [f"method,{row['value']},{row['metric']},{row['mean']:.6f}" for row in rows]
+
+
+def test_sweep_quotes_a_value_with_a_quote(toy_cfg, toy_index, tmp_path):
+    cfg = toy_cfg("genqrensemble", tag="q", metrics=["map"])
+    template = '"{instruction}":{query}'
+    rows = cmd_sweep(cfg, "reformulation.prompt_template", [template], tmp_path / "sweep.csv")
+    with open(tmp_path / "sweep.csv", newline="") as f:
+        assert list(csv.reader(f))[1:] == [["reformulation.prompt_template", template, "map",
+                                            f"{rows[0]['mean']:.6f}"]]
 
 
 def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):

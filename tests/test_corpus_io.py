@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY
-from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunEntry,
-                             RunList, Topic, atomic_writer, load_corpus,
-                             load_qrels, load_topics, read_run, write_jsonl, write_run)
+from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunList, Topic,
+                             atomic_writer, load_corpus, load_qrels, load_topics,
+                             read_run, write_jsonl, write_run)
 
 
 # --- corpus loading ---
@@ -272,7 +272,7 @@ def test_qrels_hundred_lines(tmp_path):
 
 
 def test_run_line_format(tmp_path):
-    run = RunList(qid="1", entries=[RunEntry("d5", 2.5)])
+    run = RunList(qid="1", entries=[("d5", 2.5)])
     path = tmp_path / "r.run"
     write_run([run], path, "bm25")
     assert path.read_text() == "1 Q0 d5 1 2.500000 bm25\n"
@@ -289,7 +289,7 @@ def test_read_run_resorts_and_reranks(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 low 1 1.000000 t\n1 Q0 hi 2 9.000000 t\n")
     tag, (run,) = read_run(path)
-    assert [e.docno for e in run.entries] == ["hi", "low"]
+    assert [d for d, _ in run.entries] == ["hi", "low"]
     out = tmp_path / "out.run"  # the rank column is not read: ranks follow the new order
     write_run([run], out, tag)
     assert out.read_text() == "1 Q0 hi 1 9.000000 t\n1 Q0 low 2 1.000000 t\n"
@@ -321,7 +321,7 @@ def test_read_run_rejects_a_non_finite_score(tmp_path, score):
 
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
 def test_write_run_rejects_a_non_finite_score(tmp_path, score):
-    run = RunList(qid="1", entries=[RunEntry("a", 2.0), RunEntry("b", score)])
+    run = RunList(qid="1", entries=[("a", 2.0), ("b", score)])
     with pytest.raises(CorpusFormatError, match=f"qid 1: non-finite score {score} at rank 2"):
         write_run([run], tmp_path / "r.run", "t")
     assert not (tmp_path / "r.run").exists()
@@ -344,7 +344,7 @@ def test_read_run_names_a_file_by_its_first_tag(tmp_path):
 
 def test_tie_scores_broken_by_docno():
     run = RunList.from_scores("1", [("z", 1.0), ("a", 1.0), ("m", 2.0)])
-    assert [e.docno for e in run.entries] == ["m", "a", "z"]
+    assert [d for d, _ in run.entries] == ["m", "a", "z"]
 
 
 def test_write_read_roundtrip_randomized(tmp_path):
@@ -378,10 +378,10 @@ def test_write_read_roundtrip_property(tmp_path_factory, tag, runs):
 
 
 def test_write_run_validates_invariants(tmp_path):
-    bad = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("a", 0.5)])
+    bad = RunList(qid="1", entries=[("a", 1.0), ("a", 0.5)])
     with pytest.raises(CorpusFormatError, match="duplicate docno"):
         write_run([bad], tmp_path / "r.run", "t")
-    increasing = RunList(qid="1", entries=[RunEntry("a", 1.0), RunEntry("b", 2.0)])
+    increasing = RunList(qid="1", entries=[("a", 1.0), ("b", 2.0)])
     with pytest.raises(CorpusFormatError, match="increase"):
         write_run([increasing], tmp_path / "r.run", "t")
 
@@ -404,11 +404,11 @@ class _InterruptingScore(float):
 
 def test_interrupted_write_run_keeps_previous_run(tmp_path):
     path = tmp_path / "r.run"
-    write_run([RunList(qid="9", entries=[RunEntry("z", 3.0)])], path, "old")
+    write_run([RunList(qid="9", entries=[("z", 3.0)])], path, "old")
     before = path.read_bytes()
     # the second query's line raises after the first query's lines are written
-    first = RunList(qid="1", entries=[RunEntry("a", 2.0), RunEntry("b", 1.0)])
-    second = RunList(qid="2", entries=[RunEntry("c", _InterruptingScore(1.0))])
+    first = RunList(qid="1", entries=[("a", 2.0), ("b", 1.0)])
+    second = RunList(qid="2", entries=[("c", _InterruptingScore(1.0))])
     with pytest.raises(KeyboardInterrupt):
         write_run([first, second], path, "t")
     assert path.read_bytes() == before

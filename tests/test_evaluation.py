@@ -126,7 +126,7 @@ def test_rank_only_dependence():
     qrels = qrels_of("1", {"a": 2, "b": 1})
     base = run_of("1", ["b", "a", "c"])
     rescaled = RunList.from_scores(
-        "1", [(e.docno, e.score * 1000 + 7) for e in base.entries])
+        "1", [(d, s * 1000 + 7) for d, s in base.entries])
     for spec in [MetricSpec("ndcg", 3), MetricSpec("map"), MetricSpec("mrr"),
                  MetricSpec("precision", 3)]:
         a = evaluate_run([base], qrels, spec).per_query["1"]

@@ -160,9 +160,9 @@ def test_retrieve_matches_exhaustive_sort():
                                            for _ in range(4)])
     run = index.retrieve(query, k=10)
     expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 10)
-    assert [e.docno for e in run.entries] == [d for d, _ in expected]
-    for entry, (_, score) in zip(run.entries, expected):
-        assert entry.score == pytest.approx(score, abs=1e-9)
+    assert [d for d, _ in run.entries] == [d for d, _ in expected]
+    for (_, got), (_, score) in zip(run.entries, expected):
+        assert got == pytest.approx(score, abs=1e-9)
 
 
 def test_retrieve_deterministic():
@@ -184,9 +184,9 @@ def test_duplicate_terms_equal_weight_multiplicity():
         weighted = WeightedQuery(qid="q", terms=((term, float(mult)),))
         run_dup = index.retrieve(dup, k=20)
         run_w = index.retrieve(weighted, k=20)
-        assert [e.docno for e in run_dup.entries] == [e.docno for e in run_w.entries]
-        for a, b in zip(run_dup.entries, run_w.entries):
-            assert a.score == pytest.approx(b.score, abs=1e-9)
+        assert [d for d, _ in run_dup.entries] == [d for d, _ in run_w.entries]
+        for (_, a), (_, b) in zip(run_dup.entries, run_w.entries):
+            assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_tf_monotone_at_fixed_length_and_df():
@@ -195,7 +195,7 @@ def test_tf_monotone_at_fixed_length_and_df():
             Document("pad", "q w e")]
     index = build_index(docs, Analyzer())
     run = index.retrieve(WeightedQuery.from_terms("q", ["z"]), k=5)
-    assert [e.docno for e in run.entries] == ["hi", "lo"]
+    assert [d for d, _ in run.entries] == ["hi", "lo"]
 
 
 def test_oracle_equivalence_randomized():
@@ -253,7 +253,7 @@ def exhaustive(index, query, k, k1=1.2, b=0.75):
 
 
 def entries(run):
-    return [(e.docno, e.score.hex()) for e in run.entries]  # the rank is the position
+    return [(d, s.hex()) for d, s in run.entries]  # the rank is the position
 
 
 def assert_rank_safe(index, query, k, k1=1.2, b=0.75):
@@ -296,7 +296,7 @@ def test_doc_on_the_pruning_threshold_is_kept():
     assert s_y < s_x <= 2 * s_y  # no pruning before "y"; pruning before "z"
     query = WeightedQuery(qid="q", terms=tuple(weights.items()))
     assert_rank_safe(index, query, k=1, k1=0.0)
-    assert index.retrieve(query, 1, k1=0.0).entries[0].docno == "da"
+    assert index.retrieve(query, 1, k1=0.0).entries[0][0] == "da"
 
 
 def test_pruning_threshold_absorbs_rounding():
@@ -324,7 +324,7 @@ def test_pruning_threshold_absorbs_rounding():
         break
     query = WeightedQuery(qid="q", terms=(("x", w), ("y", w_y)))
     assert_rank_safe(index, query, k=1, k1=0.0)
-    assert index.retrieve(query, 1, k1=0.0).entries[0].docno == "da"
+    assert index.retrieve(query, 1, k1=0.0).entries[0][0] == "da"
 
 
 def test_ties_at_the_cut_go_by_docno():
@@ -335,8 +335,8 @@ def test_ties_at_the_cut_go_by_docno():
     query = WeightedQuery.from_terms("q", ["tie"])
     run = index.retrieve(query, k=3)
     expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 3)
-    assert [(e.docno, e.score) for e in run.entries] == expected
-    assert [e.docno for e in run.entries] == ["d0", "d1", "d2"]
+    assert run.entries == expected
+    assert [d for d, _ in run.entries] == ["d0", "d1", "d2"]
 
 
 def test_pruning_keeps_only_docs_that_can_reach_the_top_k(monkeypatch):
@@ -377,7 +377,7 @@ def test_retrieve_ranks_only_the_docs_at_the_cut(monkeypatch):
     run = index.retrieve(query, k=2)
     assert ranked == [2]
     expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 2)
-    assert [(e.docno, e.score) for e in run.entries] == expected
+    assert run.entries == expected
 
 
 # Rare terms pick a few docs, head terms are in nearly every doc: a query

@@ -90,6 +90,12 @@ def test_replay_rejects_tampered_digest(tmp_path):
         ReplayBackend(path)
 
 
+def test_replay_loads_a_prompt_recorded_twice_alike(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"prompt": "p", "response": "r"}\n' * 2)
+    assert ReplayBackend(path).generate(GenRequest(prompt="p")) == "r"
+
+
 # --- http ---
 
 

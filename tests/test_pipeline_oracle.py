@@ -104,15 +104,15 @@ def _assert_same(run, record, ranking, depth, weights, exact, where):
     oracle's by rounding, so docs tied in exact arithmetic may come in
     either order: each doc must then hold a rank its oracle score earns."""
     assert _fused(record) == pytest.approx(_positive(weights), abs=1e-9), where
-    scores = [e.score for e in run.entries]
+    scores = [s for _, s in run.entries]
     assert scores == pytest.approx([s for _, s in ranking[:depth]], abs=1e-9), where
     if exact:
-        assert [e.docno for e in run.entries] == [d for d, _ in ranking[:depth]], where
+        assert [d for d, _ in run.entries] == [d for d, _ in ranking[:depth]], where
         return
     oracle_score = dict(ranking)
-    assert len({e.docno for e in run.entries}) == len(run.entries), where
-    for entry in run.entries:
-        assert _near(oracle_score.get(entry.docno, -1.0), entry.score), where
+    assert len({d for d, _ in run.entries}) == len(run.entries), where
+    for docno, score in run.entries:
+        assert _near(oracle_score.get(docno, -1.0), score), where
 
 
 @settings(deadline=None)
@@ -143,7 +143,7 @@ def test_query_runner_matches_pipeline_oracle(inputs, params):
                     ranking, weights, feedback = expected[qid]
                     where = f"{method} ({mode}), qid {qid}"
                     taken = [] if step.feedback is None else \
-                        [d.docno for d in step.feedback.docs]
+                        [d.docno for d in step.feedback]
                     assert taken == feedback, where
                     if ranking is None:
                         with pytest.raises(DegenerateQueryError):

@@ -7,7 +7,7 @@ from oracles import rm3_oracle
 from genqr.analysis import Analyzer
 from genqr.corpus_io import Document, Qrels, RunList
 from genqr.index import WeightedQuery, build_index
-from genqr.prf import (FeedbackError, FeedbackSet, Rm3Params, estimate_relevance_model,
+from genqr.prf import (FeedbackError, Rm3Params, estimate_relevance_model,
                        rm3_expand, select_feedback, select_oracle_feedback)
 from genqr.schema import ConfigError
 
@@ -28,8 +28,8 @@ def test_top_m_of_run():
     run = run_of("1", [f"d{i}" for i in range(10)])
     texts = {f"d{i}": f"text {i}" for i in range(10)}
     fb = select_feedback(run, lookup_of(texts), m=5)
-    assert [d.docno for d in fb.docs] == ["d0", "d1", "d2", "d3", "d4"]
-    assert fb.docs[0].text == "text 0"
+    assert [d.docno for d in fb] == ["d0", "d1", "d2", "d3", "d4"]
+    assert fb[0].text == "text 0"
 
 
 def test_m_zero_empty_set():
@@ -60,14 +60,14 @@ def test_oracle_orders_by_grade():
     qrels = Qrels({("1", "d1"): 3, ("1", "d2"): 1, ("1", "d3"): 0})
     texts = {"d1": "a", "d2": "b", "d3": "c"}
     fb = select_oracle_feedback(qrels, lookup_of(texts), "1", m=2)
-    assert [d.docno for d in fb.docs] == ["d1", "d2"]
+    assert [d.docno for d in fb] == ["d1", "d2"]
 
 
 def test_oracle_tie_broken_by_docno():
     qrels = Qrels({("1", "d1"): 2, ("1", "d2"): 2})
     texts = {"d1": "a", "d2": "b"}
     fb = select_oracle_feedback(qrels, lookup_of(texts), "1", m=1)
-    assert [d.docno for d in fb.docs] == ["d1"]
+    assert [d.docno for d in fb] == ["d1"]
 
 
 def test_oracle_m_exceeding_relevant_count():
@@ -80,7 +80,7 @@ def test_oracle_m_exceeding_relevant_count():
 def test_oracle_without_relevant_docs():
     qrels = Qrels({("1", "d1"): 0})
     fb = select_oracle_feedback(qrels, lookup_of({}), "1", m=3)
-    assert fb == FeedbackSet(qid="1", docs=())
+    assert fb == ()
 
 
 # --- RM3 ---
@@ -125,7 +125,7 @@ def test_empty_feedback_doc_under_mu_zero_gives_no_term_mass():
     docs = [Document("d1", ""), Document("d2", "a b b")]
     fb = select_oracle_feedback(Qrels({("q", "d1"): 2, ("q", "d2"): 1}),
                                 lookup_of({d.docno: d.text for d in docs}), "q", m=2)
-    assert [d.docno for d in fb.docs] == ["d1", "d2"]
+    assert [d.docno for d in fb] == ["d1", "d2"]
     query = WeightedQuery.from_terms("q", ["a"])
     out = rm3_expand(build_index(docs, Analyzer()), query, fb,
                      Rm3Params(fb_terms=2, lam=0.0, mu=0.0))
@@ -209,7 +209,7 @@ def test_duplicated_feedback_docs_leave_model_unchanged():
     query = WeightedQuery.from_terms("q", ["a", "b"])
     texts = {d.docno: d.text for d in FIXTURE_DOCS}
     single = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), 2)
-    doubled = FeedbackSet(qid="q", docs=single.docs + single.docs)
+    doubled = single + single
     m1 = estimate_relevance_model(index, query, single, Rm3Params(fb_terms=4, mu=8.0))
     m2 = estimate_relevance_model(index, query, doubled, Rm3Params(fb_terms=4, mu=8.0))
     assert set(m1) == set(m2)
@@ -224,7 +224,7 @@ def test_bad_lambda_rejected():
 
 def test_empty_feedback_rejected():
     query = WeightedQuery.from_terms("q", ["a"])
-    empty = FeedbackSet(qid="q", docs=())
+    empty = ()
     with pytest.raises(FeedbackError, match="empty"):
         rm3_expand(fixture_index(), query, empty, Rm3Params(fb_terms=2, lam=0.5))
 

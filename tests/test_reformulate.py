@@ -15,7 +15,6 @@ from genqr.corpus_io import Document, Topic, load_topics, read_run
 from genqr.index import DegenerateQueryError, WeightedQuery
 from genqr.llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                        ResponseCache, StubBackend, cache_key)
-from genqr.prf import FeedbackSet
 from genqr.reformulate import (InstructionSet, ReformulationConfig,
                                ReformulationError, build_context, fuse,
                                paraphrase_instructions, parse_paraphrase_list,
@@ -458,14 +457,14 @@ def test_feedback_methods_analyze_each_query_once(toy_cfg, toy_index, monkeypatc
 
 
 def test_context_is_space_joined():
-    fb = FeedbackSet(qid="1", docs=(Document("d1", "a b"), Document("d2", "c")))
-    assert build_context(fb) == "a b c"
+    fb = (Document("d1", "a b"), Document("d2", "c"))
+    assert build_context("1", fb) == "a b c"
 
 
 def test_context_truncated_at_budget(caplog):
-    fb = FeedbackSet(qid="1", docs=(Document("d1", "x" * 100),))
+    fb = (Document("d1", "x" * 100),)
     with caplog.at_level("WARNING"):
-        context = build_context(fb, budget=10)
+        context = build_context("1", fb, budget=10)
     assert context == "x" * 10
     assert "truncated" in caplog.text
 
@@ -473,8 +472,9 @@ def test_context_truncated_at_budget(caplog):
 def test_rf_prompt_golden():
     spy = SpyBackend()
     iset = InstructionSet.default()
-    fb = FeedbackSet(qid="156493", docs=(Document("d1", "goldfish live long"),))
-    ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=1), context=build_context(fb))
+    fb = (Document("d1", "goldfish live long"),)
+    ensemble(spy, iset, GOLDFISH, ReformulationConfig(n=1),
+             context=build_context("156493", fb))
     assert spy.prompts == [
         "Based on the given context information goldfish live long, "
         "Improve the search effectiveness by suggesting expansion terms "
@@ -489,8 +489,8 @@ def test_rf_instruction_prefix():
 
 def test_rf_records_context_in_provenance():
     stub = StubBackend(THESAURUS, seed=2, n_terms=3)
-    fb = FeedbackSet(qid="156493", docs=(Document("d1", "carp tank"),))
-    context = build_context(fb)
+    fb = (Document("d1", "carp tank"),)
+    context = build_context("156493", fb)
     fused, keywords = ensemble(stub, InstructionSet.default(), GOLDFISH,
                                ReformulationConfig(n=2), context=context)
     record = query_record(GOLDFISH, fused, keywords, context)

@@ -43,23 +43,23 @@ class Mutant(NamedTuple):
 CATALOG = [
     # --- a rank is the list position ---
     Mutant("write_run numbers from 0", "corpus_io.py",
-           "for rank, (docno, score) in enumerate(run.entries, start=1):\n"
+           "for rank, (docno, score) in enumerate(ranking, start=1):\n"
            "                f.write(",
-           "for rank, (docno, score) in enumerate(run.entries, start=0):\n"
+           "for rank, (docno, score) in enumerate(ranking, start=0):\n"
            "                f.write(",
            ("tests/test_corpus_io.py::test_run_line_format",
             "tests/test_corpus_io.py::test_read_run_resorts_and_reranks")),
     Mutant("mrr numbers from 0", "evaluation.py",
-           "    for rank, (docno, _) in enumerate(run.entries[:k], start=1):\n"
+           "    for rank, (docno, _) in enumerate(ranking[:k], start=1):\n"
            "        if docno in relevant:\n"
            "            return 1.0 / rank",
-           "    for rank, (docno, _) in enumerate(run.entries[:k], start=0):\n"
+           "    for rank, (docno, _) in enumerate(ranking[:k], start=0):\n"
            "        if docno in relevant:\n"
            "            return 1.0 / rank",
            ("tests/test_acceptance.py::test_criterion_2_metric_oracle_equivalence",)),
     Mutant("mrr@k reads rank k + 1", "evaluation.py",
-           "for rank, (docno, _) in enumerate(run.entries[:k], start=1)",
-           "for rank, (docno, _) in enumerate(run.entries[:k and k + 1], start=1)",
+           "for rank, (docno, _) in enumerate(ranking[:k], start=1)",
+           "for rank, (docno, _) in enumerate(ranking[:k and k + 1], start=1)",
            ("tests/test_evaluation.py::test_mrr_cases",
             "tests/test_acceptance.py::test_criterion_2_metric_oracle_equivalence")),
     Mutant("Holm flags zipped over every row", "cli.py",
@@ -67,8 +67,8 @@ CATALOG = [
            "for row, flag in zip(rows, holm_bonferroni(",
            ("tests/test_cli.py::test_eval_holm_flags_only_the_tested_rows",)),
     Mutant("feedback names the wrong qid", "prf.py",
-           'f"qid {run.qid}: feedback docno',
-           'f"qid {run.entries[0][0]}: feedback docno',
+           'f"qid {qid}: feedback docno',
+           'f"qid {ranking[0][0]}: feedback docno',
            ("tests/test_prf.py::test_missing_docno_named",
             "tests/test_prf.py::test_oracle_missing_docno_named")),
     # --- a run's tag belongs to its file ---
@@ -91,11 +91,15 @@ CATALOG = [
            "            score = math.nan\n        if False:\n",
            ("tests/test_corpus_io.py::test_read_run_rejects_a_non_finite_score[nan]",
             "tests/test_corpus_io.py::test_read_run_rejects_a_non_finite_score[-inf]")),
-    Mutant("RunList.validate passes a non-finite score", "corpus_io.py",
+    Mutant("write_run passes a non-finite score", "corpus_io.py",
            "            if not math.isfinite(score):\n",
            "            if False:\n",
            ("tests/test_corpus_io.py::test_write_run_rejects_a_non_finite_score[nan]",
             "tests/test_corpus_io.py::test_write_run_rejects_a_non_finite_score[inf]")),
+    Mutant("write_run accepts a repeated docno", "corpus_io.py",
+           "            if docno in seen:\n                raise CorpusFormatError(f\"qid {qid}: duplicate",
+           "            if False:\n                raise CorpusFormatError(f\"qid {qid}: duplicate",
+           ("tests/test_corpus_io.py::test_write_run_validates_invariants",)),
     # --- a backend fixture states each key and each prompt once ---
     Mutant("vocab keeps the last of a repeated key", "llm.py",
            "vocab = json.loads(read_text(vocab), object_pairs_hook=unique_keys)",
@@ -141,6 +145,11 @@ CATALOG = [
            ("tests/test_cli.py::test_bad_alpha_leaves_out_uncreated",
             "tests/test_cli.py::test_eval_evaluates_a_metric_once",
             "tests/test_cli.py::test_eval_rejects_a_run_tag_with_a_slash_before_writing")),
+    Mutant("evaluate_run drops missing judged topics", "evaluation.py",
+           "for qid in [*run, *missing_topics(run, qrels)]:",
+           "for qid in run:",
+           ("tests/test_evaluation.py::test_evaluate_run_scores_missing_judged_topics_zero",
+            "tests/test_evaluation.py::test_evaluate_run_matches_the_oracles_topic_by_topic")),
     # --- fusion ---
     Mutant("fuse never dedups", "reformulate.py",
            "    if config.dedup:\n        expansion = dict.fromkeys(expansion)",
@@ -293,9 +302,13 @@ CATALOG = [
     # --- feedback and RM3 ---
     Mutant("feedback from ranks 2 to m+1", "cli.py",
            "first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)",
-           "first_pass = self.index.retrieve(query, k=m + 1, k1=cfg.k1, b=cfg.b)\n"
-           "            first_pass.entries = first_pass.entries[1:]",
+           "first_pass = self.index.retrieve(query, k=m + 1, k1=cfg.k1, b=cfg.b)[1:]",
            ("tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle",)),
+    Mutant("oracle feedback ignores min_rel", "cli.py",
+           "query.qid, m,\n                                              cfg.min_rel)",
+           "query.qid, m)",
+           ("tests/test_cli.py::test_oracle_feedback_takes_the_docs_at_min_rel[3-taken1]",
+            "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
     Mutant("rm3 ignores oracle mode", "cli.py",
            '            if cfg.feedback_mode == "oracle":\n',
            '            if cfg.feedback_mode == "oracle" and cfg.method != "rm3":\n',

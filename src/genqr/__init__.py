@@ -6,8 +6,8 @@ from importlib import resources
 from pathlib import Path
 
 from .analysis import Analyzer, porter_stem
-from .corpus_io import (Document, Qrels, RunList, Topic, load_corpus, load_qrels,
-                        load_topics, read_run, write_run)
+from .corpus_io import (Document, Topic, load_corpus, load_qrels, load_topics, read_run,
+                        write_run)
 from .evaluation import (EvalReport, MetricSpec, average_precision,
                          evaluate_run, holm_bonferroni, mrr, ndcg_at_k,
                          paired_ttest, parse_metric, precision_at_k)

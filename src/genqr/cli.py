@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from .config import (ENSEMBLE_METHODS, FEEDBACK_METHODS, LLM_METHODS, ConfigError,
                      ExperimentConfig, load_config)
-from .corpus_io import (Document, Qrels, RunList, Topic, atomic_writer, load_corpus,
+from .corpus_io import (Document, Qrels, Ranking, Run, Topic, atomic_writer, load_corpus,
                         load_qrels, load_topics, read_run, write_jsonl, write_run)
 from .evaluation import (DEFAULT_METRICS, EvalReport, evaluate_run, holm_bonferroni,
                          missing_topics, paired_ttest, parse_metric, parse_metrics)
@@ -116,10 +116,11 @@ class _QueryRunner:
         if m == 0:
             return None
         if self.qrels is not None:
-            feedback = select_oracle_feedback(self.qrels, self.docs.__getitem__, query.qid, m)
+            feedback = select_oracle_feedback(self.qrels, self.docs.__getitem__, query.qid, m,
+                                              cfg.min_rel)
         else:
             first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)
-            feedback = select_feedback(first_pass, self.docs.__getitem__, m)
+            feedback = select_feedback(first_pass, self.docs.__getitem__, query.qid, m)
         if not feedback:
             logger.warning("qid %s: no feedback documents, running without feedback",
                            query.qid)
@@ -140,7 +141,7 @@ class _QueryRunner:
         return _Prepared(topic, query, feedback, context, prompts)
 
     def __call__(self, step: _Prepared,
-                 responses: Sequence[Union[str, Exception]]) -> Tuple[RunList, dict]:
+                 responses: Sequence[Union[str, Exception]]) -> Tuple[Ranking, dict]:
         """Expand the prepared query, from the responses to its prompts or by
         RM3, and retrieve: the topic's ranking and reformulations row."""
         cfg, query, keywords = self.cfg, step.query, ()
@@ -149,8 +150,8 @@ class _QueryRunner:
                                                 self.analyzer)
         elif step.feedback is not None:
             query = rm3_expand(self.index, query, step.feedback, cfg.rm3)
-        run = self.index.retrieve(query, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b)
-        return run, query_record(step.topic, query, keywords, step.context)
+        ranking = self.index.retrieve(query, k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b)
+        return ranking, query_record(step.topic, query, keywords, step.context)
 
 
 def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, int]:
@@ -170,7 +171,8 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     out_dir = Path(cfg.output_dir)
 
     failures: List[dict] = []
-    results: List[Tuple[RunList, dict]] = []
+    run: Run = {}
+    records: List[dict] = []
     for start in range(0, len(topics), RUN_CHUNK_TOPICS):
         chunk = topics[start:start + RUN_CHUNK_TOPICS]
         steps = [_attempt(runner.prepare, topic) for topic in chunk]
@@ -185,17 +187,17 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
                     raise step
                 logger.error("qid %s failed: %s", topic.qid, step)
                 failures.append({"qid": topic.qid, "error": str(step)})
-                step = (RunList(qid=topic.qid), query_record(topic))
-            results.append(step)
+                step = ([], query_record(topic))
+            run[topic.qid] = step[0]
+            records.append(step[1])
 
-    runs = [run for run, _ in results]
     if cfg.reranker_cmd:
-        runs = _apply_reranker(cfg, runs, out_dir)
+        run = _apply_reranker(cfg, run, out_dir)
 
     run_path = out_dir / f"{cfg.run_tag}.run"
-    write_run(runs, run_path, cfg.run_tag)
+    write_run(run, run_path, cfg.run_tag)
     ref_path = out_dir / f"{cfg.run_tag}.reformulations.jsonl"
-    write_jsonl((record for _, record in results), ref_path)
+    write_jsonl(records, ref_path)
     fail_path = out_dir / f"{cfg.run_tag}.failures.jsonl"
     if failures:
         write_jsonl(sorted(failures, key=lambda r: r["qid"]), fail_path)
@@ -205,8 +207,7 @@ def cmd_run(cfg: ExperimentConfig, lenient: bool = False) -> Tuple[Path, Path, i
     return run_path, ref_path, len(failures)
 
 
-def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
-                    out_dir: Path) -> List[RunList]:
+def _apply_reranker(cfg: ExperimentConfig, run: Run, out_dir: Path) -> Run:
     """File-exchange reranker hook: hand the run to an external command
     `<reranker_cmd> <candidates> <reranked>` and read back new scores. The
     two files live in a temporary directory under `out_dir`, removed once
@@ -220,14 +221,14 @@ def _apply_reranker(cfg: ExperimentConfig, runs: List[RunList],
     with tempfile.TemporaryDirectory(prefix=f".{cfg.run_tag}.rerank-", dir=out_dir) as tmp:
         cand_path = Path(tmp) / f"{cfg.run_tag}.candidates.run"
         rerank_path = Path(tmp) / f"{cfg.run_tag}.reranked.run"
-        write_run(runs, cand_path, cfg.run_tag)
+        write_run(run, cand_path, cfg.run_tag)
         cmd = shlex.split(cfg.reranker_cmd) + [str(cand_path), str(rerank_path)]
         subprocess.run(cmd, check=True)
-        reranked = {run.qid: run for run in read_run(rerank_path)[1]}
-    for run in runs:
-        if run.entries and run.qid not in reranked:
-            raise RuntimeError(f"reranker output is missing qid {run.qid}")
-    return [reranked.get(run.qid, run) for run in runs]
+        reranked = read_run(rerank_path)[1]
+    for qid, ranking in run.items():
+        if ranking and qid not in reranked:
+            raise RuntimeError(f"reranker output is missing qid {qid}")
+    return {qid: reranked.get(qid, ranking) for qid, ranking in run.items()}
 
 
 def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
@@ -244,23 +245,23 @@ def cmd_eval(run_paths: List[str | Path], qrels: Qrels,
     """
     specs = parse_metrics(metrics, min_rel=min_rel)
 
-    tagged_runs: Dict[str, List[RunList]] = {}  # in input order
+    tagged_runs: Dict[str, Run] = {}  # in input order
     for path in run_paths:
-        tag, runs = read_run(path)
+        tag, run = read_run(path)
         tag = tag or Path(path).stem
         if "/" in tag:  # the tag names the report files
             raise ValueError(f"{path}: run tag {tag!r} must not contain '/'")
         if tag in tagged_runs:
             raise ValueError(f"duplicate run tag {tag!r} across inputs")
-        tagged_runs[tag] = runs
+        tagged_runs[tag] = run
     if baseline is not None and baseline not in tagged_runs:
         raise ValueError(f"baseline tag {baseline!r} not among the evaluated runs")
 
     reports: Dict[Tuple[str, str], EvalReport] = {}
-    for tag, runs in tagged_runs.items():
+    for tag, run in tagged_runs.items():
         for spec in specs:
-            reports[(tag, spec.label)] = evaluate_run(runs, qrels, spec)
-        missing = missing_topics(runs, qrels)
+            reports[(tag, spec.label)] = evaluate_run(run, qrels, spec)
+        missing = missing_topics(run, qrels)
         if missing:
             logger.warning("%s: %d judged topics missing from the run, scored as empty "
                            "rankings", tag, len(missing))

@@ -26,7 +26,7 @@ import os
 import re
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -61,51 +61,14 @@ class Topic:
             raise CorpusFormatError(f"empty query for qid {self.qid!r}")
 
 
-class Qrels:
-    """Relevance judgments: (qid, docno) -> integer grade, unlisted pairs are 0."""
-
-    def __init__(self, grades: Dict[Tuple[str, str], int] | None = None):
-        self._by_qid: Dict[str, Dict[str, int]] = {}
-        for (qid, docno), grade in (grades or {}).items():
-            self._by_qid.setdefault(qid, {})[docno] = grade
-
-    def judged(self, qid: str) -> Dict[str, int]:
-        """All judged (docno -> grade) pairs for a query, including grade 0."""
-        return dict(self._by_qid.get(qid, {}))
-
-    def relevant(self, qid: str, min_rel: int = 1) -> Dict[str, int]:
-        return {d: g for d, g in self._by_qid.get(qid, {}).items() if g >= min_rel}
-
-    def qids(self) -> List[str]:
-        return list(self._by_qid.keys())
+Ranking = List[Tuple[str, float]]  # (docno, score) pairs; a rank is the 1-based position
+Run = Dict[str, Ranking]  # qid -> ranking, in topic order
+Qrels = Dict[str, Dict[str, int]]  # qid -> docno -> grade; an unlisted pair is 0
 
 
-@dataclass
-class RunList:
-    """Ranked results for one query in TREC run semantics: `entries` are
-    (docno, score) pairs, and an entry's rank is its 1-based position."""
-
-    qid: str
-    entries: List[Tuple[str, float]] = field(default_factory=list)
-
-    @classmethod
-    def from_scores(cls, qid: str, scored: Iterable[Tuple[str, float]]) -> "RunList":
-        """Build a valid RunList: sort by score desc, docno asc."""
-        return cls(qid=qid, entries=sorted(scored, key=lambda e: (-e[1], e[0])))
-
-    def validate(self) -> None:
-        seen = set()
-        prev_score = None
-        for i, (docno, score) in enumerate(self.entries, start=1):
-            if docno in seen:
-                raise CorpusFormatError(f"qid {self.qid}: duplicate docno {docno!r}")
-            seen.add(docno)
-            if not math.isfinite(score):
-                raise CorpusFormatError(f"qid {self.qid}: non-finite score {score} "
-                                        f"at rank {i}")
-            if prev_score is not None and score > prev_score:
-                raise CorpusFormatError(f"qid {self.qid}: scores increase at rank {i}")
-            prev_score = score
+def ranked(scored: Iterable[Tuple[str, float]]) -> Ranking:
+    """The (docno, score) pairs by score descending, docno ascending on ties."""
+    return sorted(scored, key=lambda e: (-e[1], e[0]))
 
 
 def _record(path: Path, lineno: int, cls, *fields):
@@ -266,7 +229,7 @@ TOPIC_READERS = {"tsv": _iter_tsv_topics, "trec-topic": _iter_trec_topics}
 def load_qrels(path: str | Path) -> Qrels:
     """Load 4-column qrels `qid iter docno grade`; the iter column is ignored."""
     path = Path(path)
-    grades: Dict[Tuple[str, str], int] = {}
+    qrels: Qrels = {}
     for lineno, line in _nonblank_lines(path):
         parts = line.split()
         if len(parts) != 4:
@@ -280,12 +243,12 @@ def load_qrels(path: str | Path) -> Qrels:
                 f"{path}:{lineno}: non-integer grade {grade_str!r}") from e
         if grade < 0:
             raise CorpusFormatError(f"{path}:{lineno}: negative grade {grade}")
-        key = (qid, docno)
-        if key in grades:
+        grades = qrels.setdefault(qid, {})
+        if docno in grades:
             raise CorpusFormatError(
                 f"{path}:{lineno}: repeated assessment for qid {qid!r} docno {docno!r}")
-        grades[key] = grade
-    return Qrels(grades)
+        grades[docno] = grade
+    return qrels
 
 
 @contextmanager
@@ -318,19 +281,29 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def write_run(runs: List[RunList], path: str | Path, tag: str) -> None:
-    """Write TREC run lines `qid Q0 docno rank score tag`, queries in input
-    order; the rank is each entry's 1-based position in its list."""
-    for run in runs:
-        run.validate()
+def write_run(run: Run, path: str | Path, tag: str) -> None:
+    """Write TREC run lines `qid Q0 docno rank score tag`, queries in the
+    run's order; the rank is each entry's 1-based position in its ranking.
+    A ranking that repeats a docno, holds a non-finite score or whose scores
+    increase is an error, raised before the file is opened."""
+    for qid, ranking in run.items():
+        seen = set()
+        for i, (docno, score) in enumerate(ranking, start=1):
+            if docno in seen:
+                raise CorpusFormatError(f"qid {qid}: duplicate docno {docno!r}")
+            seen.add(docno)
+            if not math.isfinite(score):
+                raise CorpusFormatError(f"qid {qid}: non-finite score {score} at rank {i}")
+            if i > 1 and score > ranking[i - 2][1]:
+                raise CorpusFormatError(f"qid {qid}: scores increase at rank {i}")
     with atomic_writer(path) as f:
-        for run in runs:
-            for rank, (docno, score) in enumerate(run.entries, start=1):
-                f.write(f"{run.qid} Q0 {docno} {rank} {score:.6f} {tag}\n")
+        for qid, ranking in run.items():
+            for rank, (docno, score) in enumerate(ranking, start=1):
+                f.write(f"{qid} Q0 {docno} {rank} {score:.6f} {tag}\n")
 
 
-def read_run(path: str | Path) -> Tuple[Optional[str], List[RunList]]:
-    """Read a TREC run file as (tag, rankings); re-sorts per qid by score desc
+def read_run(path: str | Path) -> Tuple[Optional[str], Run]:
+    """Read a TREC run file as (tag, run); re-sorts per qid by score desc
     (docno asc on ties), so unsorted input is tolerated. The rank column is
     not read: a rank is the list position. A docno listed twice for one qid
     is an error, as in trec_eval."""
@@ -355,4 +328,4 @@ def read_run(path: str | Path) -> Tuple[Optional[str], List[RunList]]:
             raise CorpusFormatError(
                 f"{path}:{lineno}: repeated docno {docno!r} for qid {qid!r}")
         docs[docno] = score
-    return tag, [RunList.from_scores(qid, docs.items()) for qid, docs in scored.items()]
+    return tag, {qid: ranked(docs.items()) for qid, docs in scored.items()}

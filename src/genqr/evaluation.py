@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .corpus_io import Qrels, RunList, atomic_writer
+from .corpus_io import Qrels, Ranking, Run, atomic_writer
 
 METRIC_KINDS = ("ndcg", "map", "mrr", "precision")
 DEFAULT_METRICS = ("ndcg@10", "map", "mrr", "p@10")
@@ -85,15 +85,14 @@ def parse_metrics(texts: Sequence[str], min_rel: int = 1) -> List[MetricSpec]:
     return list(specs.values())
 
 
-def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:
+def ndcg_at_k(ranking: Ranking, grades: Dict[str, int], k: int) -> Optional[float]:
     """nDCG@k, or None when the query has no relevant documents."""
-    judged = qrels.judged(run.qid)
-    ideal_grades = sorted((g for g in judged.values() if g > 0), reverse=True)
+    ideal_grades = sorted((g for g in grades.values() if g > 0), reverse=True)
     if not ideal_grades:
         return None
     dcg = 0.0
-    for i, (docno, _) in enumerate(run.entries[:k], start=1):
-        grade = judged.get(docno, 0)
+    for i, (docno, _) in enumerate(ranking[:k], start=1):
+        grade = grades.get(docno, 0)
         if grade > 0:
             dcg += grade / math.log2(i + 1)
     idcg = math.fsum(g / math.log2(i + 1)
@@ -101,50 +100,53 @@ def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> Optional[float]:
     return dcg / idcg
 
 
-def average_precision(run: RunList, qrels: Qrels, min_rel: int = 1) -> Optional[float]:
+def average_precision(ranking: Ranking, grades: Dict[str, int],
+                      min_rel: int = 1) -> Optional[float]:
     """AP over the full ranking; None when the query has no relevant documents."""
-    relevant = qrels.relevant(run.qid, min_rel=min_rel)
+    relevant = {d for d, g in grades.items() if g >= min_rel}
     if not relevant:
         return None
     hits = 0
     total = 0.0
-    for i, (docno, _) in enumerate(run.entries, start=1):
+    for i, (docno, _) in enumerate(ranking, start=1):
         if docno in relevant:
             hits += 1
             total += hits / i
     return total / len(relevant)
 
 
-def mrr(run: RunList, qrels: Qrels, min_rel: int = 1,
+def mrr(ranking: Ranking, grades: Dict[str, int], min_rel: int = 1,
         k: Optional[int] = None) -> Optional[float]:
     """Reciprocal rank of the first relevant document in the top k (in the
     whole ranking when k is None), 0 if there is none."""
-    relevant = qrels.relevant(run.qid, min_rel=min_rel)
+    relevant = {d for d, g in grades.items() if g >= min_rel}
     if not relevant:
         return None
-    for rank, (docno, _) in enumerate(run.entries[:k], start=1):
+    for rank, (docno, _) in enumerate(ranking[:k], start=1):
         if docno in relevant:
             return 1.0 / rank
     return 0.0
 
 
-def precision_at_k(run: RunList, qrels: Qrels, k: int, min_rel: int = 1) -> Optional[float]:
+def precision_at_k(ranking: Ranking, grades: Dict[str, int], k: int,
+                   min_rel: int = 1) -> Optional[float]:
     """Relevant fraction of the top k (denominator k even if fewer retrieved)."""
-    relevant = qrels.relevant(run.qid, min_rel=min_rel)
+    relevant = {d for d, g in grades.items() if g >= min_rel}
     if not relevant:
         return None
-    hits = sum(1 for docno, _ in run.entries[:k] if docno in relevant)
+    hits = sum(1 for docno, _ in ranking[:k] if docno in relevant)
     return hits / k
 
 
-def compute_metric(run: RunList, qrels: Qrels, spec: MetricSpec) -> Optional[float]:
+def compute_metric(ranking: Ranking, grades: Dict[str, int], spec: MetricSpec) -> Optional[float]:
+    """`spec`'s metric of one topic's ranking against its grades (docno -> grade)."""
     if spec.kind == "ndcg":
-        return ndcg_at_k(run, qrels, spec.k)
+        return ndcg_at_k(ranking, grades, spec.k)
     if spec.kind == "map":
-        return average_precision(run, qrels, min_rel=spec.min_rel)
+        return average_precision(ranking, grades, min_rel=spec.min_rel)
     if spec.kind == "mrr":
-        return mrr(run, qrels, min_rel=spec.min_rel, k=spec.k)
-    return precision_at_k(run, qrels, spec.k, min_rel=spec.min_rel)
+        return mrr(ranking, grades, min_rel=spec.min_rel, k=spec.k)
+    return precision_at_k(ranking, grades, spec.k, min_rel=spec.min_rel)
 
 
 @dataclass
@@ -183,22 +185,21 @@ class EvalReport:
             f.write(self.to_json() if Path(path).suffix == ".json" else self.to_tsv())
 
 
-def missing_topics(runs: List[RunList], qrels: Qrels) -> List[str]:
-    """Judged topics that `runs` does not answer, in qrels order."""
-    answered = {run.qid for run in runs}
-    return [qid for qid in qrels.qids() if qid not in answered]
+def missing_topics(run: Run, qrels: Qrels) -> List[str]:
+    """Judged topics that `run` does not answer, in qrels order."""
+    return [qid for qid in qrels if qid not in run]
 
 
-def evaluate_run(runs: List[RunList], qrels: Qrels, spec: MetricSpec) -> EvalReport:
+def evaluate_run(run: Run, qrels: Qrels, spec: MetricSpec) -> EvalReport:
     """Per-query metric values plus the mean over evaluated queries; judged
-    topics absent from `runs` follow the run's own as empty rankings."""
+    topics absent from `run` follow the run's own as empty rankings."""
     report = EvalReport(metric=spec.label)
-    for run in [*runs, *(RunList(qid) for qid in missing_topics(runs, qrels))]:
-        value = compute_metric(run, qrels, spec)
+    for qid in [*run, *missing_topics(run, qrels)]:
+        value = compute_metric(run.get(qid, []), qrels.get(qid, {}), spec)
         if value is None:
-            report.skipped.append(run.qid)
+            report.skipped.append(qid)
         else:
-            report.per_query[run.qid] = value
+            report.per_query[qid] = value
     return report
 
 

@@ -15,11 +15,11 @@ which keeps scores non-negative even for very common terms:
 Query term weights are additive: a term listed twice with weight 1 scores
 identically to the same term listed once with weight 2.
 
-`bm25_scores` scores every candidate and is the reference path. `retrieve`
-returns the same top k, with the same scores bit for bit, doing less work:
-it sums each doc's partials into a dense per-ordinal list, in the query's
-term order as `bm25_scores` does, and ranks only the docs at or above the
-k-th best score, through `RunList.from_scores`. It also prunes, after
+`retrieve` returns the top k, with the scores bit for bit of the exhaustive
+reference scorer that its tests compare against (tests/oracles.py): it
+sums each doc's partials into a dense per-ordinal list, in the query's term
+order as that scorer does, and ranks only the docs at or above the k-th
+best score, through `corpus_io.ranked`. It also prunes, after
 MaxScore (Turtle & Flood, IP&M 1995). With k1 >= 0 and 0 <= b <= 1 every
 doc norm is >= 0, so a term's partial never exceeds its bound
 U = w * idf * (k1 + 1). Once the bounds of the unscanned terms sum to less
@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .analysis import Analyzer
-from .corpus_io import Document, RunList, atomic_writer
+from .corpus_io import Document, Ranking, atomic_writer, ranked
 
 _MAGIC = b"GQRPOST3"  # also the format version: a file of another version fails its check
 _U32 = "I"  # array typecode of the postings columns: 4 bytes on CPython's platforms
@@ -176,25 +176,10 @@ class PostingsIndex:
             raise DegenerateQueryError(f"degenerate query {query.qid!r}: no positive-weight term")
         return weights
 
-    def bm25_scores(self, query: WeightedQuery, k1: float = DEFAULT_K1,
-                    b: float = DEFAULT_B) -> Dict[str, float]:
-        """BM25 score per candidate docno; documents sharing no query term are absent."""
-        accum: Dict[int, float] = {}
-        k1_plus_1 = k1 + 1.0
-        for term, weight in self._weights(query).items():
-            if weight == 0.0 or term not in self.ids:
-                continue
-            norms = self._doc_norms(k1, b)  # here, where avgdl > 0 is certain
-            scale = weight * self.idf(term)
-            for doc_ord, tf in zip(*self.postings(term)):
-                partial = scale * tf * k1_plus_1 / (tf + norms[doc_ord])
-                accum[doc_ord] = accum.get(doc_ord, 0.0) + partial
-        return {self.docnos[ord_]: score for ord_, score in accum.items()}
-
     def retrieve(self, query: WeightedQuery, k: int, k1: float = DEFAULT_K1,
-                 b: float = DEFAULT_B) -> RunList:
-        """Top-k candidates by score descending, docno ascending on ties:
-        `bm25_scores` ranked and cut at k, entry for entry and bit for bit.
+                 b: float = DEFAULT_B) -> Ranking:
+        """Top-k candidates by score descending, docno ascending on ties; a
+        candidate is a doc that shares a positive-weight term with the query.
 
         The matched terms are scanned in query order into a dense score list.
         Before a term, `rest` is the sum of the bounds U of the terms not yet
@@ -206,7 +191,7 @@ class PostingsIndex:
         and the unscanned postings at least double the seen docs, as
         otherwise pruning cannot fire or cannot pay. Last, the docs at or
         above the k-th best score, ties at the cut included, are ranked by
-        `RunList.from_scores` and cut at k.
+        `corpus_io.ranked` and cut at k.
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
@@ -219,7 +204,7 @@ class PostingsIndex:
             if weight != 0.0 and i is not None:
                 lists.append((weight * self.idf(term), self.starts[i], self.starts[i + 1]))
         if not lists:
-            return RunList(qid=query.qid)
+            return []
 
         norms = self._doc_norms(k1, b)
         docs, tfs = self.docs, self.tfs
@@ -230,7 +215,7 @@ class PostingsIndex:
         acc = [0.0] * self.n_docs
         seen: set = set()
         candidates = None  # once pruned: the ordinals that can still reach the top k, sorted
-        # Each partial below is bm25_scores' expression, so the sums match bit for bit.
+        # Each partial below is the reference scorer's expression, so the sums match bit for bit.
         for (scale, start, end), bound, rest in zip(lists, bounds, rests):
             if (candidates is None and rest < scanned and unscanned >= 2 * len(seen)
                     and len(seen) >= k):
@@ -256,9 +241,7 @@ class PostingsIndex:
         scores = sorted(map(acc.__getitem__, pool))
         cut = scores[-min(k, len(scores))]  # the k-th best score, or the worst if fewer
         top = [(self.docnos[d], acc[d]) for d in pool if acc[d] >= cut]  # ties at the cut too
-        run = RunList.from_scores(query.qid, top)
-        del run.entries[k:]
-        return run
+        return ranked(top)[:k]
 
     # --- persistence ---
 

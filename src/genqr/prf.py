@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, Tuple
 
-from .corpus_io import Document, Qrels, RunList
+from .corpus_io import Document, Qrels, Ranking, ranked
 from .index import PostingsIndex, WeightedQuery
 from .schema import check_fields
 
@@ -47,27 +47,28 @@ class FeedbackError(RuntimeError):
     pass
 
 
-def select_feedback(run: RunList, corpus_lookup: Callable[[str], Document],
-                    m: int) -> Tuple[Document, ...]:
-    """Top-m run documents, looked up by docno; fewer than m available -> all."""
+def select_feedback(ranking: Ranking, corpus_lookup: Callable[[str], Document],
+                    qid: str, m: int) -> Tuple[Document, ...]:
+    """Top-m documents of topic `qid`'s ranking, looked up by docno; fewer
+    than m available -> all."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     docs = []
-    for docno, _ in run.entries[:m]:
+    for docno, _ in ranking[:m]:
         try:
             docs.append(corpus_lookup(docno))
         except KeyError:
             raise FeedbackError(
-                f"qid {run.qid}: feedback docno {docno!r} missing from corpus") from None
+                f"qid {qid}: feedback docno {docno!r} missing from corpus") from None
     return tuple(docs)
 
 
 def select_oracle_feedback(qrels: Qrels, corpus_lookup: Callable[[str], Document],
-                           qid: str, m: int) -> Tuple[Document, ...]:
-    """The m highest-graded relevant documents, ranked as a run with their
-    grades as scores; none for a topic without a judged relevant document."""
-    graded = RunList.from_scores(qid, qrels.relevant(qid, min_rel=1).items())
-    return select_feedback(graded, corpus_lookup, m)
+                           qid: str, m: int, min_rel: int = 1) -> Tuple[Document, ...]:
+    """The m highest-graded documents of grade >= min_rel, ranked with their
+    grades as scores; none for a topic without such a judged document."""
+    relevant = ((d, g) for d, g in qrels.get(qid, {}).items() if g >= min_rel)
+    return select_feedback(ranked(relevant), corpus_lookup, qid, m)
 
 
 def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,

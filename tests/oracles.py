@@ -1,9 +1,11 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is a straight-line transcription of the definitions,
-written against plain dicts/lists and stdlib math only. Nothing imports
-the package under test, so these stay an independent route for checking
-the real implementations.
+written against plain dicts/lists and stdlib math only, except
+`bm25_scores`, which reads a built index's statistics so that it can be
+the bit-for-bit reference of `retrieve`. Nothing imports the package under
+test, so these stay an independent route for checking the real
+implementations.
 """
 
 from __future__ import annotations
@@ -89,6 +91,27 @@ def bm25_oracle(doc_tokens: Dict[str, List[str]], query_weights: Dict[str, float
         if matched:
             scores[docno] = total
     return scores
+
+
+def bm25_scores(index, query, k1: float = 1.2, b: float = 0.75) -> Dict[str, float]:
+    """BM25 score per candidate docno; documents sharing no query term are absent.
+
+    The exhaustive scorer that `PostingsIndex.retrieve` equals bit for bit:
+    it reads the statistics of a built index, which it takes duck-typed, and
+    adds each posting's partial in the query's term order with the
+    expression `retrieve` uses, but never prunes: it scores every candidate.
+    """
+    accum: Dict[int, float] = {}
+    k1_plus_1 = k1 + 1.0
+    for term, weight in index._weights(query).items():
+        if weight == 0.0 or term not in index.ids:
+            continue
+        norms = index._doc_norms(k1, b)  # here, where avgdl > 0 is certain
+        scale = weight * index.idf(term)
+        for doc_ord, tf in zip(*index.postings(term)):
+            partial = scale * tf * k1_plus_1 / (tf + norms[doc_ord])
+            accum[doc_ord] = accum.get(doc_ord, 0.0) + partial
+    return {index.docnos[ord_]: score for ord_, score in accum.items()}
 
 
 def rank_oracle(scores: Dict[str, float], k: int) -> List[Tuple[str, float]]:
@@ -211,19 +234,19 @@ def pipeline_oracle(method: str, docs: Dict[str, str], topics: Dict[str, str],
     ranking holds every candidate; it is None when the final query has no
     positive weight, and the topic fails.
 
-    `docs` maps docno -> text. `config` holds k1, b, fb_docs and
-    feedback_mode (the feedback methods), fb_terms, lam and mu (RM3), n,
-    beta, dedup, template, context_budget and instructions (the LLM
-    methods), and qrels (qid -> docno -> grade). `generate` answers one
+    `docs` maps docno -> text. `config` holds k1, b, fb_docs,
+    feedback_mode and min_rel (the feedback methods), fb_terms, lam and mu
+    (RM3), n, beta, dedup, template, context_budget and instructions (the
+    LLM methods), and qrels (qid -> docno -> grade). `generate` answers one
     prompt.
 
     A feedback method takes the top m = fb_docs of a first ranking, or the
-    m judged docs of highest grade (docno on ties) under oracle feedback;
-    finding none, it runs as rm3 -> raw, flanprf -> flanqr, genqrensemble_rf ->
-    genqrensemble. RM3 expands by `rm3_oracle`. An LLM method prompts each
-    instruction (flanqr/flanprf: the first only) with the query, prefixed
-    by the feedback texts as context, and adds beta to a term per token of
-    each response (per distinct token under dedup).
+    m judged docs of highest grade >= min_rel (docno on ties) under oracle
+    feedback; finding none, it runs as rm3 -> raw, flanprf -> flanqr,
+    genqrensemble_rf -> genqrensemble. RM3 expands by `rm3_oracle`. An LLM
+    method prompts each instruction (flanqr/flanprf: the first only) with
+    the query, prefixed by the feedback texts as context, and adds beta to
+    a term per token of each response (per distinct token under dedup).
     """
     c = config
     tokens = {docno: analyze_oracle(text) for docno, text in docs.items()}
@@ -236,7 +259,7 @@ def pipeline_oracle(method: str, docs: Dict[str, str], topics: Dict[str, str],
         m = c["fb_docs"] if method in _FEEDBACK_METHODS else 0
         feedback: List[str] = []
         if m and c["feedback_mode"] == "oracle":
-            judged = [(d, g) for d, g in c["qrels"].get(qid, {}).items() if g >= 1]
+            judged = [(d, g) for d, g in c["qrels"].get(qid, {}).items() if g >= c["min_rel"]]
             feedback = [d for d, _ in sorted(judged, key=lambda e: (-e[1], e[0]))[:m]]
         elif m:
             first = rank_oracle(bm25_oracle(tokens, weights, c["k1"], c["b"]), m)

@@ -12,7 +12,7 @@ import genqr
 from genqr.analysis import Analyzer
 from genqr.cli import cmd_eval, cmd_index, cmd_run
 from genqr.config import config_from_dict
-from genqr.corpus_io import Document, Qrels, RunList, load_qrels, read_run
+from genqr.corpus_io import Document, load_qrels, read_run
 from genqr.evaluation import (average_precision, evaluate_run,
                               holm_bonferroni, mrr, ndcg_at_k, paired_ttest,
                               parse_metric, precision_at_k)
@@ -51,8 +51,8 @@ def test_criterion_1_bm25_oracle_equivalence():
         run = index.retrieve(query, k=k, k1=k1, b=b)
         ref = rank_oracle(bm25_oracle(
             {d.docno: Analyzer().analyze(d.text) for d in docs}, weights, k1, b), k)
-        assert [d for d, _ in run.entries] == [d for d, _ in ref]
-        for (_, got), (_, score) in zip(run.entries, ref):
+        assert [d for d, _ in run] == [d for d, _ in ref]
+        for (_, got), (_, score) in zip(run, ref):
             assert got == pytest.approx(score, abs=1e-9)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -66,16 +66,14 @@ def test_criterion_2_metric_oracle_equivalence():
         docs = [f"d{i}" for i in range(rng.randint(1, 10))]
         grades = {d: rng.randint(0, 3) for d in docs if rng.random() < 0.85}
         ranked = rng.sample(docs, rng.randint(0, len(docs)))
-        run = RunList.from_scores(
-            "1", [(d, float(len(ranked) - i)) for i, d in enumerate(ranked)])
-        qrels = Qrels({("1", d): g for d, g in grades.items()})
+        run = [(d, float(len(ranked) - i)) for i, d in enumerate(ranked)]
         k = rng.randint(1, 10)
         checks = [
-            (ndcg_at_k(run, qrels, k), ndcg_oracle(ranked, grades, k)),
-            (average_precision(run, qrels), ap_oracle(ranked, grades)),
-            (mrr(run, qrels), rr_oracle(ranked, grades)),
-            (mrr(run, qrels, k=k), rr_oracle(ranked, grades, k=k)),
-            (precision_at_k(run, qrels, k), prec_oracle(ranked, grades, k)),
+            (ndcg_at_k(run, grades, k), ndcg_oracle(ranked, grades, k)),
+            (average_precision(run, grades), ap_oracle(ranked, grades)),
+            (mrr(run, grades), rr_oracle(ranked, grades)),
+            (mrr(run, grades, k=k), rr_oracle(ranked, grades, k=k)),
+            (precision_at_k(run, grades, k), prec_oracle(ranked, grades, k)),
         ]
         for mine, ref in checks:
             if ref is None:
@@ -83,9 +81,9 @@ def test_criterion_2_metric_oracle_equivalence():
             else:
                 assert mine == pytest.approx(ref, abs=1e-9)
     # hand-derived case: grades [0,1,2] at ranks 1..3, judged set {2,1,0}
-    qrels = Qrels({("1", "x"): 0, ("1", "y"): 1, ("1", "z"): 2})
-    run = RunList.from_scores("1", [("x", 3.0), ("y", 2.0), ("z", 1.0)])
-    assert ndcg_at_k(run, qrels, 3) == pytest.approx(0.6199, abs=1e-4)
+    grades = {"x": 0, "y": 1, "z": 2}
+    run = [("x", 3.0), ("y", 2.0), ("z", 1.0)]
+    assert ndcg_at_k(run, grades, 3) == pytest.approx(0.6199, abs=1e-4)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     _ok(2, f"metrics match direct-definition oracles on 500 instances ({elapsed:.1f}s)")
@@ -184,8 +182,8 @@ def test_criterion_6_rm3_correctness():
             Document("d3", "a a d b"), Document("d4", "a b d c")]
     index = build_index(docs, Analyzer())
     by_docno = {d.docno: d for d in docs}
-    run = RunList.from_scores("q", [("d1", 2.0), ("d2", 1.0)])
-    feedback = select_feedback(run, lambda d: by_docno[d], m=2)
+    run = [("d1", 2.0), ("d2", 1.0)]
+    feedback = select_feedback(run, lambda d: by_docno[d], "q", m=2)
     query = WeightedQuery.from_terms("q", ["a", "b"])
 
     out = rm3_expand(index, query, feedback, Rm3Params(fb_terms=2, lam=0.5, mu=8.0))

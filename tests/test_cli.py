@@ -13,7 +13,7 @@ import yaml
 
 import genqr
 import genqr.index
-from genqr.cli import (cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
+from genqr.cli import (_QueryRunner, cmd_eval, cmd_index, cmd_paraphrase, cmd_querywise,
                        cmd_run, cmd_sweep, main)
 from genqr.analysis import Analyzer
 from genqr.config import (METHODS, ConfigError, ExperimentConfig, Rm3Params,
@@ -609,16 +609,16 @@ def test_raw_run_equals_direct_retrieval(toy_cfg, toy_index):
     cfg = toy_cfg("raw")
     run_path, ref_path, failed = cmd_run(cfg)
     assert failed == 0
-    tag, runs = read_run(run_path)
+    tag, run = read_run(run_path)
     assert tag == cfg.run_tag
     index = PostingsIndex.load(cfg.index_dir, cfg.analyzer)
     for topic in load_topics(cfg.topics):
         expected = index.retrieve(
             WeightedQuery.from_terms(topic.qid, index.analyzer.analyze(topic.query)),
             k=cfg.retrieval_depth, k1=cfg.k1, b=cfg.b)
-        got = next(r for r in runs if r.qid == topic.qid)
-        assert [d for d, _ in got.entries] == [d for d, _ in expected.entries]
-        for (_, a), (_, b) in zip(got.entries, expected.entries):
+        got = run[topic.qid]
+        assert [d for d, _ in got] == [d for d, _ in expected]
+        for (_, a), (_, b) in zip(got, expected):
             assert a == pytest.approx(b, abs=1e-6)  # 6-decimal file format
     # provenance rows carry the fused weighted query
     rows = [json.loads(line) for line in ref_path.read_text().splitlines()]
@@ -653,14 +653,25 @@ def test_rf_oracle_vs_pseudo_differ_only_via_context(toy_cfg, toy_index):
         assert row_p["context"] != row_o["context"]
         # oracle context is the grade-ordered relevant texts
         qid = row_o["qid"]
-        graded = sorted(qrels.relevant(qid).items(), key=lambda kv: (-kv[1], kv[0]))
+        graded = sorted(((d, g) for d, g in qrels[qid].items() if g >= 1),
+                        key=lambda kv: (-kv[1], kv[0]))
         expected_oracle = " ".join(corpus[d] for d, _ in graded[:2])
         assert row_o["context"] == expected_oracle
         # pseudo context is the top-2 texts of a first-pass raw retrieval
         raw_query = WeightedQuery.from_terms(qid, index.analyzer.analyze(row_p["original"]))
         first = index.retrieve(raw_query, k=pseudo_cfg.retrieval_depth)
-        expected_pseudo = " ".join(corpus[d] for d, _ in first.entries[:2])
+        expected_pseudo = " ".join(corpus[d] for d, _ in first[:2])
         assert row_p["context"] == expected_pseudo
+
+
+@pytest.mark.parametrize("min_rel,taken", [(1, ["d011", "d012", "d013"]), (3, ["d011"])])
+def test_oracle_feedback_takes_the_docs_at_min_rel(toy_cfg, toy_index, min_rel, taken):
+    # Topic 1 is judged d011: 3, d012: 2, d013: 1. Oracle feedback takes only
+    # the docs that the config's binary metrics count as relevant.
+    cfg = toy_cfg("rm3", feedback_mode="oracle", fb_docs=3, min_rel=min_rel)
+    runner = _QueryRunner(cfg, toy_index)
+    step = runner.prepare(next(t for t in load_topics(cfg.topics) if t.qid == "1"))
+    assert [doc.docno for doc in step.feedback] == taken
 
 
 def test_lenient_mode_records_failures(toy_cfg, toy_index, tmp_path):
@@ -674,7 +685,7 @@ def test_lenient_mode_records_failures(toy_cfg, toy_index, tmp_path):
     failures = [json.loads(line) for line in
                 (run_path.parent / "raw.failures.jsonl").read_text().splitlines()]
     assert failures[0]["qid"] == "2"
-    assert all(r.qid == "1" for r in read_run(run_path)[1])
+    assert all(qid == "1" for qid in read_run(run_path)[1])
 
 
 def test_clean_rerun_removes_the_old_failures_file(toy_cfg, toy_index, tmp_path):
@@ -705,9 +716,9 @@ def test_reranker_seam(toy_cfg, toy_index, tmp_path):
     rerank = toy_cfg("raw", tag="rerank", reranker_cmd=_reversing_reranker(tmp_path))
     run_plain, _, _ = cmd_run(plain)
     run_rerank, _, _ = cmd_run(rerank)
-    for before, after in zip(read_run(run_plain)[1], read_run(run_rerank)[1]):
-        assert [d for d, _ in after.entries] == \
-            [d for d, _ in reversed(before.entries)]
+    for before, after in zip(read_run(run_plain)[1].values(), read_run(run_rerank)[1].values()):
+        assert [d for d, _ in after] == \
+            [d for d, _ in reversed(before)]
 
 
 def test_reranker_exchange_files_leave_output_dir(toy_cfg, toy_index, tmp_path):
@@ -867,7 +878,7 @@ def test_querywise_disjoint_queries_score_missing_zero(toy_cfg, toy_index, tmp_p
                          tmp_path / "qw.csv")
     per_a = evaluate_run(read_run(run_path)[1], load_qrels(TOY / "qrels.txt"),
                          parse_metric("ndcg@10")).per_query
-    assert sorted(r["qid"] for r in rows) == sorted(load_qrels(TOY / "qrels.txt").qids())
+    assert sorted(r["qid"] for r in rows) == sorted(load_qrels(TOY / "qrels.txt"))
     for row in rows:
         assert row["value_a"] == pytest.approx(per_a[row["qid"]])
         assert row["value_b"] == 0.0

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY
-from genqr.corpus_io import (CorpusFormatError, Document, Qrels, RunList, Topic,
-                             atomic_writer, load_corpus, load_qrels, load_topics,
-                             read_run, write_jsonl, write_run)
+from genqr.corpus_io import (CorpusFormatError, Document, Topic, atomic_writer,
+                             load_corpus, load_qrels, load_topics, ranked, read_run,
+                             write_jsonl, write_run)
+from genqr.evaluation import precision_at_k
 
 
 # --- corpus loading ---
@@ -234,16 +235,16 @@ def test_qrels_line(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("1 0 d7 2\n")
     qrels = load_qrels(path)
-    assert qrels.qids() == ["1"]
-    assert qrels.judged("1") == {"d7": 2}
+    assert list(qrels) == ["1"]
+    assert qrels["1"] == {"d7": 2}
 
 
 def test_qrels_unlisted_pair_is_zero(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("1 0 d7 2\n")
     qrels = load_qrels(path)
-    assert "nope" not in qrels.judged("1")
-    assert qrels.judged("9") == {}
+    assert "nope" not in qrels["1"]
+    assert "9" not in qrels
 
 
 def test_qrels_repeated_pair_rejected(tmp_path):
@@ -265,33 +266,33 @@ def test_qrels_hundred_lines(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("\n".join(lines) + "\n")
     qrels = load_qrels(path)
-    assert sum(len(qrels.judged(q)) for q in qrels.qids()) == 100  # line-count oracle
+    assert sum(len(grades) for grades in qrels.values()) == 100  # line-count oracle
 
 
 # --- runs ---
 
 
 def test_run_line_format(tmp_path):
-    run = RunList(qid="1", entries=[("d5", 2.5)])
+    run = {"1": [("d5", 2.5)]}
     path = tmp_path / "r.run"
-    write_run([run], path, "bm25")
+    write_run(run, path, "bm25")
     assert path.read_text() == "1 Q0 d5 1 2.500000 bm25\n"
 
 
 def test_empty_run_empty_file(tmp_path):
     path = tmp_path / "r.run"
-    write_run([], path, "t")
+    write_run({}, path, "t")
     assert path.read_text() == ""
-    assert read_run(path) == (None, [])
+    assert read_run(path) == (None, {})
 
 
 def test_read_run_resorts_and_reranks(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 low 1 1.000000 t\n1 Q0 hi 2 9.000000 t\n")
-    tag, (run,) = read_run(path)
-    assert [d for d, _ in run.entries] == ["hi", "low"]
+    tag, run = read_run(path)
+    assert [d for d, _ in run["1"]] == ["hi", "low"]
     out = tmp_path / "out.run"  # the rank column is not read: ranks follow the new order
-    write_run([run], out, tag)
+    write_run(run, out, tag)
     assert out.read_text() == "1 Q0 hi 1 9.000000 t\n1 Q0 low 2 1.000000 t\n"
 
 
@@ -321,43 +322,43 @@ def test_read_run_rejects_a_non_finite_score(tmp_path, score):
 
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
 def test_write_run_rejects_a_non_finite_score(tmp_path, score):
-    run = RunList(qid="1", entries=[("a", 2.0), ("b", score)])
+    run = {"1": [("a", 2.0), ("b", score)]}
     with pytest.raises(CorpusFormatError, match=f"qid 1: non-finite score {score} at rank 2"):
-        write_run([run], tmp_path / "r.run", "t")
+        write_run(run, tmp_path / "r.run", "t")
     assert not (tmp_path / "r.run").exists()
 
 
 def test_read_run_two_queries(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("1 Q0 a 1 2.000000 t\n2 Q0 b 1 1.000000 t\n")
-    _, runs = read_run(path)
-    assert [r.qid for r in runs] == ["1", "2"]
+    _, run = read_run(path)
+    assert list(run) == ["1", "2"]
 
 
 def test_read_run_names_a_file_by_its_first_tag(tmp_path):
     path = tmp_path / "r.run"
     path.write_text("\n2 Q0 b 1 1.000000 first\n1 Q0 a 1 2.000000 second\n")
-    tag, runs = read_run(path)
+    tag, run = read_run(path)
     assert tag == "first"
-    assert [r.qid for r in runs] == ["2", "1"]
+    assert list(run) == ["2", "1"]
 
 
 def test_tie_scores_broken_by_docno():
-    run = RunList.from_scores("1", [("z", 1.0), ("a", 1.0), ("m", 2.0)])
-    assert [d for d, _ in run.entries] == ["m", "a", "z"]
+    ranking = ranked([("z", 1.0), ("a", 1.0), ("m", 2.0)])
+    assert [d for d, _ in ranking] == ["m", "a", "z"]
 
 
 def test_write_read_roundtrip_randomized(tmp_path):
     rng = random.Random(1234)
     for trial in range(25):
-        runs = []
+        run = {}
         for qid in range(rng.randint(1, 4)):
             docnos = rng.sample([f"doc{i}" for i in range(30)], rng.randint(1, 10))
             scored = [(d, rng.randint(0, 10_000_000) / 1e6) for d in docnos]
-            runs.append(RunList.from_scores(str(qid), scored))
+            run[str(qid)] = ranked(scored)
         path = tmp_path / f"r{trial}.run"
-        write_run(runs, path, f"t{trial}")
-        assert read_run(path) == (f"t{trial}", runs)
+        write_run(run, path, f"t{trial}")
+        assert read_run(path) == (f"t{trial}", run)
 
 
 # Run-file fields: any non-empty text without whitespace, line breaks or
@@ -371,19 +372,19 @@ _SCORE = st.integers(-10**12, 10**12).map(lambda i: i / 1e6)
 @given(tag=_FIELD, runs=st.dictionaries(
     _FIELD, st.dictionaries(_FIELD, _SCORE, min_size=1, max_size=6), max_size=4))
 def test_write_read_roundtrip_property(tmp_path_factory, tag, runs):
-    expected = [RunList.from_scores(qid, scored.items()) for qid, scored in runs.items()]
+    expected = {qid: ranked(scored.items()) for qid, scored in runs.items()}
     path = tmp_path_factory.mktemp("rt") / "r.run"
     write_run(expected, path, tag)
     assert read_run(path) == (tag if expected else None, expected)
 
 
 def test_write_run_validates_invariants(tmp_path):
-    bad = RunList(qid="1", entries=[("a", 1.0), ("a", 0.5)])
+    bad = {"1": [("a", 1.0), ("a", 0.5)]}
     with pytest.raises(CorpusFormatError, match="duplicate docno"):
-        write_run([bad], tmp_path / "r.run", "t")
-    increasing = RunList(qid="1", entries=[("a", 1.0), ("b", 2.0)])
+        write_run(bad, tmp_path / "r.run", "t")
+    increasing = {"1": [("a", 1.0), ("b", 2.0)]}
     with pytest.raises(CorpusFormatError, match="increase"):
-        write_run([increasing], tmp_path / "r.run", "t")
+        write_run(increasing, tmp_path / "r.run", "t")
 
 
 def test_atomic_writer_keeps_previous_file_on_error(tmp_path):
@@ -404,13 +405,12 @@ class _InterruptingScore(float):
 
 def test_interrupted_write_run_keeps_previous_run(tmp_path):
     path = tmp_path / "r.run"
-    write_run([RunList(qid="9", entries=[("z", 3.0)])], path, "old")
+    write_run({"9": [("z", 3.0)]}, path, "old")
     before = path.read_bytes()
     # the second query's line raises after the first query's lines are written
-    first = RunList(qid="1", entries=[("a", 2.0), ("b", 1.0)])
-    second = RunList(qid="2", entries=[("c", _InterruptingScore(1.0))])
+    run = {"1": [("a", 2.0), ("b", 1.0)], "2": [("c", _InterruptingScore(1.0))]}
     with pytest.raises(KeyboardInterrupt):
-        write_run([first, second], path, "t")
+        write_run(run, path, "t")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["r.run"]
 
@@ -430,11 +430,18 @@ def test_interrupted_write_jsonl_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 
-def test_qrels_relevant_filter():
-    qrels = Qrels({("1", "a"): 3, ("1", "b"): 1, ("1", "c"): 0})
-    assert qrels.relevant("1") == {"a": 3, "b": 1}
-    assert qrels.relevant("1", min_rel=2) == {"a": 3}
-    assert qrels.judged("1") == {"a": 3, "b": 1, "c": 0}
+def test_qrels_relevant_filter(tmp_path):
+    path = tmp_path / "q.txt"
+    path.write_text("1 0 a 3\n1 0 b 1\n1 0 c 0\n")
+    qrels = load_qrels(path)
+
+    def relevant(min_rel):  # the docs a binary metric counts as hits at min_rel
+        return {d for d in "abc"
+                if precision_at_k([(d, 1.0)], qrels["1"], 1, min_rel=min_rel) == 1.0}
+
+    assert relevant(1) == {"a", "b"}
+    assert relevant(2) == {"a"}
+    assert qrels["1"] == {"a": 3, "b": 1, "c": 0}
 
 
 # --- byte mutation ---

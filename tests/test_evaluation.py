@@ -2,90 +2,84 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ap_oracle, ndcg_oracle, prec_oracle, rr_oracle
 
-from genqr.corpus_io import Qrels, RunList
 from genqr.evaluation import (EvalReport, MetricSpec, average_precision,
                               evaluate_run, holm_bonferroni, missing_topics, mrr,
                               ndcg_at_k, paired_ttest, parse_metric, parse_metrics,
                               precision_at_k, student_t_two_sided)
 
 
-def run_of(qid, docnos):
-    return RunList.from_scores(qid, [(d, float(len(docnos) - i))
-                                     for i, d in enumerate(docnos)])
-
-
-def qrels_of(qid, grades):
-    return Qrels({(qid, d): g for d, g in grades.items()})
+def ranking_of(docnos):
+    return [(d, float(len(docnos) - i)) for i, d in enumerate(docnos)]
 
 
 # --- nDCG ---
 
 
 def test_ideal_ranking_scores_one():
-    qrels = qrels_of("1", {"a": 3, "b": 2, "c": 1})
-    assert ndcg_at_k(run_of("1", ["a", "b", "c"]), qrels, k=3) == pytest.approx(1.0)
+    grades = {"a": 3, "b": 2, "c": 1}
+    assert ndcg_at_k(ranking_of(["a", "b", "c"]), grades, k=3) == pytest.approx(1.0)
 
 
 def test_hand_derived_ndcg_case():
     # grades at ranks 1..3 = [0,1,2]; judged grades {2,1,0}
-    qrels = qrels_of("1", {"x": 0, "y": 1, "z": 2})
-    value = ndcg_at_k(run_of("1", ["x", "y", "z"]), qrels, k=3)
+    grades = {"x": 0, "y": 1, "z": 2}
+    value = ndcg_at_k(ranking_of(["x", "y", "z"]), grades, k=3)
     assert value == pytest.approx(0.6199, abs=1e-4)
 
 
 def test_no_relevant_docs_skipped():
-    qrels = qrels_of("1", {"a": 0})
-    assert ndcg_at_k(run_of("1", ["a", "b"]), qrels, k=3) is None
+    grades = {"a": 0}
+    assert ndcg_at_k(ranking_of(["a", "b"]), grades, k=3) is None
 
 
 # --- AP / MRR / P@k ---
 
 
 def test_ap_single_relevant_at_rank_one():
-    qrels = qrels_of("1", {"a": 1})
-    assert average_precision(run_of("1", ["a", "b"]), qrels) == pytest.approx(1.0)
+    grades = {"a": 1}
+    assert average_precision(ranking_of(["a", "b"]), grades) == pytest.approx(1.0)
 
 
 def test_ap_two_relevant():
-    qrels = qrels_of("1", {"a": 1, "c": 2})
-    value = average_precision(run_of("1", ["a", "b", "c"]), qrels)
+    grades = {"a": 1, "c": 2}
+    value = average_precision(ranking_of(["a", "b", "c"]), grades)
     assert value == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
 
 def test_ap_zero_when_none_retrieved():
-    qrels = qrels_of("1", {"z": 1})
-    assert average_precision(run_of("1", ["a", "b"]), qrels) == 0.0
+    grades = {"z": 1}
+    assert average_precision(ranking_of(["a", "b"]), grades) == 0.0
 
 
 def test_mrr_cases():
-    qrels = qrels_of("1", {"a": 1, "d": 2})
-    assert mrr(run_of("1", ["a", "b"]), qrels) == 1.0
-    assert mrr(run_of("1", ["x", "y", "z", "d"]), qrels) == 0.25
-    assert mrr(run_of("1", ["x", "y"]), qrels) == 0.0
+    grades = {"a": 1, "d": 2}
+    assert mrr(ranking_of(["a", "b"]), grades) == 1.0
+    assert mrr(ranking_of(["x", "y", "z", "d"]), grades) == 0.25
+    assert mrr(ranking_of(["x", "y"]), grades) == 0.0
     # mrr@k: a first hit at rank k counts 1/k, one at rank k + 1 counts 0
-    assert mrr(run_of("1", ["x", "y", "z", "d"]), qrels, k=4) == 0.25
-    assert mrr(run_of("1", ["x", "y", "z", "d"]), qrels, k=3) == 0.0
+    assert mrr(ranking_of(["x", "y", "z", "d"]), grades, k=4) == 0.25
+    assert mrr(ranking_of(["x", "y", "z", "d"]), grades, k=3) == 0.0
     assert rr_oracle(["x", "y", "z", "d"], {"a": 1, "d": 2}, k=3) == 0.0
 
 
 def test_precision_cases():
-    qrels = qrels_of("1", {f"r{i}": 1 for i in range(10)})
-    assert precision_at_k(run_of("1", [f"r{i}" for i in range(10)]), qrels, k=10) == 1.0
-    qrels3 = qrels_of("1", {"a": 1, "b": 2, "c": 1})
+    grades = {f"r{i}": 1 for i in range(10)}
+    assert precision_at_k(ranking_of([f"r{i}" for i in range(10)]), grades, k=10) == 1.0
+    grades3 = {"a": 1, "b": 2, "c": 1}
     ranked = ["a", "x1", "b", "x2", "c"] + [f"x{i}" for i in range(3, 8)]
-    assert precision_at_k(run_of("1", ranked), qrels3, k=10) == pytest.approx(0.3)
-    assert precision_at_k(RunList(qid="1", entries=[]), qrels3, k=10) == 0.0
+    assert precision_at_k(ranking_of(ranked), grades3, k=10) == pytest.approx(0.3)
+    assert precision_at_k([], grades3, k=10) == 0.0
 
 
 def test_min_rel_threshold():
-    qrels = qrels_of("1", {"a": 1, "b": 2})
-    assert mrr(run_of("1", ["a", "b"]), qrels, min_rel=2) == 0.5
-    assert average_precision(run_of("1", ["a", "b"]), qrels, min_rel=2) == \
+    grades = {"a": 1, "b": 2}
+    assert mrr(ranking_of(["a", "b"]), grades, min_rel=2) == 0.5
+    assert average_precision(ranking_of(["a", "b"]), grades, min_rel=2) == \
         pytest.approx(0.5)
 
 
@@ -103,15 +97,14 @@ def test_metrics_match_oracles_randomized():
     rng = random.Random(31337)
     for _ in range(200):
         ranked, grades = random_instance(rng)
-        run = run_of("1", ranked)
-        qrels = qrels_of("1", grades)
+        run = ranking_of(ranked)
         k = rng.randint(1, 10)
         pairs = [
-            (ndcg_at_k(run, qrels, k), ndcg_oracle(ranked, grades, k)),
-            (average_precision(run, qrels), ap_oracle(ranked, grades)),
-            (mrr(run, qrels), rr_oracle(ranked, grades)),
-            (mrr(run, qrels, k=k), rr_oracle(ranked, grades, k=k)),
-            (precision_at_k(run, qrels, k), prec_oracle(ranked, grades, k)),
+            (ndcg_at_k(run, grades, k), ndcg_oracle(ranked, grades, k)),
+            (average_precision(run, grades), ap_oracle(ranked, grades)),
+            (mrr(run, grades), rr_oracle(ranked, grades)),
+            (mrr(run, grades, k=k), rr_oracle(ranked, grades, k=k)),
+            (precision_at_k(run, grades, k), prec_oracle(ranked, grades, k)),
         ]
         for mine, ref in pairs:
             if ref is None:
@@ -123,14 +116,13 @@ def test_metrics_match_oracles_randomized():
 
 def test_rank_only_dependence():
     # positive monotone rescaling of scores changes nothing
-    qrels = qrels_of("1", {"a": 2, "b": 1})
-    base = run_of("1", ["b", "a", "c"])
-    rescaled = RunList.from_scores(
-        "1", [(d, s * 1000 + 7) for d, s in base.entries])
+    qrels = {"1": {"a": 2, "b": 1}}
+    base = ranking_of(["b", "a", "c"])
+    rescaled = [(d, s * 1000 + 7) for d, s in base]
     for spec in [MetricSpec("ndcg", 3), MetricSpec("map"), MetricSpec("mrr"),
                  MetricSpec("precision", 3)]:
-        a = evaluate_run([base], qrels, spec).per_query["1"]
-        b = evaluate_run([rescaled], qrels, spec).per_query["1"]
+        a = evaluate_run({"1": base}, qrels, spec).per_query["1"]
+        b = evaluate_run({"1": rescaled}, qrels, spec).per_query["1"]
         assert a == pytest.approx(b)
 
 
@@ -138,9 +130,9 @@ def test_rank_only_dependence():
 
 
 def test_evaluate_run_aggregates_and_skips():
-    qrels = Qrels({("1", "a"): 1, ("2", "b"): 2})  # qid 3 unjudged
-    runs = [run_of("1", ["a"]), run_of("2", ["x", "b"]), run_of("3", ["z"])]
-    report = evaluate_run(runs, qrels, MetricSpec("ndcg", 10))
+    qrels = {"1": {"a": 1}, "2": {"b": 2}}  # qid 3 unjudged
+    run = {"1": ranking_of(["a"]), "2": ranking_of(["x", "b"]), "3": ranking_of(["z"])}
+    report = evaluate_run(run, qrels, MetricSpec("ndcg", 10))
     assert report.evaluated == 2
     assert report.skipped == ["3"]
     assert report.mean == pytest.approx(
@@ -149,13 +141,57 @@ def test_evaluate_run_aggregates_and_skips():
 
 def test_evaluate_run_scores_missing_judged_topics_zero():
     # trec_eval -c: a judged topic the run never answered is an empty ranking
-    qrels = Qrels({("1", "a"): 1, ("2", "b"): 2, ("3", "c"): 0})  # qid 3: nothing relevant
-    report = evaluate_run([run_of("2", ["b"])], qrels, MetricSpec("map"))
+    qrels = {"1": {"a": 1}, "2": {"b": 2}, "3": {"c": 0}}  # qid 3: nothing relevant
+    report = evaluate_run({"2": ranking_of(["b"])}, qrels, MetricSpec("map"))
     assert list(report.per_query.items()) == [("2", 1.0), ("1", 0.0)]
     assert report.mean == 0.5
     assert report.skipped == ["3"]
-    assert missing_topics([run_of("2", ["b"])], qrels) == ["1", "3"]
-    assert evaluate_run([], qrels, MetricSpec("map")).per_query == {"1": 0.0, "2": 0.0}
+    assert missing_topics({"2": ranking_of(["b"])}, qrels) == ["1", "3"]
+    assert evaluate_run({}, qrels, MetricSpec("map")).per_query == {"1": 0.0, "2": 0.0}
+
+
+def _metric_oracle(spec, docnos, grades):
+    if spec.kind == "ndcg":
+        return ndcg_oracle(docnos, grades, spec.k)
+    if spec.kind == "map":
+        return ap_oracle(docnos, grades, spec.min_rel)
+    if spec.kind == "mrr":
+        return rr_oracle(docnos, grades, spec.min_rel, spec.k)
+    return prec_oracle(docnos, grades, spec.k, spec.min_rel)
+
+
+_QIDS = st.sampled_from([f"q{i}" for i in range(6)])
+_DOCNOS = st.sampled_from([f"d{i}" for i in range(6)])
+
+
+@settings(deadline=None)
+@given(run=st.dictionaries(_QIDS, st.lists(_DOCNOS, unique=True, max_size=6)),
+       qrels=st.dictionaries(_QIDS, st.dictionaries(_DOCNOS, st.integers(0, 3), max_size=6)),
+       label=st.sampled_from(["ndcg@3", "map", "mrr", "mrr@2", "p@3"]),
+       min_rel=st.integers(1, 2))
+# q0 is judged but not run, q1 is run but not judged, q2 is judged at grade 0 only
+@example(run={"q1": ["d0"], "q2": ["d1"], "q3": ["d2", "d3"]},
+         qrels={"q3": {"d3": 2, "d4": 1}, "q0": {"d0": 1}, "q2": {"d1": 0}},
+         label="map", min_rel=1)
+def test_evaluate_run_matches_the_oracles_topic_by_topic(run, qrels, label, min_rel):
+    """evaluate_run on plain runs and qrels: the run's topics in run order,
+    then the judged topics it lacks as empty rankings (trec_eval -c); a
+    topic without a relevant document, unjudged or judged at grade 0 only,
+    is skipped."""
+    spec = parse_metric(label, min_rel=min_rel)
+    report = evaluate_run({qid: ranking_of(docnos) for qid, docnos in run.items()},
+                          qrels, spec)
+    expected, skipped = {}, []
+    for qid in [*run, *(qid for qid in qrels if qid not in run)]:
+        value = _metric_oracle(spec, run.get(qid, []), qrels.get(qid, {}))
+        if value is None:
+            skipped.append(qid)
+        else:
+            expected[qid] = value
+    assert list(report.per_query) == list(expected)
+    assert list(report.per_query.values()) == pytest.approx(list(expected.values()),
+                                                            abs=1e-12)
+    assert report.skipped == skipped
 
 
 def test_report_tsv_and_json():

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY, assert_same_index, read_index_file, write_index_file
-from oracles import bm25_oracle, inverted_index_oracle, rank_oracle
+from oracles import bm25_oracle, bm25_scores, inverted_index_oracle, rank_oracle
 
 from genqr import index as index_module
 from genqr.analysis import Analyzer
-from genqr.corpus_io import Document, RunList, load_corpus
+from genqr.corpus_io import Document, load_corpus, ranked
 from genqr.index import (DegenerateQueryError, IndexingError, PostingsIndex,
                          WeightedQuery, build_index)
 
@@ -107,13 +107,13 @@ def test_build_equals_inverted_index_oracle(corpus):
 
 def test_single_term_positive_score():
     index = build_index([Document("d1", "hello")], Analyzer())
-    scores = index.bm25_scores(WeightedQuery.from_terms("q", ["hello"]))
+    scores = dict(index.retrieve(WeightedQuery.from_terms("q", ["hello"]), k=index.n_docs))
     assert scores["d1"] > 0  # idf stays positive via the +1 inside the log
 
 
 def test_absent_term_empty_candidates():
     index = build_index([Document("d1", "hello")], Analyzer())
-    assert index.bm25_scores(WeightedQuery.from_terms("q", ["nothere"])) == {}
+    assert dict(index.retrieve(WeightedQuery.from_terms("q", ["nothere"]), k=index.n_docs)) == {}
 
 
 def test_hand_corpus_frozen_scores():
@@ -125,8 +125,8 @@ def test_hand_corpus_frozen_scores():
         Document("d5", "cat cat cat"),
     ]
     index = build_index(docs, Analyzer())
-    scores = index.bm25_scores(WeightedQuery.from_terms("q", ["cat", "mat"]),
-                               k1=1.2, b=0.75)
+    scores = dict(index.retrieve(WeightedQuery.from_terms("q", ["cat", "mat"]),
+                                 k=index.n_docs, k1=1.2, b=0.75))
     # frozen from an independent straight-line evaluation of the formula
     expected = {
         "d1": 1.3074888755422234,
@@ -142,14 +142,14 @@ def test_hand_corpus_frozen_scores():
 def test_degenerate_query_rejected():
     index = build_index([Document("d1", "a")], Analyzer())
     with pytest.raises(DegenerateQueryError, match="degenerate"):
-        index.bm25_scores(WeightedQuery(qid="q", terms=(("a", 0.0),)))
+        index.retrieve(WeightedQuery(qid="q", terms=(("a", 0.0),)), k=index.n_docs)
 
 
 def test_retrieve_k_larger_than_candidates():
     index = build_index([Document("d1", "a"), Document("d2", "a"), Document("d3", "b")],
                         Analyzer())
     run = index.retrieve(WeightedQuery.from_terms("q", ["a"]), k=50)
-    assert len(run.entries) == 2
+    assert len(run) == 2
 
 
 def test_retrieve_matches_exhaustive_sort():
@@ -160,8 +160,8 @@ def test_retrieve_matches_exhaustive_sort():
                                            for _ in range(4)])
     run = index.retrieve(query, k=10)
     expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 10)
-    assert [d for d, _ in run.entries] == [d for d, _ in expected]
-    for (_, got), (_, score) in zip(run.entries, expected):
+    assert [d for d, _ in run] == [d for d, _ in expected]
+    for (_, got), (_, score) in zip(run, expected):
         assert got == pytest.approx(score, abs=1e-9)
 
 
@@ -184,8 +184,8 @@ def test_duplicate_terms_equal_weight_multiplicity():
         weighted = WeightedQuery(qid="q", terms=((term, float(mult)),))
         run_dup = index.retrieve(dup, k=20)
         run_w = index.retrieve(weighted, k=20)
-        assert [d for d, _ in run_dup.entries] == [d for d, _ in run_w.entries]
-        for (_, a), (_, b) in zip(run_dup.entries, run_w.entries):
+        assert [d for d, _ in run_dup] == [d for d, _ in run_w]
+        for (_, a), (_, b) in zip(run_dup, run_w):
             assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -195,7 +195,7 @@ def test_tf_monotone_at_fixed_length_and_df():
             Document("pad", "q w e")]
     index = build_index(docs, Analyzer())
     run = index.retrieve(WeightedQuery.from_terms("q", ["z"]), k=5)
-    assert [d for d, _ in run.entries] == ["hi", "lo"]
+    assert [d for d, _ in run] == ["hi", "lo"]
 
 
 def test_oracle_equivalence_randomized():
@@ -209,7 +209,7 @@ def test_oracle_equivalence_randomized():
         query = WeightedQuery(qid="q", terms=tuple(weights.items()))
         k1 = rng.choice([0.9, 1.2, 2.0])
         b = rng.choice([0.0, 0.4, 0.75, 1.0])
-        mine = index.bm25_scores(query, k1=k1, b=b)
+        mine = dict(index.retrieve(query, k=index.n_docs, k1=k1, b=b))
         ref = bm25_oracle(tokens_of(docs), weights, k1, b)
         assert set(mine) == set(ref)
         for docno in ref:
@@ -224,7 +224,7 @@ def test_scores_follow_k1_and_b_on_one_index():
     weights = {"t1": 1.0, "t4": 2.0, "t7": 0.5}
     query = WeightedQuery(qid="q", terms=tuple(weights.items()))
     for k1, b in [(1.2, 0.75), (0.9, 0.4), (1.2, 0.0), (2.0, 1.0), (1.2, 0.75)]:
-        mine = index.bm25_scores(query, k1=k1, b=b)
+        mine = dict(index.retrieve(query, k=index.n_docs, k1=k1, b=b))
         ref = bm25_oracle(tokens_of(docs), weights, k1, b)
         assert set(mine) == set(ref)
         for docno in ref:
@@ -247,13 +247,11 @@ def test_retrieve_rejects_bad_parameters(k, k1, b, match):
 
 
 def exhaustive(index, query, k, k1=1.2, b=0.75):
-    run = RunList.from_scores(query.qid, index.bm25_scores(query, k1=k1, b=b).items())
-    del run.entries[k:]
-    return run
+    return ranked(bm25_scores(index, query, k1=k1, b=b).items())[:k]
 
 
 def entries(run):
-    return [(d, s.hex()) for d, s in run.entries]  # the rank is the position
+    return [(d, s.hex()) for d, s in run]  # the rank is the position
 
 
 def assert_rank_safe(index, query, k, k1=1.2, b=0.75):
@@ -296,7 +294,7 @@ def test_doc_on_the_pruning_threshold_is_kept():
     assert s_y < s_x <= 2 * s_y  # no pruning before "y"; pruning before "z"
     query = WeightedQuery(qid="q", terms=tuple(weights.items()))
     assert_rank_safe(index, query, k=1, k1=0.0)
-    assert index.retrieve(query, 1, k1=0.0).entries[0][0] == "da"
+    assert index.retrieve(query, 1, k1=0.0)[0][0] == "da"
 
 
 def test_pruning_threshold_absorbs_rounding():
@@ -324,7 +322,7 @@ def test_pruning_threshold_absorbs_rounding():
         break
     query = WeightedQuery(qid="q", terms=(("x", w), ("y", w_y)))
     assert_rank_safe(index, query, k=1, k1=0.0)
-    assert index.retrieve(query, 1, k1=0.0).entries[0][0] == "da"
+    assert index.retrieve(query, 1, k1=0.0)[0][0] == "da"
 
 
 def test_ties_at_the_cut_go_by_docno():
@@ -335,8 +333,8 @@ def test_ties_at_the_cut_go_by_docno():
     query = WeightedQuery.from_terms("q", ["tie"])
     run = index.retrieve(query, k=3)
     expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 3)
-    assert run.entries == expected
-    assert [d for d, _ in run.entries] == ["d0", "d1", "d2"]
+    assert run == expected
+    assert [d for d, _ in run] == ["d0", "d1", "d2"]
 
 
 def test_pruning_keeps_only_docs_that_can_reach_the_top_k(monkeypatch):
@@ -360,24 +358,23 @@ def test_pruning_keeps_only_docs_that_can_reach_the_top_k(monkeypatch):
 
 
 def test_retrieve_ranks_only_the_docs_at_the_cut(monkeypatch):
-    # 30 docs match; RunList.from_scores ranks the 2 that score at least the
+    # 30 docs match; corpus_io.ranked ranks the 2 that score at least the
     # 2nd best score, not all 30.
     docs = [Document(f"d{i:02d}", "term " * (1 + i % 5) + "pad " * (i % 7)) for i in range(30)]
     index = build_index(docs, Analyzer())
-    ranked = []
-    from_scores = RunList.from_scores.__func__
+    sizes = []
 
-    def counting(cls, qid, scored):
+    def counting(scored):
         scored = list(scored)
-        ranked.append(len(scored))
-        return from_scores(cls, qid, scored)
+        sizes.append(len(scored))
+        return ranked(scored)
 
-    monkeypatch.setattr(RunList, "from_scores", classmethod(counting))
+    monkeypatch.setattr(index_module, "ranked", counting)
     query = WeightedQuery.from_terms("q", ["term"])
     run = index.retrieve(query, k=2)
-    assert ranked == [2]
+    assert sizes == [2]
     expected = rank_oracle(bm25_oracle(tokens_of(docs), query.aggregated(), 1.2, 0.75), 2)
-    assert run.entries == expected
+    assert run == expected
 
 
 # Rare terms pick a few docs, head terms are in nearly every doc: a query

@@ -52,7 +52,7 @@ _params = st.fixed_dictionaries({
     # from rm3_oracle's; with mu = 0 a doc without t gives P(t|d) = 0 in both.
     "mu": st.just(0.0), "n": st.integers(1, 10),
     "beta": st.sampled_from([0.0, 0.5, 1.0, 2.0]), "dedup": st.booleans(),
-    "context_budget": st.sampled_from([0, 12, 4000]),
+    "context_budget": st.sampled_from([0, 12, 4000]), "min_rel": st.sampled_from([1, 2]),
 })
 
 
@@ -62,6 +62,7 @@ def _config(method, mode, params, work):
         "corpus": str(work / "corpus.jsonl"), "qrels": str(work / "qrels.txt"),
         "method": method, "backend": STUB, "k1": p["k1"], "b": p["b"],
         "retrieval_depth": p["depth"], "fb_docs": p["fb_docs"], "feedback_mode": mode,
+        "min_rel": p["min_rel"],
         "rm3": {"fb_terms": p["fb_terms"], "lam": p["lam"], "mu": p["mu"]},
         "reformulation": {"n": p["n"], "beta": p["beta"], "dedup": p["dedup"],
                           "context_budget": p["context_budget"]},
@@ -104,14 +105,14 @@ def _assert_same(run, record, ranking, depth, weights, exact, where):
     oracle's by rounding, so docs tied in exact arithmetic may come in
     either order: each doc must then hold a rank its oracle score earns."""
     assert _fused(record) == pytest.approx(_positive(weights), abs=1e-9), where
-    scores = [s for _, s in run.entries]
+    scores = [s for _, s in run]
     assert scores == pytest.approx([s for _, s in ranking[:depth]], abs=1e-9), where
     if exact:
-        assert [d for d, _ in run.entries] == [d for d, _ in ranking[:depth]], where
+        assert [d for d, _ in run] == [d for d, _ in ranking[:depth]], where
         return
     oracle_score = dict(ranking)
-    assert len({d for d, _ in run.entries}) == len(run.entries), where
-    for docno, score in run.entries:
+    assert len({d for d, _ in run}) == len(run), where
+    for docno, score in run:
         assert _near(oracle_score.get(docno, -1.0), score), where
 
 

@@ -5,16 +5,15 @@ import pytest
 from oracles import rm3_oracle
 
 from genqr.analysis import Analyzer
-from genqr.corpus_io import Document, Qrels, RunList
+from genqr.corpus_io import Document
 from genqr.index import WeightedQuery, build_index
 from genqr.prf import (FeedbackError, Rm3Params, estimate_relevance_model,
                        rm3_expand, select_feedback, select_oracle_feedback)
 from genqr.schema import ConfigError
 
 
-def run_of(qid, docnos):
-    return RunList.from_scores(qid, [(d, float(len(docnos) - i))
-                                     for i, d in enumerate(docnos)])
+def ranking_of(docnos):
+    return [(d, float(len(docnos) - i)) for i, d in enumerate(docnos)]
 
 
 def lookup_of(texts):
@@ -25,60 +24,60 @@ def lookup_of(texts):
 
 
 def test_top_m_of_run():
-    run = run_of("1", [f"d{i}" for i in range(10)])
+    ranking = ranking_of([f"d{i}" for i in range(10)])
     texts = {f"d{i}": f"text {i}" for i in range(10)}
-    fb = select_feedback(run, lookup_of(texts), m=5)
+    fb = select_feedback(ranking, lookup_of(texts), "1", m=5)
     assert [d.docno for d in fb] == ["d0", "d1", "d2", "d3", "d4"]
     assert fb[0].text == "text 0"
 
 
 def test_m_zero_empty_set():
-    run = run_of("1", ["d0", "d1"])
-    fb = select_feedback(run, lookup_of({}), m=0)
+    ranking = ranking_of(["d0", "d1"])
+    fb = select_feedback(ranking, lookup_of({}), "1", m=0)
     assert len(fb) == 0
 
 
 def test_truncation_when_run_short():
-    run = run_of("1", ["d0", "d1", "d2"])
+    ranking = ranking_of(["d0", "d1", "d2"])
     texts = {f"d{i}": "x" for i in range(3)}
-    assert len(select_feedback(run, lookup_of(texts), m=5)) == 3
+    assert len(select_feedback(ranking, lookup_of(texts), "1", m=5)) == 3
 
 
 def test_missing_docno_named():
-    run = run_of("1", ["ghost"])
+    ranking = ranking_of(["ghost"])
     with pytest.raises(FeedbackError, match="^qid 1: feedback docno 'ghost' missing"):
-        select_feedback(run, lookup_of({}), m=1)
+        select_feedback(ranking, lookup_of({}), "1", m=1)
 
 
 def test_oracle_missing_docno_named():
-    qrels = Qrels({("1", "ghost"): 1})
+    qrels = {"1": {"ghost": 1}}
     with pytest.raises(FeedbackError, match="^qid 1: feedback docno 'ghost' missing"):
         select_oracle_feedback(qrels, lookup_of({}), "1", m=1)
 
 
 def test_oracle_orders_by_grade():
-    qrels = Qrels({("1", "d1"): 3, ("1", "d2"): 1, ("1", "d3"): 0})
+    qrels = {"1": {"d1": 3, "d2": 1, "d3": 0}}
     texts = {"d1": "a", "d2": "b", "d3": "c"}
     fb = select_oracle_feedback(qrels, lookup_of(texts), "1", m=2)
     assert [d.docno for d in fb] == ["d1", "d2"]
 
 
 def test_oracle_tie_broken_by_docno():
-    qrels = Qrels({("1", "d1"): 2, ("1", "d2"): 2})
+    qrels = {"1": {"d1": 2, "d2": 2}}
     texts = {"d1": "a", "d2": "b"}
     fb = select_oracle_feedback(qrels, lookup_of(texts), "1", m=1)
     assert [d.docno for d in fb] == ["d1"]
 
 
 def test_oracle_m_exceeding_relevant_count():
-    qrels = Qrels({("1", "d1"): 2, ("1", "d2"): 1, ("1", "d3"): 0})
+    qrels = {"1": {"d1": 2, "d2": 1, "d3": 0}}
     texts = {"d1": "a", "d2": "b"}
     fb = select_oracle_feedback(qrels, lookup_of(texts), "1", m=10)
     assert len(fb) == 2
 
 
 def test_oracle_without_relevant_docs():
-    qrels = Qrels({("1", "d1"): 0})
+    qrels = {"1": {"d1": 0}}
     fb = select_oracle_feedback(qrels, lookup_of({}), "1", m=3)
     assert fb == ()
 
@@ -99,7 +98,7 @@ def fixture_index():
 
 def fixture_feedback():
     texts = {d.docno: d.text for d in FIXTURE_DOCS}
-    return select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), m=2)
+    return select_feedback(ranking_of(["d1", "d2"]), lookup_of(texts), "q", m=2)
 
 
 def test_lambda_one_returns_normalized_original():
@@ -123,7 +122,7 @@ def test_empty_feedback_doc_under_mu_zero_gives_no_term_mass():
     # Oracle feedback can take a judged doc with no tokens; under mu = 0 its
     # P(t|d) is 0 for every t, not 0/0, and the other doc carries the model.
     docs = [Document("d1", ""), Document("d2", "a b b")]
-    fb = select_oracle_feedback(Qrels({("q", "d1"): 2, ("q", "d2"): 1}),
+    fb = select_oracle_feedback({"q": {"d1": 2, "d2": 1}},
                                 lookup_of({d.docno: d.text for d in docs}), "q", m=2)
     assert [d.docno for d in fb] == ["d1", "d2"]
     query = WeightedQuery.from_terms("q", ["a"])
@@ -161,7 +160,7 @@ def test_relevance_model_smooths_every_feedback_doc():
     # d1 lacks "w0", yet under Dirichlet smoothing P(w0|d1) = mu*cf/|C| / (|d1|+mu)
     docs = [Document("d1", "w1"), Document("d2", "w0 w1")]
     texts = {d.docno: d.text for d in docs}
-    fb = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), m=2)
+    fb = select_feedback(ranking_of(["d1", "d2"]), lookup_of(texts), "q", m=2)
     query = WeightedQuery.from_terms("q", ["w1"])
     out = rm3_expand(build_index(docs, Analyzer()), query, fb,
                      Rm3Params(fb_terms=2, lam=0.0, mu=1.0))
@@ -192,7 +191,7 @@ def test_relevance_model_sums_to_one():
         index = build_index(docs, Analyzer())
         texts = {d.docno: d.text for d in docs}
         m = rng.randint(1, len(docs))
-        fb = select_feedback(run_of("q", [d.docno for d in docs]), lookup_of(texts), m)
+        fb = select_feedback(ranking_of([d.docno for d in docs]), lookup_of(texts), "q", m)
         query = WeightedQuery.from_terms("q", rng.choices(vocab, k=2))
         fb_terms = rng.randint(1, 6)
         model = estimate_relevance_model(
@@ -208,7 +207,7 @@ def test_duplicated_feedback_docs_leave_model_unchanged():
     index = fixture_index()
     query = WeightedQuery.from_terms("q", ["a", "b"])
     texts = {d.docno: d.text for d in FIXTURE_DOCS}
-    single = select_feedback(run_of("q", ["d1", "d2"]), lookup_of(texts), 2)
+    single = select_feedback(ranking_of(["d1", "d2"]), lookup_of(texts), "q", 2)
     doubled = single + single
     m1 = estimate_relevance_model(index, query, single, Rm3Params(fb_terms=4, mu=8.0))
     m2 = estimate_relevance_model(index, query, doubled, Rm3Params(fb_terms=4, mu=8.0))

@@ -360,8 +360,8 @@ def test_lenient_generation_failure_fails_only_its_topic(canned, toy_cfg, toy_in
     row, = map(json.loads, (run_path.parent / "failing.failures.jsonl").read_text().splitlines())
     assert row["qid"] == topic.qid
     assert row["error"].startswith(f"qid {topic.qid}: instruction 2 generation failed")
-    entries = {run.qid: run.entries for run in read_run(run_path)[1]}
-    clean = {run.qid: run.entries for run in read_run(clean_path)[1]}
+    entries = read_run(run_path)[1]
+    clean = read_run(clean_path)[1]
     assert topic.qid not in entries
     assert entries == {qid: e for qid, e in clean.items() if qid != topic.qid}
 
@@ -384,8 +384,8 @@ def test_topics_with_one_query_text_share_a_backend_call(canned, toy_cfg, toy_in
                                             backend=http_backend(canned)))
     assert failures == 0
     assert len(canned.payloads) == 1
-    first, second = read_run(run_path)[1]
-    assert first.entries == second.entries
+    first, second = read_run(run_path)[1].values()
+    assert first == second
 
 
 def test_each_chunk_makes_one_generate_call(toy_cfg, toy_index, monkeypatch):

@@ -80,7 +80,7 @@ CATALOG = [
            'if "/" in self.run_tag:',
            "if False:",
            ("tests/test_cli.py::test_bad_config_value_raises_config_error[run_tag='../escaped']",
-            "tests/test_cli.py::test_sweep_tag_with_a_slash_rejected_before_any_run")),
+            "tests/test_cli.py::test_bad_config_value_raises_config_error[run_tag='sub/x']")),
     Mutant("eval takes a run file's tag with '/'", "cli.py",
            'if "/" in tag:',
            "if False:",
@@ -181,6 +181,19 @@ CATALOG = [
            "baseline=configs[0].run_tag",
            "baseline=configs[-1].run_tag",
            ("tests/test_cli.py::test_sweep_reports_like_eval",)),
+    # --- a swept config is the config file with one key set ---
+    Mutant("swept config built without the config's directory", "cli.py",
+           'config_from_dict({**swept, "run_tag": tag}, base_dir)',
+           'config_from_dict({**swept, "run_tag": tag})',
+           ("tests/test_cli.py::test_sweep_instruction_sets_by_relative_path",
+            "tests/test_cli.py::test_sweep_topics_by_relative_path")),
+    Mutant("swept value's text used as the tag unchecked", "cli.py",
+           'if tag.split() != [tag] or "/" in tag:',
+           "if False:",
+           ("tests/test_cli.py::test_sweep_value_with_a_slash_is_tagged_by_position",
+            "tests/test_cli.py::test_sweep_prompt_template_with_a_space",
+            "tests/test_cli.py::test_sweep_reranker_cmd_with_a_space",
+            "tests/test_cli.py::test_sweep_tags_are_valid_and_distinct_or_rejected")),
     # --- the run loop ---
     Mutant("phase-1 errors raised at once", "cli.py",
            "steps = [_attempt(runner.prepare, topic) for topic in chunk]",
@@ -304,6 +317,11 @@ CATALOG = [
            "first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)",
            "first_pass = self.index.retrieve(query, k=m + 1, k1=cfg.k1, b=cfg.b)[1:]",
            ("tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle",)),
+    Mutant("first pass taken on an empty query", "cli.py",
+           "if query.terms else []",
+           "if True else []",
+           ("tests/test_cli.py::test_an_empty_query_takes_no_pseudo_feedback",
+            "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
     Mutant("oracle feedback ignores min_rel", "cli.py",
            "query.qid, m,\n                                              cfg.min_rel)",
            "query.qid, m)",

@@ -17,7 +17,6 @@ Exit code is 0 iff no query failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import (ENSEMBLE_METHODS, FEEDBACK_METHODS, LLM_METHODS, ConfigError,
-                     ExperimentConfig, load_config)
+                     ExperimentConfig, config_from_dict, load_config, read_config)
 from .corpus_io import (Document, Qrels, Ranking, Run, Topic, atomic_writer, load_corpus,
                         load_qrels, load_topics, read_run, write_jsonl, write_run)
 from .evaluation import (DEFAULT_METRICS, EvalReport, evaluate_run, holm_bonferroni,
@@ -118,8 +117,8 @@ class _QueryRunner:
         if self.qrels is not None:
             feedback = select_oracle_feedback(self.qrels, self.docs.__getitem__, query.qid, m,
                                               cfg.min_rel)
-        else:
-            first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b)
+        else:  # a query with no terms takes no first pass: it finds no documents
+            first_pass = self.index.retrieve(query, k=m, k1=cfg.k1, b=cfg.b) if query.terms else []
             feedback = select_feedback(first_pass, self.docs.__getitem__, query.qid, m)
         if not feedback:
             logger.warning("qid %s: no feedback documents, running without feedback",
@@ -337,42 +336,37 @@ _SWEEP_PARAMS = {
 }
 
 
-def _swept_config(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    """A copy of `cfg` with `param` set to `value` and its own run tag, built
-    through the config classes so that their validation runs."""
-    section, _, attr = _SWEEP_PARAMS.get(param, param).rpartition(".")
-    target = getattr(cfg, section, None) if section else cfg
-    if not (dataclasses.is_dataclass(target)
-            and attr in {f.name for f in dataclasses.fields(target)}):
-        raise ConfigError(f"unknown sweep parameter {param!r}")
-    try:
-        swept = dataclasses.replace(target, **{attr: value})
-        if section:
-            swept = dataclasses.replace(cfg, **{section: swept})
-        return dataclasses.replace(swept, run_tag=f"{cfg.run_tag}-{param}{value}")
-    except ValueError as e:
-        raise ConfigError(f"sweep {param}={value}: {e}") from e
-
-
-def cmd_sweep(cfg: ExperimentConfig, param: str, values: List,
+def cmd_sweep(raw: dict, base_dir: Optional[Path], param: str, values: List,
               out_path: str | Path, lenient: bool = False) -> List[dict]:
-    """Run once per swept value, then evaluate the runs with `cmd_eval`, the
-    first value's run as the baseline: reports and comparison table go to
-    <output_dir>/<run_tag>-<param>/. The long-format CSV (param, value,
-    metric, mean) at `out_path` holds the table's means. Index and LLM cache
-    are reused. Every value, and the qrels file, is checked before the first
-    run."""
+    """Run the config file's mapping `raw` (its relative paths against
+    `base_dir`) once per value of `param`, as `run` runs the file with `param`
+    set: tagged <run_tag>-<param><value>, or <run_tag>-<param><position> where
+    the value's text holds whitespace or '/'. Then evaluate the runs with
+    `cmd_eval`, the first value's run as the baseline: reports and comparison
+    table go to <output_dir>/<run_tag>-<param>/, the table's means to the long
+    CSV (param, value, metric, mean) at `out_path`. Index and LLM cache are
+    reused. Every value, and the qrels file, is checked before the first run."""
     if not values:
         raise ValueError("sweep needs at least one value")
+    cfg = config_from_dict(raw, base_dir)
     if not (cfg.qrels and Path(cfg.qrels).is_file()):
         raise ConfigError(f"sweep needs a qrels file in the config, got {cfg.qrels!r}")
     qrels = load_qrels(cfg.qrels)  # a malformed line fails here, not after every run
-    configs = [_swept_config(cfg, param, value) for value in values]
-    value_of = {}  # run tag -> swept value
-    for value, sub in zip(values, configs):
-        if sub.run_tag in value_of:
-            raise ConfigError(f"sweep {param}: repeated run tag {sub.run_tag!r}")
-        value_of[sub.run_tag] = value
+    section, _, key = _SWEEP_PARAMS.get(param, param).rpartition(".")
+    nested = raw.get(section) if isinstance(raw.get(section), dict) else {}
+    configs, value_of = [], {}  # value_of: run tag -> swept value
+    for position, value in enumerate(values, start=1):
+        tag = f"{cfg.run_tag}-{param}{value}"
+        if tag.split() != [tag] or "/" in tag:  # the tag names the run's files
+            tag = f"{cfg.run_tag}-{param}{position}"
+        swept = {**raw, section: {**nested, key: value}} if section else {**raw, key: value}
+        try:
+            configs.append(config_from_dict({**swept, "run_tag": tag}, base_dir))
+        except ConfigError as e:
+            raise ConfigError(f"sweep {param}={value}: {e}") from e
+        if tag in value_of:
+            raise ConfigError(f"sweep {param}: repeated run tag {tag!r}")
+        value_of[tag] = value
 
     run_paths, failures = [], 0
     for sub in configs:
@@ -478,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       args.out, min_rel=args.min_rel)
         return 0
     if args.command == "sweep":
-        cmd_sweep(load_config(args.config), args.param, _parse_values(args.values),
+        cmd_sweep(*read_config(args.config), args.param, _parse_values(args.values),
                   args.out, lenient=args.lenient)
         return 0
     if args.command == "paraphrase":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .analysis import Analyzer
 from .corpus_io import CORPUS_READERS, TOPIC_READERS, CorpusFormatError, read_text
@@ -148,7 +148,8 @@ def _load_yaml(text: str, path: Path):
         raise ConfigError(f"{where}: invalid YAML ({getattr(e, 'problem', None) or e})") from None
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_config(path: str | Path) -> Tuple[dict, Path]:
+    """The config file's mapping, unchecked, and the directory it resolves against."""
     path = Path(path)
     try:
         text = read_text(path)
@@ -164,4 +165,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
-    return config_from_dict(raw, base_dir=path.parent)
+    return raw, path.parent
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(*read_config(path))

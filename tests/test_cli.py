@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import genqr
 import genqr.index
@@ -17,7 +18,7 @@ from genqr.cli import (_QueryRunner, cmd_eval, cmd_index, cmd_paraphrase, cmd_qu
                        cmd_run, cmd_sweep, main)
 from genqr.analysis import Analyzer
 from genqr.config import (METHODS, ConfigError, ExperimentConfig, Rm3Params,
-                          config_from_dict, load_config)
+                          config_from_dict, load_config, read_config)
 from genqr.corpus_io import CorpusFormatError, load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, holm_bonferroni, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
@@ -674,6 +675,27 @@ def test_oracle_feedback_takes_the_docs_at_min_rel(toy_cfg, toy_index, min_rel, 
     assert [doc.docno for doc in step.feedback] == taken
 
 
+def test_an_empty_query_takes_no_pseudo_feedback(toy_cfg, tmp_path):
+    """A query that analyses to no terms finds no feedback documents: an RF
+    method answers it as its plain method does, and rm3 fails it as raw does."""
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("1\tthe goldfish\n2\tgoldfish tank size\n")  # qid 1 analyses to nothing
+    analyzer = {"stopwords": ["the", "goldfish"]}
+    cmd_index(toy_cfg("raw", analyzer=analyzer))
+    failed, first = {}, {}
+    for method in METHODS:
+        run_path, ref_path, failed[method] = cmd_run(
+            toy_cfg(method, topics=str(topics), analyzer=analyzer), lenient=True)
+        first[method] = (read_run(run_path)[1].get("1"),
+                         json.loads(ref_path.read_text().splitlines()[0]))
+    assert failed == {"raw": 1, "flanqr": 0, "genqrensemble": 0, "rm3": 1, "flanprf": 0,
+                      "genqrensemble_rf": 0}
+    assert first["rm3"][0] is first["raw"][0] is None
+    for rf, plain in (("genqrensemble_rf", "genqrensemble"), ("flanprf", "flanqr")):
+        assert first[rf] == first[plain] and first[rf][0]
+        assert first[rf][1]["context"] is None
+
+
 def test_lenient_mode_records_failures(toy_cfg, toy_index, tmp_path):
     topics = tmp_path / "topics.tsv"
     topics.write_text("1\tgoldfish growth\n2\t???\n")  # qid 2 analyzes to nothing
@@ -941,27 +963,28 @@ def test_eval_scores_judged_topics_missing_from_run(toy_cfg, toy_index, tmp_path
     assert "partial: 9 judged topics missing" in caplog.text
 
 
-def test_sweep_scores_failed_queries_zero(toy_cfg, toy_index, tmp_path, caplog):
-    cfg = toy_cfg("raw", tag="s", topics=_failing_topics(tmp_path), metrics=["map"])
+def test_sweep_scores_failed_queries_zero(toy_index, tmp_path, caplog):
+    raw = toy_config_dict("raw", tag="s", work=str(tmp_path), topics=_failing_topics(tmp_path),
+                          metrics=["map"])
     with caplog.at_level("WARNING"), pytest.raises(RuntimeError, match="10 queries failed"):
-        cmd_sweep(cfg, "k1", [1.2], tmp_path / "sweep.csv", lenient=True)
+        cmd_sweep(raw, None, "k1", [1.2], tmp_path / "sweep.csv", lenient=True)
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1] == "k1,1.2,map,0.000000"
     assert "s-k11.2: 10 judged topics missing" in caplog.text
 
 
-def test_sweep_out_in_a_new_directory(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("rm3", tag="s", metrics=["map"])
+def test_sweep_out_in_a_new_directory(toy_index, tmp_path):
+    raw = toy_config_dict("rm3", tag="s", work=str(tmp_path), metrics=["map"])
     out = tmp_path / "nodir" / "sweep.csv"
-    rows = cmd_sweep(cfg, "fb_docs", [1, 2, 3], out)
+    rows = cmd_sweep(raw, None, "fb_docs", [1, 2, 3], out)
     assert out.read_text().splitlines() == ["param,value,metric,mean"] + \
         [f"fb_docs,{row['value']},map,{row['mean']:.6f}" for row in rows]
     assert [p.name for p in out.parent.iterdir()] == ["sweep.csv"]
 
 
 def test_sweep_reports_like_eval(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble_rf", tag="g")
-    rows = cmd_sweep(cfg, "method", METHODS, tmp_path / "sweep.csv")
-    runs = Path(cfg.output_dir)
+    raw = toy_config_dict("genqrensemble_rf", tag="g", work=str(tmp_path))
+    rows = cmd_sweep(raw, None, "method", METHODS, tmp_path / "sweep.csv")
+    runs = Path(raw["output_dir"])
     tags = [f"g-method{method}" for method in METHODS]
     swept = {tag: (runs / f"{tag}.run").read_bytes() for tag in tags}
     for method, tag in zip(METHODS, tags):
@@ -984,18 +1007,20 @@ def test_sweep_reports_like_eval(toy_cfg, toy_index, tmp_path):
         [f"method,{row['value']},{row['metric']},{row['mean']:.6f}" for row in rows]
 
 
-def test_sweep_quotes_a_value_with_a_quote(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble", tag="q", metrics=["map"])
+def test_sweep_quotes_a_value_with_a_quote(toy_index, tmp_path):
+    raw = toy_config_dict("genqrensemble", tag="q", work=str(tmp_path), metrics=["map"])
     template = '"{instruction}":{query}'
-    rows = cmd_sweep(cfg, "reformulation.prompt_template", [template], tmp_path / "sweep.csv")
+    rows = cmd_sweep(raw, None, "reformulation.prompt_template", [template],
+                     tmp_path / "sweep.csv")
     with open(tmp_path / "sweep.csv", newline="") as f:
         assert list(csv.reader(f))[1:] == [["reformulation.prompt_template", template, "map",
                                             f"{rows[0]['mean']:.6f}"]]
 
 
 def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble_rf", tag="sweep", metrics=["ndcg@10"])
-    rows = cmd_sweep(cfg, "fb_docs", [0], tmp_path / "sweep.csv")
+    raw = toy_config_dict("genqrensemble_rf", tag="sweep", work=str(tmp_path),
+                          metrics=["ndcg@10"])
+    rows = cmd_sweep(raw, None, "fb_docs", [0], tmp_path / "sweep.csv")
     plain_run, _, _ = cmd_run(toy_cfg("genqrensemble", tag="plain",
                                       metrics=["ndcg@10"]))
     qrels = load_qrels(TOY / "qrels.txt")
@@ -1003,10 +1028,11 @@ def test_sweep_m_zero_equals_plain_ensemble(toy_cfg, toy_index, tmp_path):
     assert rows[0]["mean"] == pytest.approx(plain_mean)
 
 
-def test_sweep_row_count_and_reuse(toy_cfg, toy_index, tmp_path, monkeypatch):
-    cfg = toy_cfg("genqrensemble_rf", tag="s", metrics=["ndcg@10", "map"])
+def test_sweep_row_count_and_reuse(toy_index, tmp_path, monkeypatch):
+    raw = toy_config_dict("genqrensemble_rf", tag="s", work=str(tmp_path),
+                          metrics=["ndcg@10", "map"])
     out = tmp_path / "sweep.csv"
-    rows = cmd_sweep(cfg, "fb_docs", [0, 1, 2], out)
+    rows = cmd_sweep(raw, None, "fb_docs", [0, 1, 2], out)
     assert len(rows) == 3 * 2
     assert out.read_text().splitlines()[0] == "param,value,metric,mean"
 
@@ -1020,64 +1046,64 @@ def test_sweep_row_count_and_reuse(toy_cfg, toy_index, tmp_path, monkeypatch):
         return original(self, request)
 
     monkeypatch.setattr(StubBackend, "_generate", counting)
-    rows_again = cmd_sweep(cfg, "fb_docs", [0, 1, 2], out)
+    rows_again = cmd_sweep(raw, None, "fb_docs", [0, 1, 2], out)
     assert calls["n"] == 0
     assert rows_again == rows
 
 
 @pytest.mark.parametrize("param,values", [("n", [3, 0]), ("beta", [1.0, -1.0]),
                                           ("retrieval_depth", [0])])
-def test_sweep_bad_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
-                                                 param, values):
-    cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
+def test_sweep_bad_value_rejected_before_any_run(toy_index, tmp_path, param, values):
+    raw = toy_config_dict("genqrensemble", tag="bad", work=str(tmp_path), metrics=["ndcg@10"])
     with pytest.raises(ConfigError, match=param):
-        cmd_sweep(cfg, param, values, tmp_path / "sweep.csv")
-    assert not Path(cfg.output_dir).exists()
+        cmd_sweep(raw, None, param, values, tmp_path / "sweep.csv")
+    assert not Path(raw["output_dir"]).exists()
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_tag_with_a_slash_rejected_before_any_run(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble", tag="t")
-    template = "{instruction}/{query}"  # a swept value names the run: t-<param><value>
-    with pytest.raises(ConfigError, match="run_tag must not contain '/'"):
-        cmd_sweep(cfg, "reformulation.prompt_template", ["{instruction}:{query}", template],
-                  tmp_path / "sweep.csv")
-    assert not Path(cfg.output_dir).exists()
+def test_sweep_value_with_a_slash_is_tagged_by_position(toy_index, tmp_path):
+    raw = toy_config_dict("genqrensemble", tag="t", work=str(tmp_path), metrics=["map"])
+    templates = ["{instruction}:{query}", "{instruction}/{query}"]  # a tag names files
+    rows = cmd_sweep(raw, None, "reformulation.prompt_template", templates,
+                     tmp_path / "sweep.csv")
+    assert sorted(p.name for p in Path(raw["output_dir"]).glob("*.run")) == \
+        ["t-reformulation.prompt_template2.run",
+         "t-reformulation.prompt_template{instruction}:{query}.run"]
+    assert [row["value"] for row in rows] == templates
 
 
 @pytest.mark.parametrize("values,tag", [([1, 1], "rep-fb_docs1"), ([0, 2, 0], "rep-fb_docs0")])
-def test_sweep_repeated_value_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
-                                                      values, tag):
-    cfg = toy_cfg("genqrensemble_rf", tag="rep", metrics=["ndcg@10"])
+def test_sweep_repeated_value_rejected_before_any_run(toy_index, tmp_path, values, tag):
+    raw = toy_config_dict("genqrensemble_rf", tag="rep", work=str(tmp_path),
+                          metrics=["ndcg@10"])
     with pytest.raises(ConfigError, match=f"repeated run tag '{tag}'"):
-        cmd_sweep(cfg, "fb_docs", values, tmp_path / "sweep.csv")
-    assert not Path(cfg.output_dir).exists()
+        cmd_sweep(raw, None, "fb_docs", values, tmp_path / "sweep.csv")
+    assert not Path(raw["output_dir"]).exists()
     assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("qrels", [None, "missing.txt"])
-def test_sweep_without_qrels_file_rejected_before_any_run(toy_cfg, toy_index, tmp_path,
-                                                          qrels):
+def test_sweep_without_qrels_file_rejected_before_any_run(toy_index, tmp_path, qrels):
     qrels = qrels and str(tmp_path / qrels)
-    cfg = toy_cfg("raw", tag="noq", qrels=qrels)
+    raw = toy_config_dict("raw", tag="noq", work=str(tmp_path), qrels=qrels)
     with pytest.raises(ConfigError, match=re.escape(f"sweep needs a qrels file in the "
                                                     f"config, got {qrels!r}")):
-        cmd_sweep(cfg, "k1", [1.2], tmp_path / "sweep.csv")
-    assert not Path(cfg.output_dir).exists()
+        cmd_sweep(raw, None, "k1", [1.2], tmp_path / "sweep.csv")
+    assert not Path(raw["output_dir"]).exists()
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_malformed_qrels_rejected_before_any_run(toy_cfg, toy_index, tmp_path):
+def test_sweep_malformed_qrels_rejected_before_any_run(toy_index, tmp_path):
     qrels = tmp_path / "qrels.txt"
     qrels.write_text("1 0 d001 x\n")
-    cfg = toy_cfg("raw", tag="badq", qrels=str(qrels))
+    raw = toy_config_dict("raw", tag="badq", work=str(tmp_path), qrels=str(qrels))
     with pytest.raises(CorpusFormatError, match="non-integer grade 'x'"):
-        cmd_sweep(cfg, "k1", [1.0, 1.2], tmp_path / "sweep.csv")
+        cmd_sweep(raw, None, "k1", [1.0, 1.2], tmp_path / "sweep.csv")
     assert not list(tmp_path.rglob("*.run"))
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_reads_the_qrels_once(toy_cfg, toy_index, tmp_path, monkeypatch):
+def test_sweep_reads_the_qrels_once(toy_index, tmp_path, monkeypatch):
     paths = []
 
     def counting(path):
@@ -1085,7 +1111,8 @@ def test_sweep_reads_the_qrels_once(toy_cfg, toy_index, tmp_path, monkeypatch):
         return load_qrels(path)
 
     monkeypatch.setattr(genqr.cli, "load_qrels", counting)
-    cmd_sweep(toy_cfg("raw", tag="once"), "k1", [1.0, 1.2], tmp_path / "sweep.csv")
+    cmd_sweep(toy_config_dict("raw", tag="once", work=str(tmp_path)), None, "k1", [1.0, 1.2],
+              tmp_path / "sweep.csv")
     assert len(paths) == 1
 
 
@@ -1116,40 +1143,162 @@ def test_sweep_bool_values_through_main(toy_index, tmp_path):
             main(args + ["--values", values])
 
 
-def test_sweep_unknown_param_rejected(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble", tag="bad", metrics=["ndcg@10"])
+def test_sweep_unknown_param_rejected(toy_index, tmp_path):
+    raw = toy_config_dict("genqrensemble", tag="bad", work=str(tmp_path), metrics=["ndcg@10"])
     # m was the alias of the removed reformulation.m; fb_docs is a config field now
-    for param in ("mystery", "m", "reformulation.mystery", "backend.mystery"):
-        with pytest.raises(ConfigError, match="unknown sweep parameter"):
-            cmd_sweep(cfg, param, [1], tmp_path / "sweep.csv")
+    for param, section, key in [("mystery", "config", "mystery"), ("m", "config", "m"),
+                                ("reformulation.mystery", "reformulation", "mystery"),
+                                ("backend.mystery", "backend", "mystery")]:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sweep {param}=1: unknown {section} keys: [{key!r}]")):
+            cmd_sweep(raw, None, param, [1], tmp_path / "sweep.csv")
+    assert not Path(raw["output_dir"]).exists()
 
 
-def test_sweep_over_backend_seed(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble", tag="s", metrics=["ndcg@10"])
-    cmd_sweep(cfg, "backend.seed", [1, 2], tmp_path / "sweep.csv")
-    runs = Path(cfg.output_dir)
+def test_sweep_over_backend_seed(toy_index, tmp_path):
+    raw = toy_config_dict("genqrensemble", tag="s", work=str(tmp_path), metrics=["ndcg@10"])
+    cmd_sweep(raw, None, "backend.seed", [1, 2], tmp_path / "sweep.csv")
+    runs = Path(raw["output_dir"])
     one = (runs / "s-backend.seed1.reformulations.jsonl").read_text()
     two = (runs / "s-backend.seed2.reformulations.jsonl").read_text()
     assert one != two
-    assert cfg.backend.seed == 42
+    assert raw["backend"]["seed"] == 42
 
 
-def test_sweep_n_past_the_instruction_set_fails_before_any_run(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble", tag="s", metrics=["ndcg@10"])
+def test_sweep_n_past_the_instruction_set_fails_before_any_run(toy_index, tmp_path):
+    raw = toy_config_dict("genqrensemble", tag="s", work=str(tmp_path), metrics=["ndcg@10"])
     with pytest.raises(ConfigError, match="n=20: reformulation.n=20 exceeds the "
                                           "10-instruction set"):
-        cmd_sweep(cfg, "n", [1, 20], tmp_path / "sweep.csv")
-    assert not Path(cfg.output_dir).exists()
+        cmd_sweep(raw, None, "n", [1, 20], tmp_path / "sweep.csv")
+    assert not Path(raw["output_dir"]).exists()
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_leaves_base_config_unchanged(toy_cfg, toy_index, tmp_path):
-    cfg = toy_cfg("genqrensemble", tag="s", metrics=["ndcg@10"])
-    before = repr(cfg)
-    cmd_sweep(cfg, "n", [1, 2], tmp_path / "sweep.csv")
-    assert repr(cfg) == before
-    assert sorted(p.name for p in Path(cfg.output_dir).glob("*.run")) == \
+def test_sweep_leaves_base_config_unchanged(toy_index, tmp_path):
+    raw = toy_config_dict("genqrensemble", tag="s", work=str(tmp_path), metrics=["ndcg@10"],
+                          reformulation={"n": 3})
+    before = json.dumps(raw)
+    cmd_sweep(raw, None, "n", [1, 2], tmp_path / "sweep.csv")
+    assert json.dumps(raw) == before
+    assert sorted(p.name for p in Path(raw["output_dir"]).glob("*.run")) == \
         ["s-n1.run", "s-n2.run"]
+
+
+def _assert_sweep_equals_run(cfg_path, param, values, tags, tmp_path):
+    """`sweep` of the config file writes, under each of `tags`, the run and
+    reformulations files that `run` writes of the file with `param` set to
+    the tag's value, and no other run."""
+    raw, base_dir = read_config(cfg_path)
+    cmd_sweep(raw, base_dir, param, values, tmp_path / "sweep.csv")
+    swept_dir = Path(raw["output_dir"])
+    assert sorted(p.stem for p in swept_dir.glob("*.run")) == sorted(tags)
+    section, _, key = param.rpartition(".")
+    for value, tag in zip(values, tags):
+        edited = json.loads(json.dumps(raw))
+        (edited.setdefault(section, {}) if section else edited)[key] = value
+        edited.update(run_tag=tag, output_dir=str(tmp_path / "alone"))
+        edited_path = cfg_path.with_name("edited.yaml")
+        edited_path.write_text(yaml.safe_dump(edited))
+        for path in cmd_run(load_config(edited_path))[:2]:
+            assert path.read_bytes() == (swept_dir / path.name).read_bytes(), path.name
+
+
+def _config_file(directory, raw):
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "exp.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_sweep_of_method_equals_run(toy_index, tmp_path):
+    cfg_path = _config_file(tmp_path / "cfg", toy_config_dict("raw", tag="m",
+                                                              work=str(tmp_path)))
+    _assert_sweep_equals_run(cfg_path, "method", list(METHODS),
+                             [f"m-method{method}" for method in METHODS], tmp_path)
+
+
+def test_sweep_instruction_sets_by_relative_path(toy_index, tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    (cfg_dir / "sets").mkdir(parents=True)
+    (cfg_dir / "sets" / "a.txt").write_text("Name search words for\nList more words for\n")
+    (cfg_dir / "b.txt").write_text("Give terms for\nSuggest words for\nWrite keywords for\n")
+    cfg_path = _config_file(cfg_dir, toy_config_dict(
+        "genqrensemble", tag="t", work=str(tmp_path), reformulation={"n": 2}))
+    monkeypatch.chdir(tmp_path)  # neither set is in the working directory
+    _assert_sweep_equals_run(cfg_path, "instructions", ["sets/a.txt", "b.txt"],
+                             ["t-instructions1", "t-instructionsb.txt"], tmp_path)
+    runs = tmp_path / "runs"
+    rows = [[json.loads(line)["keywords"] for line in
+             (runs / f"{tag}.reformulations.jsonl").read_text().splitlines()]
+            for tag in ("t-instructions1", "t-instructionsb.txt")]
+    assert rows[0] != rows[1]
+
+
+def test_sweep_topics_by_relative_path(toy_index, tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    (cfg_dir / "sub").mkdir(parents=True)
+    lines = (TOY / "topics.tsv").read_text().splitlines(keepends=True)
+    (cfg_dir / "few.tsv").write_text("".join(lines[:3]))
+    (cfg_dir / "sub" / "rest.tsv").write_text("".join(lines[3:]))
+    cfg_path = _config_file(cfg_dir, toy_config_dict("rm3", tag="t", work=str(tmp_path)))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    _assert_sweep_equals_run(cfg_path, "topics", ["few.tsv", "sub/rest.tsv"],
+                             ["t-topicsfew.tsv", "t-topics2"], tmp_path)
+
+
+def test_sweep_prompt_template_with_a_space(toy_index, tmp_path):
+    cfg_path = _config_file(tmp_path / "cfg", toy_config_dict(
+        "genqrensemble", tag="t", work=str(tmp_path), reformulation={"n": 3}))
+    _assert_sweep_equals_run(cfg_path, "reformulation.prompt_template",
+                             ["{instruction}: {query}", "{query}. {instruction}"],
+                             ["t-reformulation.prompt_template1",
+                              "t-reformulation.prompt_template2"], tmp_path)
+
+
+def test_sweep_reranker_cmd_with_a_space(toy_index, tmp_path):
+    cfg_path = _config_file(tmp_path / "cfg", toy_config_dict("raw", tag="t",
+                                                              work=str(tmp_path)))
+    _assert_sweep_equals_run(cfg_path, "reranker_cmd", [_reversing_reranker(tmp_path), "cp"],
+                             ["t-reranker_cmd1", "t-reranker_cmdcp"], tmp_path)
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=50, deadline=None)
+@example(values=["a b", "a/b"])
+@example(values=["a b", "1"])  # both tagged s-reranker_cmd1
+@given(values=st.lists(st.text(st.sampled_from("a1/ .\t\n-_#é"), max_size=4),
+                       min_size=1, max_size=4))
+def test_sweep_tags_are_valid_and_distinct_or_rejected(tmp_path_factory, values):
+    """Any values of a key that takes any string get valid run tags, one per
+    value and all distinct, or the sweep fails on a repeated tag before its
+    first run."""
+    work = tmp_path_factory.mktemp("sweep")
+    tags = []
+
+    def no_run(cfg, lenient=False):
+        tags.append(cfg.run_tag)
+        return work / f"{cfg.run_tag}.run", None, 0
+
+    def stop(*args, **kwargs):
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(genqr.cli, "cmd_run", no_run)
+        mp.setattr(genqr.cli, "cmd_eval", stop)
+        try:
+            cmd_sweep(toy_config_dict("raw", tag="s", work=str(work)), None, "reranker_cmd",
+                      values, work / "sweep.csv")
+        except _Stop:
+            assert len(set(tags)) == len(tags) == len(values)
+            assert all(tag.split() == [tag] and "/" not in tag for tag in tags)
+        except ConfigError as e:
+            assert not tags
+            assert re.fullmatch(r"sweep reranker_cmd: repeated run tag '\S+'", str(e))
 
 
 def test_beta_zero_matches_raw_on_every_metric(toy_cfg, toy_index, tmp_path):

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import analyze_oracle, pipeline_oracle, rm3_oracle
@@ -118,6 +118,10 @@ def _assert_same(run, record, ranking, depth, weights, exact, where):
 
 @settings(deadline=None)
 @given(inputs=_inputs(), params=_params)
+@example(inputs=({"d0": "w0 w1", "d1": "w1"}, {"0": "?", "1": "w1"}, {"0": {}, "1": {"d0": 1}}),
+         params={"k1": 1.2, "b": 0.75, "depth": 5, "fb_docs": 2, "fb_terms": 2, "lam": 0.5,
+                 "mu": 0.0, "n": 2, "beta": 1.0, "dedup": False, "context_budget": 4000,
+                 "min_rel": 1})  # qid 0 analyses to nothing, so it finds no pseudo feedback
 def test_query_runner_matches_pipeline_oracle(inputs, params):
     docs, topics, qrels = inputs
     stub = StubBackend(VOCAB, seed=42, n_terms=2)

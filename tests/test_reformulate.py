@@ -368,9 +368,12 @@ def test_lenient_generation_failure_fails_only_its_topic(canned, toy_cfg, toy_in
 
 def test_strict_run_raises_the_first_failing_topic(canned, toy_cfg, toy_index, tmp_path):
     topics = tmp_path / "topics.tsv"
-    topics.write_text("1\tdo goldfish grow\n2\t???\n")  # qid 2 fails before generation
+    topics.write_text("1\tdo goldfish grow\n2\tgoldfish tank\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("2 0 d999 1\n")  # qid 2 fails before generation: d999 is no toy doc
     canned.fail_first, canned.fail_status = 100, 400  # qid 1 fails in it
-    cfg = toy_cfg("flanprf", topics=str(topics), backend=http_backend(canned))
+    cfg = toy_cfg("flanprf", topics=str(topics), backend=http_backend(canned),
+                  feedback_mode="oracle", qrels=str(qrels))
     with pytest.raises(ReformulationError, match="qid 1: instruction 1 generation failed"):
         cmd_run(cfg)
 

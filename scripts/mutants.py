@@ -162,8 +162,8 @@ CATALOG = [
            ("tests/test_reformulate.py::test_fuse_occurrence_counts",
             "tests/test_reformulate.py::test_fuse_total_weight_without_dedup_property")),
     Mutant("fuse weights the original by beta", "reformulate.py",
-           "    weights = original.aggregated()\n",
-           "    weights = {t: w * config.beta for t, w in original.aggregated().items()}\n",
+           "terms=original.terms + tuple(",
+           "terms=tuple((t, w * config.beta) for t, w in original.terms) + tuple(",
            ("tests/test_reformulate.py::test_fuse_beta_zero_keeps_original_weights",
             "tests/test_reformulate.py::test_fuse_beta_zero_keeps_original_weights_property")),
     Mutant("fuse dedups adjacent repeats only", "reformulate.py",
@@ -172,11 +172,21 @@ CATALOG = [
            "                     if i == 0 or expansion[i - 1] != t]",
            ("tests/test_reformulate.py::test_fuse_dedup_permutation_invariant_property",)),
     Mutant("fuse ignores beta", "reformulate.py",
-           "weights[token] = weights.get(token, 0.0) + config.beta",
-           "weights[token] = weights.get(token, 0.0) + 1.0",
+           "(token, config.beta) for token in expansion",
+           "(token, 1.0) for token in expansion",
            ("tests/test_reformulate.py::test_fuse_beta_scales_expansions",
             "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
+    Mutant("WeightedQuery keeps repeated terms", "index.py",
+           '        object.__setattr__(self, "terms", tuple(merged.items()))\n',
+           "",
+           ("tests/test_index.py::test_weighted_query_merges_repeated_terms",
+            "tests/test_cli.py::test_a_repeated_token_is_one_fused_term")),
     # --- the sweep reports like eval ---
+    Mutant("sweep splits a JSON array at commas", "cli.py",
+           "    if isinstance(values, list):\n        return values\n",
+           "",
+           ("tests/test_cli.py::test_sweep_values_from_a_json_array_through_main[comma]",
+            "tests/test_cli.py::test_sweep_values_from_a_json_array_through_main[list]")),
     Mutant("sweep baseline is the last value", "cli.py",
            "baseline=configs[0].run_tag",
            "baseline=configs[-1].run_tag",
@@ -346,6 +356,11 @@ CATALOG = [
            "index.df(term) / total",
            ("tests/test_prf.py::test_frozen_two_doc_fixture",
             "tests/test_acceptance.py::test_criterion_6_rm3_correctness")),
+    Mutant("rm3 drops the relevance model for an empty query", "prf.py",
+           "    if lam < 1.0:\n",
+           "    if lam < 1.0 and original.terms:\n",
+           ("tests/test_prf.py::test_an_empty_query_expands_from_the_relevance_model_alone",
+            "tests/test_pipeline_oracle.py::test_query_runner_matches_pipeline_oracle")),
     Mutant("rm3_expand ignores params.mu", "prf.py",
            "estimate_relevance_model(index, original, feedback, params).items()",
            "estimate_relevance_model(index, original, feedback,\n"

@@ -399,8 +399,15 @@ def cmd_paraphrase(cfg: ExperimentConfig, count: int, out_path: str | Path) -> I
 
 
 def _parse_values(raw: str) -> List:
-    """Comma-separated sweep values: each a JSON number or true/false where it
-    parses as one, else the string; the config check then judges it."""
+    """Sweep values: a JSON array's items (a value may hold a comma or be a
+    list), else the comma-separated pieces, each a JSON number or true/false
+    where it parses as one, else the string; the config check judges each."""
+    try:
+        values = json.loads(raw)
+    except ValueError:
+        values = None
+    if isinstance(values, list):
+        return values
     values = []
     for piece in raw.split(","):
         try:
@@ -445,7 +452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run + evaluate across parameter values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--param", required=True)
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--values", required=True, help="comma-separated or a JSON array")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--lenient", action="store_true")
 
@@ -475,10 +482,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         cmd_sweep(*read_config(args.config), args.param, _parse_values(args.values),
                   args.out, lenient=args.lenient)
         return 0
-    if args.command == "paraphrase":
-        cmd_paraphrase(load_config(args.config), args.count, args.out)
-        return 0
-    return 2
+    cmd_paraphrase(load_config(args.config), args.count, args.out)  # paraphrase, the one left
+    return 0
 
 
 if __name__ == "__main__":

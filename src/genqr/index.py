@@ -90,25 +90,26 @@ class DegenerateQueryError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedQuery:
-    """Bag of (term, weight) pairs; duplicate terms accumulate weight."""
+    """Bag of (term, weight) pairs, merged at construction: `terms` holds each
+    term once, in first-seen order, its weights summed left to right."""
 
     qid: str
     terms: Tuple[Tuple[str, float], ...]
 
     def __post_init__(self):
+        merged: Dict[str, float] = {}
         for term, weight in self.terms:
             if not math.isfinite(weight) or weight < 0:
                 raise ValueError(f"query {self.qid}: bad weight {weight!r} for {term!r}")
+            merged[term] = merged.get(term, 0.0) + weight
+        object.__setattr__(self, "terms", tuple(merged.items()))
 
     @classmethod
     def from_terms(cls, qid: str, terms: Iterable[str]) -> "WeightedQuery":
         return cls(qid=qid, terms=tuple((t, 1.0) for t in terms))
 
     def aggregated(self) -> Dict[str, float]:
-        agg: Dict[str, float] = {}
-        for term, weight in self.terms:
-            agg[term] = agg.get(term, 0.0) + weight
-        return agg
+        return dict(self.terms)
 
 
 class PostingsIndex:
@@ -166,15 +167,14 @@ class PostingsIndex:
             self._norms[(k1, b)] = norms
         return norms
 
-    def _weights(self, query: WeightedQuery) -> Dict[str, float]:
-        """`query.aggregated()`, for an index with documents and a query
-        with a positive-weight term."""
+    def _weights(self, query: WeightedQuery) -> Tuple[Tuple[str, float], ...]:
+        """`query.terms`, for an index with documents and a query with a
+        positive-weight term: the one check of every method's query."""
         if self.n_docs == 0:
             raise IndexingError("cannot score against an empty index")
-        weights = query.aggregated()
-        if not any(w > 0 for w in weights.values()):
+        if not any(w > 0 for _, w in query.terms):
             raise DegenerateQueryError(f"degenerate query {query.qid!r}: no positive-weight term")
-        return weights
+        return query.terms
 
     def retrieve(self, query: WeightedQuery, k: int, k1: float = DEFAULT_K1,
                  b: float = DEFAULT_B) -> Ranking:
@@ -199,7 +199,7 @@ class PostingsIndex:
             raise ValueError(f"retrieve needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
         k1_plus_1 = k1 + 1.0
         lists = []  # (scale, start, end) of each matched term, in query order
-        for term, weight in self._weights(query).items():
+        for term, weight in self._weights(query):
             i = self.ids.get(term)
             if weight != 0.0 and i is not None:
                 lists.append((weight * self.idf(term), self.starts[i], self.starts[i + 1]))

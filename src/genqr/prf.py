@@ -84,18 +84,17 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
         return {}
 
     mu, total = params.mu, index.total_tokens
-    q_weights = original.aggregated()
     docs = [(Counter(tokens), len(tokens) + mu)
             for tokens in map(index.analyzer.analyze, (doc.text for doc in feedback))]
     p_coll = {term: index.collection_freq(term) / total if total else 0.0
-              for term in set(chain(q_weights, *(tf for tf, _ in docs)))}
+              for term in set(chain((t for t, _ in original.terms), *(tf for tf, _ in docs)))}
 
     # Query likelihood under the same smoothing; terms absent from the whole
     # collection carry no evidence and are skipped.
     log_likelihoods = []
     for tf, norm in docs:
         loglik = 0.0
-        for term, weight in q_weights.items():
+        for term, weight in original.terms:
             if weight <= 0 or p_coll[term] == 0:
                 continue
             # an empty document under mu = 0 gives every term 0
@@ -130,16 +129,14 @@ def estimate_relevance_model(index: PostingsIndex, original: WeightedQuery,
 
 def rm3_expand(index: PostingsIndex, original: WeightedQuery,
                feedback: Tuple[Document, ...], params: Rm3Params) -> WeightedQuery:
-    """Interpolate the normalized original query with the relevance model."""
+    """Interpolate the normalized original query with the relevance model; a
+    query with no weight adds none, so at lam = 1 `retrieve` rejects it."""
     if not feedback:
         raise FeedbackError(f"qid {original.qid}: empty feedback set")
 
-    q_weights = original.aggregated()
-    q_total = math.fsum(q_weights.values())
-    if q_total <= 0:
-        raise ValueError(f"qid {original.qid}: degenerate original query")
+    q_total = math.fsum(w for _, w in original.terms) or 1.0  # 0: every weight is 0, and stays 0
     lam = params.lam
-    combined = {t: lam * (w / q_total) for t, w in q_weights.items()}
+    combined = {t: lam * (w / q_total) for t, w in original.terms}
     if lam < 1.0:
         for term, p in estimate_relevance_model(index, original, feedback, params).items():
             combined[term] = combined.get(term, 0.0) + (1.0 - lam) * p

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .analysis import Analyzer
 from .corpus_io import Document, Topic, atomic_writer, read_text
-from .index import DegenerateQueryError, WeightedQuery
+from .index import WeightedQuery
 from .llm import Generator
 from .schema import ConfigError, check_fields
 
@@ -173,19 +173,14 @@ def fuse(original: WeightedQuery, expansions: Sequence[List[str]],
     `expansions` holds one token list per generated keyword, as made by
     `analyzer.analyze(keyword)`. Expansion tokens carry weight beta per
     occurrence (or per distinct token when dedup is set). Terms on both
-    sides accumulate both weights, in first-seen order.
+    sides accumulate both weights, in first-seen order, as `WeightedQuery`
+    merges them.
     """
-    weights = original.aggregated()
     expansion = [token for tokens in expansions for token in tokens]
     if config.dedup:
         expansion = dict.fromkeys(expansion)
-    for token in expansion:
-        weights[token] = weights.get(token, 0.0) + config.beta
-
-    if not any(w > 0 for w in weights.values()):
-        raise DegenerateQueryError(
-            f"query {original.qid!r}: fusion produced no positive-weight terms")
-    return WeightedQuery(qid=original.qid, terms=tuple(weights.items()))
+    return WeightedQuery(qid=original.qid, terms=original.terms + tuple(
+        (token, config.beta) for token in expansion))
 
 
 # --- the pipeline --------------------------------------------------------------

@@ -103,7 +103,7 @@ def bm25_scores(index, query, k1: float = 1.2, b: float = 0.75) -> Dict[str, flo
     """
     accum: Dict[int, float] = {}
     k1_plus_1 = k1 + 1.0
-    for term, weight in index._weights(query).items():
+    for term, weight in index._weights(query):
         if weight == 0.0 or term not in index.ids:
             continue
         norms = index._doc_norms(k1, b)  # here, where avgdl > 0 is certain

@@ -93,6 +93,8 @@ def test_config_roundtrip():
     ("goodness", "good"), ("revival", "reviv"), ("adjustable", "adjust"),
     ("replacement", "replac"), ("adoption", "adopt"), ("activate", "activ"),
     ("effective", "effect"), ("rate", "rate"), ("controll", "control"),
+    ("sized", "size"), ("troubled", "troubl"), ("opinion", "opinion"),
+    ("equalized", "equal"),  # step 1b's +e gives step 3 its "alize"
 ])
 def test_porter_reference_vectors(word, stem):
     assert porter_stem(word) == stem

@@ -22,8 +22,8 @@ from genqr.config import (METHODS, ConfigError, ExperimentConfig, Rm3Params,
 from genqr.corpus_io import CorpusFormatError, load_qrels, load_topics, read_run
 from genqr.evaluation import evaluate_run, holm_bonferroni, parse_metric
 from genqr.index import IndexingError, PostingsIndex, WeightedQuery
-from genqr.llm import (GenRequest, ReplayBackend, ResponseCache, SamplingConfig, cache_key,
-                       write_transcript)
+from genqr.llm import (BackendError, GenRequest, ReplayBackend, ResponseCache, SamplingConfig,
+                       cache_key, write_transcript)
 from genqr.reformulate import PARAPHRASE_PROMPT, InstructionSet, ReformulationConfig
 from genqr.schema import build
 
@@ -696,6 +696,22 @@ def test_an_empty_query_takes_no_pseudo_feedback(toy_cfg, tmp_path):
         assert first[rf][1]["context"] is None
 
 
+def test_a_repeated_token_is_one_fused_term(toy_cfg, toy_index, tmp_path):
+    """The reformulations row is the query as scored: a repeated token is
+    one term at its summed weight, and ranks as that term does."""
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("1\tgoldfish tank goldfish\n")
+    cfg = toy_cfg("raw", topics=str(topics))
+    run_path, ref_path, _ = cmd_run(cfg)
+    assert json.loads(ref_path.read_text())["fused_terms"] == [
+        {"term": "goldfish", "weight": 2.0}, {"term": "tank", "weight": 1.0}]
+    expected = toy_index.retrieve(WeightedQuery("1", (("goldfish", 2.0), ("tank", 1.0))),
+                                  k=cfg.retrieval_depth)
+    ranking = read_run(run_path)[1]["1"]
+    assert [d for d, _ in ranking] == [d for d, _ in expected]
+    assert [s for _, s in ranking] == pytest.approx([s for _, s in expected], abs=1e-6)
+
+
 def test_lenient_mode_records_failures(toy_cfg, toy_index, tmp_path):
     topics = tmp_path / "topics.tsv"
     topics.write_text("1\tgoldfish growth\n2\t???\n")  # qid 2 analyzes to nothing
@@ -758,6 +774,13 @@ def test_reranker_exchange_files_leave_output_dir(toy_cfg, toy_index, tmp_path):
     with pytest.raises(subprocess.CalledProcessError):
         cmd_run(failing)
     assert sorted(p.name for p in out.iterdir()) == ["rr.reformulations.jsonl", "rr.run"]
+
+
+def test_reranker_output_missing_a_ranked_qid_fails_the_run(toy_cfg, toy_index):
+    cfg = toy_cfg("raw", tag="rr", reranker_cmd="touch")  # writes an empty reranked run
+    with pytest.raises(RuntimeError, match=r"^reranker output is missing qid \S+$"):
+        cmd_run(cfg)
+    assert not Path(cfg.output_dir, "rr.run").exists()
 
 
 # --- eval / querywise / sweep ---
@@ -857,6 +880,20 @@ def test_eval_rejects_a_run_tag_with_a_slash_before_writing(tmp_path):
     with pytest.raises(ValueError, match=r"x.run: run tag '\.\./outside' must not contain '/'"):
         cmd_eval([runs / "x.run"], load_qrels(TOY / "qrels.txt"), ["map"], runs / "ev2")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["runs", "x.run"]
+
+
+@pytest.mark.parametrize("args, match", [
+    (["{run}"], r"^duplicate run tag 'raw' across inputs$"),
+    (["--baseline", "nope"], r"^baseline tag 'nope' not among the evaluated runs$"),
+    (["--min-rel", "0"], r"^min_rel must be >= 1, got 0$"),
+], ids=["duplicate-tag", "missing-baseline", "min-rel-0"])
+def test_eval_rejects_its_inputs_before_writing(toy_cfg, toy_index, tmp_path, args, match):
+    run_path, _, _ = cmd_run(toy_cfg("raw"))
+    out = tmp_path / "eval"
+    with pytest.raises(ValueError, match=match):
+        main(["eval", str(run_path), *(a.format(run=run_path) for a in args),
+              "--qrels", str(TOY / "qrels.txt"), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_eval_evaluates_a_metric_once(toy_cfg, toy_index, tmp_path):
@@ -1184,12 +1221,17 @@ def test_sweep_leaves_base_config_unchanged(toy_index, tmp_path):
         ["s-n1.run", "s-n2.run"]
 
 
-def _assert_sweep_equals_run(cfg_path, param, values, tags, tmp_path):
+def _assert_sweep_equals_run(cfg_path, param, values, tags, tmp_path, values_text=None):
     """`sweep` of the config file writes, under each of `tags`, the run and
     reformulations files that `run` writes of the file with `param` set to
-    the tag's value, and no other run."""
+    the tag's value, and no other run. Given `values_text`, the sweep runs
+    through `main` with that text as `--values`."""
     raw, base_dir = read_config(cfg_path)
-    cmd_sweep(raw, base_dir, param, values, tmp_path / "sweep.csv")
+    if values_text is None:
+        cmd_sweep(raw, base_dir, param, values, tmp_path / "sweep.csv")
+    else:
+        assert main(["sweep", "--config", str(cfg_path), "--param", param, "--values",
+                     values_text, "--out", str(tmp_path / "sweep.csv")]) == 0
     swept_dir = Path(raw["output_dir"])
     assert sorted(p.stem for p in swept_dir.glob("*.run")) == sorted(tags)
     section, _, key = param.rpartition(".")
@@ -1255,6 +1297,19 @@ def test_sweep_prompt_template_with_a_space(toy_index, tmp_path):
                              ["{instruction}: {query}", "{query}. {instruction}"],
                              ["t-reformulation.prompt_template1",
                               "t-reformulation.prompt_template2"], tmp_path)
+
+
+@pytest.mark.parametrize("param, values, tags", [
+    ("reformulation.prompt_template", ["{query}, {instruction}", "{instruction}: {query}"],
+     ["t-reformulation.prompt_template1", "t-reformulation.prompt_template2"]),
+    ("metrics", [["map"], ["ndcg@10", "p@5"]], ["t-metrics['map']", "t-metrics2"]),
+], ids=["comma", "list"])
+def test_sweep_values_from_a_json_array_through_main(toy_index, tmp_path, param, values, tags):
+    """`--values` as a JSON array gives its items: a value may hold a comma
+    or be a list."""
+    cfg_path = _config_file(tmp_path / "cfg", toy_config_dict(
+        "genqrensemble", tag="t", work=str(tmp_path), reformulation={"n": 3}))
+    _assert_sweep_equals_run(cfg_path, param, values, tags, tmp_path, json.dumps(values))
 
 
 def test_sweep_reranker_cmd_with_a_space(toy_index, tmp_path):
@@ -1382,6 +1437,42 @@ def test_paraphrase_cache_key_keeps_512_tokens(tmp_path):
                          sampling=cfg.sampling, max_new_tokens=512)
     key = cache_key(ReplayBackend(transcript), request)
     assert ResponseCache(tmp_path / "cache").get(key) is not None
+
+
+def _paraphrase_config(tmp_path, base="Name search words for", **extra):
+    """A config file for `genqr paraphrase`: a one-instruction set `base`
+    and a replay transcript that answers its paraphrase prompt."""
+    (tmp_path / "set.txt").write_text(base + "\n")
+    write_transcript([{"prompt": f"{PARAPHRASE_PROMPT} Name search words for",
+                       "response": "1. Give terms for\n2. Suggest words for"}],
+                     tmp_path / "t.jsonl")
+    raw = {"instructions": "set.txt",
+           "backend": {"kind": "replay", "transcript": "t.jsonl"}, **extra}
+    return _config_file(tmp_path, raw)
+
+
+def test_paraphrase_through_main(tmp_path):
+    cfg_path = _paraphrase_config(tmp_path)
+    out = tmp_path / "out.txt"
+    assert main(["paraphrase", "--config", str(cfg_path), "--count", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == \
+        ["Name search words for", "Give terms for", "Suggest words for"]
+
+
+@pytest.mark.parametrize("base, extra, error, match", [
+    ("Name search words for", {"backend": None}, ConfigError,
+     r"^paraphrase needs a backend section$"),
+    ("List more words for", {}, BackendError,
+     r"^no recorded response for prompt [0-9a-f]+ in \S+t\.jsonl$"),
+    ("", {}, ConfigError, r"^instructions '\S+set\.txt': no instructions found$"),
+], ids=["no-backend", "backend-call-fails", "no-instruction"])
+def test_paraphrase_failures_through_main(tmp_path, base, extra, error, match):
+    cfg_path = _paraphrase_config(tmp_path, base, **extra)
+    out = tmp_path / "out.txt"
+    with pytest.raises(error, match=match):
+        main(["paraphrase", "--config", str(cfg_path), "--count", "3", "--out", str(out)])
+    assert not out.exists()
 
 
 # --- argparse entry point ---

@@ -187,6 +187,17 @@ def test_bad_record_id_names_its_line(tmp_path, load, format, text, match):
         list(load(path, format))
 
 
+@pytest.mark.parametrize("load, text, match", [
+    (load_topics, "1\tq\n2 r\n", r"/c:2: expected qid<TAB>query$"),
+    (load_qrels, "1 0 d7 2\n1 0 d8 -1\n", r"/c:2: negative grade -1$"),
+], ids=["topics-tsv-without-a-tab", "qrels-negative-grade"])
+def test_a_malformed_line_names_its_line(tmp_path, load, text, match):
+    path = tmp_path / "c"
+    path.write_text(text)
+    with pytest.raises(CorpusFormatError, match=match):
+        load(path)
+
+
 def _read_corpus(fmt):
     return lambda path: list(load_corpus(path, fmt))
 

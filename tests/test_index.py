@@ -145,6 +145,15 @@ def test_degenerate_query_rejected():
         index.retrieve(WeightedQuery(qid="q", terms=(("a", 0.0),)), k=index.n_docs)
 
 
+def test_weighted_query_merges_repeated_terms():
+    """`terms` is the query as scored: each term once, in first-seen order,
+    its weights summed left to right from 0.0."""
+    query = WeightedQuery(qid="q", terms=(("b", 0.1), ("a", 1.0), ("b", 0.2), ("b", 0.3)))
+    assert query.terms == (("b", 0.0 + 0.1 + 0.2 + 0.3), ("a", 1.0))
+    assert query.aggregated() == {"b": 0.1 + 0.2 + 0.3, "a": 1.0}
+    assert WeightedQuery.from_terms("q", ["x", "y", "x"]).terms == (("x", 2.0), ("y", 1.0))
+
+
 def test_retrieve_k_larger_than_candidates():
     index = build_index([Document("d1", "a"), Document("d2", "a"), Document("d3", "b")],
                         Analyzer())

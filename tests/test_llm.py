@@ -139,6 +139,13 @@ def test_http_missing_field(canned):
         backend.generate(GenRequest(prompt="hi"))
 
 
+def test_http_completion_not_a_string(canned):
+    canned.reply = lambda prompt: b'{"choices": [{"text": 5}]}'
+    backend = HttpBackend(canned.url, model="toy", completion_field="choices.0.text")
+    with pytest.raises(BackendError, match="^completion field 'choices.0.text' is not a string$"):
+        backend.generate(GenRequest(prompt="hi"))
+
+
 @pytest.fixture
 def sleeps(monkeypatch):
     """Delays HttpBackend waits between attempts, recorded instead of slept."""

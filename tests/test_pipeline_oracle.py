@@ -32,10 +32,10 @@ _text = st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join)
 @st.composite
 def _inputs(draw):
     """Docs (some empty, many tied), topics (one word or more; "zz" matches
-    no doc) and graded qrels over the docs."""
+    no doc, "?" analyses to nothing) and graded qrels over the docs."""
     names = draw(st.permutations([f"d{i}" for i in range(10)]))  # index order is not docno order
     docs = {name: draw(_text) for name in names[:draw(st.integers(1, 10))]}
-    topics = {str(q): " ".join(draw(st.lists(st.sampled_from(_WORDS + ["zz"]),
+    topics = {str(q): " ".join(draw(st.lists(st.sampled_from(_WORDS + ["zz", "?"]),
                                              min_size=1, max_size=4)))
               for q in range(draw(st.integers(1, 3)))}
     qrels = {qid: draw(st.dictionaries(st.sampled_from(sorted(docs)), st.integers(0, 2),
@@ -122,6 +122,16 @@ def _assert_same(run, record, ranking, depth, weights, exact, where):
          params={"k1": 1.2, "b": 0.75, "depth": 5, "fb_docs": 2, "fb_terms": 2, "lam": 0.5,
                  "mu": 0.0, "n": 2, "beta": 1.0, "dedup": False, "context_budget": 4000,
                  "min_rel": 1})  # qid 0 analyses to nothing, so it finds no pseudo feedback
+@example(inputs=({"d0": "w0 w1", "d1": "w1 w2 w2"}, {"0": "?", "1": "w1"},
+                 {"0": {"d0": 1, "d1": 2}, "1": {"d0": 1}}),
+         params={"k1": 1.2, "b": 0.75, "depth": 5, "fb_docs": 2, "fb_terms": 3, "lam": 0.5,
+                 "mu": 0.0, "n": 2, "beta": 1.0, "dedup": False, "context_budget": 4000,
+                 "min_rel": 1})  # qid 0 analyses to nothing; oracle feedback expands it
+@example(inputs=({"d0": "w0 w1", "d1": "w1 w2 w2"}, {"0": "?", "1": "w1"},
+                 {"0": {"d0": 1, "d1": 2}, "1": {"d0": 1}}),
+         params={"k1": 1.2, "b": 0.75, "depth": 5, "fb_docs": 2, "fb_terms": 3, "lam": 1.0,
+                 "mu": 0.0, "n": 2, "beta": 0.0, "dedup": False, "context_budget": 4000,
+                 "min_rel": 1})  # qid 0 keeps no weight under any method, so it fails
 def test_query_runner_matches_pipeline_oracle(inputs, params):
     docs, topics, qrels = inputs
     stub = StubBackend(VOCAB, seed=42, n_terms=2)

@@ -6,7 +6,7 @@ from oracles import rm3_oracle
 
 from genqr.analysis import Analyzer
 from genqr.corpus_io import Document
-from genqr.index import WeightedQuery, build_index
+from genqr.index import DegenerateQueryError, WeightedQuery, build_index
 from genqr.prf import (FeedbackError, Rm3Params, estimate_relevance_model,
                        rm3_expand, select_feedback, select_oracle_feedback)
 from genqr.schema import ConfigError
@@ -226,6 +226,25 @@ def test_empty_feedback_rejected():
     empty = ()
     with pytest.raises(FeedbackError, match="empty"):
         rm3_expand(fixture_index(), query, empty, Rm3Params(fb_terms=2, lam=0.5))
+
+
+def test_an_empty_query_expands_from_the_relevance_model_alone():
+    """A query with no terms (oracle feedback can give it documents) adds no
+    weight: at lam < 1 it is the scaled relevance model, at lam = 1 it has
+    no term and `retrieve` rejects it."""
+    index, query = fixture_index(), WeightedQuery.from_terms("q", [])
+    params = Rm3Params(fb_terms=3, lam=0.5, mu=0.0)
+    out = rm3_expand(index, query, fixture_feedback(), params)
+    model = estimate_relevance_model(index, query, fixture_feedback(), params)
+    assert dict(out.terms) == {t: 0.5 * p for t, p in model.items()} and len(model) == 3
+    ref = rm3_oracle({d.docno: d.text.split() for d in FIXTURE_DOCS}, ["d1", "d2"], {},
+                     fb_terms=3, lam=0.5, mu=0.0)
+    assert dict(out.terms) == pytest.approx(ref, abs=1e-12)
+    assert index.retrieve(out, k=4)
+    alone = rm3_expand(index, query, fixture_feedback(), Rm3Params(fb_terms=3, lam=1.0))
+    assert alone.terms == ()
+    with pytest.raises(DegenerateQueryError, match="degenerate query 'q'"):
+        index.retrieve(alone, k=4)
 
 
 def test_original_terms_retained():

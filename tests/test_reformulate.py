@@ -12,7 +12,7 @@ from genqr import cli
 from genqr.cli import _QueryRunner, cmd_run
 from genqr.config import ConfigError
 from genqr.corpus_io import Document, Topic, load_topics, read_run
-from genqr.index import DegenerateQueryError, WeightedQuery
+from genqr.index import DegenerateQueryError, WeightedQuery, build_index
 from genqr.llm import (Backend, GenRequest, Generator, HttpBackend, ReplayBackend,
                        ResponseCache, StubBackend, cache_key)
 from genqr.reformulate import (InstructionSet, ReformulationConfig,
@@ -206,8 +206,17 @@ def test_fuse_multiplicity_preserved_without_dedup():
 
 
 def test_fuse_degenerate_rejected():
-    with pytest.raises(DegenerateQueryError):
-        fuse(analysed("..."), [[]], ReformulationConfig(n=1))
+    """A fused query with no positive weight (no keyword, or beta 0) is
+    built, and `retrieve`, the one check of every method's query, rejects it."""
+    index = build_index([Document("d1", "carp koi")], Analyzer())
+    for responses, beta in [(["", "..."], 1.0), (["carp koi"], 0.0)]:
+        fused, _ = reformulate_query(analysed("...", qid="7"), responses,
+                                     ReformulationConfig(n=len(responses), beta=beta),
+                                     Analyzer())
+        assert not any(w > 0 for _, w in fused.terms)
+        with pytest.raises(DegenerateQueryError,
+                           match="^degenerate query '7': no positive-weight term$"):
+            index.retrieve(fused, k=10)
 
 
 _FUSE_TOKENS = st.lists(st.sampled_from("abcdexyzq"), max_size=6)
